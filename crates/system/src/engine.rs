@@ -40,9 +40,7 @@ use crate::site::SiteVec;
 use crate::store::{Fnv128, ResultStore};
 use crate::telemetry::{trace_enabled, EngineTelemetry};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -50,7 +48,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 use voltnoise_pdn::signal::trace_signature;
 use voltnoise_pdn::topology::NUM_CORES;
-use voltnoise_pdn::{CancelToken, PdnError, SolveSpec, SolverBackend};
+use voltnoise_pdn::{CancelToken, PdnError, SolverBackend};
 
 /// Number of independently locked cache shards. A small power of two:
 /// enough to keep worker threads from serializing on one mutex, small
@@ -65,114 +63,20 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Content key of one core's load: exactly the fields
-/// [`crate::noise::run_noise`] consumes, with floats captured bit-exactly.
+/// Content key of a whole simulation job: the job's 128-bit store
+/// digest plus its seed. Two jobs with equal keys produce
+/// bitwise-identical [`NoiseOutcome`]s.
 ///
-/// Instruction bodies, repetition counts and IPCs are deliberately
-/// excluded — the noise engine only sees the compiled electrical
-/// envelope (currents, stimulus frequency, duty, synchronization), so
-/// two stressmarks with different code but the same envelope are the
-/// same job.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum LoadKey {
-    /// Core idles at its static current.
-    Idle,
-    /// Core runs a compiled stressmark with this electrical envelope.
-    Stress {
-        /// `stim_freq_hz` bits.
-        stim_freq: u64,
-        /// `duty` bits.
-        duty: u64,
-        /// `i_high_a` bits.
-        i_high: u64,
-        /// `i_low_a` bits.
-        i_low: u64,
-        /// `i_idle_a` bits.
-        i_idle: u64,
-        /// Synchronization condition: `(interval_s bits, offset_ticks,
-        /// events)` when TOD-synchronized.
-        sync: Option<(u64, u32, u32)>,
-    },
-}
-
-impl LoadKey {
-    /// Derives the key of a load.
-    pub fn of(load: &CoreLoad) -> LoadKey {
-        match load {
-            CoreLoad::Idle => LoadKey::Idle,
-            CoreLoad::Stressmark(sm) => LoadKey::Stress {
-                stim_freq: sm.spec.stim_freq_hz.to_bits(),
-                duty: sm.spec.duty.to_bits(),
-                i_high: sm.i_high_a.to_bits(),
-                i_low: sm.i_low_a.to_bits(),
-                i_idle: sm.i_idle_a.to_bits(),
-                sync: sm
-                    .spec
-                    .sync
-                    .as_ref()
-                    .map(|s| (s.interval_s.to_bits(), s.offset_ticks, s.events)),
-            },
-        }
-    }
-}
-
-/// Content key of a whole simulation job. Two jobs with equal keys
-/// produce bitwise-identical [`NoiseOutcome`]s.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The digest is a fixed FNV-1a over a canonical byte rendering of
+/// every input [`crate::noise::run_noise`] consumes (see
+/// [`JobKey::store_digest`]), computed once when the [`SimJob`] is
+/// built. It is trusted as the job's identity everywhere: the
+/// persistent store's key, the memo's key and the singleflight key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JobKey {
-    /// Scenario fingerprint. For chip jobs: the serialized
-    /// [`crate::chip::ChipConfig`] plus each core's realized skitter
-    /// configuration (which [`Chip::undervolted`] re-anchors
-    /// independently of the config). For rack jobs:
-    /// [`RackScenario::signature`], which embeds the base chip's
-    /// fingerprint plus the rack parameters and variation spec.
-    chip_sig: Arc<str>,
-    /// Per-site load keys (one per chip core, or one per rack site).
-    loads: Vec<LoadKey>,
-    /// `NoiseRunConfig::window_s` bits.
-    window: Option<u64>,
-    /// `NoiseRunConfig::record_traces`.
-    record_traces: bool,
-    /// `NoiseRunConfig::seed`.
+    digest: u128,
+    /// `NoiseRunConfig::seed`, kept beside the digest for fault reports.
     seed: u64,
-    /// `NoiseRunConfig::max_steps` — part of the key because a budgeted
-    /// job is a different experiment than an unbudgeted one (it may fail
-    /// where the other succeeds). The cancellation token is deliberately
-    /// *not* keyed: an un-cancelled token never changes results.
-    max_steps: Option<usize>,
-    /// `NoiseRunConfig::solve` captured bit-exactly (see [`SolveKey`]):
-    /// a result computed under a different solve spec — another backend,
-    /// or a reduced-order model with any error budget — is a different
-    /// result, even when the outputs happen to agree.
-    solve: SolveKey,
-}
-
-/// Bit-exact, hashable rendering of a [`SolveSpec`] for content keys:
-/// the backend enum plus (when a ROM is requested) every [`voltnoise_pdn::RomSpec`]
-/// field with floats captured as `to_bits`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct SolveKey {
-    backend: SolverBackend,
-    /// `(budget_v bits, max_states, expansion_hz bits, calib_window_s
-    /// bits, dilation)` when a reduced-order model is requested.
-    rom: Option<(u64, u64, u64, u64, u32)>,
-}
-
-impl SolveKey {
-    fn of(spec: &SolveSpec) -> SolveKey {
-        SolveKey {
-            backend: spec.backend,
-            rom: spec.rom.map(|r| {
-                (
-                    r.budget_v.to_bits(),
-                    r.max_states as u64,
-                    r.expansion_hz.to_bits(),
-                    r.calib_window_s.to_bits(),
-                    r.dilation,
-                )
-            }),
-        }
-    }
 }
 
 impl JobKey {
@@ -182,91 +86,114 @@ impl JobKey {
         self.seed
     }
 
-    /// A short, deterministic digest for fault reports: a content hash
-    /// plus the run seed.
+    /// A short, deterministic digest for fault reports: the top half of
+    /// the content digest plus the run seed.
     pub fn digest(&self) -> String {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        format!("job {:016x} (seed {})", h.finish(), self.seed)
+        format!("job {:016x} (seed {})", self.digest >> 64, self.seed)
     }
 
-    /// Stable 128-bit content digest used as the persistent-store key.
+    /// Stable 128-bit content digest used as the persistent-store key,
+    /// as 32 lowercase hex digits.
     ///
-    /// Unlike [`JobKey::digest`] (which uses the std hasher and is only
-    /// meaningful within one process), this digest is computed with a
-    /// fixed FNV-1a over a canonical byte rendering of every key field —
-    /// chip signature included — so it stays valid across processes,
-    /// machines and toolchain upgrades. It is the on-disk key contract
-    /// of [`ResultStore`]; changing the rendering requires bumping the
-    /// store's key-scheme version.
+    /// The digest hashes the scenario signature, then the per-site
+    /// loads (count-prefixed; only the electrical envelope of a
+    /// stressmark: frequency, duty, currents and sync condition, floats
+    /// as bits), then window, trace flag, seed, step budget and solve
+    /// spec. The rendering is fixed, so the digest stays valid across
+    /// processes, machines and toolchain upgrades. It is the on-disk key
+    /// contract of [`ResultStore`]; changing the rendering requires
+    /// bumping the store's key-scheme version.
     pub fn store_digest(&self) -> String {
-        let mut h = Fnv128::new();
-        h.update(self.chip_sig.as_bytes());
-        h.update(&[0x1f]);
-        // Load-count prefix: keys became variable-length when site
-        // indexing replaced the fixed six-core arrays, and a length
-        // prefix keeps the rendering injective (scheme rev /3).
-        h.update(&(self.loads.len() as u64).to_le_bytes());
-        for load in &self.loads {
-            match load {
-                LoadKey::Idle => h.update(&[0]),
-                LoadKey::Stress {
-                    stim_freq,
-                    duty,
-                    i_high,
-                    i_low,
-                    i_idle,
-                    sync,
-                } => {
-                    h.update(&[1]);
-                    for v in [stim_freq, duty, i_high, i_low, i_idle] {
-                        h.update(&v.to_le_bytes());
-                    }
-                    match sync {
-                        None => h.update(&[0]),
-                        Some((interval, offset, events)) => {
-                            h.update(&[1]);
-                            h.update(&interval.to_le_bytes());
-                            h.update(&offset.to_le_bytes());
-                            h.update(&events.to_le_bytes());
-                        }
-                    }
-                }
-            }
-        }
-        match self.window {
-            None => h.update(&[0]),
-            Some(w) => {
-                h.update(&[1]);
-                h.update(&w.to_le_bytes());
-            }
-        }
-        h.update(&[u8::from(self.record_traces)]);
-        h.update(&self.seed.to_le_bytes());
-        match self.max_steps {
-            None => h.update(&[0]),
-            Some(n) => {
-                h.update(&[1]);
-                h.update(&(n as u64).to_le_bytes());
-            }
-        }
-        h.update(&[match self.solve.backend {
-            SolverBackend::Auto => 0,
-            SolverBackend::Dense => 1,
-            SolverBackend::Sparse => 2,
-        }]);
-        match self.solve.rom {
-            None => h.update(&[0]),
-            Some((budget, states, expansion, calib, dilation)) => {
-                h.update(&[1]);
-                for v in [budget, states, expansion, calib] {
-                    h.update(&v.to_le_bytes());
-                }
-                h.update(&dilation.to_le_bytes());
-            }
-        }
-        h.finish_hex()
+        format!("{:032x}", self.digest)
     }
+}
+
+/// Hasher state after a scenario signature: the part of a job digest
+/// every job on one chip or rack shares.
+fn signature_prefix(sig: &str) -> Fnv128 {
+    let mut h = Fnv128::new();
+    h.update(sig.as_bytes());
+    h.update(&[0x1f]);
+    h
+}
+
+/// Finishes a job digest from its scenario's [`signature_prefix`]
+/// (scheme `jobkey-fnv1a128/3`).
+fn job_digest(prefix: &Fnv128, loads: &[CoreLoad], cfg: &NoiseRunConfig) -> u128 {
+    let mut h = prefix.clone();
+    let bits = |h: &mut Fnv128, v: f64| h.update(&v.to_bits().to_le_bytes());
+    // Load-count prefix: keys became variable-length when site indexing
+    // replaced the fixed six-core arrays, and a length prefix keeps the
+    // rendering injective (scheme rev /3).
+    h.update(&(loads.len() as u64).to_le_bytes());
+    for load in loads {
+        match load {
+            CoreLoad::Idle => h.update(&[0]),
+            // Instruction bodies, repetition counts and IPCs are
+            // deliberately excluded: the solver only sees the compiled
+            // electrical envelope, so two stressmarks with different
+            // code but the same envelope are the same job.
+            CoreLoad::Stressmark(sm) => {
+                h.update(&[1]);
+                for v in [
+                    sm.spec.stim_freq_hz,
+                    sm.spec.duty,
+                    sm.i_high_a,
+                    sm.i_low_a,
+                    sm.i_idle_a,
+                ] {
+                    bits(&mut h, v);
+                }
+                match &sm.spec.sync {
+                    None => h.update(&[0]),
+                    Some(sync) => {
+                        h.update(&[1]);
+                        bits(&mut h, sync.interval_s);
+                        h.update(&sync.offset_ticks.to_le_bytes());
+                        h.update(&sync.events.to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
+    match cfg.window_s {
+        None => h.update(&[0]),
+        Some(w) => {
+            h.update(&[1]);
+            bits(&mut h, w);
+        }
+    }
+    h.update(&[u8::from(cfg.record_traces)]);
+    h.update(&cfg.seed.to_le_bytes());
+    // The step budget is content (a budgeted job may fail where an
+    // unbudgeted one succeeds); the cancellation token is not, since an
+    // un-cancelled token never changes results.
+    match cfg.max_steps {
+        None => h.update(&[0]),
+        Some(n) => {
+            h.update(&[1]);
+            h.update(&(n as u64).to_le_bytes());
+        }
+    }
+    // A result computed under another backend, or a reduced-order model
+    // with any error budget, is a different result.
+    h.update(&[match cfg.solve.backend {
+        SolverBackend::Auto => 0,
+        SolverBackend::Dense => 1,
+        SolverBackend::Sparse => 2,
+    }]);
+    match cfg.solve.rom {
+        None => h.update(&[0]),
+        Some(rom) => {
+            h.update(&[1]);
+            bits(&mut h, rom.budget_v);
+            h.update(&(rom.max_states as u64).to_le_bytes());
+            bits(&mut h, rom.expansion_hz);
+            bits(&mut h, rom.calib_window_s);
+            h.update(&rom.dilation.to_le_bytes());
+        }
+    }
+    h.finish()
 }
 
 /// Fallibly computes a chip's content fingerprint. The JSON rendering of
@@ -336,6 +263,9 @@ impl JobTarget {
 #[derive(Debug, Clone)]
 pub struct SimJob {
     target: JobTarget,
+    /// Digest state after the scenario signature, kept so a reseeded
+    /// retry re-keys without re-hashing the signature.
+    prefix: Fnv128,
     loads: SiteVec<CoreLoad>,
     cfg: NoiseRunConfig,
     key: JobKey,
@@ -361,7 +291,8 @@ impl SimJob {
         loads: impl Into<SiteVec<CoreLoad>>,
         cfg: NoiseRunConfig,
     ) -> SimJob {
-        SimJob::keyed(JobTarget::Chip(chip), chip_sig, loads.into(), cfg)
+        let prefix = signature_prefix(&chip_sig);
+        SimJob::keyed(JobTarget::Chip(chip), prefix, loads.into(), cfg)
     }
 
     /// Builds a rack job. The key carries the rack's content signature,
@@ -372,27 +303,22 @@ impl SimJob {
         loads: impl Into<SiteVec<CoreLoad>>,
         cfg: NoiseRunConfig,
     ) -> SimJob {
-        let sig = rack.signature();
-        SimJob::keyed(JobTarget::Rack(rack), sig, loads.into(), cfg)
+        SimJob::rack_batch(rack).job(loads, cfg)
     }
 
     fn keyed(
         target: JobTarget,
-        chip_sig: Arc<str>,
+        prefix: Fnv128,
         loads: SiteVec<CoreLoad>,
         cfg: NoiseRunConfig,
     ) -> SimJob {
         let key = JobKey {
-            chip_sig,
-            loads: loads.iter().map(LoadKey::of).collect(),
-            window: cfg.window_s.map(f64::to_bits),
-            record_traces: cfg.record_traces,
+            digest: job_digest(&prefix, &loads, &cfg),
             seed: cfg.seed,
-            max_steps: cfg.max_steps,
-            solve: SolveKey::of(&cfg.solve),
         };
         SimJob {
             target,
+            prefix,
             loads,
             cfg,
             key,
@@ -402,19 +328,19 @@ impl SimJob {
     /// A factory for jobs sharing one chip (and one signature).
     pub fn batch(chip: &Chip) -> JobBatch {
         let chip = Arc::new(chip.clone());
-        let sig = chip_signature(&chip);
+        let prefix = signature_prefix(&chip_signature(&chip));
         JobBatch {
             target: JobTarget::Chip(chip),
-            sig,
+            prefix,
         }
     }
 
     /// A factory for jobs sharing one rack scenario (and one signature).
     pub fn rack_batch(rack: Arc<RackScenario>) -> JobBatch {
-        let sig = rack.signature();
+        let prefix = signature_prefix(&rack.signature());
         JobBatch {
             target: JobTarget::Rack(rack),
-            sig,
+            prefix,
         }
     }
 
@@ -454,7 +380,7 @@ impl SimJob {
         };
         SimJob::keyed(
             self.target.clone(),
-            self.key.chip_sig.clone(),
+            self.prefix.clone(),
             self.loads.clone(),
             cfg,
         )
@@ -530,17 +456,18 @@ impl DrawerJob {
 }
 
 /// Factory producing [`SimJob`]s that share one scenario instance
-/// (chip or rack) and one precomputed signature.
+/// (chip or rack). The scenario signature is hashed once, into the
+/// digest state every job of the batch starts from.
 #[derive(Debug, Clone)]
 pub struct JobBatch {
     target: JobTarget,
-    sig: Arc<str>,
+    prefix: Fnv128,
 }
 
 impl JobBatch {
     /// Builds one job of the batch.
     pub fn job(&self, loads: impl Into<SiteVec<CoreLoad>>, cfg: NoiseRunConfig) -> SimJob {
-        SimJob::keyed(self.target.clone(), self.sig.clone(), loads.into(), cfg)
+        SimJob::keyed(self.target.clone(), self.prefix.clone(), loads.into(), cfg)
     }
 }
 
@@ -558,9 +485,9 @@ pub struct EngineStats {
     /// Extra attempts granted by the retry policy (a job that succeeds
     /// on its second attempt contributes 1 here and 0 to `faults`).
     pub retries: usize,
-    /// Jobs answered from the persistent result store (a store hit also
-    /// promotes the outcome into the in-memory cache, so later lookups
-    /// count as `cache_hits`).
+    /// Jobs answered from the persistent result store: the first lookup
+    /// of each key the store loaded into the memo (later lookups count
+    /// as `cache_hits`).
     pub store_hits: usize,
     /// Corrupt lines skipped when the persistent store was opened
     /// (zero without a store).
@@ -633,14 +560,64 @@ impl EngineStats {
     }
 }
 
+/// How one job settled: its outcome, or the fault every caller of the
+/// key shares.
+type Settled = Result<Arc<NoiseOutcome>, JobFault>;
+
 /// One in-flight solve that concurrent identical requests attach to:
 /// the first caller (the leader) solves, every later caller with the
 /// same content key blocks on the condvar and shares the settled
 /// result — success or fault — instead of duplicating the solve.
 #[derive(Default)]
-struct InflightSlot {
-    result: Mutex<Option<Result<Arc<NoiseOutcome>, JobFault>>>,
+struct Slot {
+    result: Mutex<Option<Settled>>,
     settled: Condvar,
+}
+
+impl Slot {
+    fn settle(&self, result: Settled) {
+        *lock_recover(&self.result) = Some(result);
+        self.settled.notify_all();
+    }
+
+    fn wait(&self) -> Settled {
+        let mut result = lock_recover(&self.result);
+        loop {
+            if let Some(settled) = result.as_ref() {
+                return settled.clone();
+            }
+            result = self
+                .settled
+                .wait(result)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// One memo entry. Memo and singleflight share one map, so finding a
+/// result and registering to solve it are one step under one lock.
+enum Entry {
+    /// An outcome loaded from the persistent store and not yet asked
+    /// for: its first lookup counts as a store hit.
+    Stored(Arc<NoiseOutcome>),
+    /// An outcome this engine has served or solved.
+    Ready(Arc<NoiseOutcome>),
+    /// A solve in flight; callers of the key wait on its slot.
+    Pending(Arc<Slot>),
+}
+
+/// What a memo lookup found, and the caller's role from here on.
+enum Claim {
+    /// The outcome is memoized.
+    Hit(Arc<NoiseOutcome>),
+    /// The outcome was loaded from the store; this is its first use.
+    Stored(Arc<NoiseOutcome>),
+    /// Another caller is solving the key: wait for its result.
+    Join(Arc<Slot>),
+    /// This caller registered the key and must settle its slot.
+    Lead(Arc<Slot>),
+    /// Not memoized, and the caller may not solve (it is cancelled).
+    Miss,
 }
 
 /// The parallel, memoizing job executor.
@@ -652,9 +629,9 @@ pub struct Engine {
     read_stores: Vec<ResultStore>,
     cancel: Option<CancelToken>,
     step_budget: Option<usize>,
-    shards: Vec<Mutex<HashMap<JobKey, Arc<NoiseOutcome>>>>,
+    /// The memo: job digest → outcome or in-flight solve, sharded.
+    memo: Vec<Mutex<HashMap<u128, Entry>>>,
     drawer_memo: Mutex<HashMap<String, Arc<DrawerStepOutcome>>>,
-    inflight: Mutex<HashMap<JobKey, Arc<InflightSlot>>>,
     solves: AtomicUsize,
     hits: AtomicUsize,
     attempts: AtomicUsize,
@@ -728,12 +705,11 @@ impl Engine {
     pub fn new() -> Engine {
         let mut engine = Engine::with_workers(default_workers());
         if let Ok(raw) = std::env::var("VOLTNOISE_STORE") {
-            match ResultStore::open(&raw) {
-                Ok(store) => engine.store = Some(store),
-                Err(why) => eprintln!(
+            if let Err(why) = engine.attach_store(&raw) {
+                eprintln!(
                     "voltnoise: ignoring VOLTNOISE_STORE={raw:?} ({why}); \
                      running without a persistent store"
-                ),
+                );
             }
         }
         // `VOLTNOISE_READ_STORES` names colon-separated sibling shard
@@ -764,11 +740,10 @@ impl Engine {
             read_stores: Vec::new(),
             cancel: None,
             step_budget: None,
-            shards: (0..CACHE_SHARDS)
+            memo: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             drawer_memo: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(HashMap::new()),
             solves: AtomicUsize::new(0),
             hits: AtomicUsize::new(0),
             attempts: AtomicUsize::new(0),
@@ -805,16 +780,17 @@ impl Engine {
     }
 
     /// Attaches a persistent result store at `path` (builder style):
-    /// previously solved jobs are answered from disk, and every new
-    /// solve is appended. See [`ResultStore`] for the format and its
-    /// crash-tolerance guarantees.
+    /// its records are loaded into the memo, so previously solved jobs
+    /// are answered without solving, and every new solve is appended.
+    /// See [`ResultStore`] for the format and its crash-tolerance
+    /// guarantees.
     ///
     /// # Errors
     ///
     /// Returns an I/O error when the store file cannot be opened or
     /// created.
     pub fn with_store<P: AsRef<Path>>(mut self, path: P) -> std::io::Result<Engine> {
-        self.store = Some(ResultStore::open(path)?);
+        self.attach_store(path)?;
         Ok(self)
     }
 
@@ -1068,16 +1044,81 @@ impl Engine {
         Ok(outcome)
     }
 
-    fn shard(&self, key: &JobKey) -> &Mutex<HashMap<JobKey, Arc<NoiseOutcome>>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % CACHE_SHARDS]
+    fn shard(&self, digest: u128) -> &Mutex<HashMap<u128, Entry>> {
+        &self.memo[(digest % CACHE_SHARDS as u128) as usize]
+    }
+
+    /// Looks a key up, registering the caller as the key's solver when
+    /// nothing is memoized or in flight and `may_solve` holds.
+    fn claim(&self, digest: u128, may_solve: bool) -> Claim {
+        let mut shard = lock_recover(self.shard(digest));
+        match shard.get(&digest) {
+            Some(Entry::Ready(outcome)) => Claim::Hit(outcome.clone()),
+            Some(Entry::Stored(outcome)) => {
+                let outcome = outcome.clone();
+                shard.insert(digest, Entry::Ready(outcome.clone()));
+                Claim::Stored(outcome)
+            }
+            _ if !may_solve => Claim::Miss,
+            Some(Entry::Pending(slot)) => Claim::Join(slot.clone()),
+            None => {
+                let slot = Arc::new(Slot::default());
+                shard.insert(digest, Entry::Pending(slot.clone()));
+                Claim::Lead(slot)
+            }
+        }
+    }
+
+    /// Memoizes an outcome under its key's digest.
+    fn publish(&self, digest: u128, outcome: &Arc<NoiseOutcome>) {
+        lock_recover(self.shard(digest)).insert(digest, Entry::Ready(outcome.clone()));
+    }
+
+    /// Drops a leader's registration if no outcome replaced it: the key
+    /// failed, or succeeded only under a reseeded key.
+    fn vacate(&self, digest: u128, slot: &Arc<Slot>) {
+        let mut shard = lock_recover(self.shard(digest));
+        if matches!(shard.get(&digest), Some(Entry::Pending(s)) if Arc::ptr_eq(s, slot)) {
+            shard.remove(&digest);
+        }
+    }
+
+    /// Loads one record of the primary store into the memo. Keys that
+    /// are not job digests (no job can ask for them) are skipped.
+    fn preload(&self, key: &str, outcome: NoiseOutcome) {
+        let Ok(digest) = u128::from_str_radix(key, 16) else {
+            return;
+        };
+        lock_recover(self.shard(digest))
+            .entry(digest)
+            .or_insert_with(|| Entry::Stored(Arc::new(outcome)));
+    }
+
+    /// Opens the primary store, loading its records into the memo.
+    fn attach_store(&mut self, path: impl AsRef<Path>) -> std::io::Result<()> {
+        let store = ResultStore::open_with(path, |key, outcome| self.preload(key, outcome))?;
+        self.store = Some(store);
+        Ok(())
+    }
+
+    /// Looks a key up in the read-through shards: sibling workers'
+    /// files, consulted with a freshness re-scan so records a crashed
+    /// primary flushed moments ago are visible. Hits are memoized but
+    /// never re-appended to this engine's own store — across a fleet,
+    /// each solved key lives in exactly one shard file.
+    fn read_through(&self, key: &JobKey) -> Option<Arc<NoiseOutcome>> {
+        if self.read_stores.is_empty() {
+            return None;
+        }
+        let digest = key.store_digest();
+        let outcome = self.read_stores.iter().find_map(|s| s.get_fresh(&digest))?;
+        self.read_store_hits.fetch_add(1, Ordering::Relaxed);
+        Some(outcome)
     }
 
     /// One solve attempt: consult the injector, solve, validate the
-    /// outcome, and cache it. Only finite, successful outcomes are ever
-    /// inserted into the cache, so a fault can never poison a later
-    /// lookup.
+    /// outcome, persist and memoize it. Only finite, successful outcomes
+    /// are ever memoized, so a fault can never poison a later lookup.
     fn solve_attempt(&self, job: &SimJob) -> Result<Arc<NoiseOutcome>, PdnError> {
         let ordinal = self.attempts.fetch_add(1, Ordering::Relaxed);
         let injected = self.injector.as_ref().and_then(|inj| inj.decide(ordinal));
@@ -1134,9 +1175,7 @@ impl Engine {
         if let Some(store) = &self.store {
             store.append(&job.key().store_digest(), &outcome);
         }
-        lock_recover(self.shard(job.key()))
-            .entry(job.key().clone())
-            .or_insert_with(|| outcome.clone());
+        self.publish(job.key.digest, &outcome);
         Ok(outcome)
     }
 
@@ -1159,86 +1198,53 @@ impl Engine {
     /// attempt failed. Failures are never cached; a failing job
     /// re-solves when resubmitted.
     pub fn run_one_settled(&self, job: &SimJob) -> Result<Arc<NoiseOutcome>, JobFault> {
-        if let Some(hit) = lock_recover(self.shard(job.key())).get(job.key()) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.clone());
-        }
-        // Memory miss: consult the persistent store before solving. A
-        // store hit promotes the outcome into the in-memory cache so the
-        // disk lookup (and digest computation) happens at most once per
+        let digest = job.key.digest;
+        // A cancelled caller never leads or joins a solve: it is served
+        // only what is already paid for, below, or fails fast.
+        let abort = self.pre_solve_abort(job);
+        let slot = match self.claim(digest, abort.is_none()) {
+            Claim::Hit(outcome) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(outcome);
+            }
+            Claim::Stored(outcome) => {
+                self.store_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(outcome);
+            }
+            Claim::Join(slot) => {
+                self.inflight_joins.fetch_add(1, Ordering::Relaxed);
+                return slot.wait();
+            }
+            Claim::Lead(slot) => Some(slot),
+            Claim::Miss => None,
+        };
+        // Memo miss: consult the read-through shards before solving (the
+        // primary store was loaded into the memo when it was opened). A
+        // hit is memoized, so the disk lookup happens at most once per
         // key per engine. Cached and stored results are served even when
         // cancellation is requested — they are already paid for, and
         // draining them keeps a cancelled batch's partial results
         // deterministic.
-        if self.store.is_some() || !self.read_stores.is_empty() {
-            let digest = job.key().store_digest();
-            if let Some(outcome) = self.store.as_ref().and_then(|s| s.get(&digest)) {
-                self.store_hits.fetch_add(1, Ordering::Relaxed);
-                lock_recover(self.shard(job.key()))
-                    .entry(job.key().clone())
-                    .or_insert_with(|| outcome.clone());
-                return Ok(outcome);
+        let result = match (self.read_through(job.key()), abort) {
+            (Some(outcome), _) => {
+                self.publish(digest, &outcome);
+                Ok(outcome)
             }
-            // Read-through shards: sibling workers' files, consulted
-            // with a freshness re-scan so records a crashed primary
-            // flushed moments ago are visible. Hits promote into the
-            // memory cache but are never re-appended to this engine's
-            // own store — across a fleet, each solved key lives in
-            // exactly one shard file.
-            for store in &self.read_stores {
-                if let Some(outcome) = store.get_fresh(&digest) {
-                    self.read_store_hits.fetch_add(1, Ordering::Relaxed);
-                    lock_recover(self.shard(job.key()))
-                        .entry(job.key().clone())
-                        .or_insert_with(|| outcome.clone());
-                    return Ok(outcome);
-                }
-            }
-        }
-        // Jobs that would have to *solve* after cancellation fail fast
-        // without consuming an attempt (attempts = 0: the solver was
-        // never entered). The fault kind carries the token's reason, so
-        // a deadline-reaped request reports Deadline, not Cancelled.
-        if let Some(abort) = self.pre_solve_abort(job) {
-            return Err(self.record_fault(job, 0, FaultKind::of_error(abort)));
-        }
-        // Singleflight: one leader per distinct in-flight key; everyone
-        // else attaches to the leader's slot and waits for settlement.
-        let (slot, leader) = {
-            let mut inflight = lock_recover(&self.inflight);
-            match inflight.get(job.key()) {
-                Some(slot) => (slot.clone(), false),
-                None => {
-                    let slot = Arc::new(InflightSlot::default());
-                    inflight.insert(job.key().clone(), slot.clone());
-                    (slot, true)
-                }
+            // The fault kind carries the token's reason, so a
+            // deadline-reaped request reports Deadline, not Cancelled;
+            // attempts = 0: the solver was never entered.
+            (None, Some(abort)) => Err(self.record_fault(job, 0, FaultKind::of_error(abort))),
+            (None, None) => {
+                self.in_flight.fetch_add(1, Ordering::Relaxed);
+                let result = self.solve_with_retries(job);
+                self.in_flight.fetch_sub(1, Ordering::Relaxed);
+                result
             }
         };
-        if !leader {
-            self.inflight_joins.fetch_add(1, Ordering::Relaxed);
-            let mut settled = lock_recover(&slot.result);
-            while settled.is_none() {
-                settled = slot
-                    .settled
-                    .wait(settled)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            // The loop above only exits once the leader published.
-            return settled.clone().unwrap_or_else(|| {
-                Err(JobFault {
-                    key: Box::new(job.key.clone()),
-                    attempts: 0,
-                    fault: FaultKind::Panic("inflight slot settled empty".to_string()),
-                })
-            });
+        if let Some(slot) = slot {
+            self.vacate(digest, &slot);
+            slot.settle(result.clone());
         }
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        let result = self.solve_with_retries(job);
-        *lock_recover(&slot.result) = Some(result.clone());
-        lock_recover(&self.inflight).remove(job.key());
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        slot.settled.notify_all();
         result
     }
 
@@ -1256,7 +1262,7 @@ impl Engine {
             _ => {}
         }
         JobFault {
-            key: Box::new(job.key.clone()),
+            key: Box::new(job.key),
             attempts,
             fault,
         }
@@ -1371,7 +1377,7 @@ impl Engine {
                 Err(msg) => {
                     self.faults.fetch_add(1, Ordering::Relaxed);
                     Err(JobFault {
-                        key: Box::new(job.key().clone()),
+                        key: Box::new(*job.key()),
                         attempts: 1,
                         fault: FaultKind::Panic(msg),
                     })
@@ -1430,7 +1436,7 @@ impl Engine {
                 Err(msg) => {
                     self.faults.fetch_add(1, Ordering::Relaxed);
                     Err(JobFault {
-                        key: Box::new(job.key().clone()),
+                        key: Box::new(*job.key()),
                         attempts: 1,
                         fault: FaultKind::Panic(msg),
                     })
@@ -1554,6 +1560,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::testbed::Testbed;
+    use voltnoise_pdn::SolveSpec;
     use voltnoise_stressmark::SyncSpec;
 
     fn test_jobs(tb: &Testbed) -> Vec<SimJob> {
@@ -1856,6 +1863,176 @@ mod tests {
             let other = serde_json::to_string(&**settled.as_ref().unwrap()).unwrap();
             assert_eq!(first, other, "all callers share one result");
         }
+    }
+
+    #[test]
+    fn racing_callers_solve_each_fresh_key_once() {
+        const THREADS: usize = 6;
+        const KEYS: usize = 4;
+        let tb = Testbed::fast();
+        let batch = SimJob::batch(tb.chip());
+        let sm = tb.max_stressmark(2.5e6, None);
+        let path = std::env::temp_dir().join(format!(
+            "voltnoise_engine_{}_race.jsonl",
+            std::process::id()
+        ));
+        for round in 0..200u64 {
+            // Fresh keys every round: a fresh memo and store, and seeds
+            // no earlier round used. The store puts a lookup between a
+            // memo miss and the solve, as in a serving engine.
+            let _ = std::fs::remove_file(&path);
+            let engine = Engine::with_workers(1).with_store(&path).unwrap();
+            let jobs: Vec<SimJob> = (0..KEYS as u64)
+                .map(|k| {
+                    batch.job(
+                        SiteVec::from_fn(NUM_CORES, |_| CoreLoad::Stressmark(sm.clone())),
+                        NoiseRunConfig {
+                            window_s: Some(1e-6),
+                            seed: round * KEYS as u64 + k,
+                            ..NoiseRunConfig::default()
+                        },
+                    )
+                })
+                .collect();
+            let start = std::sync::Barrier::new(THREADS);
+            let settled: Vec<Vec<Arc<NoiseOutcome>>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let (engine, jobs, start) = (&engine, &jobs, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            // Each thread walks the keys from its own
+                            // starting point, so leaders and joiners mix.
+                            let mut got: Vec<_> = (0..KEYS)
+                                .map(|i| {
+                                    let k = (i + t) % KEYS;
+                                    (k, engine.run_one_settled(&jobs[k]).unwrap())
+                                })
+                                .collect();
+                            got.sort_by_key(|&(k, _)| k);
+                            got.into_iter().map(|(_, outcome)| outcome).collect()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert_eq!(engine.solves(), KEYS, "round {round}: one solve per key");
+            assert_eq!(
+                engine.cache_hits() + engine.inflight_joins(),
+                (THREADS - 1) * KEYS,
+                "round {round}"
+            );
+            for caller in &settled[1..] {
+                for (mine, first) in caller.iter().zip(&settled[0]) {
+                    assert!(
+                        Arc::ptr_eq(mine, first),
+                        "round {round}: one shared outcome"
+                    );
+                }
+            }
+            assert_eq!(engine.in_flight(), 0);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn store_digests_are_pinned() {
+        // These digests are the on-disk key contract (`jobkey-fnv1a128/3`):
+        // stores written by earlier builds must keep answering the same
+        // jobs. A change here needs a key-scheme version bump.
+        let tb = Testbed::fast();
+        let batch = SimJob::batch(tb.chip());
+        let synced = tb.max_stressmark(2.5e6, Some(SyncSpec::paper_default()));
+        let chip = batch.job(
+            SiteVec::from_fn(NUM_CORES, |_| CoreLoad::Stressmark(synced.clone())),
+            NoiseRunConfig {
+                window_s: Some(25e-6),
+                seed: 1,
+                ..NoiseRunConfig::default()
+            },
+        );
+        let reduced = batch.job(
+            SiteVec::from_fn(NUM_CORES, |_| CoreLoad::Idle),
+            NoiseRunConfig {
+                max_steps: Some(10),
+                record_traces: true,
+                solve: SolveSpec::reduced(voltnoise_pdn::RomSpec::default()),
+                ..NoiseRunConfig::default()
+            },
+        );
+        let rack = Arc::new(
+            RackScenario::build(
+                tb.chip(),
+                1,
+                2,
+                voltnoise_pdn::topology::VariationSpec::paper_default(7),
+            )
+            .unwrap(),
+        );
+        let free = tb.max_stressmark(1e6, None);
+        let racked = SimJob::rack(
+            rack.clone(),
+            SiteVec::from_fn(rack.num_sites(), |s| {
+                if s == 0 || s == 7 {
+                    CoreLoad::Stressmark(free.clone())
+                } else {
+                    CoreLoad::Idle
+                }
+            }),
+            NoiseRunConfig {
+                window_s: Some(4e-6),
+                seed: 3,
+                ..NoiseRunConfig::default()
+            },
+        );
+        assert_eq!(
+            chip.key().store_digest(),
+            "55378b989211e8fdf903aada71d58bb9"
+        );
+        assert_eq!(
+            reduced.key().store_digest(),
+            "c3a201c1a066eacd6acddc563dca2455"
+        );
+        assert_eq!(
+            racked.key().store_digest(),
+            "21f9a523cbba3dd9d635f028a8d8b945"
+        );
+        // A job built one-off hashes the same as one from a factory.
+        let single = SimJob::new(
+            Arc::new(tb.chip().clone()),
+            chip.loads().to_vec(),
+            chip.config().clone(),
+        );
+        assert_eq!(single.key(), chip.key());
+    }
+
+    #[test]
+    fn a_reopened_store_answers_from_the_memo() {
+        let tb = Testbed::fast();
+        let path = std::env::temp_dir().join(format!(
+            "voltnoise_engine_{}_reopen.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let jobs = test_jobs(tb);
+        let first = Engine::with_workers(2).with_store(&path).unwrap();
+        let solved = first.run_jobs(&jobs).unwrap();
+        assert_eq!(first.solves(), jobs.len());
+        drop(first);
+        let again = Engine::with_workers(2).with_store(&path).unwrap();
+        let loaded = again.run_jobs(&jobs).unwrap();
+        assert_eq!(again.solves(), 0);
+        assert_eq!(again.store_hits(), jobs.len(), "first use is a store hit");
+        again.run_jobs(&jobs).unwrap();
+        assert_eq!(again.store_hits(), jobs.len());
+        assert_eq!(again.cache_hits(), jobs.len(), "later uses are memo hits");
+        for (a, b) in solved.iter().zip(&loaded) {
+            assert_eq!(
+                serde_json::to_string(&**a).unwrap(),
+                serde_json::to_string(&**b).unwrap()
+            );
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Persistent content-keyed result store: on-disk JSONL backing for the
-//! engine's in-memory `JobKey → NoiseOutcome` cache.
+//! Persistent content-keyed result store: an on-disk JSONL log, and the
+//! loader that fills the engine's digest-keyed memo from it.
 //!
 //! A long characterization campaign — the paper's stressmark methodology
 //! is thousands of transient solves — must survive being killed at hour
@@ -12,6 +12,10 @@
 //!   configured chips can share one store without ever colliding.
 //! - **Append-on-solve** — each successful solve appends one flushed
 //!   line, so a `kill -9` loses at most the line being written.
+//! - **Log plus loader** — [`ResultStore::open_with`] streams the file
+//!   line by line and hands each outcome to the caller once; the store
+//!   keeps only where each key's record lies, and reads a record back
+//!   from the log when asked for it.
 //! - **Corrupt-line tolerance** — a torn or garbled line (the usual
 //!   crash artifact) is skipped and counted, never aborts a load; the
 //!   entries around it stay usable.
@@ -25,10 +29,11 @@
 //! discarding unreadable generations is always safe.
 
 use crate::noise::NoiseOutcome;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -71,8 +76,12 @@ impl Fnv128 {
         }
     }
 
+    pub(crate) fn finish(&self) -> u128 {
+        self.state
+    }
+
     pub(crate) fn finish_hex(&self) -> String {
-        format!("{:032x}", self.state)
+        format!("{:032x}", self.finish())
     }
 }
 
@@ -93,61 +102,132 @@ impl StoreHeader {
     }
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Deserialize)]
 struct StoreRecord {
     key: String,
     outcome: NoiseOutcome,
 }
 
+/// A record to write, borrowing its outcome so an append never copies
+/// it. Serializes to the exact bytes a derived `Serialize` of
+/// `{key, outcome}` prints.
+struct RecordRef<'a> {
+    key: &'a str,
+    outcome: &'a NoiseOutcome,
+}
+
+impl Serialize for RecordRef<'_> {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("key".to_string(), Value::Str(self.key.to_string())),
+            ("outcome".to_string(), self.outcome.to_value()),
+        ])
+    }
+}
+
+/// Renders one record line (without its newline).
+fn record_line(key: &str, outcome: &NoiseOutcome) -> std::io::Result<String> {
+    serde_json::to_string(&RecordRef { key, outcome }).map_err(std::io::Error::other)
+}
+
+/// Where one record's text lies in the backing file.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    offset: u64,
+    len: usize,
+}
+
 #[derive(Debug)]
 struct StoreInner {
-    entries: HashMap<String, Arc<NoiseOutcome>>,
+    /// Where each key's first record lies. Outcomes are not held here:
+    /// the loader hands them to the opener once, and the engine's memo
+    /// keeps them.
+    index: HashMap<String, Span>,
     corrupt_lines: usize,
     /// Set once when an append fails, so a full disk warns once instead
     /// of spamming stderr for every remaining solve.
     append_warned: bool,
     /// Byte offset up to which the backing file has been scanned into
-    /// `entries` — always a line boundary. [`ResultStore::get_fresh`]
+    /// `index` — always a line boundary. [`ResultStore::get_fresh`]
     /// resumes scanning here, so a read-through shard sees another
     /// process's appends without re-reading the whole file.
     scanned: u64,
 }
 
-/// Parses newline-terminated record lines from `data`, inserting new
-/// keys into `entries`. Returns `(bytes_consumed, corrupt_lines)`;
-/// `bytes_consumed` stops after the last complete line, so a torn tail
-/// (a crash artifact or an append still in flight) is left for a later
-/// scan instead of being half-parsed.
-fn scan_records(data: &[u8], entries: &mut HashMap<String, Arc<NoiseOutcome>>) -> (usize, usize) {
-    let mut consumed = 0usize;
-    let mut corrupt = 0usize;
-    let mut rest = data;
-    while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
-        let line = &rest[..pos];
-        consumed += pos + 1;
-        rest = &rest[pos + 1..];
-        match std::str::from_utf8(line) {
-            Ok(line) => {
-                let line = line.trim_end_matches('\r');
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match serde_json::from_str::<StoreRecord>(line) {
-                    Ok(rec) => {
-                        entries
-                            .entry(rec.key)
-                            .or_insert_with(|| Arc::new(rec.outcome));
-                    }
-                    Err(_) => corrupt += 1,
-                }
-            }
-            Err(_) => corrupt += 1,
-        }
-    }
-    (consumed, corrupt)
+/// What one scan of record lines found.
+struct Scan {
+    /// Bytes of complete (newline-terminated) lines read.
+    consumed: u64,
+    corrupt: usize,
+    /// A final line without its newline — a crash artifact or an append
+    /// still in flight — left for the caller to judge.
+    tail: Vec<u8>,
 }
 
-/// The on-disk JSONL store. Thread-safe: the engine's workers append
+/// Indexes one parsed record whose text lies at `span`; the first record
+/// of a key wins, and only its outcome goes to `load`.
+fn adopt(
+    index: &mut HashMap<String, Span>,
+    rec: StoreRecord,
+    span: Span,
+    load: &mut dyn FnMut(&str, NoiseOutcome),
+) {
+    if let Entry::Vacant(slot) = index.entry(rec.key) {
+        load(slot.key(), rec.outcome);
+        slot.insert(span);
+    }
+}
+
+/// Reads record lines one at a time, starting at file offset `base`.
+/// Blank lines are skipped, a trailing `\r` is ignored, and unreadable
+/// lines are counted as corrupt.
+fn scan_records(
+    reader: &mut impl BufRead,
+    base: u64,
+    index: &mut HashMap<String, Span>,
+    load: &mut dyn FnMut(&str, NoiseOutcome),
+) -> std::io::Result<Scan> {
+    let mut scan = Scan {
+        consumed: 0,
+        corrupt: 0,
+        tail: Vec::new(),
+    };
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let n = reader.read_until(b'\n', &mut line)?;
+        if n == 0 {
+            return Ok(scan);
+        }
+        if line.last() != Some(&b'\n') {
+            scan.tail = line;
+            return Ok(scan);
+        }
+        let offset = base + scan.consumed;
+        scan.consumed += n as u64;
+        let Ok(text) = std::str::from_utf8(&line[..n - 1]) else {
+            scan.corrupt += 1;
+            continue;
+        };
+        let text = text.trim_end_matches('\r');
+        if text.trim().is_empty() {
+            continue;
+        }
+        match serde_json::from_str::<StoreRecord>(text) {
+            Ok(rec) => {
+                let span = Span {
+                    offset,
+                    len: text.len(),
+                };
+                adopt(index, rec, span, load);
+            }
+            Err(_) => scan.corrupt += 1,
+        }
+    }
+}
+
+/// The on-disk JSONL store: an append log plus an index of where each
+/// key's record lies. Thread-safe: the engine's workers append
 /// concurrently through one mutex.
 pub struct ResultStore {
     path: PathBuf,
@@ -159,87 +239,101 @@ impl std::fmt::Debug for ResultStore {
         let inner = self.lock();
         f.debug_struct("ResultStore")
             .field("path", &self.path)
-            .field("entries", &inner.entries.len())
+            .field("entries", &inner.index.len())
             .field("corrupt_lines", &inner.corrupt_lines)
             .finish()
     }
 }
 
 impl ResultStore {
-    /// Opens (or creates) a store at `path`, loading every readable
-    /// record. Corrupt lines are skipped and counted; a missing,
-    /// empty, or version-mismatched file starts the store fresh (the
-    /// mismatched file is atomically rewritten with the current header).
+    /// Opens (or creates) a store at `path`, streaming every readable
+    /// record in line by line. Corrupt lines are skipped and counted; a
+    /// missing, empty, or version-mismatched file starts the store fresh
+    /// (the mismatched file is atomically rewritten with the current
+    /// header).
     ///
     /// # Errors
     ///
     /// Returns an I/O error when the file exists but cannot be read, or
     /// when a fresh store file cannot be created.
     pub fn open<P: AsRef<Path>>(path: P) -> std::io::Result<ResultStore> {
+        ResultStore::open_with(path, |_, _| {})
+    }
+
+    /// Like [`ResultStore::open`], and hands the outcome of each distinct
+    /// key to `load` as it is read — how an engine fills its memo from
+    /// the log in the same pass. The store itself keeps only where each
+    /// record lies.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ResultStore::open`].
+    pub fn open_with<P: AsRef<Path>>(
+        path: P,
+        mut load: impl FnMut(&str, NoiseOutcome),
+    ) -> std::io::Result<ResultStore> {
         let path = path.as_ref().to_path_buf();
-        let mut entries: HashMap<String, Arc<NoiseOutcome>> = HashMap::new();
+        let mut index: HashMap<String, Span> = HashMap::new();
         let mut corrupt_lines = 0usize;
         let mut header_ok = false;
         let mut scanned = 0u64;
-        match std::fs::read(&path) {
-            Ok(data) => {
-                if data.is_empty() {
+        match File::open(&path) {
+            Ok(file) => {
+                let mut reader = BufReader::new(file);
+                let mut header = Vec::new();
+                let n = reader.read_until(b'\n', &mut header)?;
+                if n == 0 {
                     header_ok = true; // empty file: adopt it
-                } else if let Some(pos) = data.iter().position(|&b| b == b'\n') {
+                } else if header.last() == Some(&b'\n')
                     // A non-UTF-8 first line is as alien as a wrong
                     // header: reset below.
-                    if std::str::from_utf8(&data[..pos])
+                    && std::str::from_utf8(&header[..n - 1])
                         .ok()
                         .and_then(|l| serde_json::from_str::<StoreHeader>(l).ok())
                         .is_some_and(|h| h == StoreHeader::current())
-                    {
-                        header_ok = true;
-                        let body = &data[pos + 1..];
-                        let (consumed, corrupt) = scan_records(body, &mut entries);
-                        corrupt_lines = corrupt;
-                        scanned = (pos + 1 + consumed) as u64;
-                        // A tail without a newline: a torn append. A
-                        // parseable one is adopted (writer died between
-                        // the record and its newline); anything else
-                        // counts as corrupt and stays unconsumed so a
-                        // later scan can pick it up if it completes.
-                        let tail = &body[consumed..];
-                        if !tail.is_empty() {
-                            match std::str::from_utf8(tail)
-                                .ok()
-                                .and_then(|l| serde_json::from_str::<StoreRecord>(l).ok())
-                            {
-                                Some(rec) => {
-                                    entries
-                                        .entry(rec.key)
-                                        .or_insert_with(|| Arc::new(rec.outcome));
-                                    scanned += tail.len() as u64;
-                                }
-                                None => corrupt_lines += 1,
+                {
+                    header_ok = true;
+                    let scan = scan_records(&mut reader, n as u64, &mut index, &mut load)?;
+                    corrupt_lines = scan.corrupt;
+                    scanned = n as u64 + scan.consumed;
+                    // A tail without a newline: a torn append. A
+                    // parseable one is adopted (writer died between the
+                    // record and its newline); anything else counts as
+                    // corrupt and stays unconsumed so a later scan can
+                    // pick it up if it completes.
+                    if !scan.tail.is_empty() {
+                        match std::str::from_utf8(&scan.tail)
+                            .ok()
+                            .and_then(|l| serde_json::from_str::<StoreRecord>(l).ok())
+                        {
+                            Some(rec) => {
+                                let span = Span {
+                                    offset: scanned,
+                                    len: scan.tail.len(),
+                                };
+                                adopt(&mut index, rec, span, &mut load);
+                                scanned += scan.tail.len() as u64;
                             }
+                            None => corrupt_lines += 1,
                         }
                     }
-                    // Alien or future-version header: the whole file is
-                    // unreadable to this code. Reset below.
                 }
-                // A nonempty file without any newline cannot hold a
-                // valid header: reset below.
+                // Alien or future-version header, or a nonempty file
+                // without any newline: the whole file is unreadable to
+                // this code. Reset below.
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
+        let fresh = index.is_empty() && corrupt_lines == 0;
         let store = ResultStore {
             path,
             inner: Mutex::new(StoreInner {
-                entries,
+                index,
                 corrupt_lines,
                 append_warned: false,
                 scanned,
             }),
-        };
-        let fresh = {
-            let inner = store.lock();
-            inner.entries.is_empty() && inner.corrupt_lines == 0
         };
         // A fresh store is written out so line 1 is always the header; an
         // unrecognized generation is reset — results are recomputable.
@@ -260,7 +354,7 @@ impl ResultStore {
 
     /// Number of loaded (plus appended) records.
     pub fn len(&self) -> usize {
-        self.lock().entries.len()
+        self.lock().index.len()
     }
 
     /// Whether the store holds no records.
@@ -274,9 +368,17 @@ impl ResultStore {
         self.lock().corrupt_lines
     }
 
-    /// Looks up a stored outcome by its stable key digest.
+    /// Reads a stored outcome back from the log by its stable key
+    /// digest. `None` when the key was never stored, or its record can
+    /// no longer be read.
     pub fn get(&self, key: &str) -> Option<Arc<NoiseOutcome>> {
-        self.lock().entries.get(key).cloned()
+        let span = *self.lock().index.get(key)?;
+        let mut text = vec![0u8; span.len];
+        let mut file = File::open(&self.path).ok()?;
+        file.seek(SeekFrom::Start(span.offset)).ok()?;
+        file.read_exact(&mut text).ok()?;
+        let rec = serde_json::from_str::<StoreRecord>(std::str::from_utf8(&text).ok()?).ok()?;
+        (rec.key == key).then(|| Arc::new(rec.outcome))
     }
 
     /// Like [`ResultStore::get`], but on a miss first re-scans any
@@ -288,20 +390,20 @@ impl ResultStore {
     ///
     /// Only complete (newline-terminated) lines are consumed; a torn
     /// tail — an append caught in flight — is left for the next scan.
-    /// Hits never touch the disk.
     pub fn get_fresh(&self, key: &str) -> Option<Arc<NoiseOutcome>> {
-        let mut inner = self.lock();
-        if let Some(hit) = inner.entries.get(key) {
-            return Some(hit.clone());
+        {
+            let mut inner = self.lock();
+            if !inner.index.contains_key(key) {
+                self.refresh_locked(&mut inner);
+            }
         }
-        self.refresh_locked(&mut inner);
-        inner.entries.get(key).cloned()
+        self.get(key)
     }
 
     /// Scans records appended to the backing file since the last scan
-    /// into memory; returns how many new bytes were consumed. I/O
+    /// into the index; returns how many new bytes were consumed. I/O
     /// failures are treated as "nothing new" — the store degrades to
-    /// its in-memory view, it never aborts a lookup.
+    /// what it has indexed, it never aborts a lookup.
     pub fn refresh(&self) -> u64 {
         let mut inner = self.lock();
         self.refresh_locked(&mut inner)
@@ -318,96 +420,107 @@ impl ResultStore {
         if len <= inner.scanned || file.seek(SeekFrom::Start(inner.scanned)).is_err() {
             return 0;
         }
-        let mut data = Vec::new();
-        if file
-            .take(len - inner.scanned)
-            .read_to_end(&mut data)
-            .is_err()
-        {
+        let mut reader = BufReader::new(file.take(len - inner.scanned));
+        let Ok(scan) = scan_records(&mut reader, inner.scanned, &mut inner.index, &mut |_, _| {})
+        else {
             return 0;
-        }
-        let (consumed, corrupt) = scan_records(&data, &mut inner.entries);
-        inner.scanned += consumed as u64;
-        inner.corrupt_lines += corrupt;
-        consumed as u64
+        };
+        inner.scanned += scan.consumed;
+        inner.corrupt_lines += scan.corrupt;
+        scan.consumed
     }
 
-    /// Records one solved outcome: inserts it in memory and appends a
-    /// flushed JSONL line. A key already present is skipped (results
-    /// are content-keyed, so the stored outcome is identical). Append
-    /// I/O failures are reported on stderr once but never abort — a
-    /// full disk degrades durability, not the campaign.
+    /// Records one solved outcome: appends a flushed JSONL line and
+    /// indexes it. A key already present is skipped (results are
+    /// content-keyed, so the stored outcome is identical). Append I/O
+    /// failures are reported on stderr once but never abort — a full
+    /// disk degrades durability, not the campaign.
     pub fn append(&self, key: &str, outcome: &NoiseOutcome) {
         let mut inner = self.lock();
-        if inner.entries.contains_key(key) {
+        if inner.index.contains_key(key) {
             return;
         }
-        inner
-            .entries
-            .insert(key.to_string(), Arc::new(outcome.clone()));
-        let record = StoreRecord {
-            key: key.to_string(),
-            outcome: outcome.clone(),
-        };
-        let appended = serde_json::to_string(&record)
-            .map_err(std::io::Error::other)
-            .and_then(|line| {
-                let mut file = OpenOptions::new()
-                    .append(true)
-                    .create(true)
-                    .open(&self.path)?;
-                writeln!(file, "{line}")?;
-                file.flush()
-            });
-        if let Err(why) = appended {
-            if !inner.append_warned {
-                inner.append_warned = true;
-                eprintln!(
-                    "voltnoise: result store {} stopped persisting ({why}); \
-                     continuing in memory only",
-                    self.path.display()
-                );
+        let appended = record_line(key, outcome).and_then(|line| {
+            let mut file = OpenOptions::new()
+                .append(true)
+                .create(true)
+                .open(&self.path)?;
+            let offset = file.seek(SeekFrom::End(0))?;
+            writeln!(file, "{line}")?;
+            file.flush()?;
+            Ok(Span {
+                offset,
+                len: line.len(),
+            })
+        });
+        match appended {
+            Ok(span) => {
+                inner.index.insert(key.to_string(), span);
+            }
+            Err(why) => {
+                if !inner.append_warned {
+                    inner.append_warned = true;
+                    eprintln!(
+                        "voltnoise: result store {} stopped persisting ({why}); \
+                         continuing in memory only",
+                        self.path.display()
+                    );
+                }
             }
         }
     }
 
-    /// Rewrites the backing file from the in-memory entries: header
-    /// first, then one record per distinct key in sorted (deterministic)
-    /// order. Corrupt and duplicate lines do not survive. Atomic: the
-    /// new content is written to a sibling temp file and renamed over
-    /// the store, so a crash mid-compaction cannot lose the old file.
+    /// Rewrites the backing file from the indexed records: header first,
+    /// then one record per distinct key in sorted (deterministic) order,
+    /// copied from the log one at a time. Corrupt and duplicate lines do
+    /// not survive. Atomic: the new content is written to a sibling temp
+    /// file and renamed over the store, so a crash mid-compaction cannot
+    /// lose the old file.
     ///
     /// # Errors
     ///
-    /// Returns an I/O error when the temp file cannot be written or
-    /// renamed; the original file is left untouched in that case.
+    /// Returns an I/O error when the log cannot be read or the temp file
+    /// cannot be written or renamed; the original file is left untouched
+    /// in that case.
     pub fn compact(&self) -> std::io::Result<()> {
         self.rewrite()
     }
 
     fn rewrite(&self) -> std::io::Result<()> {
         let mut inner = self.lock();
+        let inner = &mut *inner;
         let tmp = self.path.with_extension("tmp");
-        let written;
-        {
-            let mut file = File::create(&tmp)?;
-            let header =
-                serde_json::to_string(&StoreHeader::current()).map_err(std::io::Error::other)?;
-            writeln!(file, "{header}")?;
-            let mut keys: Vec<&String> = inner.entries.keys().collect();
-            keys.sort();
-            for key in keys {
-                let record = StoreRecord {
-                    key: key.clone(),
-                    outcome: NoiseOutcome::clone(&inner.entries[key]),
-                };
-                let line = serde_json::to_string(&record).map_err(std::io::Error::other)?;
-                writeln!(file, "{line}")?;
+        let mut log = if inner.index.is_empty() {
+            None
+        } else {
+            Some(File::open(&self.path)?)
+        };
+        let mut records: Vec<(&String, &mut Span)> = inner.index.iter_mut().collect();
+        records.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut file = BufWriter::new(File::create(&tmp)?);
+        let header =
+            serde_json::to_string(&StoreHeader::current()).map_err(std::io::Error::other)?;
+        writeln!(file, "{header}")?;
+        let mut written = header.len() as u64 + 1;
+        let mut moved = Vec::with_capacity(records.len());
+        let mut text = Vec::new();
+        for (_, span) in &records {
+            if let Some(log) = log.as_mut() {
+                text.resize(span.len, 0);
+                log.seek(SeekFrom::Start(span.offset))?;
+                log.read_exact(&mut text)?;
             }
-            file.sync_all()?;
-            written = file.metadata()?.len();
+            file.write_all(&text)?;
+            file.write_all(b"\n")?;
+            moved.push(written);
+            written += span.len as u64 + 1;
         }
+        file.into_inner().map_err(|e| e.into_error())?.sync_all()?;
         std::fs::rename(&tmp, &self.path)?;
+        // The rename made the compacted positions the file's content.
+        for ((_, span), offset) in records.iter_mut().zip(moved) {
+            span.offset = offset;
+        }
         inner.corrupt_lines = 0;
         inner.scanned = written;
         Ok(())
@@ -577,6 +690,126 @@ mod tests {
         assert!(reader.get_fresh("half").is_none());
         assert_eq!(reader.corrupt_lines(), 0, "in-flight tail is not corrupt");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The whole-file loader the store used before it streamed: read
+    /// everything, split on newlines, adopt a parseable torn tail.
+    /// Returns `(records by key, corrupt lines)`, `None` for a reset.
+    fn whole_file_reference(data: &[u8]) -> Option<(HashMap<String, String>, usize)> {
+        let mut records = HashMap::new();
+        let mut corrupt = 0;
+        let pos = data.iter().position(|&b| b == b'\n')?;
+        let header = std::str::from_utf8(&data[..pos]).ok()?;
+        (serde_json::from_str::<StoreHeader>(header).ok()? == StoreHeader::current())
+            .then_some(())?;
+        let mut rest = &data[pos + 1..];
+        let adopt = |text: &str, records: &mut HashMap<String, String>| {
+            let rec = serde_json::from_str::<StoreRecord>(text).ok()?;
+            let json = serde_json::to_string(&rec.outcome).unwrap();
+            records.entry(rec.key).or_insert(json);
+            Some(())
+        };
+        while let Some(end) = rest.iter().position(|&b| b == b'\n') {
+            let line = &rest[..end];
+            rest = &rest[end + 1..];
+            match std::str::from_utf8(line).map(|l| l.trim_end_matches('\r')) {
+                Ok(l) if l.trim().is_empty() => {}
+                Ok(l) => {
+                    if adopt(l, &mut records).is_none() {
+                        corrupt += 1;
+                    }
+                }
+                Err(_) => corrupt += 1,
+            }
+        }
+        if !rest.is_empty()
+            && std::str::from_utf8(rest)
+                .ok()
+                .and_then(|l| adopt(l, &mut records))
+                .is_none()
+        {
+            corrupt += 1;
+        }
+        Some((records, corrupt))
+    }
+
+    #[test]
+    fn streaming_open_reads_exactly_as_the_whole_file_loader() {
+        let header = serde_json::to_string(&StoreHeader::current()).unwrap();
+        let line = |key: &str, tag: f64| record_line(key, &outcome(tag)).unwrap();
+        let mut body = String::new();
+        for i in 0..40 {
+            body.push_str(&line(&format!("{i:032x}"), i as f64));
+            // Every fifth record ends CRLF; every seventh is followed by
+            // a blank line and a whitespace-only one.
+            body.push_str(if i % 5 == 0 { "\r\n" } else { "\n" });
+            if i % 7 == 0 {
+                body.push_str("\n   \r\n");
+            }
+        }
+        body.push_str(&line(&format!("{:032x}", 3), 99.0)); // duplicate key
+        body.push_str("\n{\"key\":\"garbled\n");
+        let tails = [
+            line("torn-but-complete", 1.5),    // adopted
+            "{\"key\":\"torn\",\"outc".into(), // corrupt
+            String::new(),
+        ];
+        for (case, tail) in tails.iter().enumerate() {
+            let mut data = format!("{header}\n{body}").into_bytes();
+            data.extend_from_slice(b"\xff\xfe not utf-8\n");
+            data.extend_from_slice(tail.as_bytes());
+            let path = tmp_path(&format!("streaming{case}"));
+            std::fs::write(&path, &data).unwrap();
+            let (expected, corrupt) = whole_file_reference(&data).unwrap();
+            let mut loaded = HashMap::new();
+            let store = ResultStore::open_with(&path, |key, outcome| {
+                let json = serde_json::to_string(&outcome).unwrap();
+                assert!(
+                    loaded.insert(key.to_string(), json).is_none(),
+                    "one load per key"
+                );
+            })
+            .unwrap();
+            assert_eq!(store.len(), expected.len(), "case {case}");
+            assert_eq!(store.corrupt_lines(), corrupt, "case {case}");
+            assert_eq!(loaded, expected, "case {case}");
+            for (key, json) in &expected {
+                let got = store.get(key).expect("indexed records read back");
+                assert_eq!(&serde_json::to_string(&*got).unwrap(), json, "case {case}");
+            }
+            assert_eq!(
+                store.get("torn-but-complete").is_some(),
+                case == 0,
+                "only a parseable torn tail is adopted"
+            );
+            // Compaction keeps every record, sorted, and drops the rest.
+            store.compact().unwrap();
+            let compacted = std::fs::read(&path).unwrap();
+            let (after, corrupt_after) = whole_file_reference(&compacted).unwrap();
+            assert_eq!(after, expected, "case {case}");
+            assert_eq!(corrupt_after, 0);
+            assert_eq!(store.corrupt_lines(), 0);
+            let reopened = ResultStore::open(&path).unwrap();
+            assert_eq!(reopened.len(), expected.len());
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn record_lines_match_the_derived_rendering() {
+        #[derive(Serialize)]
+        struct Derived {
+            key: String,
+            outcome: NoiseOutcome,
+        }
+        let derived = Derived {
+            key: "0123".to_string(),
+            outcome: outcome(4.25),
+        };
+        assert_eq!(
+            record_line(&derived.key, &derived.outcome).unwrap(),
+            serde_json::to_string(&derived).unwrap()
+        );
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!   deadline fault, never a hung connection.
 //! - **Dedup**: identical jobs from concurrent clients coalesce onto
 //!   one solve via the engine's singleflight layer.
-//! - **Graceful drain**: `SIGTERM`/`SIGINT` stop the accept loop,
-//!   cancel in-flight batches through their tokens, flush the JSONL
-//!   result store and exit 0. A restarted server resumes from the
+//! - **Graceful drain**: the server's stop handle (which the binary
+//!   wires to `SIGTERM`/`SIGINT`) stops the accept loop, cancels
+//!   in-flight batches through their tokens, flushes the JSONL result
+//!   store and exits 0. A restarted server resumes from the
 //!   store with zero duplicate solves.
 //!
 //! Malformed input is a first-class citizen: the job-decode boundary

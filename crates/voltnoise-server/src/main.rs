@@ -21,7 +21,7 @@
 //! drain prints `voltnoise-server drained cleanly` and exits 0.
 
 use std::process::ExitCode;
-use voltnoise_server::{Server, ServerConfig};
+use voltnoise_server::{signals, Server, ServerConfig};
 
 fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
     let mut cfg = ServerConfig {
@@ -127,6 +127,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // The library never reads the process-global signal flag: SIGTERM
+    // and SIGINT reach the server through its stop handle.
+    if let Err(e) = signals::forward_to(server.stop_handle()) {
+        eprintln!("voltnoise-server: cannot watch for signals: {e}");
+        return ExitCode::FAILURE;
+    }
     match server.run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -8,19 +8,20 @@ use crate::deadline::DeadlineReaper;
 use crate::http::{
     finish_chunked, read_request, start_chunked, write_chunk, write_response, Request,
 };
-use crate::signals;
 use crate::wire::{parse_batch, BatchRequest, SignalStats};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashMap, VecDeque};
+use std::ffi::{c_int, c_short, c_ulong};
 use std::io;
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use voltnoise_pdn::topology::VariationSpec;
 use voltnoise_pdn::CancelToken;
 use voltnoise_stressmark::SyncSpec;
-use voltnoise_system::engine::{Engine, SimJob};
+use voltnoise_system::engine::{Engine, JobBatch, SimJob};
 use voltnoise_system::fault::{FaultKind, JobFault};
 use voltnoise_system::noise::{CoreLoad, DrawerStepConfig, NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::rack::RackScenario;
@@ -97,6 +98,50 @@ impl Default for ServerConfig {
     }
 }
 
+/// How long the accept loop waits for a connection before it rechecks
+/// the stop handle and the drain state. A connection wakes it at once,
+/// so this bounds only how soon a stop is noticed.
+const RECHECK: Duration = Duration::from_millis(20);
+
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x1;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// Waits until the listener has a connection to accept or `timeout`
+/// passes; returns whether a connection is waiting. std already links
+/// libc, so `poll(2)` needs only this declaration, as `signal(2)` does
+/// in [`crate::signals`]. A signal interrupting the wait reads as a
+/// timeout.
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) -> io::Result<bool> {
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `fd` is one valid, exclusively borrowed pollfd, and the
+    // count passed is 1.
+    let ready = unsafe { poll(&mut fd, 1, ms) };
+    if ready < 0 {
+        let err = io::Error::last_os_error();
+        return match err.kind() {
+            io::ErrorKind::Interrupted => Ok(false),
+            _ => Err(err),
+        };
+    }
+    Ok(ready > 0)
+}
+
 /// Bounded handoff queue between the accept loop and the workers.
 struct ConnQueue {
     pending: Mutex<(VecDeque<TcpStream>, bool)>,
@@ -170,6 +215,9 @@ struct Shared {
     cfg: ServerConfig,
     engine: Arc<Engine>,
     testbed: &'static Testbed,
+    /// Job factory on the testbed chip, built once: every `/jobs`
+    /// request reuses its chip signature digest state.
+    factory: JobBatch,
     admission: Arc<AdmissionControl>,
     reaper: Arc<DeadlineReaper>,
     queue: ConnQueue,
@@ -266,6 +314,7 @@ impl Server {
         let shared = Arc::new(Shared {
             engine: Arc::new(engine),
             testbed,
+            factory: SimJob::batch(testbed.chip()),
             admission: AdmissionControl::new(cfg.step_ceiling),
             reaper: DeadlineReaper::start(),
             queue: ConnQueue::new(cfg.queue_cap),
@@ -292,9 +341,10 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// A flag that stops the accept loop from another thread — the
-    /// in-process equivalent of `SIGTERM`, used by embedders that must
-    /// not touch the process-global signal flag.
+    /// A flag that stops the accept loop from another thread: the
+    /// server's only shutdown input. The `voltnoise-server` binary
+    /// forwards `SIGTERM`/`SIGINT` to it
+    /// ([`crate::signals::forward_to`]); embedders store `true` into it.
     pub fn stop_handle(&self) -> Arc<AtomicBool> {
         self.stop.clone()
     }
@@ -305,9 +355,11 @@ impl Server {
         self.shared.engine.clone()
     }
 
-    /// Runs the accept loop until `SIGTERM`/`SIGINT` or the stop
-    /// handle, then drains gracefully. The drain happens in two steps:
-    /// the instant shutdown is observed, `/readyz` flips to `503
+    /// Runs the accept loop until the stop handle is set, then drains
+    /// gracefully. The loop blocks in `poll(2)` on the listener, so a
+    /// connection is accepted the moment it arrives. The drain happens
+    /// in two steps: the instant shutdown is observed, `/readyz` flips
+    /// to `503
     /// draining` and `/jobs` starts refusing — while the accept loop
     /// *keeps serving probes* and in-flight batches keep running. After
     /// [`ServerConfig::drain_grace_ms`] any still-running batch is
@@ -320,7 +372,8 @@ impl Server {
     /// Returns an I/O error only for a listener failure; a clean drain
     /// returns `Ok(())`.
     pub fn run(self) -> io::Result<()> {
-        signals::install();
+        // Non-blocking, so an accept after a spurious wake-up returns
+        // `WouldBlock` instead of stalling the stop checks.
         self.listener.set_nonblocking(true)?;
         let addr = self.local_addr()?;
         // The discovery line: scripts and tests parse the port from it.
@@ -337,9 +390,7 @@ impl Server {
         let mut drain_started: Option<Instant> = None;
         let mut drain_cancelled = false;
         loop {
-            if drain_started.is_none()
-                && (signals::shutdown_requested() || self.stop.load(Ordering::SeqCst))
-            {
+            if drain_started.is_none() && self.stop.load(Ordering::SeqCst) {
                 // Flip readiness *now*, before in-flight batches
                 // finish, so a fleet router stops sending new work to
                 // this worker the moment its probe lands.
@@ -356,6 +407,9 @@ impl Server {
                     break;
                 }
             }
+            if !wait_for_connection(&self.listener, RECHECK)? {
+                continue;
+            }
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nonblocking(false);
@@ -364,9 +418,7 @@ impl Server {
                         Err(stream) => shed_connection(&self.shared, stream),
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
                 Err(e) => return Err(e),
             }
         }
@@ -649,7 +701,7 @@ fn handle_jobs(
         .reaper
         .register(token.clone(), Duration::from_millis(deadline_ms));
     let token_id = shared.track_token(token.clone());
-    let jobs = build_jobs(&batch, shared.testbed, &token);
+    let jobs = build_jobs(&batch, &shared.factory, shared.testbed, &token);
     if start_chunked(stream, "application/jsonl", keep).is_err() {
         shared.untrack_token(token_id);
         drop(permit);
@@ -690,8 +742,12 @@ fn handle_jobs(
 /// Compiles wire jobs against the testbed. Token injection goes through
 /// the per-job config (not the content key), so a wire job resolves to
 /// the same cache/store key as the equivalent direct [`SimJob`].
-fn build_jobs(batch: &BatchRequest, testbed: &Testbed, token: &CancelToken) -> Vec<SimJob> {
-    let factory = SimJob::batch(testbed.chip());
+fn build_jobs(
+    batch: &BatchRequest,
+    factory: &JobBatch,
+    testbed: &Testbed,
+    token: &CancelToken,
+) -> Vec<SimJob> {
     batch
         .jobs
         .iter()
@@ -1055,7 +1111,7 @@ mod tests {
         let factory = SimJob::batch(tb.chip());
         let loads: [voltnoise_system::noise::CoreLoad; voltnoise_pdn::NUM_CORES] =
             std::array::from_fn(|_| voltnoise_system::noise::CoreLoad::Idle);
-        factory.job(loads, NoiseRunConfig::default()).key().clone()
+        *factory.job(loads, NoiseRunConfig::default()).key()
     }
 
     /// An in-process reduced server for route tests; returns (addr,
@@ -1076,6 +1132,58 @@ mod tests {
         let engine = server.engine();
         let daemon = std::thread::spawn(move || server.run());
         (addr, stop, engine, daemon)
+    }
+
+    #[test]
+    fn stopping_one_server_leaves_another_serving() {
+        let timeout = Duration::from_secs(30);
+        let (addr_a, stop_a, _, daemon_a) = spawn_reduced();
+        let (addr_b, stop_b, _, daemon_b) = spawn_reduced();
+        stop_a.store(true, Ordering::SeqCst);
+        daemon_a.join().expect("server a thread").expect("a drains");
+        assert!(
+            crate::http_request(&addr_a, "GET", "/healthz", None, timeout).is_err(),
+            "a drained server no longer answers"
+        );
+        let health = crate::http_request(&addr_b, "GET", "/healthz", None, timeout)
+            .expect("b still answers");
+        assert_eq!(health.status, 200);
+        let ready =
+            crate::http_request(&addr_b, "GET", "/readyz", None, timeout).expect("b readiness");
+        assert_eq!(ready.status, 200, "b must not drain on a's handle");
+        assert!(!daemon_b.is_finished(), "b runs until its own stop");
+        stop_b.store(true, Ordering::SeqCst);
+        daemon_b.join().expect("server b thread").expect("b drains");
+    }
+
+    #[test]
+    fn connections_are_accepted_without_a_poll_delay() {
+        let (addr, stop, _, daemon) = spawn_reduced();
+        let timeout = Duration::from_secs(30);
+        // Warm the worker pool and the loopback path once.
+        crate::http_request(&addr, "GET", "/healthz", None, timeout).expect("warm-up probe");
+        // 50 sequential fresh-connection round trips. A sleep-polled
+        // accept costs its poll interval per connection; a woken accept
+        // costs the loopback round trip. The best of three rounds keeps
+        // a briefly busy test host from deciding the verdict.
+        let best = (0..3)
+            .map(|_| {
+                let t0 = Instant::now();
+                for _ in 0..50 {
+                    let resp = crate::http_request(&addr, "GET", "/healthz", None, timeout)
+                        .expect("healthz round trip");
+                    assert_eq!(resp.status, 200);
+                }
+                t0.elapsed()
+            })
+            .min()
+            .expect("three rounds");
+        assert!(
+            best < Duration::from_millis(100),
+            "50 round trips took {best:?}"
+        );
+        stop.store(true, Ordering::SeqCst);
+        daemon.join().expect("server thread").expect("clean drain");
     }
 
     #[test]

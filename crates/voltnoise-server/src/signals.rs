@@ -4,10 +4,15 @@
 //! platform this workspace targets, so a two-line FFI declaration of
 //! `signal(2)` is all that is needed. The handler does the only thing
 //! that is async-signal-safe here: it stores a flag into a static
-//! atomic. The server's accept loop polls the flag and runs the actual
-//! drain sequence in normal thread context.
+//! atomic. No library code reads that flag. A binary's `main` either
+//! polls it itself or bridges it to a server's stop handle with
+//! [`forward_to`], so servers embedded in one process (tests, the
+//! benchmark) stop only on their own handles.
 
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
@@ -36,23 +41,22 @@ pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
 
-/// Requests shutdown from normal code — the same path a signal takes,
-/// used by tests and by fatal internal errors that should drain rather
-/// than abort.
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn request_shutdown_flips_the_flag() {
-        // Note: the flag is process-global; this test runs in its own
-        // test binary where nothing else reads it.
-        assert!(!shutdown_requested());
-        request_shutdown();
-        assert!(shutdown_requested());
-    }
+/// Installs the handlers and forwards the first signal to `stop`: a
+/// watcher thread checks the flag every 20 ms and stores `true` into
+/// `stop` once it is set.
+///
+/// # Errors
+///
+/// Returns the I/O error of a failed thread spawn.
+pub fn forward_to(stop: Arc<AtomicBool>) -> io::Result<()> {
+    install();
+    std::thread::Builder::new()
+        .name("signal-forward".to_string())
+        .spawn(move || {
+            while !shutdown_requested() {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            stop.store(true, Ordering::SeqCst);
+        })?;
+    Ok(())
 }

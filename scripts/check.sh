@@ -43,4 +43,7 @@ scripts/chaos_smoke.sh
 echo "== benchmark smoke test"
 scripts/bench.sh --smoke --out target/BENCH_smoke.json
 
+echo "== voltbench smoke test (every workload once, full metric set)"
+cargo run --release --offline --manifest-path voltbench/Cargo.toml -- --smoke
+
 echo "All checks passed."
