@@ -363,9 +363,12 @@ impl TransientSolver {
             self.counters.factor_cache_hits += 1;
             // Move-to-front on hit keeps the recency order explicit in
             // the Vec itself; with at most 8 entries the shuffle is a
-            // few pointer moves.
-            let entry = self.factor_cache.remove(pos);
-            self.factor_cache.insert(0, entry);
+            // few pointer moves. A front hit — every step of a steady
+            // run — is already in place.
+            if pos > 0 {
+                let entry = self.factor_cache.remove(pos);
+                self.factor_cache.insert(0, entry);
+            }
             return Ok(0);
         }
         let lu = if self.backend.is_sparse(self.n) {
@@ -1017,6 +1020,15 @@ mod tests {
         // And a hit reports the move-to-front index.
         assert_eq!(solver.factors_for(hot).unwrap(), 0);
         assert_eq!(solver.counters.factor_cache_hits, 8);
+        // A hit on the front entry leaves the recency order unchanged.
+        let order =
+            |s: &TransientSolver| s.factor_cache.iter().map(|(k, _)| *k).collect::<Vec<_>>();
+        let before = order(&solver);
+        assert_eq!(before[0], hot.to_bits());
+        assert_eq!(solver.factors_for(hot).unwrap(), 0);
+        assert_eq!(order(&solver), before);
+        assert_eq!(solver.counters.factor_cache_hits, 9);
+        assert_eq!(solver.counters.lu_factorizations, 8 + 1 + 8);
     }
 
     /// Counters are exact on a hand-built RC netlist whose timebase is

@@ -58,8 +58,8 @@ pub use search::{
     SearchOutcome, SequenceEval,
 };
 pub use stressmark::{
-    compile, CompiledStressmark, StressmarkError, StressmarkSpec, SyncSpec, SYNC_INTERVAL_SECONDS,
-    TOD_TICK_SECONDS,
+    compile, CompiledStressmark, MeasuredPhases, StressmarkError, StressmarkSpec, SyncSpec,
+    SYNC_INTERVAL_SECONDS, TOD_TICK_SECONDS,
 };
 
 /// Convenient star-import surface.

@@ -191,10 +191,125 @@ fn spin_body(isa: &Isa) -> Vec<Opcode> {
         .collect()
 }
 
-/// Compiles a stressmark: derives sequence repetition counts from the
-/// measured IPCs ("one can derive the length of high and low power
-/// sequences to generate low/high activity at the given stimulus
-/// frequency", §IV-C) and records phase currents.
+/// The measured operating points of a stressmark's three phases: the
+/// high and low sequences and the synchronization spin loop.
+///
+/// They are a function of the ISA, the core and the two sequence bodies
+/// only — not of the stimulus frequency, duty cycle or sync setting — so
+/// a platform that compiles one pair of sequences at many frequencies
+/// measures once and [fits](MeasuredPhases::fit) per stressmark.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MeasuredPhases {
+    high_body: Vec<Opcode>,
+    low_body: Vec<Opcode>,
+    core_freq_hz: f64,
+    i_high_a: f64,
+    i_low_a: f64,
+    i_idle_a: f64,
+    ipc_high: f64,
+    ipc_low: f64,
+}
+
+impl MeasuredPhases {
+    /// Measures the phases: runs the high sequence ×200, the low
+    /// sequence ×40 and the spin loop ×200 on the pipeline model. This is
+    /// the only microarchitectural simulation in compilation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StressmarkError::EmptyBody`] if either body is empty.
+    pub fn measure(
+        isa: &Isa,
+        core: &CoreConfig,
+        high_body: Vec<Opcode>,
+        low_body: Vec<Opcode>,
+    ) -> Result<MeasuredPhases, StressmarkError> {
+        if high_body.is_empty() {
+            return Err(StressmarkError::EmptyBody { which: "high" });
+        }
+        if low_body.is_empty() {
+            return Err(StressmarkError::EmptyBody { which: "low" });
+        }
+        let high = Kernel::from_sequence("high", high_body.clone(), 200).run(isa, core);
+        let low = Kernel::from_sequence("low", low_body.clone(), 40).run(isa, core);
+        let idle = Kernel::from_sequence("spin", spin_body(isa), 200).run(isa, core);
+        Ok(MeasuredPhases {
+            high_body,
+            low_body,
+            core_freq_hz: core.freq_hz,
+            i_high_a: high.avg_current_a,
+            i_low_a: low.avg_current_a,
+            i_idle_a: idle.avg_current_a,
+            ipc_high: high.ipc,
+            ipc_low: low.ipc,
+        })
+    }
+
+    /// Fits a stressmark to the measured phases: derives the sequence
+    /// repetition counts from the IPCs ("one can derive the length of
+    /// high and low power sequences to generate low/high activity at the
+    /// given stimulus frequency", §IV-C) and records the phase currents.
+    /// Pure arithmetic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StressmarkError`] for an out-of-range duty cycle or an
+    /// unrealizable stimulus frequency.
+    pub fn fit(
+        &self,
+        name: &str,
+        stim_freq_hz: f64,
+        duty: f64,
+        sync: Option<SyncSpec>,
+    ) -> Result<CompiledStressmark, StressmarkError> {
+        if !(duty > 0.0 && duty < 1.0) {
+            return Err(StressmarkError::BadDuty { duty });
+        }
+        if !stim_freq_hz.is_finite() || stim_freq_hz <= 0.0 {
+            return Err(StressmarkError::BadStimulus {
+                freq_hz: stim_freq_hz,
+                max_hz: 0.0,
+            });
+        }
+        // Cycles available per phase at the target stimulus frequency.
+        let cycles_high = duty / stim_freq_hz * self.core_freq_hz;
+        let cycles_low = (1.0 - duty) / stim_freq_hz * self.core_freq_hz;
+        let cycles_per_high_rep = self.high_body.len() as f64 / self.ipc_high.max(1e-9);
+        let cycles_per_low_rep = self.low_body.len() as f64 / self.ipc_low.max(1e-9);
+        let high_reps = (cycles_high / cycles_per_high_rep).round() as u64;
+        let low_reps = (cycles_low / cycles_per_low_rep).round() as u64;
+        if high_reps < 1 || low_reps < 1 {
+            let max_hz = self.core_freq_hz
+                / (cycles_per_high_rep / duty).max(cycles_per_low_rep / (1.0 - duty));
+            return Err(StressmarkError::BadStimulus {
+                freq_hz: stim_freq_hz,
+                max_hz,
+            });
+        }
+
+        Ok(CompiledStressmark {
+            spec: StressmarkSpec {
+                name: name.to_string(),
+                high_body: self.high_body.clone(),
+                low_body: self.low_body.clone(),
+                stim_freq_hz,
+                duty,
+                sync,
+            },
+            high_reps,
+            low_reps,
+            i_high_a: self.i_high_a,
+            i_low_a: self.i_low_a,
+            i_idle_a: self.i_idle_a,
+            ipc_high: self.ipc_high,
+            ipc_low: self.ipc_low,
+        })
+    }
+}
+
+/// Compiles a stressmark: [measures](MeasuredPhases::measure) its phases,
+/// then [fits](MeasuredPhases::fit) the repetition counts to the spec's
+/// stimulus frequency, duty cycle and sync setting.
 ///
 /// # Errors
 ///
@@ -205,54 +320,15 @@ pub fn compile(
     core: &CoreConfig,
     spec: StressmarkSpec,
 ) -> Result<CompiledStressmark, StressmarkError> {
-    if spec.high_body.is_empty() {
-        return Err(StressmarkError::EmptyBody { which: "high" });
-    }
-    if spec.low_body.is_empty() {
-        return Err(StressmarkError::EmptyBody { which: "low" });
-    }
-    if !(spec.duty > 0.0 && spec.duty < 1.0) {
-        return Err(StressmarkError::BadDuty { duty: spec.duty });
-    }
-
-    let high = Kernel::from_sequence("high", spec.high_body.clone(), 200).run(isa, core);
-    let low = Kernel::from_sequence("low", spec.low_body.clone(), 40).run(isa, core);
-    let idle = Kernel::from_sequence("spin", spin_body(isa), 200).run(isa, core);
-
-    // Cycles available per phase at the target stimulus frequency.
-    let t_high = spec.duty / spec.stim_freq_hz;
-    let t_low = (1.0 - spec.duty) / spec.stim_freq_hz;
-    if !spec.stim_freq_hz.is_finite() || spec.stim_freq_hz <= 0.0 {
-        return Err(StressmarkError::BadStimulus {
-            freq_hz: spec.stim_freq_hz,
-            max_hz: 0.0,
-        });
-    }
-    let cycles_high = t_high * core.freq_hz;
-    let cycles_low = t_low * core.freq_hz;
-    let cycles_per_high_rep = spec.high_body.len() as f64 / high.ipc.max(1e-9);
-    let cycles_per_low_rep = spec.low_body.len() as f64 / low.ipc.max(1e-9);
-    let high_reps = (cycles_high / cycles_per_high_rep).round() as u64;
-    let low_reps = (cycles_low / cycles_per_low_rep).round() as u64;
-    if high_reps < 1 || low_reps < 1 {
-        let max_hz = core.freq_hz
-            / (cycles_per_high_rep / spec.duty).max(cycles_per_low_rep / (1.0 - spec.duty));
-        return Err(StressmarkError::BadStimulus {
-            freq_hz: spec.stim_freq_hz,
-            max_hz,
-        });
-    }
-
-    Ok(CompiledStressmark {
-        spec,
-        high_reps,
-        low_reps,
-        i_high_a: high.avg_current_a,
-        i_low_a: low.avg_current_a,
-        i_idle_a: idle.avg_current_a,
-        ipc_high: high.ipc,
-        ipc_low: low.ipc,
-    })
+    let StressmarkSpec {
+        name,
+        high_body,
+        low_body,
+        stim_freq_hz,
+        duty,
+        sync,
+    } = spec;
+    MeasuredPhases::measure(isa, core, high_body, low_body)?.fit(&name, stim_freq_hz, duty, sync)
 }
 
 #[cfg(test)]

@@ -1560,6 +1560,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::testbed::Testbed;
+    use crate::workload::WorkloadKind;
     use voltnoise_pdn::SolveSpec;
     use voltnoise_stressmark::SyncSpec;
 
@@ -1996,6 +1997,30 @@ mod tests {
         assert_eq!(
             racked.key().store_digest(),
             "21f9a523cbba3dd9d635f028a8d8b945"
+        );
+        // The medium sequence carries its own measured phases: pin a
+        // mixed max/medium mapping with a free-running medium core next
+        // to offset-synced ones.
+        let offset = Some(SyncSpec {
+            offset_ticks: 3,
+            ..SyncSpec::paper_default()
+        });
+        let mixed = batch.job(
+            SiteVec::from_fn(NUM_CORES, |s| match s {
+                0 | 3 => tb.load_of(WorkloadKind::MaxDidt, 2.5e6, offset),
+                1 => tb.load_of(WorkloadKind::MediumDidt, 1e6, None),
+                4 => tb.load_of(WorkloadKind::MediumDidt, 2.5e6, offset),
+                _ => CoreLoad::Idle,
+            }),
+            NoiseRunConfig {
+                window_s: Some(25e-6),
+                seed: 5,
+                ..NoiseRunConfig::default()
+            },
+        );
+        assert_eq!(
+            mixed.key().store_digest(),
+            "a1bb88cc79bbad15ddc38092e5a848c7"
         );
         // A job built one-off hashes the same as one from a factory.
         let single = SimJob::new(

@@ -9,8 +9,8 @@ use crate::workload::WorkloadKind;
 use std::sync::OnceLock;
 use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::{
-    compile, find_max_power_sequence, find_sequence_with_power, min_power_sequence,
-    CompiledStressmark, SearchConfig, SearchOutcome, SequenceEval, StressmarkSpec, SyncSpec,
+    find_max_power_sequence, find_sequence_with_power, min_power_sequence, CompiledStressmark,
+    MeasuredPhases, SearchConfig, SearchOutcome, SequenceEval, SyncSpec,
 };
 use voltnoise_uarch::epi::EpiProfile;
 use voltnoise_uarch::isa::Isa;
@@ -20,8 +20,10 @@ use voltnoise_uarch::pipeline::CoreConfig;
 /// max/min/medium sequences and a chip with instrumentation.
 ///
 /// Building one runs the EPI profiling and the sequence search, which is
-/// the expensive part; the cached [`Testbed::fast`] and
-/// [`Testbed::shared`] constructors amortize it across tests and
+/// the expensive part, and measures the stressmark phases of the max and
+/// medium sequences once, so every stressmark after that is a pure
+/// [`MeasuredPhases::fit`]. The cached [`Testbed::fast`] and
+/// [`Testbed::shared`] constructors amortize the build across tests and
 /// experiments.
 #[derive(Debug)]
 pub struct Testbed {
@@ -31,6 +33,8 @@ pub struct Testbed {
     search: SearchOutcome,
     min_eval: SequenceEval,
     med_eval: SequenceEval,
+    max_phases: MeasuredPhases,
+    med_phases: MeasuredPhases,
     chip: Chip,
 }
 
@@ -48,6 +52,13 @@ impl Testbed {
         let min_eval = min_power_sequence(&isa, &core, &profile);
         let target = (search.best.power_w + min_eval.power_w) / 2.0;
         let med_eval = find_sequence_with_power(&isa, &core, &search.best, target, 200);
+        #[allow(clippy::expect_used)] // searched sequences are never empty
+        let phases = |high: &SequenceEval| {
+            MeasuredPhases::measure(&isa, &core, high.body.clone(), min_eval.body.clone())
+                .expect("searched sequences are non-empty")
+        };
+        let max_phases = phases(&search.best);
+        let med_phases = phases(&med_eval);
         let chip = Chip::new(chip_cfg)?;
         Ok(Testbed {
             isa,
@@ -56,6 +67,8 @@ impl Testbed {
             search,
             min_eval,
             med_eval,
+            max_phases,
+            med_phases,
             chip,
         })
     }
@@ -147,23 +160,15 @@ impl Testbed {
         self
     }
 
-    fn compile_stressmark(
-        &self,
+    fn fit_stressmark(
         name: &str,
-        high: &SequenceEval,
+        phases: &MeasuredPhases,
         stim_freq_hz: f64,
         sync: Option<SyncSpec>,
     ) -> CompiledStressmark {
-        let spec = StressmarkSpec {
-            name: name.to_string(),
-            high_body: high.body.clone(),
-            low_body: self.min_eval.body.clone(),
-            stim_freq_hz,
-            duty: 0.5,
-            sync,
-        };
         #[allow(clippy::expect_used)] // documented panic contract (see max_stressmark)
-        compile(&self.isa, &self.core, spec)
+        phases
+            .fit(name, stim_freq_hz, 0.5, sync)
             .expect("searched sequences compile at paper frequencies")
     }
 
@@ -174,7 +179,7 @@ impl Testbed {
     /// Panics if the frequency is unrealizable for the searched sequences
     /// (beyond hundreds of MHz).
     pub fn max_stressmark(&self, stim_freq_hz: f64, sync: Option<SyncSpec>) -> CompiledStressmark {
-        self.compile_stressmark("max_didt", &self.search.best, stim_freq_hz, sync)
+        Self::fit_stressmark("max_didt", &self.max_phases, stim_freq_hz, sync)
     }
 
     /// The medium dI/dt stressmark (half the ΔI of the maximum).
@@ -187,7 +192,7 @@ impl Testbed {
         stim_freq_hz: f64,
         sync: Option<SyncSpec>,
     ) -> CompiledStressmark {
-        self.compile_stressmark("medium_didt", &self.med_eval, stim_freq_hz, sync)
+        Self::fit_stressmark("medium_didt", &self.med_phases, stim_freq_hz, sync)
     }
 
     /// The [`CoreLoad`] of a workload kind.
@@ -230,6 +235,7 @@ impl Default for Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use voltnoise_stressmark::{compile, StressmarkError, StressmarkSpec};
 
     #[test]
     fn fast_testbed_orders_sequence_powers() {
@@ -277,6 +283,64 @@ mod tests {
         for f in [1.0, 1e3, 35e3, 2.5e6, 15e6, 100e6] {
             let sm = tb.max_stressmark(f, None);
             assert!(sm.high_reps >= 1, "no reps at {f} Hz");
+        }
+    }
+
+    fn assert_bit_identical(a: &CompiledStressmark, b: &CompiledStressmark) {
+        assert_eq!(a.spec, b.spec);
+        assert_eq!(a.spec.stim_freq_hz.to_bits(), b.spec.stim_freq_hz.to_bits());
+        assert_eq!(a.spec.duty.to_bits(), b.spec.duty.to_bits());
+        assert_eq!((a.high_reps, a.low_reps), (b.high_reps, b.low_reps));
+        for (x, y) in [
+            (a.i_high_a, b.i_high_a),
+            (a.i_low_a, b.i_low_a),
+            (a.i_idle_a, b.i_idle_a),
+            (a.ipc_high, b.ipc_high),
+            (a.ipc_low, b.ipc_low),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits(), "{}", a.spec.name);
+        }
+    }
+
+    #[test]
+    fn fitted_stressmarks_are_bit_identical_to_compile() {
+        let tb = Testbed::fast();
+        let spec = |name: &str, high: &SequenceEval, stim_freq_hz, sync| StressmarkSpec {
+            name: name.to_string(),
+            high_body: high.body.clone(),
+            low_body: tb.min_sequence().body.clone(),
+            stim_freq_hz,
+            duty: 0.5,
+            sync,
+        };
+        let compiled = |spec| compile(tb.isa(), tb.core(), spec);
+        let offset = SyncSpec {
+            offset_ticks: 3,
+            ..SyncSpec::paper_default()
+        };
+        for f in [1.0, 1e3, 35e3, 2.5e6, 15e6, 100e6] {
+            for sync in [None, Some(SyncSpec::paper_default()), Some(offset)] {
+                let max = compiled(spec("max_didt", tb.max_sequence(), f, sync)).unwrap();
+                assert_bit_identical(&tb.max_stressmark(f, sync), &max);
+                let med = compiled(spec("medium_didt", tb.medium_sequence(), f, sync)).unwrap();
+                assert_bit_identical(&tb.medium_stressmark(f, sync), &med);
+            }
+        }
+        // An unrealizable frequency is rejected with the same bound.
+        for (name, seq, phases) in [
+            ("max_didt", tb.max_sequence(), &tb.max_phases),
+            ("medium_didt", tb.medium_sequence(), &tb.med_phases),
+        ] {
+            let direct = compiled(spec(name, seq, 10e9, None)).unwrap_err();
+            let fitted = phases.fit(name, 10e9, 0.5, None).unwrap_err();
+            match (&direct, &fitted) {
+                (
+                    StressmarkError::BadStimulus { max_hz: a, .. },
+                    StressmarkError::BadStimulus { max_hz: b, .. },
+                ) => assert_eq!(a.to_bits(), b.to_bits(), "{name}"),
+                other => panic!("unexpected errors {other:?}"),
+            }
+            assert_eq!(direct, fitted);
         }
     }
 }

@@ -16,7 +16,8 @@ echo "== cargo clippy (solver/engine library code, unwrap/expect are errors)"
 # still unwrap freely.
 cargo clippy -p voltnoise-pdn -p voltnoise-system --lib -- -D warnings
 
-echo "== cargo test"
+echo "== cargo build --release && cargo test (the tier-1 command)"
+cargo build --release
 cargo test -q
 
 echo "== fault-injection suite"
