@@ -199,7 +199,8 @@ fn vmin_of_loads(
 /// The Vmin descent adapts each next bias to the previous outcome, so the
 /// job list cannot be enumerated up front; this experiment overrides
 /// [`Experiment::run`] and drives the engine directly, parallelizing over
-/// grid cells with [`Engine::par_map`] while each descent stays serial.
+/// grid cells and the customer-code descent with [`Engine::par_map`]
+/// while each descent stays serial.
 #[derive(Debug, Clone)]
 pub struct MarginExperiment {
     /// The campaign grid.
@@ -216,30 +217,38 @@ impl MarginExperiment {
                 grid.push((freq, events));
             }
         }
-        let biases = engine.par_map(&grid, |&(freq, events)| {
-            let sync = events.map(|e| SyncSpec {
-                events: e,
-                ..SyncSpec::paper_default()
-            });
-            let sm = tb.max_stressmark(freq, sync);
+        // The customer-code descent rides as one more item of the same
+        // pool, after the grid, so the lowest-index error is still a
+        // grid cell's before the customer's.
+        let customer_sm = scaled_stressmark(
+            tb.max_stressmark(2.5e6, None),
+            cfg.customer_delta_i_fraction,
+        );
+        let descents: Vec<Option<(f64, Option<u32>)>> =
+            grid.iter().copied().map(Some).chain([None]).collect();
+        let mut biases = engine.par_map(&descents, |descent| {
+            let sm = match *descent {
+                Some((freq, events)) => {
+                    let sync = events.map(|e| SyncSpec {
+                        events: e,
+                        ..SyncSpec::paper_default()
+                    });
+                    tb.max_stressmark(freq, sync)
+                }
+                // Customer-code extrapolation: unsynchronized, 80 % of
+                // max ΔI.
+                None => customer_sm.clone(),
+            };
             let loads: [CoreLoad; NUM_CORES] =
                 std::array::from_fn(|_| CoreLoad::Stressmark(sm.clone()));
             vmin_of_loads(tb, engine, &loads, cfg, &path)
         })?;
+        let customer_bias = biases.pop().expect("the customer descent is the last item");
         let raw: Vec<(f64, Option<u32>, Option<f64>)> = grid
             .iter()
             .zip(biases)
             .map(|(&(freq, events), bias)| (freq, events, bias))
             .collect();
-
-        // Customer-code extrapolation: unsynchronized, 80 % of max ΔI.
-        let customer_sm = scaled_stressmark(
-            tb.max_stressmark(2.5e6, None),
-            cfg.customer_delta_i_fraction,
-        );
-        let customer_loads: [CoreLoad; NUM_CORES] =
-            std::array::from_fn(|_| CoreLoad::Stressmark(customer_sm.clone()));
-        let customer_bias = vmin_of_loads(tb, engine, &customer_loads, cfg, &path)?;
 
         let worst_bias = raw
             .iter()

@@ -185,11 +185,15 @@ impl Experiment for ResonanceEntropyExperiment {
             for &seed in &self.cfg.seeds {
                 let out = outcomes.get(idx).ok_or(PdnError::EmptyProfile)?;
                 idx += 1;
-                let traces = out.traces.as_ref().ok_or_else(|| PdnError::Signal {
+                let capture = out.traces.as_ref().ok_or_else(|| PdnError::Signal {
                     reason: "resonance-entropy jobs must record traces".into(),
                 })?;
-                let trace = &traces[self.cfg.core];
-                points.push(assess_trace(trace.times(), trace.volts(), f, seed)?);
+                let volts = capture
+                    .channel(self.cfg.core)
+                    .ok_or_else(|| PdnError::Signal {
+                        reason: format!("no scope channel for core {}", self.cfg.core),
+                    })?;
+                points.push(assess_trace(capture.times(), volts, f, seed)?);
             }
         }
         Ok(ResonanceEntropy { points })

@@ -107,8 +107,12 @@ impl Experiment for ScopeShotExperiment {
         outcomes: &[Arc<NoiseOutcome>],
     ) -> Result<ScopeShot, PdnError> {
         let out = &outcomes[0];
-        let traces = out.traces.as_ref().expect("traces requested");
-        let window = traces[self.cfg.core].clone();
+        let capture = out.traces.as_ref().expect("traces requested");
+        let window = capture
+            .trace(self.cfg.core)
+            .ok_or_else(|| PdnError::Signal {
+                reason: format!("no scope channel for core {}", self.cfg.core),
+            })?;
         let t_mid = window.times()[window.len() / 2];
         let single_period = window
             .single_period(self.cfg.stim_freq_hz, t_mid)

@@ -747,14 +747,14 @@ fn bench_signal(iters: usize) -> SignalBench {
     let outcomes = engine
         .run_jobs(std::slice::from_ref(&job))
         .unwrap_or_else(|e| panic!("signal bench solve failed: {e}"));
-    let traces = outcomes[0]
+    let capture = outcomes[0]
         .traces
         .as_ref()
         .expect("signal bench job records traces");
-    let trace = &traces[0];
-    let trace_points = trace.times().len();
-    let (fs, base) = resample_uniform(trace.times(), trace.volts(), RESAMPLE_POINTS)
-        .expect("scope trace resamples");
+    let volts = capture.channel(0).expect("signal bench job probes core 0");
+    let trace_points = capture.times().len();
+    let (fs, base) =
+        resample_uniform(capture.times(), volts, RESAMPLE_POINTS).expect("scope trace resamples");
     let mut samples = Vec::with_capacity(base.len() * TILES);
     for _ in 0..TILES {
         samples.extend_from_slice(&base);

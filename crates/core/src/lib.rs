@@ -60,7 +60,7 @@ pub mod prelude {
         MisalignConfig, RegistryEntry, ReportScale, ScopeConfig, SweepConfig, Table1,
     };
     pub use voltnoise_measure::{
-        CriticalPath, PowerMeter, ScopeTrace, Skitter, SkitterConfig, VminConfig,
+        CriticalPath, PowerMeter, ScopeCapture, ScopeTrace, Skitter, SkitterConfig, VminConfig,
     };
     pub use voltnoise_pdn::{ChipPdn, Netlist, NodeId, PdnParams, TransientSolver, NUM_CORES};
     pub use voltnoise_stressmark::{

@@ -32,6 +32,6 @@ pub mod vmin;
 
 pub use bitstring::{capture, BitString, StickyBitmap};
 pub use power::{PowerMeter, PowerReading};
-pub use scope::ScopeTrace;
+pub use scope::{ScopeCapture, ScopeTrace};
 pub use skitter::{Skitter, SkitterConfig, SkitterReading};
 pub use vmin::{run_vmin, CriticalPath, RUnit, VminConfig, VminResult};

@@ -41,12 +41,7 @@ impl ScopeTrace {
         if times.len() != volts.len() {
             return Err(TraceError("times and volts lengths differ".into()));
         }
-        if times.is_empty() {
-            return Err(TraceError("empty trace".into()));
-        }
-        if times.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(TraceError("times must be strictly increasing".into()));
-        }
+        check_timebase(&times)?;
         Ok(ScopeTrace { times, volts })
     }
 
@@ -137,6 +132,89 @@ impl ScopeTrace {
     }
 }
 
+/// Rejects an empty or not strictly increasing timebase.
+fn check_timebase(times: &[f64]) -> Result<(), TraceError> {
+    if times.is_empty() {
+        return Err(TraceError("empty trace".into()));
+    }
+    if times.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(TraceError("times must be strictly increasing".into()));
+    }
+    Ok(())
+}
+
+/// A multi-channel capture: every channel sampled on one timebase, the
+/// way an oscilloscope records all its probes.
+///
+/// # Examples
+///
+/// ```
+/// use voltnoise_measure::scope::ScopeCapture;
+///
+/// let c = ScopeCapture::new(
+///     vec![0.0, 1e-9, 2e-9],
+///     vec![vec![1.05, 1.00, 1.05], vec![1.05, 1.04, 1.05]],
+/// )
+/// .unwrap();
+/// assert_eq!(c.num_channels(), 2);
+/// assert_eq!(c.channel(1), Some(&[1.05, 1.04, 1.05][..]));
+/// assert!((c.trace(0).unwrap().peak_to_peak() - 0.05).abs() < 1e-12);
+/// ```
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ScopeCapture {
+    times: Vec<f64>,
+    channels: Vec<Vec<f64>>,
+}
+
+impl ScopeCapture {
+    /// Builds a capture from one timebase and the channels sampled on it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError`] when the timebase is empty or not strictly
+    /// increasing, or a channel's length differs from it.
+    pub fn new(times: Vec<f64>, channels: Vec<Vec<f64>>) -> Result<Self, TraceError> {
+        check_timebase(&times)?;
+        if let Some(i) = channels.iter().position(|c| c.len() != times.len()) {
+            return Err(TraceError(format!(
+                "channel {i} has {} samples, the timebase {}",
+                channels[i].len(),
+                times.len()
+            )));
+        }
+        Ok(ScopeCapture { times, channels })
+    }
+
+    /// The shared sample times in seconds.
+    pub fn times(&self) -> &[f64] {
+        &self.times
+    }
+
+    /// Number of channels.
+    pub fn num_channels(&self) -> usize {
+        self.channels.len()
+    }
+
+    /// Voltages of channel `i`, or `None` past the last channel.
+    pub fn channel(&self, i: usize) -> Option<&[f64]> {
+        self.channels.get(i).map(Vec::as_slice)
+    }
+
+    /// Voltages of every channel, in channel order.
+    pub fn channels(&self) -> impl Iterator<Item = &[f64]> {
+        self.channels.iter().map(Vec::as_slice)
+    }
+
+    /// Channel `i` as a stand-alone trace (a copy), or `None` past the
+    /// last channel.
+    pub fn trace(&self, i: usize) -> Option<ScopeTrace> {
+        Some(ScopeTrace {
+            times: self.times.clone(),
+            volts: self.channels.get(i)?.clone(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,6 +267,20 @@ mod tests {
         let t = sine_trace(2e6, 8000, 1e-9);
         let f = t.dominant_frequency().unwrap();
         assert!((f - 2e6).abs() / 2e6 < 0.02, "f = {f}");
+    }
+
+    #[test]
+    fn capture_validates_its_timebase_once_for_every_channel() {
+        assert!(ScopeCapture::new(vec![], vec![]).is_err());
+        assert!(ScopeCapture::new(vec![1e-9, 0.0], vec![vec![1.0, 1.0]]).is_err());
+        let short = ScopeCapture::new(vec![0.0, 1e-9], vec![vec![1.0, 1.0], vec![1.0]]);
+        assert!(short.unwrap_err().to_string().contains("channel 1"));
+        let c = ScopeCapture::new(vec![0.0, 1e-9], vec![vec![1.0, 0.9], vec![1.1, 1.0]]).unwrap();
+        assert_eq!(c.channels().count(), 2);
+        assert_eq!(c.channel(2), None);
+        assert!(c.trace(2).is_none());
+        let t = c.trace(1).unwrap();
+        assert_eq!(t, ScopeTrace::new(vec![0.0, 1e-9], vec![1.1, 1.0]).unwrap());
     }
 
     #[test]

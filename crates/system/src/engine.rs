@@ -1159,8 +1159,7 @@ impl Engine {
         let signatures: Vec<_> = outcome
             .traces
             .iter()
-            .flatten()
-            .map(|t| trace_signature(t.times(), t.volts()))
+            .flat_map(|c| c.channels().map(|volts| trace_signature(c.times(), volts)))
             .collect();
         {
             let mut tel = lock_recover(&self.telemetry);

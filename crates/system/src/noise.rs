@@ -19,7 +19,7 @@ use crate::telemetry::{PhaseTimes, SolverCounters};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use voltnoise_measure::power::{PowerMeter, PowerReading};
-use voltnoise_measure::scope::ScopeTrace;
+use voltnoise_measure::scope::ScopeCapture;
 use voltnoise_measure::skitter::{Skitter, SkitterReading};
 use voltnoise_pdn::netlist::{Netlist, NodeId};
 use voltnoise_pdn::rom::{solve_step_rom, RomStepProblem};
@@ -148,8 +148,9 @@ pub struct NoiseOutcome {
     pub v_max: SiteVec<f64>,
     /// Input-rail power reading of the whole scenario (chip or rack).
     pub chip_power: PowerReading,
-    /// Per-site voltage traces when requested.
-    pub traces: Option<Vec<ScopeTrace>>,
+    /// Per-site voltage traces when requested: one channel per site
+    /// (ordinal order) on the solver's one timebase.
+    pub traces: Option<ScopeCapture>,
     /// Transient solver steps taken (cost accounting).
     pub steps: usize,
 }
@@ -487,7 +488,7 @@ pub(crate) fn run_view_noise_instrumented(
         .map(|&node| Probe::NodeVoltage(node))
         .collect();
     probes.push(Probe::SourceCurrent(0));
-    let result = solver.run(&drive, &probes, &tc)?;
+    let mut result = solver.run(&drive, &probes, &tc)?;
 
     let hf = hf_amplitudes(view.hf, view.cores_per_chip, loads);
     let mut readings = SiteVec::from_elem(
@@ -515,20 +516,20 @@ pub(crate) fn run_view_noise_instrumented(
     let chip_power = PowerMeter::new().read(view.v_nom, rail_current);
 
     let traces = if cfg.record_traces {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            // The solver records strictly increasing times, so this only
-            // fails on a solver bug — surfaced as a typed error rather
-            // than a panic so a campaign records it like any other fault.
-            out.push(
-                ScopeTrace::new(result.times.clone(), result.traces[i].clone()).map_err(|e| {
-                    PdnError::InvalidTimebase {
-                        reason: format!("recorded trace rejected: {e}"),
-                    }
-                })?,
-            );
-        }
-        Some(out)
+        // The site probes come first and share the solver's timebase;
+        // the rail-current trace after them is not a scope channel.
+        let mut channels = std::mem::take(&mut result.traces);
+        channels.truncate(n);
+        // The solver records strictly increasing times, so this only
+        // fails on a solver bug — surfaced as a typed error rather than
+        // a panic so a campaign records it like any other fault.
+        let capture =
+            ScopeCapture::new(std::mem::take(&mut result.times), channels).map_err(|e| {
+                PdnError::InvalidTimebase {
+                    reason: format!("recorded trace rejected: {e}"),
+                }
+            })?;
+        Some(capture)
     } else {
         None
     };
@@ -916,10 +917,10 @@ mod tests {
             },
         )
         .unwrap();
-        let traces = out.traces.unwrap();
-        assert_eq!(traces.len(), NUM_CORES);
-        assert!(traces[0].len() > 100);
-        assert!(traces[0].peak_to_peak() > 0.0);
+        let capture = out.traces.unwrap();
+        assert_eq!(capture.num_channels(), NUM_CORES);
+        assert!(capture.times().len() > 100);
+        assert!(capture.trace(0).unwrap().peak_to_peak() > 0.0);
     }
 
     #[test]

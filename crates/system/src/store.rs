@@ -40,8 +40,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Magic format name in the header line.
 pub const STORE_FORMAT: &str = "voltnoise-store";
 /// Current store format version. Bumped whenever the record layout or
-/// the key scheme changes incompatibly.
-pub const STORE_VERSION: u32 = 1;
+/// the key scheme changes incompatibly. `2` writes a traced outcome as
+/// one multi-channel capture, its timebase once, where `1` repeated the
+/// timebase in a trace per site.
+pub const STORE_VERSION: u32 = 2;
 /// Identifier of the key scheme: FNV-1a 128 over the canonical byte
 /// rendering of a `JobKey` (scenario signature included). `/2` added the
 /// solve-spec fields (backend selection plus the optional reduced-order
@@ -810,6 +812,98 @@ mod tests {
             record_line(&derived.key, &derived.outcome).unwrap(),
             serde_json::to_string(&derived).unwrap()
         );
+    }
+
+    /// A real traced chip solve: six channels on the solver's timebase.
+    fn traced_outcome() -> NoiseOutcome {
+        use crate::noise::{run_noise, CoreLoad, NoiseRunConfig};
+        let tb = crate::testbed::Testbed::fast();
+        let loads = vec![CoreLoad::Stressmark(tb.max_stressmark(2.5e6, None)); NUM_CORES];
+        let cfg = NoiseRunConfig {
+            window_s: Some(10e-6),
+            record_traces: true,
+            ..NoiseRunConfig::default()
+        };
+        run_noise(tb.chip(), &loads, &cfg).unwrap()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn traced_outcome_survives_reopen_bit_exactly() {
+        let path = tmp_path("traced");
+        let _ = std::fs::remove_file(&path);
+        let traced = traced_outcome();
+        let capture = traced.traces.as_ref().unwrap();
+        assert_eq!(capture.num_channels(), NUM_CORES);
+        ResultStore::open(&path).unwrap().append("traced", &traced);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let line = text.lines().nth(1).unwrap();
+        assert_eq!(
+            line.matches("\"times\"").count(),
+            1,
+            "one timebase per record"
+        );
+        let mut loaded = Vec::new();
+        let store = ResultStore::open_with(&path, |_, o| loaded.push(o)).unwrap();
+        assert_eq!(store.corrupt_lines(), 0);
+        loaded.push((*store.get("traced").unwrap()).clone());
+        assert_eq!(loaded.len(), 2);
+        for got in &loaded {
+            let c = got.traces.as_ref().expect("the capture survives");
+            assert_eq!(bits(c.times()), bits(capture.times()));
+            assert_eq!(c.num_channels(), NUM_CORES);
+            for (a, b) in c.channels().zip(capture.channels()) {
+                assert_eq!(bits(a), bits(b));
+            }
+            assert_eq!(
+                serde_json::to_string(got).unwrap(),
+                serde_json::to_string(&traced).unwrap()
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn version_one_store_with_per_site_timebases_resets() {
+        let path = tmp_path("v1");
+        let traced = traced_outcome();
+        let capture = traced.traces.as_ref().unwrap();
+        // The version-1 record layout: one {times, volts} trace per site.
+        let per_site: Vec<_> = (0..NUM_CORES).map(|i| capture.trace(i).unwrap()).collect();
+        let untraced = serde_json::to_string(&NoiseOutcome {
+            traces: None,
+            ..traced.clone()
+        })
+        .unwrap();
+        assert_eq!(untraced.matches("\"traces\":null").count(), 1);
+        let v1_outcome = untraced.replace(
+            "\"traces\":null",
+            &format!("\"traces\":{}", serde_json::to_string(&per_site).unwrap()),
+        );
+        assert_eq!(v1_outcome.matches("\"times\"").count(), NUM_CORES);
+        std::fs::write(
+            &path,
+            format!(
+                "{{\"format\":\"{STORE_FORMAT}\",\"version\":1,\"key_scheme\":\"{KEY_SCHEME}\"}}\n\
+                 {{\"key\":\"v1\",\"outcome\":{v1_outcome}}}\n"
+            ),
+        )
+        .unwrap();
+        let mut loads = 0;
+        let store = ResultStore::open_with(&path, |_, _| loads += 1).unwrap();
+        assert!(store.is_empty());
+        assert_eq!(loads, 0);
+        assert_eq!(store.corrupt_lines(), 0);
+        let header = serde_json::to_string(&StoreHeader::current()).unwrap();
+        assert!(header.contains("\"version\":2"), "{header}");
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{header}\n")
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 # mid-flight (SIGKILL, so nothing gets to clean up), resume it over the
 # same persistent store, and require the resumed output to be
 # byte-identical to an uninterrupted baseline — with a non-empty store
-# proving the resume actually reused on-disk results.
+# proving the resume actually reused on-disk results. A third run over
+# the completed store must solve nothing and skip no corrupt line.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,4 +51,25 @@ grep -q "served from disk" "$workdir/resumed.err" || {
   exit 1
 }
 
-echo "resume smoke test passed: resumed report is byte-identical"
+echo "-- warm run (completed store)"
+# Every job is now on disk, so a third run must solve nothing and skip
+# no line. A record that no longer decodes would be silently re-solved
+# and still print the same report, so the counts are checked, not only
+# the bytes.
+VOLTNOISE_STORE="$store" "$bin" --reduced \
+  >"$workdir/warm.txt" 2>"$workdir/warm.err"
+if ! cmp -s "$workdir/baseline.txt" "$workdir/warm.txt"; then
+  echo "FAIL: warm report differs from the uninterrupted baseline" >&2
+  diff "$workdir/baseline.txt" "$workdir/warm.txt" | head -20 >&2
+  exit 1
+fi
+for want in " 0 solved fresh" " 0 corrupt lines skipped"; do
+  grep -q "$want" "$workdir/warm.err" || {
+    echo "FAIL: warm run over the completed store did not report '$want'" >&2
+    grep "voltnoise: store" "$workdir/warm.err" >&2 || cat "$workdir/warm.err" >&2
+    exit 1
+  }
+done
+echo "   $(grep -o '[0-9]* served from disk' "$workdir/warm.err") on the warm run"
+
+echo "resume smoke test passed: resumed and warm reports are byte-identical"
