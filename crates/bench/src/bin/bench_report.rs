@@ -46,7 +46,9 @@ const PINNED: &[&str] = &["fig8", "fig9", "fig11a"];
 /// over a real 100 µs scope trace, batch vs stream).
 /// `/7`: added the `rack_map` section (rack-scale placement study:
 /// naive vs noise-aware replay over a variated chip population).
-const SCHEMA: &str = "voltnoise-bench/7";
+/// `/8`: removed the `fleet_rtt` section with the shard fleet it
+/// measured.
+const SCHEMA: &str = "voltnoise-bench/8";
 
 /// Smoke-mode floor on the drawer's dense-model-to-sparse flop ratio:
 /// the sparse backend must beat the dense cost model by at least this
@@ -233,30 +235,6 @@ struct ServerRttBench {
     cache_hits: usize,
 }
 
-/// The fleet round-trip benchmark: a small campaign routed by the
-/// consistent-hash fleet client across two in-process shard servers,
-/// over persistent keep-alive connections. The first campaign pays the
-/// solves; the timed campaigns are cache-warm, so `campaign_rtt`
-/// isolates routing + probing + streaming overhead per campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct FleetRttBench {
-    /// In-process shard servers on the ring.
-    shards: usize,
-    /// Jobs per campaign.
-    jobs: usize,
-    /// Timed cache-warm campaigns (after the one warm-up).
-    campaigns: usize,
-    /// Wall time per cache-warm campaign through the routing client.
-    campaign_rtt: WallStats,
-    /// Jobs answered per shard in the warm-up campaign — nonzero on
-    /// more than one shard proves the ring actually spreads work.
-    routed: Vec<u64>,
-    /// Engine solves across all shards (warm-up included).
-    solves: usize,
-    /// Engine cache hits across all shards.
-    cache_hits: usize,
-}
-
 /// The signal-pipeline benchmark: Welch PSD throughput over a real
 /// 100 µs core-0 scope trace (resampled to a uniform grid and tiled to
 /// benchmark length), timed on the batch path and the streaming path
@@ -332,7 +310,6 @@ struct BenchReport {
     ac_batch: AcBatchBench,
     rom: RomBench,
     server_rtt: ServerRttBench,
-    fleet_rtt: FleetRttBench,
     signal: SignalBench,
     rack_map: RackMapBench,
 }
@@ -640,83 +617,6 @@ fn bench_server_rtt(iters: usize) -> ServerRttBench {
     }
 }
 
-/// Benchmarks routed campaign latency through the fleet client against
-/// two in-process shard servers over keep-alive connections. No
-/// processes are spawned: the shards are `Server::bind` instances on
-/// loopback, so the measurement isolates the client's routing, probing
-/// and streaming path from process-supervision cost.
-fn bench_fleet_rtt(iters: usize) -> FleetRttBench {
-    let mut addrs = Vec::new();
-    let mut stops = Vec::new();
-    let mut engines = Vec::new();
-    let mut daemons = Vec::new();
-    for _ in 0..2 {
-        let server = Server::bind(ServerConfig {
-            reduced: true,
-            ..ServerConfig::default()
-        })
-        .expect("bind loopback shard");
-        addrs.push(
-            server
-                .local_addr()
-                .expect("shard has a local address")
-                .to_string(),
-        );
-        stops.push(server.stop_handle());
-        engines.push(server.engine());
-        daemons.push(std::thread::spawn(move || server.run()));
-    }
-    let shards = addrs.len();
-    let specs = voltnoise_fleet::campaign_specs(4, 4242);
-    let mut client = voltnoise_fleet::FleetClient::new(
-        addrs,
-        Testbed::fast(),
-        voltnoise_fleet::FleetClientConfig::default(),
-    );
-    let warmup = client
-        .run_campaign(&specs, &mut voltnoise_fleet::NoChaos)
-        .expect("warm-up fleet campaign");
-    assert!(
-        warmup.outcomes.iter().all(Option::is_some),
-        "warm-up campaign incomplete"
-    );
-    let campaigns = (iters * 5).max(5);
-    let mut rtt = Vec::with_capacity(campaigns);
-    for _ in 0..campaigns {
-        let t0 = Instant::now();
-        let report = client
-            .run_campaign(&specs, &mut voltnoise_fleet::NoChaos)
-            .expect("fleet campaign round trip");
-        rtt.push(t0.elapsed().as_nanos() as u64);
-        assert!(report.outcomes.iter().all(Option::is_some));
-    }
-    let mut solves = 0usize;
-    let mut cache_hits = 0usize;
-    for engine in &engines {
-        let stats = engine.stats();
-        solves += stats.solves;
-        cache_hits += stats.cache_hits;
-    }
-    for stop in &stops {
-        stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    }
-    for daemon in daemons {
-        daemon
-            .join()
-            .expect("shard thread exits")
-            .expect("shard drains cleanly");
-    }
-    FleetRttBench {
-        shards,
-        jobs: specs.len(),
-        campaigns,
-        campaign_rtt: WallStats::of(rtt),
-        routed: warmup.routed,
-        solves,
-        cache_hits,
-    }
-}
-
 /// Benchmarks Welch PSD throughput, batch vs streaming, over a real
 /// 100 µs scope trace from a 2.5 MHz all-core stressmark solve. The
 /// trace is resampled to a uniform grid once, outside the timed
@@ -953,31 +853,6 @@ fn smoke_check(json: &str) {
         server.cache_hits,
         server.requests
     );
-    let fleet = &report.fleet_rtt;
-    assert!(
-        fleet.campaign_rtt.median_ns > 0
-            && fleet.campaign_rtt.p95_ns >= fleet.campaign_rtt.median_ns,
-        "fleet RTT stats must be populated and ordered, got {:?}",
-        fleet.campaign_rtt
-    );
-    assert_eq!(
-        fleet.solves, fleet.jobs,
-        "timed fleet campaigns must ride the memo caches (one solve per unique job), got {} \
-         solves for {} jobs",
-        fleet.solves, fleet.jobs
-    );
-    assert!(
-        fleet.routed.iter().filter(|&&n| n > 0).count() >= 2,
-        "fleet campaign never spread across shards: {:?}",
-        fleet.routed
-    );
-    assert!(
-        fleet.cache_hits >= fleet.campaigns * fleet.jobs,
-        "fleet cache hits ({}) must cover the {} timed campaigns x {} jobs",
-        fleet.cache_hits,
-        fleet.campaigns,
-        fleet.jobs
-    );
     let signal = &report.signal;
     assert!(
         signal.segments > 0 && signal.samples > signal.segment_len,
@@ -1057,11 +932,6 @@ fn main() {
     );
     let server_rtt = bench_server_rtt(opts.iters);
     eprintln!(
-        "# benchmarking fleet campaign round-trip latency ({} iterations)",
-        opts.iters
-    );
-    let fleet_rtt = bench_fleet_rtt(opts.iters);
-    eprintln!(
         "# benchmarking Welch PSD throughput ({} iterations)",
         opts.iters
     );
@@ -1081,7 +951,6 @@ fn main() {
         ac_batch,
         rom,
         server_rtt,
-        fleet_rtt,
         signal,
         rack_map,
     };
@@ -1138,16 +1007,6 @@ fn main() {
         report.server_rtt.requests,
         report.server_rtt.solves,
         report.server_rtt.cache_hits
-    );
-    println!(
-        "{:8} p50 {:>15} ns  p95 {:>12} ns  {} shards  routed {:?}  solves {}  cache_hits {}",
-        "fleet",
-        report.fleet_rtt.campaign_rtt.median_ns,
-        report.fleet_rtt.campaign_rtt.p95_ns,
-        report.fleet_rtt.shards,
-        report.fleet_rtt.routed,
-        report.fleet_rtt.solves,
-        report.fleet_rtt.cache_hits
     );
     println!(
         "{:8} batch {:>10.0} samp/s  stream {:>10.0} samp/s  overhead x{:.3}  {} segs  peak \

@@ -513,25 +513,10 @@ pub struct EngineStats {
     /// Callers that attached to an identical already-in-flight solve
     /// instead of starting their own (cross-client singleflight dedup).
     pub inflight_joins: usize,
-    /// Jobs answered from a *read-through* store — a sibling shard's
-    /// file attached via [`Engine::with_read_store`]. Counted apart
-    /// from `store_hits` so a fleet can see failover traffic (work a
-    /// crashed or stalled primary already paid for) separately from
-    /// this engine's own resume hits.
-    pub read_store_hits: usize,
     /// Estimated steps currently held by the serving layer's admission
     /// gate (gauge), published via [`Engine::set_admitted_steps`]; zero
-    /// for engines not behind a server. A respawned worker must report
-    /// zero here — admission permits die with the process.
+    /// for engines not behind a server.
     pub admitted_steps: u64,
-    /// This engine's shard index in a fleet (gauge), published via
-    /// [`Engine::set_shard_id`]; zero for standalone engines.
-    pub shard_id: usize,
-    /// Restart generation of the serving process (gauge), published via
-    /// [`Engine::set_restart_gen`]: zero on first spawn, incremented by
-    /// a supervisor on each respawn — the fleet's restart accounting
-    /// survives the crashed process's counters.
-    pub restart_gen: usize,
     /// Aggregated solver telemetry: deterministic work counters plus
     /// (when tracing was enabled) wall-clock histograms.
     pub telemetry: EngineTelemetry,
@@ -626,7 +611,6 @@ pub struct Engine {
     retry: RetryPolicy,
     injector: Option<FaultInjector>,
     store: Option<ResultStore>,
-    read_stores: Vec<ResultStore>,
     cancel: Option<CancelToken>,
     step_budget: Option<usize>,
     /// The memo: job digest → outcome or in-flight solve, sharded.
@@ -644,10 +628,7 @@ pub struct Engine {
     queue_depth: AtomicUsize,
     shed_total: AtomicUsize,
     inflight_joins: AtomicUsize,
-    read_store_hits: AtomicUsize,
     admitted_steps: AtomicU64,
-    shard_id: AtomicUsize,
-    restart_gen: AtomicUsize,
     telemetry: Mutex<EngineTelemetry>,
 }
 
@@ -712,21 +693,6 @@ impl Engine {
                 );
             }
         }
-        // `VOLTNOISE_READ_STORES` names colon-separated sibling shard
-        // files to read through (never append to) — the fleet worker's
-        // view of the shared store. An unopenable entry degrades that
-        // one read path, not the engine.
-        if let Ok(raw) = std::env::var("VOLTNOISE_READ_STORES") {
-            for path in raw.split(':').filter(|p| !p.is_empty()) {
-                match ResultStore::open(path) {
-                    Ok(store) => engine.read_stores.push(store),
-                    Err(why) => eprintln!(
-                        "voltnoise: ignoring read store {path:?} ({why}); \
-                         continuing without it"
-                    ),
-                }
-            }
-        }
         engine
     }
 
@@ -737,7 +703,6 @@ impl Engine {
             retry: RetryPolicy::default(),
             injector: None,
             store: None,
-            read_stores: Vec::new(),
             cancel: None,
             step_budget: None,
             memo: (0..CACHE_SHARDS)
@@ -756,10 +721,7 @@ impl Engine {
             queue_depth: AtomicUsize::new(0),
             shed_total: AtomicUsize::new(0),
             inflight_joins: AtomicUsize::new(0),
-            read_store_hits: AtomicUsize::new(0),
             admitted_steps: AtomicU64::new(0),
-            shard_id: AtomicUsize::new(0),
-            restart_gen: AtomicUsize::new(0),
             telemetry: Mutex::new(EngineTelemetry::default()),
         }
     }
@@ -791,23 +753,6 @@ impl Engine {
     /// created.
     pub fn with_store<P: AsRef<Path>>(mut self, path: P) -> std::io::Result<Engine> {
         self.attach_store(path)?;
-        Ok(self)
-    }
-
-    /// Attaches a *read-through* store (builder style): consulted after
-    /// the primary store misses, refreshed incrementally from disk on
-    /// each miss ([`ResultStore::get_fresh`]), and never appended to.
-    /// This is how a fleet worker shares siblings' shard files — a
-    /// failover batch is answered from the crashed primary's flushed
-    /// records instead of being re-solved. May be called repeatedly to
-    /// attach several shards.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error when the store file cannot be opened or
-    /// created.
-    pub fn with_read_store<P: AsRef<Path>>(mut self, path: P) -> std::io::Result<Engine> {
-        self.read_stores.push(ResultStore::open(path)?);
         Ok(self)
     }
 
@@ -889,28 +834,12 @@ impl Engine {
         self.store_hits.load(Ordering::Relaxed)
     }
 
-    /// Jobs answered from a read-through store so far.
-    pub fn read_store_hits(&self) -> usize {
-        self.read_store_hits.load(Ordering::Relaxed)
-    }
-
     /// Publishes the serving layer's admission gauge (estimated steps
     /// currently holding permits) into the engine's stats, so `/stats`
     /// serves one coherent snapshot. Like [`Engine::set_queue_depth`],
     /// the engine itself never writes this.
     pub fn set_admitted_steps(&self, steps: u64) {
         self.admitted_steps.store(steps, Ordering::Relaxed);
-    }
-
-    /// Publishes this engine's shard index within a fleet.
-    pub fn set_shard_id(&self, shard: usize) {
-        self.shard_id.store(shard, Ordering::Relaxed);
-    }
-
-    /// Publishes the serving process's restart generation (0 = first
-    /// spawn; a supervisor increments it on each respawn).
-    pub fn set_restart_gen(&self, generation: usize) {
-        self.restart_gen.store(generation, Ordering::Relaxed);
     }
 
     /// Faults whose terminal kind was budget exhaustion.
@@ -975,10 +904,7 @@ impl Engine {
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             shed_total: self.shed_total(),
             inflight_joins: self.inflight_joins(),
-            read_store_hits: self.read_store_hits(),
             admitted_steps: self.admitted_steps.load(Ordering::Relaxed),
-            shard_id: self.shard_id.load(Ordering::Relaxed),
-            restart_gen: self.restart_gen.load(Ordering::Relaxed),
             telemetry: self.telemetry(),
         }
     }
@@ -1101,21 +1027,6 @@ impl Engine {
         Ok(())
     }
 
-    /// Looks a key up in the read-through shards: sibling workers'
-    /// files, consulted with a freshness re-scan so records a crashed
-    /// primary flushed moments ago are visible. Hits are memoized but
-    /// never re-appended to this engine's own store — across a fleet,
-    /// each solved key lives in exactly one shard file.
-    fn read_through(&self, key: &JobKey) -> Option<Arc<NoiseOutcome>> {
-        if self.read_stores.is_empty() {
-            return None;
-        }
-        let digest = key.store_digest();
-        let outcome = self.read_stores.iter().find_map(|s| s.get_fresh(&digest))?;
-        self.read_store_hits.fetch_add(1, Ordering::Relaxed);
-        Some(outcome)
-    }
-
     /// One solve attempt: consult the injector, solve, validate the
     /// outcome, persist and memoize it. Only finite, successful outcomes
     /// are ever memoized, so a fault can never poison a later lookup.
@@ -1217,23 +1128,17 @@ impl Engine {
             Claim::Lead(slot) => Some(slot),
             Claim::Miss => None,
         };
-        // Memo miss: consult the read-through shards before solving (the
-        // primary store was loaded into the memo when it was opened). A
-        // hit is memoized, so the disk lookup happens at most once per
-        // key per engine. Cached and stored results are served even when
-        // cancellation is requested — they are already paid for, and
-        // draining them keeps a cancelled batch's partial results
-        // deterministic.
-        let result = match (self.read_through(job.key()), abort) {
-            (Some(outcome), _) => {
-                self.publish(digest, &outcome);
-                Ok(outcome)
-            }
+        // Memo miss (the store was loaded into the memo when it was
+        // opened): solve, unless cancellation was requested. Cached and
+        // stored results were served above even then — they are already
+        // paid for, and draining them keeps a cancelled batch's partial
+        // results deterministic.
+        let result = match abort {
             // The fault kind carries the token's reason, so a
             // deadline-reaped request reports Deadline, not Cancelled;
             // attempts = 0: the solver was never entered.
-            (None, Some(abort)) => Err(self.record_fault(job, 0, FaultKind::of_error(abort))),
-            (None, None) => {
+            Some(abort) => Err(self.record_fault(job, 0, FaultKind::of_error(abort))),
+            None => {
                 self.in_flight.fetch_add(1, Ordering::Relaxed);
                 let result = self.solve_with_retries(job);
                 self.in_flight.fetch_sub(1, Ordering::Relaxed);

@@ -323,8 +323,8 @@ impl NoiseModel for NoiseTable {
 /// [`Engine`] and memoizes the answers. The rack-scale replacement for
 /// the exhaustive [`NoiseTable`]: a trace replay only ever visits a tiny
 /// fraction of the `2^sites` occupancies, and every visit is a
-/// content-keyed [`SimJob`] — cached across policies, persisted when a
-/// store is attached, and shardable through the fleet.
+/// content-keyed [`SimJob`] — cached across policies, and persisted
+/// when a store is attached.
 pub struct EngineNoiseModel<'a> {
     engine: &'a Engine,
     batch: JobBatch,

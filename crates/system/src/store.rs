@@ -149,11 +149,6 @@ struct StoreInner {
     /// Set once when an append fails, so a full disk warns once instead
     /// of spamming stderr for every remaining solve.
     append_warned: bool,
-    /// Byte offset up to which the backing file has been scanned into
-    /// `index` — always a line boundary. [`ResultStore::get_fresh`]
-    /// resumes scanning here, so a read-through shard sees another
-    /// process's appends without re-reading the whole file.
-    scanned: u64,
 }
 
 /// What one scan of record lines found.
@@ -161,8 +156,8 @@ struct Scan {
     /// Bytes of complete (newline-terminated) lines read.
     consumed: u64,
     corrupt: usize,
-    /// A final line without its newline — a crash artifact or an append
-    /// still in flight — left for the caller to judge.
+    /// A final line without its newline — a crash artifact — left for
+    /// the caller to judge.
     tail: Vec<u8>,
 }
 
@@ -278,7 +273,6 @@ impl ResultStore {
         let mut index: HashMap<String, Span> = HashMap::new();
         let mut corrupt_lines = 0usize;
         let mut header_ok = false;
-        let mut scanned = 0u64;
         match File::open(&path) {
             Ok(file) => {
                 let mut reader = BufReader::new(file);
@@ -297,12 +291,10 @@ impl ResultStore {
                     header_ok = true;
                     let scan = scan_records(&mut reader, n as u64, &mut index, &mut load)?;
                     corrupt_lines = scan.corrupt;
-                    scanned = n as u64 + scan.consumed;
                     // A tail without a newline: a torn append. A
                     // parseable one is adopted (writer died between the
                     // record and its newline); anything else counts as
-                    // corrupt and stays unconsumed so a later scan can
-                    // pick it up if it completes.
+                    // corrupt.
                     if !scan.tail.is_empty() {
                         match std::str::from_utf8(&scan.tail)
                             .ok()
@@ -310,11 +302,10 @@ impl ResultStore {
                         {
                             Some(rec) => {
                                 let span = Span {
-                                    offset: scanned,
+                                    offset: n as u64 + scan.consumed,
                                     len: scan.tail.len(),
                                 };
                                 adopt(&mut index, rec, span, &mut load);
-                                scanned += scan.tail.len() as u64;
                             }
                             None => corrupt_lines += 1,
                         }
@@ -334,7 +325,6 @@ impl ResultStore {
                 index,
                 corrupt_lines,
                 append_warned: false,
-                scanned,
             }),
         };
         // A fresh store is written out so line 1 is always the header; an
@@ -381,55 +371,6 @@ impl ResultStore {
         file.read_exact(&mut text).ok()?;
         let rec = serde_json::from_str::<StoreRecord>(std::str::from_utf8(&text).ok()?).ok()?;
         (rec.key == key).then(|| Arc::new(rec.outcome))
-    }
-
-    /// Like [`ResultStore::get`], but on a miss first re-scans any
-    /// bytes another process appended to the backing file since the
-    /// last scan. This is the read-through primitive of a sharded
-    /// fleet: a fallback worker answering for a crashed or stalled
-    /// primary sees every record the primary flushed before dying,
-    /// which is what keeps failover duplicate-free.
-    ///
-    /// Only complete (newline-terminated) lines are consumed; a torn
-    /// tail — an append caught in flight — is left for the next scan.
-    pub fn get_fresh(&self, key: &str) -> Option<Arc<NoiseOutcome>> {
-        {
-            let mut inner = self.lock();
-            if !inner.index.contains_key(key) {
-                self.refresh_locked(&mut inner);
-            }
-        }
-        self.get(key)
-    }
-
-    /// Scans records appended to the backing file since the last scan
-    /// into the index; returns how many new bytes were consumed. I/O
-    /// failures are treated as "nothing new" — the store degrades to
-    /// what it has indexed, it never aborts a lookup.
-    pub fn refresh(&self) -> u64 {
-        let mut inner = self.lock();
-        self.refresh_locked(&mut inner)
-    }
-
-    fn refresh_locked(&self, inner: &mut StoreInner) -> u64 {
-        let Ok(mut file) = File::open(&self.path) else {
-            return 0;
-        };
-        let len = match file.metadata() {
-            Ok(meta) => meta.len(),
-            Err(_) => return 0,
-        };
-        if len <= inner.scanned || file.seek(SeekFrom::Start(inner.scanned)).is_err() {
-            return 0;
-        }
-        let mut reader = BufReader::new(file.take(len - inner.scanned));
-        let Ok(scan) = scan_records(&mut reader, inner.scanned, &mut inner.index, &mut |_, _| {})
-        else {
-            return 0;
-        };
-        inner.scanned += scan.consumed;
-        inner.corrupt_lines += scan.corrupt;
-        scan.consumed
     }
 
     /// Records one solved outcome: appends a flushed JSONL line and
@@ -524,7 +465,6 @@ impl ResultStore {
             span.offset = offset;
         }
         inner.corrupt_lines = 0;
-        inner.scanned = written;
         Ok(())
     }
 }
@@ -661,36 +601,6 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[1].contains("\"aa\""), "sorted order: {}", lines[1]);
         assert!(lines[2].contains("\"zz\""));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn get_fresh_sees_another_handles_appends() {
-        let path = tmp_path("fresh");
-        let _ = std::fs::remove_file(&path);
-        let writer = ResultStore::open(&path).unwrap();
-        // A second handle on the same file — the shape of a fleet
-        // worker reading through a sibling's shard.
-        let reader = ResultStore::open(&path).unwrap();
-        assert!(reader.get_fresh("late").is_none());
-        writer.append("late", &outcome(9.0));
-        // Plain get still serves the stale in-memory view; get_fresh
-        // tail-scans the file and finds the new record.
-        assert!(reader.get("late").is_none());
-        let got = reader.get_fresh("late").unwrap();
-        assert_eq!(
-            serde_json::to_string(&*got).unwrap(),
-            serde_json::to_string(&outcome(9.0)).unwrap()
-        );
-        // Idempotent: a second lookup is a pure memory hit.
-        assert!(reader.get("late").is_some());
-        // A torn (newline-less) tail is not consumed until it completes.
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            write!(f, "{{\"key\":\"half").unwrap();
-        }
-        assert!(reader.get_fresh("half").is_none());
-        assert_eq!(reader.corrupt_lines(), 0, "in-flight tail is not corrupt");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,19 +1,12 @@
 //! A small blocking HTTP/1.1 client for the daemon's API: used by the
-//! `voltnoise-client` binary, the fleet router, the integration tests
-//! and the benchmark harness. Understands `Content-Length` and chunked
-//! bodies (the streamed-results encoding) and nothing else.
+//! `voltnoise-client` binary, the integration tests and the benchmark
+//! harness. Understands `Content-Length` and chunked bodies (the
+//! streamed-results encoding) and nothing else.
 //!
-//! Two entry points:
-//!
-//! - [`http_request`] — one-shot, `Connection: close`, reads to EOF.
-//!   Fine for a single probe; pays a connect per call.
-//! - [`HttpClient`] — a persistent keep-alive connection with framed
-//!   reads (exact `Content-Length`, incremental chunk decoding), so
-//!   routed retries and health probes skip the per-request connect,
-//!   and streamed `/jobs` lines can be observed *as they arrive*
-//!   (which is what lets the chaos harness kill a worker mid-batch).
+//! [`http_request`] sends one request with `Connection: close` and
+//! reads the response to EOF: one connect per call.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -135,280 +128,6 @@ fn decode_chunked(mut rest: &str) -> io::Result<String> {
         }
         body.push_str(&after[..size]);
         rest = &after[size + 2..];
-    }
-}
-
-/// A persistent keep-alive HTTP/1.1 connection to one daemon address.
-///
-/// Responses are framed (never read-to-EOF), so the connection survives
-/// between requests; a stale connection — the server closed it at its
-/// requests-per-connection bound or idle timeout — is detected before
-/// any response byte arrives and transparently replaced by exactly one
-/// reconnect-and-resend. Once response bytes have been seen, errors
-/// propagate instead (a resend could duplicate observed stream lines).
-pub struct HttpClient {
-    addr: String,
-    timeout: Duration,
-    conn: Option<BufReader<TcpStream>>,
-    connected_once: bool,
-    reconnects: u64,
-}
-
-/// Why one send/receive attempt failed, and whether a resend on a
-/// fresh connection is safe (no response byte was consumed).
-struct AttemptError {
-    err: io::Error,
-    resend_safe: bool,
-}
-
-impl HttpClient {
-    /// A client for `addr`; connects lazily on the first request.
-    pub fn new(addr: impl Into<String>, timeout: Duration) -> HttpClient {
-        HttpClient {
-            addr: addr.into(),
-            timeout,
-            conn: None,
-            connected_once: false,
-            reconnects: 0,
-        }
-    }
-
-    /// The address this client talks to.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Connections established after the first (a proxy for how often
-    /// keep-alive reuse failed); the benchmark asserts this stays 0 on
-    /// a healthy server.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects
-    }
-
-    /// Drops the current connection; the next request reconnects.
-    pub fn reset(&mut self) {
-        self.conn = None;
-    }
-
-    /// Sends one request and reads the full framed response.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error on connection failure, timeout, or a
-    /// response this client cannot frame.
-    pub fn request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> io::Result<Response> {
-        self.request_streaming(method, path, body, &mut |_| true)
-    }
-
-    /// Like [`HttpClient::request`], but delivers each complete
-    /// newline-terminated line of a chunked body to `on_line` as it
-    /// arrives. Returning `false` from the callback aborts the
-    /// connection immediately — the chaos harness's client-side
-    /// "connection reset" injection — and surfaces as
-    /// [`io::ErrorKind::ConnectionAborted`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error on connection failure, timeout, callback
-    /// abort, or a response this client cannot frame.
-    pub fn request_streaming(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-        on_line: &mut dyn FnMut(&str) -> bool,
-    ) -> io::Result<Response> {
-        let reused = self.conn.is_some();
-        match self.attempt(method, path, body, on_line) {
-            Ok(response) => Ok(response),
-            Err(AttemptError { err, resend_safe }) => {
-                self.conn = None;
-                if reused && resend_safe {
-                    // The server closed the idle connection between our
-                    // requests; one fresh connection retries the send.
-                    self.attempt(method, path, body, on_line)
-                        .map_err(|second| second.err)
-                } else {
-                    Err(err)
-                }
-            }
-        }
-    }
-
-    fn connect(&mut self) -> io::Result<()> {
-        let stream = TcpStream::connect(&self.addr)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        if self.connected_once {
-            self.reconnects += 1;
-        }
-        self.connected_once = true;
-        self.conn = Some(BufReader::new(stream));
-        Ok(())
-    }
-
-    fn attempt(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-        on_line: &mut dyn FnMut(&str) -> bool,
-    ) -> Result<Response, AttemptError> {
-        let first_use = self.conn.is_none();
-        if first_use {
-            self.connect().map_err(|err| AttemptError {
-                err,
-                // A failed connect consumed nothing, but resending
-                // cannot help either — the next connect would fail the
-                // same way; only a *stale reused* connection warrants it.
-                resend_safe: false,
-            })?;
-        }
-        let reader = self.conn.as_mut().expect("connected above");
-        let body = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-            self.addr,
-            body.len()
-        );
-        let send = |stream: &mut TcpStream| -> io::Result<()> {
-            stream.write_all(head.as_bytes())?;
-            stream.write_all(body.as_bytes())?;
-            stream.flush()
-        };
-        // Writes to a half-closed keep-alive socket may "succeed" into
-        // the kernel buffer, so stale detection must also cover the
-        // status-line read below; both are resend-safe on a reused
-        // connection because no response byte has been consumed yet.
-        send(reader.get_mut()).map_err(|err| AttemptError {
-            err,
-            resend_safe: !first_use,
-        })?;
-        let mut status_line = String::new();
-        let got = reader
-            .read_line(&mut status_line)
-            .map_err(|err| AttemptError {
-                err,
-                resend_safe: !first_use,
-            })?;
-        if got == 0 {
-            return Err(AttemptError {
-                err: io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed by server"),
-                resend_safe: !first_use,
-            });
-        }
-        // A response byte arrived: from here on, failures propagate.
-        self.read_rest(&status_line, on_line)
-            .map_err(|err| AttemptError {
-                err,
-                resend_safe: false,
-            })
-    }
-
-    fn read_rest(
-        &mut self,
-        status_line: &str,
-        on_line: &mut dyn FnMut(&str) -> bool,
-    ) -> io::Result<Response> {
-        // Take the connection out for the read; it only goes back if
-        // the response parsed cleanly and the server keeps it open, so
-        // every error path leaves the client ready to reconnect.
-        let mut reader = self.conn.take().expect("connection present");
-        let status: u16 = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad(format!("bad status line: {status_line:?}")))?;
-        let mut headers = Vec::new();
-        loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(bad("connection closed inside response headers"));
-            }
-            let line = line.trim_end_matches(['\r', '\n']);
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-            }
-        }
-        let chunked = headers
-            .iter()
-            .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-        let body = if chunked {
-            read_chunked_streaming(&mut reader, on_line)?
-        } else {
-            let declared = headers
-                .iter()
-                .find(|(k, _)| k == "content-length")
-                .and_then(|(_, v)| v.parse::<usize>().ok())
-                .unwrap_or(0);
-            let mut raw = vec![0u8; declared];
-            reader.read_exact(&mut raw)?;
-            String::from_utf8(raw).map_err(|_| bad("response body is not UTF-8"))?
-        };
-        let server_closes = headers
-            .iter()
-            .any(|(k, v)| k == "connection" && v.eq_ignore_ascii_case("close"));
-        if !server_closes {
-            self.conn = Some(reader);
-        }
-        Ok(Response {
-            status,
-            headers,
-            body,
-        })
-    }
-}
-
-/// Decodes a chunked body incrementally off the wire, surfacing each
-/// complete newline-terminated line to `on_line` as soon as its chunk
-/// arrives. Returns the reassembled body.
-fn read_chunked_streaming(
-    reader: &mut BufReader<TcpStream>,
-    on_line: &mut dyn FnMut(&str) -> bool,
-) -> io::Result<String> {
-    let mut body = String::new();
-    // Start of the first line in `body` not yet delivered to `on_line`.
-    let mut delivered = 0;
-    loop {
-        let mut size_line = String::new();
-        if reader.read_line(&mut size_line)? == 0 {
-            return Err(bad("connection closed inside chunked body"));
-        }
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .map_err(|_| bad(format!("bad chunk size: {size_line:?}")))?;
-        if size == 0 {
-            // Trailing CRLF after the last chunk.
-            let mut terminator = String::new();
-            reader.read_line(&mut terminator)?;
-            return Ok(body);
-        }
-        let mut chunk = vec![0u8; size + 2];
-        reader.read_exact(&mut chunk)?;
-        if !chunk.ends_with(b"\r\n") {
-            return Err(bad("chunk payload missing CRLF terminator"));
-        }
-        chunk.truncate(size);
-        let chunk = String::from_utf8(chunk).map_err(|_| bad("chunk is not UTF-8"))?;
-        body.push_str(&chunk);
-        while let Some(offset) = body[delivered..].find('\n') {
-            let end = delivered + offset + 1;
-            let line = body[delivered..end].trim_end_matches('\n');
-            if !line.is_empty() && !on_line(line) {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionAborted,
-                    "stream aborted by caller",
-                ));
-            }
-            delivered = end;
-        }
     }
 }
 

@@ -44,7 +44,7 @@ pub mod signals;
 pub mod wire;
 
 pub use admission::{AdmissionControl, Permit};
-pub use client::{http_request, HttpClient, Response};
+pub use client::{http_request, Response};
 pub use deadline::DeadlineReaper;
 pub use server::{Server, ServerConfig};
 pub use wire::{parse_signal_stats, BatchRequest, JobSpec, SignalStats, WireError};

@@ -4,21 +4,15 @@
 //! voltnoise-server [--addr HOST:PORT] [--workers N] [--queue-cap N]
 //!                  [--step-ceiling STEPS] [--deadline-ms MS]
 //!                  [--max-body BYTES] [--reduced]
-//!                  [--store PATH] [--read-store PATH]...
-//!                  [--shard-id N] [--restart-gen N]
-//!                  [--drain-grace-ms MS]
+//!                  [--store PATH] [--drain-grace-ms MS]
 //!                  [--keep-alive-requests N] [--keep-alive-idle-ms MS]
 //! ```
 //!
 //! Environment: `VOLTNOISE_STORE` (persistent JSONL result store — the
 //! resume substrate; `--store` overrides it), `VOLTNOISE_THREADS`
-//! (engine worker count). The worker-mode flags are what the fleet
-//! supervisor passes when it spawns this binary as a shard: its own
-//! `--store`, every sibling's store as a `--read-store` (read-only
-//! failover substrate), its ring position as `--shard-id`, and a
-//! `--restart-gen` that counts respawns. The chosen address is printed
-//! on stdout as `voltnoise-server listening on HOST:PORT`; a graceful
-//! drain prints `voltnoise-server drained cleanly` and exits 0.
+//! (engine worker count). The chosen address is printed on stdout as
+//! `voltnoise-server listening on HOST:PORT`; a graceful drain prints
+//! `voltnoise-server drained cleanly` and exits 0.
 
 use std::process::ExitCode;
 use voltnoise_server::{signals, Server, ServerConfig};
@@ -67,17 +61,6 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
             }
             "--reduced" => cfg.reduced = true,
             "--store" => cfg.store = Some(value_of("--store")?),
-            "--read-store" => cfg.read_stores.push(value_of("--read-store")?),
-            "--shard-id" => {
-                cfg.shard_id = value_of("--shard-id")?
-                    .parse()
-                    .map_err(|_| "--shard-id must be a non-negative integer".to_string())?;
-            }
-            "--restart-gen" => {
-                cfg.restart_gen = value_of("--restart-gen")?
-                    .parse()
-                    .map_err(|_| "--restart-gen must be a non-negative integer".to_string())?;
-            }
             "--drain-grace-ms" => {
                 cfg.drain_grace_ms = value_of("--drain-grace-ms")?
                     .parse()
@@ -100,8 +83,8 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
                 return Err(
                     "usage: voltnoise-server [--addr HOST:PORT] [--workers N] [--queue-cap N] \
                      [--step-ceiling STEPS] [--deadline-ms MS] [--max-body BYTES] [--reduced] \
-                     [--store PATH] [--read-store PATH]... [--shard-id N] [--restart-gen N] \
-                     [--drain-grace-ms MS] [--keep-alive-requests N] [--keep-alive-idle-ms MS]"
+                     [--store PATH] [--drain-grace-ms MS] [--keep-alive-requests N] \
+                     [--keep-alive-idle-ms MS]"
                         .to_string(),
                 )
             }

@@ -51,21 +51,9 @@ pub struct ServerConfig {
     /// Use the reduced-search testbed ([`Testbed::fast`]) instead of
     /// the full one — the tests' and smoke script's fast path.
     pub reduced: bool,
-    /// Primary result-store path for this worker's shard (overrides
-    /// `VOLTNOISE_STORE`); `None` keeps the env-driven behavior.
+    /// Result-store path (overrides `VOLTNOISE_STORE`); `None` keeps
+    /// the env-driven behavior.
     pub store: Option<String>,
-    /// Read-through stores: sibling shards' JSONL files, consulted on a
-    /// primary miss and re-scanned incrementally — how a failover
-    /// worker sees a crashed sibling's flushed results without ever
-    /// writing to them.
-    pub read_stores: Vec<String>,
-    /// This worker's position on the fleet's consistent-hash ring
-    /// (surfaced in `/stats` as a gauge).
-    pub shard_id: usize,
-    /// Supervisor-side restart count for this shard: 0 on first spawn,
-    /// incremented on every respawn. Lets `/stats` distinguish a fresh
-    /// process from a crash survivor whose counters reset.
-    pub restart_gen: usize,
     /// How long a drain lets in-flight batches keep running before
     /// their cancel tokens fire, milliseconds.
     pub drain_grace_ms: u64,
@@ -88,9 +76,6 @@ impl Default for ServerConfig {
             default_deadline_ms: 300_000,
             reduced: false,
             store: None,
-            read_stores: Vec::new(),
-            shard_id: 0,
-            restart_gen: 0,
             drain_grace_ms: 2_000,
             keep_alive_requests: 64,
             keep_alive_idle_ms: 5_000,
@@ -288,8 +273,7 @@ impl Server {
     /// The engine honors `VOLTNOISE_STORE` (persistent JSONL result
     /// store — the resume substrate) and `VOLTNOISE_THREADS` exactly as
     /// every other entry point in the workspace does; an explicit
-    /// [`ServerConfig::store`] overrides the env, and
-    /// [`ServerConfig::read_stores`] attach sibling shards read-only.
+    /// [`ServerConfig::store`] overrides the env.
     ///
     /// # Errors
     ///
@@ -306,11 +290,6 @@ impl Server {
         if let Some(path) = &cfg.store {
             engine = engine.with_store(path)?;
         }
-        for path in &cfg.read_stores {
-            engine = engine.with_read_store(path)?;
-        }
-        engine.set_shard_id(cfg.shard_id);
-        engine.set_restart_gen(cfg.restart_gen);
         let shared = Arc::new(Shared {
             engine: Arc::new(engine),
             testbed,
@@ -392,8 +371,8 @@ impl Server {
         loop {
             if drain_started.is_none() && self.stop.load(Ordering::SeqCst) {
                 // Flip readiness *now*, before in-flight batches
-                // finish, so a fleet router stops sending new work to
-                // this worker the moment its probe lands.
+                // finish, so a client probing `/readyz` stops sending
+                // new work the moment its probe lands.
                 self.shared.draining.store(true, Ordering::SeqCst);
                 drain_started = Some(Instant::now());
             }

@@ -4,10 +4,10 @@
 //! platform this workspace targets, so a two-line FFI declaration of
 //! `signal(2)` is all that is needed. The handler does the only thing
 //! that is async-signal-safe here: it stores a flag into a static
-//! atomic. No library code reads that flag. A binary's `main` either
-//! polls it itself or bridges it to a server's stop handle with
-//! [`forward_to`], so servers embedded in one process (tests, the
-//! benchmark) stop only on their own handles.
+//! atomic. Only this module reads that flag: [`forward_to`], its one
+//! entry point, bridges it to a server's stop handle, so servers
+//! embedded in one process (tests, the benchmark) stop only on their
+//! own handles.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,7 +28,7 @@ extern "C" fn on_signal(_signum: i32) {
 }
 
 /// Installs the `SIGTERM`/`SIGINT` handlers. Idempotent.
-pub fn install() {
+fn install() {
     let handler = on_signal as extern "C" fn(i32) as usize;
     unsafe {
         signal(SIGTERM, handler);
@@ -37,7 +37,7 @@ pub fn install() {
 }
 
 /// Whether a shutdown signal has arrived.
-pub fn shutdown_requested() -> bool {
+fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
 

@@ -88,10 +88,10 @@ impl JobSpec {
     }
 
     /// Serializes this spec back to its wire value — the inverse of the
-    /// strict decoder, used by the fleet router to re-emit routed
-    /// sub-batches. Round-trips through [`parse_batch`] to an equal
-    /// spec; optional fields absent in the spec stay absent on the
-    /// wire, so two routers building the same spec emit the same bytes.
+    /// strict decoder, used by [`BatchRequest::to_json`]. Round-trips
+    /// through [`parse_batch`] to an equal spec; optional fields absent
+    /// in the spec stay absent on the wire, so two clients building the
+    /// same spec emit the same bytes.
     pub fn to_value(&self) -> Value {
         let mut fields: Vec<(String, Value)> = vec![
             (

@@ -1,12 +1,14 @@
 //! End-to-end robustness tests against a real `voltnoise-server`
 //! process: crash (SIGKILL) + store resume, deadline reaping, admission
-//! rejection under synthetic overload, and cross-client dedup.
+//! rejection under synthetic overload, cross-client dedup, and the
+//! keep-alive request bound.
 //!
 //! Every server is started `--reduced` (the cached reduced-search
 //! testbed) so the in-process "direct" baselines built with
 //! [`Testbed::fast`] resolve to byte-identical content keys.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
@@ -223,6 +225,68 @@ fn health_stats_and_malformed_bodies() {
     // Unknown route → 404, wrong method → 404.
     assert_eq!(server.request("GET", "/nope", None).status, 404);
     assert_eq!(server.request("POST", "/healthz", Some("x")).status, 404);
+}
+
+/// Reads one `Content-Length`-framed response off a persistent
+/// connection: `(status, connection header, body)`.
+fn read_framed(reader: &mut BufReader<TcpStream>) -> (u16, String, String) {
+    let mut status_line = String::new();
+    reader.read_line(&mut status_line).expect("status line");
+    let status = status_line
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
+    let (mut connection, mut length) = (String::new(), 0usize);
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("header line");
+        let line = line.trim_end();
+        if line.is_empty() {
+            break;
+        }
+        let (name, value) = line.split_once(':').expect("header has a colon");
+        match name.to_ascii_lowercase().as_str() {
+            "connection" => connection = value.trim().to_string(),
+            "content-length" => length = value.trim().parse().expect("numeric length"),
+            _ => {}
+        }
+    }
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body).expect("framed body");
+    (
+        status,
+        connection,
+        String::from_utf8(body).expect("UTF-8 body"),
+    )
+}
+
+#[test]
+fn keep_alive_connection_serves_its_bound_then_closes() {
+    let server = ServerProc::start(&["--keep-alive-requests", "2"], &[]);
+    let mut stream = TcpStream::connect(&server.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let probe = format!(
+        "GET /healthz HTTP/1.1\r\nHost: {}\r\nConnection: keep-alive\r\n\r\n",
+        server.addr
+    );
+    stream
+        .write_all(format!("{probe}{probe}").as_bytes())
+        .expect("two requests on one connection");
+    let mut reader = BufReader::new(stream);
+    let first = read_framed(&mut reader);
+    assert_eq!(first, (200, "keep-alive".to_string(), "ok\n".to_string()));
+    // The second request is the connection's last: answered, marked
+    // `close`, then the server hangs up.
+    let second = read_framed(&mut reader);
+    assert_eq!(second, (200, "close".to_string(), "ok\n".to_string()));
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("server closes the socket");
+    assert!(rest.is_empty(), "bytes after the last response: {rest:?}");
 }
 
 #[test]

@@ -38,9 +38,6 @@ cargo test -q -p voltnoise --test signal
 echo "== server smoke test"
 scripts/server_smoke.sh
 
-echo "== fleet chaos smoke test"
-scripts/chaos_smoke.sh
-
 echo "== benchmark smoke test"
 scripts/bench.sh --smoke --out target/BENCH_smoke.json
 

@@ -446,8 +446,8 @@ fn sim_job_hash_consistent_with_equality() {
 /// Welch PSD merging is associative, commutative, and
 /// segment-count-preserving — bit for bit, on any random partition of
 /// the work. The fixed-point accumulator makes partial periodogram
-/// merging exact, so a fleet can shard a campaign's spectral telemetry
-/// arbitrarily and every merge tree produces identical bytes.
+/// merging exact, so a campaign's spectral telemetry can be split across
+/// workers arbitrarily and every merge tree produces identical bytes.
 #[test]
 fn welch_merge_is_associative_commutative_and_exact() {
     use voltnoise::pdn::signal::{welch_psd, WelchConfig, WelchPsd};
