@@ -74,7 +74,7 @@ pub use propagation::{
     DrawerPropagation, DrawerPropagationExperiment, MappingComparison, MappingComparisonExperiment,
     StepResponse, StepResponseExperiment,
 };
-pub use rack_map::{run_rack_map, RackMapConfig, RackMapExperiment, RackMapResult};
+pub use rack_map::{RackMapConfig, RackMapExperiment, RackMapResult};
 pub use report::{
     full_report, full_report_on, full_report_with_telemetry, telemetry_section, ReportScale,
 };

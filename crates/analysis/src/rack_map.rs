@@ -247,15 +247,6 @@ impl Experiment for RackMapExperiment {
     }
 }
 
-/// Runs the rack mapping study on the shared engine.
-///
-/// # Errors
-///
-/// Returns [`PdnError`] if a rack build or PDN solve fails.
-pub fn run_rack_map(tb: &Testbed, cfg: &RackMapConfig) -> Result<RackMapResult, PdnError> {
-    RackMapExperiment { cfg: cfg.clone() }.run(tb, Engine::shared())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,6 +280,40 @@ mod tests {
         assert!(res.occupancies_evaluated > 0);
         // The replay's occupancy jobs all dedupe through one engine.
         assert_eq!(engine.stats().solves, res.occupancies_evaluated);
+    }
+
+    /// The reduced study, pinned bit for bit to the values the serial
+    /// replay (one engine solve per closed segment) produced, on one
+    /// worker and on two: batching the replay's lookups and sharing the
+    /// rack's factorizations move no outcome and no solve.
+    #[test]
+    fn reduced_study_is_pinned_on_one_and_two_workers() {
+        for workers in [1, 2] {
+            let engine = Engine::with_workers(workers);
+            let exp = RackMapExperiment {
+                cfg: RackMapConfig::reduced(),
+            };
+            let res = exp.run(Testbed::fast(), &engine).unwrap();
+            let bits = |out: &ScheduleOutcome| {
+                (
+                    out.mean_required_pct.to_bits(),
+                    out.peak_required_pct.to_bits(),
+                    out.queued_jobs,
+                )
+            };
+            assert_eq!(
+                bits(&res.naive),
+                (0x4045_0e77_b5bd_ceb5, 0x404d_d84f_613d_84f5, 0),
+                "naive, {workers} workers"
+            );
+            assert_eq!(
+                bits(&res.aware),
+                (0x4039_a8ae_a2ba_8aeb, 0x4040_aaaa_aaaa_aaaa, 0),
+                "aware, {workers} workers"
+            );
+            assert_eq!(res.occupancies_evaluated, 290);
+            assert_eq!(engine.stats().solves, 290);
+        }
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //! their row neighbours.
 
 use crate::error::PdnError;
+use crate::mna::SolverBackend;
 use crate::netlist::{Netlist, NodeId, SourceId};
+use crate::transient::{ScenarioFactors, TransientSolver};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Number of cores on the modeled chip.
 pub const NUM_CORES: usize = 6;
@@ -246,12 +249,6 @@ impl ChipPdn {
     /// The underlying netlist.
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
-    }
-
-    /// Mutable netlist access (e.g. to undervolt via
-    /// [`Netlist::scale_voltage_sources`]).
-    pub fn netlist_mut(&mut self) -> &mut Netlist {
-        &mut self.netlist
     }
 
     /// Parameters the PDN was built from.
@@ -619,12 +616,19 @@ impl VariationSpec {
 }
 
 /// A built rack PDN: N drawers of chips on one shared supply spine.
+///
+/// The rack owns its netlist and the factorization memo every
+/// solver from [`RackPdn::solver`] shares, so the jobs of one rack
+/// factor each of its systems once. Nothing can change the netlist
+/// after it is built, so memoized factors never go stale; clones share
+/// the memo along with the identical netlist.
 #[derive(Debug, Clone)]
 pub struct RackPdn {
     netlist: Netlist,
     params: RackParams,
     boards: Vec<NodeId>,
     chips: Vec<ChipNodes>,
+    factors: Arc<ScenarioFactors>,
 }
 
 impl RackPdn {
@@ -722,12 +726,23 @@ impl RackPdn {
             params: params.clone(),
             boards,
             chips,
+            factors: Arc::default(),
         })
     }
 
     /// The underlying netlist.
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
+    }
+
+    /// A transient solver of this rack's netlist that shares the rack's
+    /// factorization memo.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PdnError`] as [`TransientSolver::with_backend`] does.
+    pub fn solver(&self, backend: SolverBackend) -> Result<TransientSolver, PdnError> {
+        TransientSolver::with_memo(&self.netlist, backend, self.factors.clone())
     }
 
     /// Parameters the rack was built from.

@@ -24,7 +24,7 @@ use crate::mna::{MnaSystem, SolverBackend, SystemPattern};
 use crate::netlist::{Netlist, NodeId};
 use crate::sparse::{CsrMatrix, EliminationOrder, SparseLu};
 use crate::telemetry::{PhaseTimes, SolverCounters};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Time-varying load currents driving the simulation.
@@ -226,6 +226,104 @@ struct CompanionState {
     i_prev: f64,
 }
 
+/// Factorizations of one netlist, shared by every solver its owner
+/// builds.
+///
+/// A scenario that solves many jobs against one netlist (a rack
+/// replay, for instance) would otherwise re-factor the same DC and
+/// step-size systems in every job. This memo keeps the most recent
+/// [`ScenarioFactors::CAPACITY`] of them. It is owned by the netlist's
+/// owner ([`crate::topology::RackPdn`]), which is the only place a
+/// solver gets wired to it, so factors can never meet a netlist they
+/// were not computed from. Solvers built by [`TransientSolver::new`]
+/// or [`TransientSolver::with_backend`] consult no memo.
+///
+/// A factorization is keyed by the backend, the step size's bits (or
+/// the DC system) and the elimination order the solver holds when it
+/// asks; the value carries the order the solver holds afterwards. A hit
+/// therefore hands a solver exactly what it would have computed itself,
+/// so results are bit-identical with or without the memo.
+#[derive(Default)]
+pub(crate) struct ScenarioFactors {
+    /// Most recently used first.
+    entries: Mutex<Vec<MemoEntry>>,
+}
+
+struct MemoEntry {
+    backend: SolverBackend,
+    /// Step-size bits; `None` keys the DC system.
+    step: Option<u64>,
+    order_before: Option<EliminationOrder>,
+    order_after: Option<EliminationOrder>,
+    factors: Arc<Factorization<f64>>,
+}
+
+impl MemoEntry {
+    fn is_for(
+        &self,
+        backend: SolverBackend,
+        step: Option<u64>,
+        order_before: Option<&EliminationOrder>,
+    ) -> bool {
+        self.backend == backend && self.step == step && self.order_before.as_ref() == order_before
+    }
+}
+
+impl ScenarioFactors {
+    /// Factorizations kept per scenario; the least recently used one is
+    /// evicted beyond this. Every job of a scenario reuses its DC and
+    /// two step-size factorizations, while each end-of-window clamp is a
+    /// one-off, so a small LRU keeps the hot entries and bounds memory.
+    pub(crate) const CAPACITY: usize = 8;
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.entries.lock().map_or(0, |e| e.len())
+    }
+
+    /// The memoized factors for `(backend, step, order_before)` and the
+    /// order a fresh factorization would have left behind. A poisoned
+    /// lock reads as a miss.
+    fn recall(
+        &self,
+        backend: SolverBackend,
+        step: Option<u64>,
+        order_before: Option<&EliminationOrder>,
+    ) -> Option<(Arc<Factorization<f64>>, Option<EliminationOrder>)> {
+        let mut entries = self.entries.lock().ok()?;
+        let pos = entries
+            .iter()
+            .position(|e| e.is_for(backend, step, order_before))?;
+        let entry = entries.remove(pos);
+        let found = (entry.factors.clone(), entry.order_after.clone());
+        entries.insert(0, entry);
+        Some(found)
+    }
+
+    /// Remembers a fresh factorization. Factoring happens outside the
+    /// lock, so two solvers may race to the same key; the second insert
+    /// is dropped. A poisoned lock skips the insert.
+    fn remember(&self, entry: MemoEntry) {
+        let Ok(mut entries) = self.entries.lock() else {
+            return;
+        };
+        if entries
+            .iter()
+            .any(|e| e.is_for(entry.backend, entry.step, entry.order_before.as_ref()))
+        {
+            return;
+        }
+        entries.truncate(Self::CAPACITY - 1);
+        entries.insert(0, entry);
+    }
+}
+
+impl std::fmt::Debug for ScenarioFactors {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScenarioFactors").finish_non_exhaustive()
+    }
+}
+
 /// Transient simulator for one netlist.
 ///
 /// # Examples
@@ -258,7 +356,9 @@ pub struct TransientSolver {
     ind_state: Vec<CompanionState>,
     /// LRU factor cache keyed by step-size bits; entries come from the
     /// shared [`Factorization`] type in [`crate::backend`].
-    factor_cache: Vec<(u64, Factorization<f64>)>,
+    factor_cache: Vec<(u64, Arc<Factorization<f64>>)>,
+    /// The netlist owner's memo, consulted when `factor_cache` misses.
+    memo: Option<Arc<ScenarioFactors>>,
     /// Symbolic pattern of the coupled system, computed lazily on the
     /// first sparse factorization and shared by every later one.
     pattern: Option<Arc<SystemPattern>>,
@@ -302,6 +402,7 @@ impl TransientSolver {
             cap_state: vec![CompanionState::default(); sys.caps.len()],
             ind_state: vec![CompanionState::default(); sys.inductors.len()],
             factor_cache: Vec::new(),
+            memo: None,
             pattern: None,
             dc_pattern: None,
             elim: None,
@@ -313,6 +414,19 @@ impl TransientSolver {
             backend,
             sys,
         })
+    }
+
+    /// A solver that shares factorizations through `memo`, which must
+    /// only ever serve solvers of this same netlist (see
+    /// [`ScenarioFactors`]).
+    pub(crate) fn with_memo(
+        netlist: &Netlist,
+        backend: SolverBackend,
+        memo: Arc<ScenarioFactors>,
+    ) -> Result<Self, PdnError> {
+        let mut solver = Self::with_backend(netlist, backend)?;
+        solver.memo = Some(memo);
+        Ok(solver)
     }
 
     /// Whether this solver's coupled system runs on the sparse path.
@@ -352,6 +466,45 @@ impl TransientSolver {
         }
     }
 
+    /// The factors for `step` (`None`: the DC system). With a memo, a
+    /// hit adopts the elimination order a fresh factorization would have
+    /// left behind and counts as a factor-cache hit; a miss runs
+    /// `factor` outside the memo's lock and offers the result to it.
+    fn memoized(
+        &mut self,
+        step: Option<u64>,
+        factor: impl FnOnce(&mut Self) -> Result<Factorization<f64>, PdnError>,
+    ) -> Result<Arc<Factorization<f64>>, PdnError> {
+        let Some(memo) = self.memo.clone() else {
+            return factor(self).map(Arc::new);
+        };
+        let before = self.order_mut(step).clone();
+        if let Some((factors, after)) = memo.recall(self.backend, step, before.as_ref()) {
+            *self.order_mut(step) = after;
+            self.counters.factor_cache_hits += 1;
+            return Ok(factors);
+        }
+        let factors = Arc::new(factor(self)?);
+        memo.remember(MemoEntry {
+            backend: self.backend,
+            step,
+            order_before: before,
+            order_after: self.order_mut(step).clone(),
+            factors: factors.clone(),
+        });
+        Ok(factors)
+    }
+
+    /// The elimination order of the coupled (`Some` step) or the DC
+    /// (`None`) system.
+    fn order_mut(&mut self, step: Option<u64>) -> &mut Option<EliminationOrder> {
+        if step.is_some() {
+            &mut self.elim
+        } else {
+            &mut self.dc_elim
+        }
+    }
+
     /// Returns the cache index of the factorization for step size `h`,
     /// computing it on a miss. The cache is LRU: the front is the most
     /// recently used entry and evictions take the back, so a step size
@@ -371,6 +524,16 @@ impl TransientSolver {
             }
             return Ok(0);
         }
+        let lu = self.memoized(Some(key), |s| s.factor_transient(h))?;
+        if self.factor_cache.len() >= 8 {
+            self.factor_cache.pop();
+        }
+        self.factor_cache.insert(0, (key, lu));
+        Ok(0)
+    }
+
+    /// A fresh factorization of the transient system for step size `h`.
+    fn factor_transient(&mut self, h: f64) -> Result<Factorization<f64>, PdnError> {
         let lu = if self.backend.is_sparse(self.n) {
             let pattern = match &self.pattern {
                 Some(p) => p.clone(),
@@ -393,11 +556,7 @@ impl TransientSolver {
             self.counters.lu_factorizations += 1;
             Factorization::Dense(lu)
         };
-        if self.factor_cache.len() >= 8 {
-            self.factor_cache.pop();
-        }
-        self.factor_cache.insert(0, (key, lu));
-        Ok(0)
+        Ok(lu)
     }
 
     /// Solves the DC operating point (capacitors open, inductors shorted)
@@ -426,35 +585,14 @@ impl TransientSolver {
             }
         }
         self.counters.dc_solves += 1;
-        // Backend choice keys on the *coupled* size so one solver stays
-        // on one path for its whole run.
-        let sol = if self.backend.is_sparse(self.n) {
-            let pattern = match &self.dc_pattern {
-                Some(p) => p.clone(),
-                None => {
-                    let p = Arc::new(SystemPattern::dc(&self.sys));
-                    self.dc_pattern = Some(p.clone());
-                    p
-                }
-            };
-            let mut m = CsrMatrix::zeros(pattern);
-            self.sys.stamp_dc(&mut m);
-            let factors = self.sparse_factor(&m, true)?;
-            self.counters.lu_factorizations += 1;
-            self.counters.solve_calls += 1;
-            self.counters.est_flops += factors.solve_flops();
+        let factors = self.memoized(None, Self::factor_dc)?;
+        self.counters.solve_calls += 1;
+        self.counters.est_flops += factors.solve_flops();
+        if factors.is_sparse() {
             self.counters.sparse_solves += 1;
-            factors.solve(&rhs)?
-        } else {
-            let mut g = Matrix::zeros(n, n);
-            self.sys.stamp_dc(&mut g);
-            self.counters.est_flops += g.lu_flops();
-            let factors = g.lu()?;
-            self.counters.lu_factorizations += 1;
-            self.counters.solve_calls += 1;
-            self.counters.est_flops += factors.solve_flops();
-            factors.solve(&rhs)?
-        };
+        }
+        let mut sol = vec![0.0; n];
+        factors.solve_into(&rhs, &mut sol)?;
         // A singular-but-not-detected system can still yield non-finite
         // values; catch them before they seed the element states.
         for (node, &v) in sol.iter().enumerate() {
@@ -478,6 +616,33 @@ impl TransientSolver {
             st.v_prev = 0.0;
         }
         Ok(sol[..self.n].to_vec())
+    }
+
+    /// A fresh factorization of the DC system. Backend choice keys on
+    /// the *coupled* size so one solver stays on one path for its whole
+    /// run.
+    fn factor_dc(&mut self) -> Result<Factorization<f64>, PdnError> {
+        let factors = if self.backend.is_sparse(self.n) {
+            let pattern = match &self.dc_pattern {
+                Some(p) => p.clone(),
+                None => {
+                    let p = Arc::new(SystemPattern::dc(&self.sys));
+                    self.dc_pattern = Some(p.clone());
+                    p
+                }
+            };
+            let mut m = CsrMatrix::zeros(pattern);
+            self.sys.stamp_dc(&mut m);
+            Factorization::Sparse(self.sparse_factor(&m, true)?)
+        } else {
+            let n = self.sys.dc_size();
+            let mut g = Matrix::zeros(n, n);
+            self.sys.stamp_dc(&mut g);
+            self.counters.est_flops += g.lu_flops();
+            Factorization::Dense(g.lu()?)
+        };
+        self.counters.lu_factorizations += 1;
+        Ok(factors)
     }
 
     /// Runs a transient simulation from a freshly solved DC operating
@@ -1231,5 +1396,143 @@ mod tests {
         assert_eq!(plain.steps, watched.steps);
         assert_eq!(plain.stats[0].min.to_bits(), watched.stats[0].min.to_bits());
         assert_eq!(plain.stats[0].max.to_bits(), watched.stats[0].max.to_bits());
+    }
+
+    /// A random RLC ladder whose capacitors span four decades, so which
+    /// entries pass the sparse pivot threshold — and so the Markowitz
+    /// order a fresh factorization picks — depends on the step size.
+    fn random_rlc(rng: &mut rand::rngs::SmallRng, segments: usize) -> (Netlist, Vec<NodeId>) {
+        use rand::Rng;
+        let mut nl = Netlist::new();
+        let vdd = nl.add_node("vdd");
+        nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
+        let mut nodes = Vec::with_capacity(segments);
+        let mut prev = vdd;
+        for i in 0..segments {
+            let n = nl.add_node(format!("n{i}"));
+            let r = 1e-3 + rng.gen::<f64>() * 9e-3;
+            if rng.gen::<f64>() < 0.4 {
+                nl.add_series_rl(prev, n, r, 0.05e-9 + rng.gen::<f64>() * 2e-9)
+                    .unwrap();
+            } else {
+                nl.add_resistor(prev, n, r).unwrap();
+            }
+            let c = 10f64.powf(-9.0 + 4.0 * rng.gen::<f64>());
+            if rng.gen::<f64>() < 0.5 {
+                nl.add_capacitor_with_esr(n, NodeId::GROUND, c, 0.2e-3 + rng.gen::<f64>() * 1e-3)
+                    .unwrap();
+            } else {
+                nl.add_capacitor(n, NodeId::GROUND, c).unwrap();
+            }
+            nodes.push(n);
+            prev = n;
+        }
+        for _ in 0..segments / 3 {
+            let a = nodes[rng.gen_range(0..segments)];
+            let b = nodes[rng.gen_range(0..segments)];
+            if a != b {
+                nl.add_resistor(a, b, 2e-3 + rng.gen::<f64>() * 8e-3)
+                    .unwrap();
+            }
+        }
+        for _ in 0..3 {
+            nl.add_current_source(nodes[rng.gen_range(0..segments)], NodeId::GROUND)
+                .unwrap();
+        }
+        (nl, nodes)
+    }
+
+    /// Every source steps up by its own amplitude at `t_step`.
+    struct StepAll {
+        t_step: f64,
+        amps: Vec<f64>,
+    }
+    impl Drive for StepAll {
+        fn currents(&self, t: f64, out: &mut [f64]) {
+            for (o, &a) in out.iter_mut().zip(&self.amps) {
+                *o = if t >= self.t_step { a } else { 0.1 * a };
+            }
+        }
+        fn edges(&self, t0: f64, t1: f64, out: &mut Vec<f64>) {
+            if self.t_step >= t0 && self.t_step < t1 {
+                out.push(self.t_step);
+            }
+        }
+    }
+
+    /// Solvers sharing one [`ScenarioFactors`] reproduce fresh bare
+    /// solvers bit for bit, on both backends, over runs that start on
+    /// the fine step in some cases and on the coarse step in others —
+    /// so the memo sees the same step size under different incoming
+    /// elimination orders — and end on distinct clamp steps. The memo
+    /// must serve real hits and never outgrow its capacity.
+    #[test]
+    fn scenario_factors_match_fresh_solvers_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0xfac7_0125);
+        for trial in 0..4 {
+            let (nl, nodes) = random_rlc(&mut rng, 12 + 5 * trial);
+            let amps: Vec<f64> = (0..3).map(|_| 1.0 + rng.gen::<f64>() * 20.0).collect();
+            let mut probes: Vec<Probe> = nodes
+                .iter()
+                .step_by(2)
+                .map(|&n| Probe::NodeVoltage(n))
+                .collect();
+            probes.push(Probe::SourceCurrent(0));
+            for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+                let memo = Arc::new(ScenarioFactors::default());
+                let (mut bare_factored, mut memo_factored) = (0, 0);
+                for run in 0..10 {
+                    let t_end = 1.5e-6 + run as f64 * 7.3e-9;
+                    let mut cfg = TransientConfig::new(t_end);
+                    cfg.h_coarse = 40e-9;
+                    cfg.h_fine = 0.5e-9;
+                    cfg.settle = 0.0;
+                    cfg.record_decimation = Some(1);
+                    // An edge at t = 1 ns refines the very first step;
+                    // one at 40 % of the window leaves it coarse.
+                    let drive = StepAll {
+                        t_step: if run % 2 == 0 { 1e-9 } else { 0.4 * t_end },
+                        amps: amps.clone(),
+                    };
+                    let mut bare = TransientSolver::with_backend(&nl, backend).unwrap();
+                    let want = bare.run(&drive, &probes, &cfg).unwrap();
+                    let mut shared =
+                        TransientSolver::with_memo(&nl, backend, memo.clone()).unwrap();
+                    let got = shared.run(&drive, &probes, &cfg).unwrap();
+                    assert!(memo.len() <= ScenarioFactors::CAPACITY);
+
+                    let ctx = format!("trial {trial}, {backend:?}, run {run}");
+                    assert_eq!(got.steps, want.steps, "{ctx}");
+                    let stat_bits = |r: &TransientResult| -> Vec<[u64; 3]> {
+                        r.stats
+                            .iter()
+                            .map(|s| [s.min.to_bits(), s.max.to_bits(), s.mean.to_bits()])
+                            .collect()
+                    };
+                    assert_eq!(stat_bits(&got), stat_bits(&want), "{ctx}: probe stats");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got.times), bits(&want.times), "{ctx}: times");
+                    for (p, (g, w)) in got.traces.iter().zip(&want.traces).enumerate() {
+                        assert_eq!(bits(g), bits(w), "{ctx}: probe {p} trace");
+                    }
+                    // A memo hit replaces a factorization one for one.
+                    let (g, w) = (got.counters, want.counters);
+                    assert_eq!(
+                        g.factor_cache_hits + g.lu_factorizations,
+                        w.factor_cache_hits + w.lu_factorizations,
+                        "{ctx}"
+                    );
+                    assert_eq!(g.solve_calls, w.solve_calls, "{ctx}");
+                    assert_eq!(g.sparse_solves, w.sparse_solves, "{ctx}");
+                    bare_factored += w.lu_factorizations;
+                    memo_factored += g.lu_factorizations;
+                }
+                assert!(
+                    memo_factored < bare_factored / 2,
+                    "trial {trial}, {backend:?}: memo factored {memo_factored} of {bare_factored}"
+                );
+            }
+        }
     }
 }

@@ -23,10 +23,10 @@ use voltnoise_measure::scope::ScopeCapture;
 use voltnoise_measure::skitter::{Skitter, SkitterReading};
 use voltnoise_pdn::netlist::{Netlist, NodeId};
 use voltnoise_pdn::rom::{solve_step_rom, RomStepProblem};
-use voltnoise_pdn::topology::{core_domain, DrawerParams, DrawerPdn, NUM_CORES};
+use voltnoise_pdn::topology::{core_domain, DrawerParams, DrawerPdn, RackPdn, NUM_CORES};
 use voltnoise_pdn::transient::{Drive, Probe, TransientConfig, TransientSolver};
 use voltnoise_pdn::waveform::{CoreWaveform, MultiCoreDrive, StressWaveform, WaveMode};
-use voltnoise_pdn::{PdnError, SolveSpec};
+use voltnoise_pdn::{PdnError, SolveSpec, SolverBackend};
 use voltnoise_stressmark::CompiledStressmark;
 
 /// Deterministic per-core period skew (ppm) of free-running stressmarks:
@@ -370,14 +370,33 @@ pub struct SolveTelemetry {
     pub phase: PhaseTimes,
 }
 
+/// The PDN a [`ScenarioView`] solves. A chip's netlist gets a bare
+/// solver; a rack's solvers share the rack's factorization memo, so the
+/// jobs of one rack factor each of its systems once.
+pub(crate) enum ScenarioPdn<'a> {
+    /// A chip netlist, solved without a memo.
+    Chip(&'a Netlist),
+    /// A rack PDN, solved through its memo.
+    Rack(&'a RackPdn),
+}
+
+impl ScenarioPdn<'_> {
+    fn solver(&self, backend: SolverBackend) -> Result<TransientSolver, PdnError> {
+        match self {
+            ScenarioPdn::Chip(netlist) => TransientSolver::with_backend(netlist, backend),
+            ScenarioPdn::Rack(rack) => rack.solver(backend),
+        }
+    }
+}
+
 /// A scenario's electrical view, as the noise kernel consumes it: the
-/// netlist to solve, one probe node and one skitter per site, the HF
+/// PDN to solve, one probe node and one skitter per site, the HF
 /// ripple parameters and the rail voltage. Built from a [`Chip`] (the
 /// 1×1×[`NUM_CORES`] case) or from a [`crate::rack::RackScenario`]; the
 /// kernel itself is topology-blind.
 pub(crate) struct ScenarioView<'a> {
-    /// Netlist of the whole scenario.
-    pub netlist: &'a Netlist,
+    /// PDN of the whole scenario.
+    pub pdn: ScenarioPdn<'a>,
     /// Per-site core supply node, site-ordinal order (matching the
     /// netlist's drive-slot order).
     pub core_nodes: Vec<NodeId>,
@@ -397,7 +416,7 @@ impl<'a> ScenarioView<'a> {
     /// The chip-scale view: every pre-rack experiment reduces to this.
     pub fn of_chip(chip: &'a Chip) -> ScenarioView<'a> {
         ScenarioView {
-            netlist: chip.pdn().netlist(),
+            pdn: ScenarioPdn::Chip(chip.pdn().netlist()),
             core_nodes: (0..NUM_CORES).map(|i| chip.pdn().core_node(i)).collect(),
             skitters: (0..NUM_CORES).map(|i| chip.skitter(i)).collect(),
             hf: &chip.config().hf,
@@ -481,7 +500,7 @@ pub(crate) fn run_view_noise_instrumented(
 
     let mut tc = transient_config(loads, cfg);
     tc.collect_phase_times = crate::telemetry::trace_enabled();
-    let mut solver = TransientSolver::with_backend(view.netlist, cfg.solve.backend)?;
+    let mut solver = view.pdn.solver(cfg.solve.backend)?;
     let mut probes: Vec<Probe> = view
         .core_nodes
         .iter()

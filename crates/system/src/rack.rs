@@ -17,7 +17,7 @@
 //! experiment as the 1×1×[`NUM_CORES`] special case.
 
 use crate::chip::{Chip, HfNoiseParams};
-use crate::noise::{NoiseOutcome, NoiseRunConfig, ScenarioView, SolveTelemetry};
+use crate::noise::{NoiseOutcome, NoiseRunConfig, ScenarioPdn, ScenarioView, SolveTelemetry};
 use crate::site::{Site, SiteSpace, SiteVec};
 use std::sync::Arc;
 use voltnoise_measure::skitter::Skitter;
@@ -169,7 +169,7 @@ impl RackScenario {
     /// The kernel's electrical view of this rack.
     pub(crate) fn view(&self) -> ScenarioView<'_> {
         ScenarioView {
-            netlist: self.pdn.netlist(),
+            pdn: ScenarioPdn::Rack(&self.pdn),
             core_nodes: self
                 .space
                 .sites()

@@ -186,27 +186,18 @@ pub trait NoiseModel {
     /// Number of sites the model covers.
     fn sites(&self) -> usize;
 
-    /// Worst-case noise (%p2p over all sites) of an occupancy.
+    /// Worst-case noise (%p2p over all sites) of several occupancies at
+    /// once, in input order. Lookups only ever come in batches: the
+    /// noise-aware policy scans every free site of an arrival, and
+    /// [`replay`] evaluates all of its constant-occupancy segments after
+    /// the event loop, so an engine-backed model solves each batch's
+    /// uncached occupancies `VOLTNOISE_THREADS`-wide.
     ///
     /// # Errors
     ///
-    /// Returns [`PdnError`] when the occupancy cannot be evaluated (an
+    /// Returns [`PdnError`] when an occupancy cannot be evaluated (an
     /// uncharacterized table entry, or a failed on-demand solve).
-    fn noise_pct_of(&mut self, occ: &Occupancy) -> Result<f64, PdnError>;
-
-    /// Worst-case noise of several occupancies at once, in input order.
-    /// The default evaluates serially; engine-backed models override it
-    /// to batch the uncached occupancies through the engine's parallel
-    /// executor (the noise-aware policy scans every free site of an
-    /// arrival through this path, so rack-scale candidate scans run
-    /// `VOLTNOISE_THREADS`-wide instead of one solve at a time).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError`] when any occupancy cannot be evaluated.
-    fn noise_pct_of_batch(&mut self, occs: &[Occupancy]) -> Result<Vec<f64>, PdnError> {
-        occs.iter().map(|occ| self.noise_pct_of(occ)).collect()
-    }
+    fn noise_pct_of_batch(&mut self, occs: &[Occupancy]) -> Result<Vec<f64>, PdnError>;
 }
 
 /// Measured worst-case noise for every subset of simultaneously active
@@ -308,14 +299,18 @@ impl NoiseModel for NoiseTable {
         self.sites
     }
 
-    fn noise_pct_of(&mut self, occ: &Occupancy) -> Result<f64, PdnError> {
-        self.entries
-            .get(occ)
-            .copied()
-            .ok_or_else(|| PdnError::DimensionMismatch {
-                expected: self.sites,
-                actual: occ.sites(),
+    fn noise_pct_of_batch(&mut self, occs: &[Occupancy]) -> Result<Vec<f64>, PdnError> {
+        occs.iter()
+            .map(|occ| {
+                self.entries
+                    .get(occ)
+                    .copied()
+                    .ok_or_else(|| PdnError::DimensionMismatch {
+                        expected: self.sites,
+                        actual: occ.sites(),
+                    })
             })
+            .collect()
     }
 }
 
@@ -393,16 +388,6 @@ impl EngineNoiseModel<'_> {
 impl NoiseModel for EngineNoiseModel<'_> {
     fn sites(&self) -> usize {
         self.sites
-    }
-
-    fn noise_pct_of(&mut self, occ: &Occupancy) -> Result<f64, PdnError> {
-        if let Some(&n) = self.memo.get(occ) {
-            return Ok(n);
-        }
-        let out = self.engine.run_one(&self.job_of(occ))?;
-        let n = out.max_pct_p2p();
-        self.memo.insert(occ.clone(), n);
-        Ok(n)
     }
 
     fn noise_pct_of_batch(&mut self, occs: &[Occupancy]) -> Result<Vec<f64>, PdnError> {
@@ -542,6 +527,12 @@ pub struct ScheduleOutcome {
 /// Replays a job trace through a policy, charging at every instant the
 /// modeled worst-case noise of the current occupancy.
 ///
+/// No placement decision depends on the noise charged for a segment,
+/// so the event loop only records each constant-occupancy segment; one
+/// batch lookup then evaluates them all, and the charges fold in
+/// segment order (the sums are those of evaluating each segment as it
+/// closes, bit for bit).
+///
 /// # Errors
 ///
 /// Returns [`PdnError`] when the noise model fails to evaluate an
@@ -556,21 +547,15 @@ pub fn replay(
         site: usize,
         ends: u64,
     }
-    fn advance(
-        model: &mut dyn NoiseModel,
-        occ: &Occupancy,
-        from: u64,
-        to: u64,
-        weighted: &mut f64,
-        peak: &mut f64,
-    ) -> Result<(), PdnError> {
+    // Constant-occupancy segments and their lengths, in time order.
+    let mut segments: Vec<Occupancy> = Vec::new();
+    let mut lengths: Vec<u64> = Vec::new();
+    let mut advance = |occ: &Occupancy, from: u64, to: u64| {
         if to > from {
-            let n = model.noise_pct_of(occ)?;
-            *weighted += n * (to - from) as f64;
-            *peak = peak.max(n);
+            segments.push(occ.clone());
+            lengths.push(to - from);
         }
-        Ok(())
-    }
+    };
 
     let mut jobs: Vec<Job> = jobs.to_vec();
     jobs.sort_by_key(|j| j.arrival);
@@ -578,8 +563,6 @@ pub fn replay(
     let mut queue: Vec<u64> = Vec::new(); // remaining durations of queued jobs
     let mut occ = Occupancy::empty(model.sites());
     let mut t: u64 = 0;
-    let mut weighted = 0.0f64;
-    let mut peak = 0.0f64;
     let mut queued_jobs = 0usize;
     let mut idx = 0usize;
 
@@ -592,7 +575,7 @@ pub fn replay(
         if next == u64::MAX || next > horizon {
             break;
         }
-        advance(model, &occ, t, next, &mut weighted, &mut peak)?;
+        advance(&occ, t, next);
         t = next;
 
         // Completions first (frees sites for same-tick arrivals).
@@ -637,8 +620,15 @@ pub fn replay(
             }
         }
     }
-    advance(model, &occ, t, t + 1, &mut weighted, &mut peak)?;
+    advance(&occ, t, t + 1);
 
+    let noise = model.noise_pct_of_batch(&segments)?;
+    let mut weighted = 0.0f64;
+    let mut peak = 0.0f64;
+    for (&n, &len) in noise.iter().zip(&lengths) {
+        weighted += n * len as f64;
+        peak = peak.max(n);
+    }
     Ok(ScheduleOutcome {
         policy: policy.name().to_string(),
         mean_required_pct: weighted / (t + 1) as f64,

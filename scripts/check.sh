@@ -20,6 +20,9 @@ echo "== cargo build --release && cargo test (the tier-1 command)"
 cargo build --release
 cargo test -q
 
+echo "== hierarchy suite on one worker (replay golden byte-identical serially too)"
+VOLTNOISE_THREADS=1 cargo test -q -p voltnoise --test hierarchy
+
 echo "== fault-injection suite"
 cargo test -q -p voltnoise --test fault_tolerance
 
