@@ -8,17 +8,24 @@
 //!    first-droop shift of §V-A);
 //! 4. The analytic IPC pre-filter vs power-evaluating every filtered
 //!    sequence (the funnel's cost structure).
+//!
+//! [`AblationExperiment`] runs all four as one registry entry
+//! (`ablations`), outside the full report.
 
-use crate::delta_i::{run_delta_i, DeltaIConfig};
+use crate::delta_i::{DeltaIConfig, DeltaIExperiment, DeltaIView};
+use crate::experiment::{Experiment, ExperimentFailure};
 use crate::propagation::CorrelationAnalysis;
 use crate::signal_summary::SignalSummary;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use voltnoise_pdn::ac::{log_space, AcAnalysis};
 use voltnoise_pdn::topology::{ChipPdn, PdnParams, NUM_CORES};
 use voltnoise_pdn::transient::{Probe, TransientConfig, TransientSolver};
 use voltnoise_pdn::waveform::{CoreWaveform, MultiCoreDrive, StressWaveform, WaveMode};
 use voltnoise_pdn::PdnError;
 use voltnoise_system::chip::{Chip, ChipConfig};
+use voltnoise_system::engine::Engine;
+use voltnoise_system::noise::NoiseOutcome;
 use voltnoise_system::testbed::Testbed;
 
 /// Ablation 1 result: timestep strategy comparison.
@@ -86,16 +93,21 @@ pub struct DomainAblation {
     pub merged_domain_gap: f64,
 }
 
-/// Runs ablation 2. Expensive: two ΔI campaigns.
+/// Runs ablation 2 on `engine`. Expensive: two ΔI campaigns.
 ///
 /// # Errors
 ///
 /// Returns [`PdnError`] if a solve fails.
 pub fn run_domain_ablation(
     tb: &Testbed,
+    engine: &Engine,
     campaign: &DeltaIConfig,
 ) -> Result<DomainAblation, PdnError> {
-    let split = CorrelationAnalysis::from_dataset(&run_delta_i(tb, campaign)?);
+    let delta_i = DeltaIExperiment {
+        cfg: campaign.clone(),
+        view: DeltaIView::Fig11a,
+    };
+    let split = CorrelationAnalysis::from_dataset(&delta_i.run(tb, engine)?);
 
     // Merged topology: near-zero bridge impedance and uniform coupling.
     let mut cfg = ChipConfig::default();
@@ -114,7 +126,7 @@ pub fn run_domain_ablation(
         &cfg,
     )?
     .with_chip(merged_chip);
-    let merged = CorrelationAnalysis::from_dataset(&run_delta_i(&merged_tb, campaign)?);
+    let merged = CorrelationAnalysis::from_dataset(&delta_i.run(&merged_tb, engine)?);
 
     Ok(DomainAblation {
         split_domain_gap: split.mean_within - split.mean_between,
@@ -168,6 +180,125 @@ pub fn run_filter_ablation(tb: &Testbed) -> FilterAblation {
         evals_with_filter: s.after_ipc,
         evals_without_filter: s.after_microarch,
         filtered_winner_w: s.best.power_w,
+    }
+}
+
+/// Configuration of the ablation study.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AblationConfig {
+    /// The ΔI campaign ablation 2 runs on both topologies.
+    pub campaign: DeltaIConfig,
+}
+
+impl AblationConfig {
+    /// Paper-scale study: the paper's ΔI campaign with four mappings
+    /// per distribution (two campaigns at full scale are slow).
+    pub fn paper() -> AblationConfig {
+        AblationConfig {
+            campaign: DeltaIConfig {
+                mappings_per_distribution: 4,
+                ..DeltaIConfig::paper()
+            },
+        }
+    }
+
+    /// Reduced study for quick runs.
+    pub fn reduced() -> AblationConfig {
+        AblationConfig {
+            campaign: DeltaIConfig::reduced(),
+        }
+    }
+}
+
+/// All four ablation results.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AblationStudy {
+    /// Ablation 1: edge-refined vs uniform stepping.
+    pub step: StepAblation,
+    /// Ablation 2: split vs merged voltage domains.
+    pub domain: DomainAblation,
+    /// Ablation 3: deep-trench vs legacy decap.
+    pub decap: DecapAblation,
+    /// Ablation 4: the IPC pre-filter.
+    pub filter: FilterAblation,
+}
+
+impl AblationStudy {
+    /// Renders one `#`-commented line per ablation.
+    pub fn render(&self) -> String {
+        format!(
+            "# ablation 1: edge-refined stepping: {} steps vs {} uniform (p2p error {:.2} %)\n\
+             # ablation 3: first droop {:.3e} Hz (deep trench) vs {:.3e} Hz (legacy 1/40 decap)\n\
+             # ablation 4: IPC pre-filter: {} power evaluations instead of {} (winner {:.2} W)\n\
+             # ablation 2: correlation cluster gap {:.3} (split domains) vs {:.3} (merged)\n",
+            self.step.refined_steps,
+            self.step.uniform_steps,
+            self.step.p2p_rel_error * 100.0,
+            self.decap.modern_first_droop_hz,
+            self.decap.legacy_first_droop_hz,
+            self.filter.evals_with_filter,
+            self.filter.evals_without_filter,
+            self.filter.filtered_winner_w,
+            self.domain.split_domain_gap,
+            self.domain.merged_domain_gap
+        )
+    }
+}
+
+/// The DESIGN.md ablation study (registry id `ablations`).
+#[derive(Debug, Clone)]
+pub struct AblationExperiment {
+    /// The study configuration.
+    pub cfg: AblationConfig,
+}
+
+impl AblationExperiment {
+    fn study(&self, tb: &Testbed, engine: &Engine) -> Result<AblationStudy, PdnError> {
+        Ok(AblationStudy {
+            step: run_step_ablation(tb.chip())?,
+            decap: run_decap_ablation()?,
+            filter: run_filter_ablation(tb),
+            domain: run_domain_ablation(tb, engine, &self.cfg.campaign)?,
+        })
+    }
+}
+
+impl Experiment for AblationExperiment {
+    type Artifact = AblationStudy;
+
+    fn id(&self) -> &'static str {
+        "ablations"
+    }
+
+    fn title(&self) -> &'static str {
+        "DESIGN.md ablations: stepping, voltage domains, decap, IPC pre-filter"
+    }
+
+    // jobs() stays empty: the ΔI campaigns run on the engine `run` is
+    // handed; a bare assemble runs them on a fresh one.
+
+    fn assemble(
+        &self,
+        tb: &Testbed,
+        _outcomes: &[Arc<NoiseOutcome>],
+    ) -> Result<AblationStudy, PdnError> {
+        self.study(tb, &Engine::new())
+    }
+
+    fn render(&self, artifact: &AblationStudy) -> String {
+        artifact.render()
+    }
+
+    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<AblationStudy, PdnError> {
+        self.study(tb, engine)
+    }
+
+    fn run_settled(
+        &self,
+        tb: &Testbed,
+        engine: &Engine,
+    ) -> Result<AblationStudy, ExperimentFailure> {
+        self.study(tb, engine).map_err(ExperimentFailure::from)
     }
 }
 

@@ -268,6 +268,32 @@ fn rack_map(
     run_to_output_settled(&crate::rack_map::RackMapExperiment { cfg }, tb, engine)
 }
 
+fn ablations(
+    tb: &Testbed,
+    engine: &Engine,
+    reduced: bool,
+) -> Result<ExperimentOutput, ExperimentFailure> {
+    let cfg = if reduced {
+        crate::ablation::AblationConfig::reduced()
+    } else {
+        crate::ablation::AblationConfig::paper()
+    };
+    run_to_output_settled(&crate::ablation::AblationExperiment { cfg }, tb, engine)
+}
+
+fn extensions(
+    tb: &Testbed,
+    engine: &Engine,
+    reduced: bool,
+) -> Result<ExperimentOutput, ExperimentFailure> {
+    let cfg = if reduced {
+        crate::extensions::ExtensionsConfig::reduced()
+    } else {
+        crate::extensions::ExtensionsConfig::paper()
+    };
+    run_to_output_settled(&crate::extensions::ExtensionsExperiment { cfg }, tb, engine)
+}
+
 /// All registered experiments, in full-report order.
 pub(crate) static ENTRIES: &[RegistryEntry] = &[
     RegistryEntry {
@@ -393,5 +419,19 @@ pub(crate) static ENTRIES: &[RegistryEntry] = &[
         title: "Rack study: noise-aware placement over a variated chip population",
         in_report: false,
         run: rack_map,
+    },
+    // DESIGN.md ablations and the studies beyond the paper: runnable by
+    // id, outside the golden report.
+    RegistryEntry {
+        id: "ablations",
+        title: "DESIGN.md ablations: stepping, voltage domains, decap, IPC pre-filter",
+        in_report: false,
+        run: ablations,
+    },
+    RegistryEntry {
+        id: "extensions",
+        title: "Extensions: noise governor, dithering, noise-aware scheduling, GA search",
+        in_report: false,
+        run: extensions,
     },
 ];

@@ -11,7 +11,7 @@
 //! [`Engine::run_one`] / [`Engine::par_map`] directly.
 //!
 //! The [`registry`] lists one entry per artifact. The full report and
-//! the per-figure binaries both walk it, so adding an experiment in one
+//! the `experiment` binary both walk it, so adding an experiment in one
 //! place surfaces it everywhere.
 //!
 //! Experiments additionally expose a *settled* path
@@ -98,7 +98,7 @@ pub trait Experiment {
     type Artifact: Serialize;
 
     /// Stable identifier (`fig7a`, `table1`, ...), used by the registry
-    /// and the per-figure binaries.
+    /// and the `experiment` binary.
     fn id(&self) -> &'static str;
 
     /// Human-readable one-line title.
@@ -192,25 +192,6 @@ pub struct ExperimentOutput {
     pub rendered: String,
     /// The artifact as a serde value tree (for `--json` export).
     pub value: Value,
-}
-
-/// Runs an experiment and captures both its renderings.
-///
-/// # Errors
-///
-/// Returns [`PdnError`] when the experiment fails.
-pub fn run_to_output<E: Experiment>(
-    exp: &E,
-    tb: &Testbed,
-    engine: &Engine,
-) -> Result<ExperimentOutput, PdnError> {
-    let artifact = exp.run(tb, engine)?;
-    Ok(ExperimentOutput {
-        id: exp.id(),
-        title: exp.title(),
-        rendered: exp.render(&artifact),
-        value: artifact.to_value(),
-    })
 }
 
 /// Runs an experiment on the settled path, additionally containing any

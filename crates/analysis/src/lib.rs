@@ -22,6 +22,7 @@
 //! | §VII-B (dynamic guard-banding) | [`guardband_study`] |
 //! | §VII at rack scale (placement study) | [`rack_map`] |
 //! | DESIGN.md ablations | [`ablation`] |
+//! | Governor, dithering, scheduling, GA search | [`extensions`] |
 //! | Solve-backend ROM study | [`rom_error`] |
 //! | Resonance-band entropy study | [`resonance_entropy`] |
 //! | Spectral summaries (peaks/Q/band energy) | [`signal_summary`] |
@@ -35,6 +36,7 @@ pub mod ablation;
 pub(crate) mod catalog;
 pub mod delta_i;
 pub mod experiment;
+pub mod extensions;
 pub mod freq_sweep;
 pub mod funnel;
 pub mod guardband_study;
@@ -53,11 +55,13 @@ pub mod signal_summary;
 pub mod stats;
 pub mod table1;
 
+pub use ablation::{AblationConfig, AblationExperiment, AblationStudy};
 pub use delta_i::{run_delta_i, DeltaIConfig, DeltaIDataset, DeltaIExperiment, DeltaIView};
 pub use experiment::{
-    find, registry, run_to_output, run_to_output_settled, Experiment, ExperimentFailure,
-    ExperimentOutput, RegistryEntry,
+    find, registry, run_to_output_settled, Experiment, ExperimentFailure, ExperimentOutput,
+    RegistryEntry,
 };
+pub use extensions::{ExtensionsConfig, ExtensionsExperiment, ExtensionsStudy};
 pub use freq_sweep::{run_sweep, SweepConfig, SweepExperiment, SweepResult};
 pub use funnel::{FunnelExperiment, FunnelSummary};
 pub use guardband_study::{

@@ -504,8 +504,8 @@ mod tests {
         assert!(analysis.mean_within > analysis.mean_between);
         // Paper: all inter-core correlations > 0.91 (shared PDN). The
         // reduced test campaign has few samples, so only a looser floor
-        // is asserted here; the paper-scale campaign is checked in the
-        // fig13a bench harness.
+        // is asserted here; the paper-scale campaign is rendered by
+        // `experiment fig13a` (EXPERIMENTS.md records its values).
         assert!(
             analysis.matrix.min_off_diagonal() > 0.6,
             "min off-diag {:.3}",

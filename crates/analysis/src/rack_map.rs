@@ -280,6 +280,7 @@ mod tests {
         assert!(res.occupancies_evaluated > 0);
         // The replay's occupancy jobs all dedupe through one engine.
         assert_eq!(engine.stats().solves, res.occupancies_evaluated);
+        assert!(engine.stats().telemetry.solver.steps > 0);
     }
 
     /// The reduced study, pinned bit for bit to the values the serial

@@ -9,7 +9,6 @@
 
 use crate::experiment::{registry, ExperimentFailure, RegistryEntry};
 use crate::render::Table;
-use voltnoise_pdn::PdnError;
 use voltnoise_system::engine::{Engine, EngineStats};
 use voltnoise_system::telemetry::LogHistogram;
 use voltnoise_system::testbed::Testbed;
@@ -23,21 +22,17 @@ pub enum ReportScale {
     Reduced,
 }
 
-/// Generates the full evaluation report on a dedicated engine.
-///
-/// # Errors
-///
-/// The signature is kept fallible for compatibility, but experiment
-/// failures no longer abort the report: each failing experiment is
-/// dropped from the document and listed in a trailing fault summary
-/// (see [`full_report_on`]).
-pub fn full_report(tb: &Testbed, scale: ReportScale) -> Result<String, PdnError> {
+/// Generates the full evaluation report on a dedicated engine. A
+/// failing experiment does not abort the report: it is dropped from the
+/// document and listed in a trailing fault summary (see
+/// [`full_report_on`]).
+pub fn full_report(tb: &Testbed, scale: ReportScale) -> String {
     full_report_on(tb, &Engine::new(), scale)
 }
 
 /// Generates the full evaluation report on a caller-provided engine
-/// (e.g. [`Engine::shared`], or a single-worker engine for determinism
-/// checks).
+/// (e.g. one with a persistent store attached, or a single-worker
+/// engine for determinism checks).
 ///
 /// Experiments run on the settled path: a failing experiment does not
 /// abort the walk. Its figure section is omitted — the surviving
@@ -46,15 +41,7 @@ pub fn full_report(tb: &Testbed, scale: ReportScale) -> Result<String, PdnError>
 /// its captured fault(s). A fault-free report carries no summary
 /// section, so healthy output is byte-identical to what this function
 /// produced before the degraded path existed.
-///
-/// # Errors
-///
-/// Kept for signature compatibility; currently always returns `Ok`.
-pub fn full_report_on(
-    tb: &Testbed,
-    engine: &Engine,
-    scale: ReportScale,
-) -> Result<String, PdnError> {
+pub fn full_report_on(tb: &Testbed, engine: &Engine, scale: ReportScale) -> String {
     let reduced = scale == ReportScale::Reduced;
     let mut out = String::with_capacity(64 * 1024);
     out.push_str("# voltnoise — full evaluation report\n\n");
@@ -80,7 +67,7 @@ pub fn full_report_on(
         }
         out.push_str(&t.finish());
     }
-    Ok(out)
+    out
 }
 
 /// Generates the full report plus a rendered telemetry section for the
@@ -93,18 +80,14 @@ pub fn full_report_on(
 /// and differs every time. Callers print the report to stdout and the
 /// telemetry next to it (the `full_report` binary sends it to stderr,
 /// alongside the existing store diagnostics).
-///
-/// # Errors
-///
-/// Kept for signature compatibility; currently always returns `Ok`.
 pub fn full_report_with_telemetry(
     tb: &Testbed,
     engine: &Engine,
     scale: ReportScale,
-) -> Result<(String, String), PdnError> {
-    let report = full_report_on(tb, engine, scale)?;
+) -> (String, String) {
+    let report = full_report_on(tb, engine, scale);
     let telemetry = telemetry_section(&engine.stats());
-    Ok((report, telemetry))
+    (report, telemetry)
 }
 
 fn quantiles_cell(h: &LogHistogram) -> String {
@@ -175,7 +158,7 @@ mod tests {
     #[test]
     fn reduced_report_covers_every_artifact() {
         let tb = Testbed::fast();
-        let report = full_report(tb, ReportScale::Reduced).unwrap();
+        let report = full_report(tb, ReportScale::Reduced);
         for marker in [
             "Table I", "Fig. 5", "Fig. 7a", "Fig. 7b", "Fig. 8", "Fig. 9", "Fig. 10", "Fig. 11a",
             "Fig. 11b", "Fig. 12", "Fig. 13a", "Fig. 13b", "Fig. 14", "Fig. 15", "§VII-B",
@@ -189,11 +172,10 @@ mod tests {
     fn telemetry_section_rides_alongside_not_inside() {
         let tb = Testbed::fast();
         let engine = Engine::with_workers(2);
-        let (report, telemetry) =
-            full_report_with_telemetry(tb, &engine, ReportScale::Reduced).unwrap();
+        let (report, telemetry) = full_report_with_telemetry(tb, &engine, ReportScale::Reduced);
         // The report half is exactly what full_report_on produces on an
         // equivalent engine — telemetry never leaks into figure bytes.
-        let plain = full_report_on(tb, &Engine::with_workers(2), ReportScale::Reduced).unwrap();
+        let plain = full_report_on(tb, &Engine::with_workers(2), ReportScale::Reduced);
         assert_eq!(report, plain);
         assert!(telemetry.starts_with("# Engine telemetry"));
         assert!(telemetry.contains("jobs_solved"));

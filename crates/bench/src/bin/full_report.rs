@@ -10,10 +10,15 @@
 use voltnoise::analysis::{full_report_with_telemetry, ReportScale};
 use voltnoise::prelude::*;
 use voltnoise::system::{export_stats_json, Engine};
-use voltnoise_bench::HarnessOpts;
+use voltnoise_bench::{exit_usage, HarnessOpts};
+
+const USAGE: &str = "full_report [--reduced]";
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(USAGE);
+    if let Some(arg) = &opts.id {
+        exit_usage(&format!("unknown argument: {arg}"), USAGE);
+    }
     let (tb, scale) = if opts.reduced {
         (Testbed::fast(), ReportScale::Reduced)
     } else {
@@ -22,8 +27,7 @@ fn main() {
     // Engine::new honors VOLTNOISE_STORE, making the whole report
     // resumable after an interrupt.
     let engine = Engine::new();
-    let (report, telemetry) =
-        full_report_with_telemetry(tb, &engine, scale).expect("all experiments run");
+    let (report, telemetry) = full_report_with_telemetry(tb, &engine, scale);
     print!("{report}");
     // Run diagnostics go to stderr so the report bytes on stdout stay
     // identical with and without a store attached or tracing enabled.

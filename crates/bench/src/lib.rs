@@ -1,18 +1,20 @@
 #![warn(missing_docs)]
 
-//! Shared harness utilities for the per-figure benchmark binaries.
+//! Command-line options shared by the two binaries: `experiment` runs
+//! one registry entry by id, `full_report` runs every report entry.
 //!
-//! Every binary accepts `--reduced` to run the fast configuration used in
-//! CI, and `--json <path>` to additionally export the structured result.
+//! Both accept `--reduced` to run the fast configuration used in CI;
+//! `experiment` additionally exports the structured result with
+//! `--json <path>`.
 
 use serde::Serialize;
 use std::path::PathBuf;
-use voltnoise::analysis::find;
-use voltnoise::system::{Engine, Testbed};
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone, Default)]
 pub struct HarnessOpts {
+    /// The one positional argument, if given (the experiment id).
+    pub id: Option<String>,
     /// Run the reduced (fast) configuration.
     pub reduced: bool,
     /// Optional JSON export path.
@@ -20,8 +22,9 @@ pub struct HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parses `std::env::args`.
-    pub fn from_args() -> Self {
+    /// Parses `std::env::args`. An unknown flag or a second positional
+    /// argument exits 2 with `usage`.
+    pub fn from_args(usage: &str) -> Self {
         let mut opts = HarnessOpts::default();
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
@@ -30,11 +33,10 @@ impl HarnessOpts {
                 "--json" => {
                     opts.json = args.next().map(PathBuf::from);
                 }
-                other => {
-                    eprintln!("unknown argument: {other}");
-                    eprintln!("usage: <bin> [--reduced] [--json <path>]");
-                    std::process::exit(2);
+                other if !other.starts_with('-') && opts.id.is_none() => {
+                    opts.id = Some(a);
                 }
+                other => exit_usage(&format!("unknown argument: {other}"), usage),
             }
         }
         opts
@@ -51,25 +53,9 @@ impl HarnessOpts {
     }
 }
 
-/// The body shared by every per-figure binary: parse the common CLI
-/// options, look `id` up in the experiment registry, run it on the
-/// shared engine at the requested scale, print the rendered figure and
-/// optionally export the artifact as JSON.
-///
-/// # Panics
-///
-/// Panics when `id` is not a registered experiment or the experiment
-/// fails.
-pub fn run_registry_bin(id: &str) {
-    let opts = HarnessOpts::from_args();
-    let tb = if opts.reduced {
-        Testbed::fast()
-    } else {
-        Testbed::shared()
-    };
-    let entry = find(id).unwrap_or_else(|| panic!("{id} is not a registered experiment"));
-    let out = entry
-        .run(tb, Engine::shared(), opts.reduced)
-        .unwrap_or_else(|e| panic!("{id} failed: {e}"));
-    opts.finish(&out.rendered, &out.value);
+/// Prints `message` and the usage line to stderr and exits 2.
+pub fn exit_usage(message: &str, usage: &str) -> ! {
+    eprintln!("{message}");
+    eprintln!("usage: {usage}");
+    std::process::exit(2);
 }

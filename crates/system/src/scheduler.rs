@@ -209,23 +209,10 @@ pub struct NoiseTable {
 }
 
 impl NoiseTable {
-    /// Characterizes all 64 chip occupancies on the testbed through the
-    /// shared experiment engine: the solves batch in parallel, dedupe
-    /// against anything already cached, and — when a persistent store is
-    /// attached — survive a crash mid-characterization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError`] if a PDN solve fails.
-    pub fn characterize(
-        tb: &Testbed,
-        stim_freq_hz: f64,
-        run_cfg: &NoiseRunConfig,
-    ) -> Result<Self, PdnError> {
-        NoiseTable::characterize_on(Engine::shared(), tb, stim_freq_hz, run_cfg)
-    }
-
-    /// [`NoiseTable::characterize`] on an explicit engine.
+    /// Characterizes all 64 chip occupancies on the testbed through
+    /// `engine`: the solves batch in parallel, dedupe against anything
+    /// already cached, and — when a persistent store is attached —
+    /// survive a crash mid-characterization.
     ///
     /// # Errors
     ///
@@ -756,12 +743,12 @@ mod tests {
     fn measured_table_smoke() {
         let tb = Testbed::fast();
         // Characterize only via the public API with a tiny window; the
-        // full 64-mask characterization runs in the bench harness.
+        // `extensions` study characterizes at its full window.
         let run_cfg = NoiseRunConfig {
             window_s: Some(20e-6),
             ..NoiseRunConfig::default()
         };
-        let mut table = NoiseTable::characterize(tb, 2.5e6, &run_cfg).unwrap();
+        let mut table = NoiseTable::characterize_on(&Engine::new(), tb, 2.5e6, &run_cfg).unwrap();
         assert!(table.noise_pct(&occ(0b111111)) > table.noise_pct(&occ(0b000001)));
         assert!(table.noise_pct(&occ(0)) < 10.0);
         // The aware policy on the real table avoids pairing row-mates

@@ -41,8 +41,8 @@ cargo test -q -p voltnoise --test signal
 echo "== server smoke test"
 scripts/server_smoke.sh
 
-echo "== benchmark smoke test"
-scripts/bench.sh --smoke --out target/BENCH_smoke.json
+echo "== wall-clock bounds (release; each binary's one ignored test runs alone)"
+cargo test --release -q -p voltnoise --test telemetry --test signal -- --ignored
 
 echo "== voltbench smoke test (every workload once, full metric set)"
 cargo run --release --offline --manifest-path voltbench/Cargo.toml -- --smoke

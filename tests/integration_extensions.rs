@@ -75,7 +75,7 @@ fn governor_dither_and_scheduler_compose() {
     assert!(cmp.dither_outcome.best_aligned_cores < 6);
 
     // The noise-aware scheduler needs no more margin than the naive one.
-    let table = NoiseTable::characterize(tb, 2.5e6, &run_cfg).unwrap();
+    let table = NoiseTable::characterize_on(&Engine::new(), tb, 2.5e6, &run_cfg).unwrap();
     let trace = synthetic_trace(50, 3.0);
     let naive = replay(&mut table.clone(), &NaivePolicy, &trace).unwrap();
     let aware = replay(&mut table.clone(), &NoiseAwarePolicy::new(), &trace).unwrap();

@@ -4,6 +4,9 @@
 //! white-vs-AR(1) autocorrelation, and the known min-entropy of
 //! constructed symbol distributions — plus the golden byte-identity
 //! guards that pin the reduced report and the resonance-entropy study.
+//!
+//! The one `#[ignore]`d test is a wall-clock bound, run in release by
+//! `scripts/check.sh` with `--ignored`.
 
 #[path = "golden/mod.rs"]
 mod golden;
@@ -12,7 +15,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use voltnoise::pdn::signal::{
     autocorrelation, entropy_report, fft_in_place, ifft_in_place, markov_min_entropy,
-    mcv_min_entropy, welch_psd, WelchConfig, WelchStream,
+    mcv_min_entropy, welch_psd, WelchConfig, WelchPsd, WelchStream,
 };
 
 /// Runs `body` for `cases` deterministic seeded cases.
@@ -202,6 +205,108 @@ fn streaming_welch_is_bitwise_identical_to_batch() {
     });
 }
 
+/// Segment length of the Welch runs over the stressmark trace.
+const TRACE_SEGMENT_LEN: usize = 1024;
+
+/// Ceiling on streaming Welch's median wall time relative to batch's:
+/// both run the same per-segment arithmetic, the stream adds only
+/// buffer management.
+const MAX_STREAM_OVERHEAD: f64 = 1.2;
+
+/// The 100 µs core-0 scope trace of the 2.5 MHz all-core stressmark,
+/// resampled to 16 384 uniform points and tiled 16 times, so one Welch
+/// run averages a few hundred segments. Returns the sample rate and the
+/// samples.
+fn stressmark_trace_samples() -> (f64, Vec<f64>) {
+    use voltnoise::pdn::signal::resample_uniform;
+    use voltnoise::prelude::*;
+    let tb = Testbed::fast();
+    let sm = tb.max_stressmark(2.5e6, None);
+    let loads: [CoreLoad; NUM_CORES] = std::array::from_fn(|_| CoreLoad::Stressmark(sm.clone()));
+    let job = SimJob::batch(tb.chip()).job(
+        loads,
+        NoiseRunConfig {
+            window_s: Some(100e-6),
+            record_traces: true,
+            seed: 1,
+            ..NoiseRunConfig::default()
+        },
+    );
+    let outcomes = Engine::with_workers(1)
+        .run_jobs(std::slice::from_ref(&job))
+        .unwrap();
+    let capture = outcomes[0].traces.as_ref().expect("the job records traces");
+    let volts = capture.channel(0).expect("the job probes core 0");
+    let (fs, base) = resample_uniform(capture.times(), volts, 16_384).unwrap();
+    (fs, base.repeat(16))
+}
+
+/// Streaming `samples` in 4 096-sample chunks.
+fn stream_in_chunks(samples: &[f64], cfg: WelchConfig) -> WelchPsd {
+    let mut stream = WelchStream::new(cfg).unwrap();
+    for chunk in samples.chunks(4096) {
+        stream.push(chunk);
+    }
+    stream.finish()
+}
+
+/// On a real die signal, streaming and batch Welch agree to the bit,
+/// and the PSD's strongest peak at or above 500 kHz is the die
+/// resonance the 2.5 MHz stressmark excites, in [1, 5) MHz.
+#[test]
+fn streaming_welch_matches_batch_on_a_stressmark_trace() {
+    let (fs, samples) = stressmark_trace_samples();
+    let cfg = WelchConfig::half_overlap(TRACE_SEGMENT_LEN, fs);
+    let batch = welch_psd(&samples, cfg).unwrap();
+    assert_eq!(
+        stream_in_chunks(&samples, cfg),
+        batch,
+        "stream and batch Welch PSDs must match bitwise"
+    );
+    assert!(
+        batch.segments() > 0 && samples.len() > TRACE_SEGMENT_LEN,
+        "the trace must average real segments"
+    );
+    let peak_hz = batch.peak_in_band(5e5, fs / 2.0).map_or(0.0, |(f, _)| f);
+    assert!(
+        (1.0e6..5.0e6).contains(&peak_hz),
+        "the stressmark trace's PSD peak must sit in the die resonance band, got {peak_hz:.3e} Hz"
+    );
+}
+
+/// Streaming Welch's median wall time over 5 runs stays within
+/// [`MAX_STREAM_OVERHEAD`] of batch's on the stressmark trace.
+#[test]
+#[ignore = "wall-clock bound: run in release with --ignored"]
+fn streaming_welch_wall_time_stays_within_bound_of_batch() {
+    use std::time::Instant;
+    const RUNS: usize = 5;
+    let (fs, samples) = stressmark_trace_samples();
+    let cfg = WelchConfig::half_overlap(TRACE_SEGMENT_LEN, fs);
+    let mut batch_ns = Vec::with_capacity(RUNS);
+    let mut stream_ns = Vec::with_capacity(RUNS);
+    for _ in 0..RUNS {
+        let t0 = Instant::now();
+        let batch = welch_psd(&samples, cfg).unwrap();
+        batch_ns.push(t0.elapsed().as_nanos());
+        let t0 = Instant::now();
+        let streamed = stream_in_chunks(&samples, cfg);
+        stream_ns.push(t0.elapsed().as_nanos());
+        // The ratio only means something if both paths did identical work.
+        assert_eq!(streamed, batch);
+    }
+    batch_ns.sort_unstable();
+    stream_ns.sort_unstable();
+    let (batch, stream) = (batch_ns[RUNS / 2], stream_ns[RUNS / 2]);
+    assert!(batch > 0, "batch Welch must take measurable time");
+    let ratio = stream as f64 / batch as f64;
+    assert!(
+        ratio <= MAX_STREAM_OVERHEAD,
+        "streaming Welch must stay within {MAX_STREAM_OVERHEAD}x of batch, got {ratio:.3}x \
+         ({stream} vs {batch} ns median)"
+    );
+}
+
 /// The reduced full report stays byte-identical through the signal
 /// refactor (resonance experiments now route through `SignalSummary`).
 #[test]
@@ -212,8 +317,7 @@ fn full_report_reduced_matches_golden() {
         Testbed::fast(),
         &Engine::with_workers(2),
         ReportScale::Reduced,
-    )
-    .unwrap();
+    );
     golden::assert_golden("full_report_reduced.txt", &report);
 }
 

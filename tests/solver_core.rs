@@ -6,6 +6,8 @@
 //! partial pivoting); the sparse path (CSR + Markowitz LU with pattern
 //! reuse) is an optimization that must never change results. Random RLC
 //! ladders exercise both transient and AC analysis on both backends.
+//! Beside each equivalence test sits the cost floor of the same
+//! optimization: the deterministic `est_flops` ratio it must keep.
 
 #[path = "golden/mod.rs"]
 mod golden;
@@ -15,7 +17,36 @@ use rand::{Rng, SeedableRng};
 use voltnoise::pdn::ac::{log_space, AcAnalysis};
 use voltnoise::pdn::netlist::{Netlist, NodeId};
 use voltnoise::pdn::transient::{ConstantDrive, Probe, TransientConfig, TransientSolver};
-use voltnoise::pdn::SolverBackend;
+use voltnoise::pdn::{SolverBackend, SolverCounters};
+use voltnoise::system::{DrawerJob, DrawerStepConfig, DrawerStepOutcome, Engine};
+
+/// Floor on the drawer's dense-model-to-sparse flop ratio (measured
+/// ~55x on the default drawer step).
+const MIN_DRAWER_FLOPS_RATIO: f64 = 5.0;
+
+/// Floor on the batched AC sweep's advantage over refactoring per
+/// injection (measured ~24x on the 36-port drawer).
+const MIN_AC_BATCH_FLOPS_RATIO: f64 = 5.0;
+
+/// Floor on the macromodel's flop advantage over the full-order
+/// transient on the long drawer window (measured ~13x; the ROM's cost is
+/// dominated by its fixed-length calibration run).
+const MIN_ROM_FLOPS_RATIO: f64 = 10.0;
+
+/// Flops the dense cost model charges for one factorization and for one
+/// solve of an `n`-unknown system: `2n³/3 + n²/2` and `2n²`.
+fn dense_model_flops(n: usize) -> (f64, f64) {
+    let n = n as f64;
+    (2.0 * n * n * n / 3.0 + n * n / 2.0, 2.0 * n * n)
+}
+
+/// Solves one drawer step on a fresh single-worker engine; returns the
+/// outcome and the solver counters it charged.
+fn drawer_solve(cfg: DrawerStepConfig) -> (DrawerStepOutcome, SolverCounters) {
+    let engine = Engine::with_workers(1);
+    let outcome = engine.run_drawer(&DrawerJob::new(cfg).unwrap()).unwrap();
+    ((*outcome).clone(), engine.stats().telemetry.solver)
+}
 
 /// Builds a random but well-posed RLC ladder: a voltage source feeding a
 /// chain of series R (sometimes R+L) segments, each node shunted to
@@ -190,10 +221,74 @@ fn ac_batched_injections_match_looped_bitwise() {
     }
 }
 
+/// The drawer step is drawer-scale and runs on the sparse backend, whose
+/// nnz-aware flops undercut what the dense cost model would charge for
+/// the same factorizations and solves at least fivefold.
+#[test]
+fn sparse_drawer_step_beats_the_dense_cost_model() {
+    let (outcome, c) = drawer_solve(DrawerStepConfig::default());
+    assert!(
+        outcome.system_size >= 150,
+        "drawer must be drawer-scale, got {} unknowns",
+        outcome.system_size
+    );
+    assert!(
+        c.sparse_solves > 0,
+        "drawer run must exercise the sparse backend, got {c:?}"
+    );
+    let (factor, solve) = dense_model_flops(outcome.system_size);
+    let dense = c.lu_factorizations as f64 * factor + c.solve_calls as f64 * solve;
+    let ratio = dense / c.est_flops.max(1) as f64;
+    assert!(
+        ratio >= MIN_DRAWER_FLOPS_RATIO,
+        "drawer sparse path must beat the dense cost model by >= {MIN_DRAWER_FLOPS_RATIO}x, \
+         got {ratio:.2}x ({} sparse vs {dense:.0} dense-model flops)",
+        c.est_flops
+    );
+}
+
+/// A full drawer impedance sweep (every core node a port, dense backend)
+/// factors once per frequency and charges at least five times fewer
+/// flops than one factorization plus one solve per (frequency, port).
+#[test]
+fn batched_drawer_ac_sweep_beats_per_injection_refactorization() {
+    use voltnoise::pdn::{DrawerParams, DrawerPdn, MnaSystem, NUM_CORES};
+    let drawer = DrawerPdn::build(&DrawerParams::default()).unwrap();
+    let ports: Vec<NodeId> = (0..drawer.num_chips())
+        .flat_map(|chip| (0..NUM_CORES).map(move |core| (chip, core)))
+        .map(|(chip, core)| drawer.core_node(chip, core))
+        .collect();
+    assert_eq!(ports.len(), 36);
+    let freqs = log_space(1e5, 1e8, 24).unwrap();
+    let ac = AcAnalysis::with_backend(drawer.netlist(), SolverBackend::Dense);
+    for &f in &freqs {
+        ac.impedance_batch(&ports, f).unwrap();
+    }
+    let c = ac.counters();
+    assert!(
+        c.batched_solves > 0,
+        "AC sweep must route through the batched path, got {c:?}"
+    );
+    assert_eq!(
+        c.lu_factorizations as usize,
+        freqs.len(),
+        "batched AC sweep must factor exactly once per frequency"
+    );
+    let (factor, solve) = dense_model_flops(MnaSystem::new(drawer.netlist()).size());
+    let per_injection = c.solve_calls as f64 * (factor + solve);
+    let ratio = per_injection / c.est_flops.max(1) as f64;
+    assert!(
+        ratio >= MIN_AC_BATCH_FLOPS_RATIO,
+        "batched AC sweep must beat per-injection refactorization by >= \
+         {MIN_AC_BATCH_FLOPS_RATIO}x, got {ratio:.2}x ({} batched vs {per_injection:.0} \
+         baseline flops)",
+        c.est_flops
+    );
+}
+
 #[test]
 fn rom_tracks_full_solver_across_drawer_topologies() {
     use voltnoise::pdn::{DrawerParams, RomSpec, SolveSpec};
-    use voltnoise::system::{DrawerJob, DrawerStepConfig};
     let topologies = [
         DrawerParams {
             chips: 4,
@@ -254,16 +349,64 @@ fn rom_tracks_full_solver_across_drawer_topologies() {
     }
 }
 
+/// On a 100 µs drawer window, the macromodel (at a doubled coarse-step
+/// dilation, which its calibration validates) stays within its error
+/// budget, takes fewer steps, and charges at least ten times fewer
+/// flops than the full-order transient, calibration included.
+#[test]
+fn rom_beats_the_full_order_transient_on_a_long_drawer_window() {
+    use voltnoise::pdn::{RomSpec, SolveSpec};
+    let spec = RomSpec {
+        dilation: 12,
+        ..RomSpec::default()
+    };
+    let base = DrawerStepConfig {
+        window_s: 100e-6,
+        ..DrawerStepConfig::default()
+    };
+    let (full, fc) = drawer_solve(DrawerStepConfig {
+        solve: SolveSpec::full(),
+        ..base.clone()
+    });
+    let (rom, rc) = drawer_solve(DrawerStepConfig {
+        solve: SolveSpec::reduced(spec),
+        ..base
+    });
+    assert!(
+        rom.rom_states > 0 && rc.est_flops > 0,
+        "ROM solve must report its reduced order and charge work"
+    );
+    assert!(
+        rom.rom_max_error_v <= spec.budget_v,
+        "ROM calibrated error {:.3e} V exceeds its {:.3e} V budget",
+        rom.rom_max_error_v,
+        spec.budget_v
+    );
+    assert!(
+        rom.steps < full.steps,
+        "ROM solve must take fewer steps ({} vs {})",
+        rom.steps,
+        full.steps
+    );
+    let ratio = fc.est_flops as f64 / rc.est_flops.max(1) as f64;
+    assert!(
+        ratio >= MIN_ROM_FLOPS_RATIO,
+        "ROM must beat the full-order transient by >= {MIN_ROM_FLOPS_RATIO}x flops on the \
+         long window, got {ratio:.2}x ({} rom vs {} full flops)",
+        rc.est_flops,
+        fc.est_flops
+    );
+}
+
 #[test]
 fn full_report_reduced_is_byte_identical_to_golden() {
     use voltnoise::analysis::{full_report_on, ReportScale};
-    use voltnoise::system::{Engine, Testbed};
+    use voltnoise::system::Testbed;
     let report = full_report_on(
         Testbed::fast(),
         &Engine::with_workers(2),
         ReportScale::Reduced,
-    )
-    .unwrap();
+    );
     // Solver-core changes must not alter figure bytes.
     golden::assert_golden("full_report_reduced.txt", &report);
 }
