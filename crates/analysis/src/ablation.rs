@@ -13,11 +13,10 @@
 //! (`ablations`), outside the full report.
 
 use crate::delta_i::{DeltaIConfig, DeltaIExperiment, DeltaIView};
-use crate::experiment::{Experiment, ExperimentFailure};
+use crate::experiment::Experiment;
 use crate::propagation::CorrelationAnalysis;
 use crate::signal_summary::SignalSummary;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use voltnoise_pdn::ac::{log_space, AcAnalysis};
 use voltnoise_pdn::topology::{ChipPdn, PdnParams, NUM_CORES};
 use voltnoise_pdn::transient::{Probe, TransientConfig, TransientSolver};
@@ -25,7 +24,6 @@ use voltnoise_pdn::waveform::{CoreWaveform, MultiCoreDrive, StressWaveform, Wave
 use voltnoise_pdn::PdnError;
 use voltnoise_system::chip::{Chip, ChipConfig};
 use voltnoise_system::engine::Engine;
-use voltnoise_system::noise::NoiseOutcome;
 use voltnoise_system::testbed::Testbed;
 
 /// Ablation 1 result: timestep strategy comparison.
@@ -252,17 +250,6 @@ pub struct AblationExperiment {
     pub cfg: AblationConfig,
 }
 
-impl AblationExperiment {
-    fn study(&self, tb: &Testbed, engine: &Engine) -> Result<AblationStudy, PdnError> {
-        Ok(AblationStudy {
-            step: run_step_ablation(tb.chip())?,
-            decap: run_decap_ablation()?,
-            filter: run_filter_ablation(tb),
-            domain: run_domain_ablation(tb, engine, &self.cfg.campaign)?,
-        })
-    }
-}
-
 impl Experiment for AblationExperiment {
     type Artifact = AblationStudy;
 
@@ -274,31 +261,17 @@ impl Experiment for AblationExperiment {
         "DESIGN.md ablations: stepping, voltage domains, decap, IPC pre-filter"
     }
 
-    // jobs() stays empty: the ΔI campaigns run on the engine `run` is
-    // handed; a bare assemble runs them on a fresh one.
-
-    fn assemble(
-        &self,
-        tb: &Testbed,
-        _outcomes: &[Arc<NoiseOutcome>],
-    ) -> Result<AblationStudy, PdnError> {
-        self.study(tb, &Engine::new())
+    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<AblationStudy, PdnError> {
+        Ok(AblationStudy {
+            step: run_step_ablation(tb.chip())?,
+            decap: run_decap_ablation()?,
+            filter: run_filter_ablation(tb),
+            domain: run_domain_ablation(tb, engine, &self.cfg.campaign)?,
+        })
     }
 
     fn render(&self, artifact: &AblationStudy) -> String {
         artifact.render()
-    }
-
-    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<AblationStudy, PdnError> {
-        self.study(tb, engine)
-    }
-
-    fn run_settled(
-        &self,
-        tb: &Testbed,
-        engine: &Engine,
-    ) -> Result<AblationStudy, ExperimentFailure> {
-        self.study(tb, engine).map_err(ExperimentFailure::from)
     }
 }
 

@@ -5,14 +5,14 @@
 //! of the chip's maximum possible ΔI each mapping generates. The same
 //! dataset feeds the inter-core correlation analysis of Fig. 13a.
 
-use crate::experiment::Experiment;
+use crate::experiment::JobList;
 use crate::render::Table;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use voltnoise_pdn::topology::NUM_CORES;
 use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::SyncSpec;
-use voltnoise_system::engine::{Engine, SimJob};
+use voltnoise_system::engine::SimJob;
 use voltnoise_system::noise::{NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::testbed::Testbed;
 use voltnoise_system::workload::{all_distributions, mappings_of, Distribution, Mapping};
@@ -183,7 +183,7 @@ impl DeltaIExperiment {
     }
 }
 
-impl Experiment for DeltaIExperiment {
+impl JobList for DeltaIExperiment {
     type Artifact = DeltaIDataset;
 
     fn id(&self) -> &'static str {
@@ -253,28 +253,24 @@ impl Experiment for DeltaIExperiment {
     }
 }
 
-/// Runs the ΔI campaign on the shared engine.
-///
-/// # Errors
-///
-/// Returns [`PdnError`] if a PDN solve fails.
-pub fn run_delta_i(tb: &Testbed, cfg: &DeltaIConfig) -> Result<DeltaIDataset, PdnError> {
-    DeltaIExperiment {
-        cfg: cfg.clone(),
-        view: DeltaIView::Fig11a,
-    }
-    .run(tb, Engine::shared())
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::experiment::Experiment;
     use std::sync::OnceLock;
+    use voltnoise_system::engine::Engine;
 
-    fn dataset() -> &'static DeltaIDataset {
+    /// The reduced ΔI campaign, run once for every test that reads it
+    /// (this module's and the Fig. 13a correlation test's).
+    pub(crate) fn dataset() -> &'static DeltaIDataset {
         static CELL: OnceLock<DeltaIDataset> = OnceLock::new();
         CELL.get_or_init(|| {
-            run_delta_i(Testbed::fast(), &DeltaIConfig::reduced()).expect("campaign runs")
+            DeltaIExperiment {
+                cfg: DeltaIConfig::reduced(),
+                view: DeltaIView::Fig11a,
+            }
+            .run(Testbed::fast(), &Engine::new())
+            .expect("campaign runs")
         })
     }
 

@@ -1,14 +1,25 @@
 //! The [`Experiment`] abstraction and the experiment registry.
 //!
 //! Every paper artifact (table, figure, study) is an [`Experiment`]: a
-//! configuration that expands into pure [`SimJob`]s, an `assemble` step
-//! that folds the solved outcomes into a serializable artifact, and a
-//! `render` step producing the figure's text document. The default
-//! [`Experiment::run`] routes the jobs through an [`Engine`], so every
-//! experiment transparently gets parallel execution and content-keyed
-//! memoization; experiments whose job list depends on previous outcomes
-//! (e.g. the Vmin descent of Fig. 12) override `run` and use
-//! [`Engine::run_one`] / [`Engine::par_map`] directly.
+//! configuration that [`Experiment::run`]s on the [`Engine`] it is handed
+//! into a serializable artifact, and a `render` step producing the
+//! figure's text document. Experiments come in two shapes:
+//!
+//! - a [`JobList`] experiment expands into pure [`SimJob`]s known up
+//!   front, and an `assemble` step folds the solved outcomes into the
+//!   artifact. It implements only `jobs` and `assemble`; the blanket
+//!   [`Experiment`] impl routes the jobs through the engine, so it gets
+//!   parallel execution and content-keyed memoization for free;
+//! - every other experiment implements [`Experiment::run`] itself:
+//!   adaptive ones, whose next job depends on earlier outcomes (e.g. the
+//!   Vmin descent of Fig. 12), drive [`Engine::run_one`] /
+//!   [`Engine::par_map`] directly, and solver-free ones (tables, AC
+//!   analyses) ignore the engine.
+//!
+//! Either way there is one path from configuration to artifact, and it
+//! runs on the caller's engine: sharing work between experiments (the
+//! ΔI campaign behind Figs. 11a, 11b and 13a) means handing them the
+//! same engine.
 //!
 //! The [`registry`] lists one entry per artifact. The full report and
 //! the `experiment` binary both walk it, so adding an experiment in one
@@ -17,9 +28,9 @@
 //! Experiments additionally expose a *settled* path
 //! ([`Experiment::run_settled`], [`RegistryEntry::run_settled`]): job
 //! failures captured by the engine surface as an [`ExperimentFailure`]
-//! carrying every [`JobFault`], instead of aborting the campaign. The
-//! full report uses this path to render the healthy figures and a fault
-//! summary when some experiments fail.
+//! (carrying every [`JobFault`] of a job-list experiment), instead of
+//! aborting the campaign. The full report uses this path to render the
+//! healthy figures and a fault summary when some experiments fail.
 
 use serde::{Serialize, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,8 +46,8 @@ use voltnoise_system::testbed::Testbed;
 /// Carries every [`JobFault`] the engine captured (deduplicated — jobs
 /// sharing a content key share one fault), plus the `primary` kind a
 /// fail-fast run would have surfaced. Failures that happen outside the
-/// job layer (job construction, assembly, a panic in an override) carry
-/// an empty `faults` list and only the `primary` kind.
+/// job layer (job construction, assembly, a panic in an experiment's own
+/// `run`) carry an empty `faults` list and only the `primary` kind.
 #[derive(Debug, Clone)]
 pub struct ExperimentFailure {
     /// Captured job faults, in job order, deduplicated by content key.
@@ -104,20 +115,54 @@ pub trait Experiment {
     /// Human-readable one-line title.
     fn title(&self) -> &'static str;
 
-    /// Expands the configuration into pure simulation jobs. Experiments
-    /// that don't run the noise kernel (AC analyses, pure computations)
-    /// keep the default empty list.
+    /// Renders the artifact as the figure's text document.
+    fn render(&self, artifact: &Self::Artifact) -> String;
+
+    /// Runs the experiment end to end on `engine`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PdnError`] when a solve fails.
+    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<Self::Artifact, PdnError>;
+
+    /// Runs the experiment, settling failure instead of aborting. The
+    /// default wraps [`Experiment::run`]'s error; [`JobList`]
+    /// experiments instead run every job (see
+    /// [`Engine::run_jobs_settled`]) and report all captured faults.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExperimentFailure`] when any job or the assembly fails.
+    fn run_settled(
+        &self,
+        tb: &Testbed,
+        engine: &Engine,
+    ) -> Result<Self::Artifact, ExperimentFailure> {
+        self.run(tb, engine).map_err(ExperimentFailure::from)
+    }
+}
+
+/// An experiment whose whole job list is known before any job runs.
+/// Every `JobList` is an [`Experiment`] through the blanket impl below.
+pub trait JobList {
+    /// See [`Experiment::Artifact`].
+    type Artifact: Serialize;
+
+    /// See [`Experiment::id`].
+    fn id(&self) -> &'static str;
+
+    /// See [`Experiment::title`].
+    fn title(&self) -> &'static str;
+
+    /// Expands the configuration into pure simulation jobs.
     ///
     /// # Errors
     ///
     /// Returns [`PdnError`] when job construction requires a solve that
     /// fails.
-    fn jobs(&self, tb: &Testbed) -> Result<Vec<SimJob>, PdnError> {
-        let _ = tb;
-        Ok(Vec::new())
-    }
+    fn jobs(&self, tb: &Testbed) -> Result<Vec<SimJob>, PdnError>;
 
-    /// Folds solved outcomes (parallel to [`Experiment::jobs`]'s order)
+    /// Folds solved outcomes (parallel to [`JobList::jobs`]'s order)
     /// into the artifact.
     ///
     /// # Errors
@@ -130,36 +175,32 @@ pub trait Experiment {
         outcomes: &[Arc<NoiseOutcome>],
     ) -> Result<Self::Artifact, PdnError>;
 
-    /// Renders the artifact as the figure's text document.
+    /// See [`Experiment::render`].
     fn render(&self, artifact: &Self::Artifact) -> String;
+}
 
-    /// Runs the experiment end to end on an engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError`] when a solve fails.
-    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<Self::Artifact, PdnError> {
+impl<T: JobList> Experiment for T {
+    type Artifact = T::Artifact;
+
+    fn id(&self) -> &'static str {
+        JobList::id(self)
+    }
+
+    fn title(&self) -> &'static str {
+        JobList::title(self)
+    }
+
+    fn render(&self, artifact: &T::Artifact) -> String {
+        JobList::render(self, artifact)
+    }
+
+    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<T::Artifact, PdnError> {
         let jobs = self.jobs(tb)?;
         let outcomes = engine.run_jobs(&jobs)?;
         self.assemble(tb, &outcomes)
     }
 
-    /// Runs the experiment, settling job faults instead of aborting:
-    /// every failing job is captured (see
-    /// [`Engine::run_jobs_settled`]), and an experiment with any fault
-    /// returns an [`ExperimentFailure`] listing all of them. Experiments
-    /// that override [`Experiment::run`] with an adaptive flow should
-    /// override this too and route their custom flow's error through
-    /// `ExperimentFailure::from`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentFailure`] when any job or the assembly fails.
-    fn run_settled(
-        &self,
-        tb: &Testbed,
-        engine: &Engine,
-    ) -> Result<Self::Artifact, ExperimentFailure> {
+    fn run_settled(&self, tb: &Testbed, engine: &Engine) -> Result<T::Artifact, ExperimentFailure> {
         let jobs = self.jobs(tb).map_err(ExperimentFailure::from)?;
         let mut outcomes = Vec::with_capacity(jobs.len());
         let mut faults: Vec<JobFault> = Vec::new();
@@ -195,8 +236,8 @@ pub struct ExperimentOutput {
 }
 
 /// Runs an experiment on the settled path, additionally containing any
-/// panic that escapes the experiment itself (an override, `assemble`,
-/// or `render`) as an [`ExperimentFailure`]. This is the function the
+/// panic that escapes the experiment itself (its `run`, `assemble`, or
+/// `render`) as an [`ExperimentFailure`]. This is the function the
 /// full report uses: one broken experiment degrades to a fault-summary
 /// row instead of taking the whole document down.
 ///

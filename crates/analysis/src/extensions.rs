@@ -8,15 +8,14 @@
 //!    fully characterized chip;
 //! 4. the GA sequence search of §IV-C against the exhaustive funnel.
 
-use crate::experiment::{Experiment, ExperimentFailure};
+use crate::experiment::Experiment;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::{ga_search, select_candidates, GaConfig, GaOutcome};
 use voltnoise_system::dither::AlignmentComparison;
 use voltnoise_system::engine::Engine;
 use voltnoise_system::mitigation::{evaluate_governor, GovernorConfig, GovernorEvaluation};
-use voltnoise_system::noise::{NoiseOutcome, NoiseRunConfig};
+use voltnoise_system::noise::NoiseRunConfig;
 use voltnoise_system::scheduler::{
     replay, synthetic_trace, NaivePolicy, NoiseAwarePolicy, NoiseTable, ScheduleOutcome,
 };
@@ -107,8 +106,18 @@ pub struct ExtensionsExperiment {
     pub cfg: ExtensionsConfig,
 }
 
-impl ExtensionsExperiment {
-    fn study(&self, tb: &Testbed, engine: &Engine) -> Result<ExtensionsStudy, PdnError> {
+impl Experiment for ExtensionsExperiment {
+    type Artifact = ExtensionsStudy;
+
+    fn id(&self) -> &'static str {
+        "extensions"
+    }
+
+    fn title(&self) -> &'static str {
+        "Extensions: noise governor, dithering, noise-aware scheduling, GA search"
+    }
+
+    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<ExtensionsStudy, PdnError> {
         let cfg = &self.cfg;
         let run_cfg = NoiseRunConfig {
             window_s: Some(cfg.window_s),
@@ -116,7 +125,7 @@ impl ExtensionsExperiment {
         };
         let governor = evaluate_governor(tb, STIM_FREQ_HZ, &GovernorConfig::default(), &run_cfg)?;
         let alignment = AlignmentComparison::run(6, 16, cfg.alignment_intervals, 11);
-        let table = NoiseTable::characterize_on(engine, tb, STIM_FREQ_HZ, &run_cfg)?;
+        let table = NoiseTable::characterize(engine, tb, STIM_FREQ_HZ, &run_cfg)?;
         let trace = synthetic_trace(cfg.trace_jobs, 3.0);
         let naive = replay(&mut table.clone(), &NaivePolicy, &trace)?;
         let aware = replay(&mut table.clone(), &NoiseAwarePolicy::new(), &trace)?;
@@ -135,43 +144,8 @@ impl ExtensionsExperiment {
             exhaustive_evaluations: tb.search().after_ipc,
         })
     }
-}
-
-impl Experiment for ExtensionsExperiment {
-    type Artifact = ExtensionsStudy;
-
-    fn id(&self) -> &'static str {
-        "extensions"
-    }
-
-    fn title(&self) -> &'static str {
-        "Extensions: noise governor, dithering, noise-aware scheduling, GA search"
-    }
-
-    // jobs() stays empty: the characterization runs on the engine `run`
-    // is handed; a bare assemble runs it on a fresh one.
-
-    fn assemble(
-        &self,
-        tb: &Testbed,
-        _outcomes: &[Arc<NoiseOutcome>],
-    ) -> Result<ExtensionsStudy, PdnError> {
-        self.study(tb, &Engine::new())
-    }
 
     fn render(&self, artifact: &ExtensionsStudy) -> String {
         artifact.render()
-    }
-
-    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<ExtensionsStudy, PdnError> {
-        self.study(tb, engine)
-    }
-
-    fn run_settled(
-        &self,
-        tb: &Testbed,
-        engine: &Engine,
-    ) -> Result<ExtensionsStudy, ExperimentFailure> {
-        self.study(tb, engine).map_err(ExperimentFailure::from)
     }
 }

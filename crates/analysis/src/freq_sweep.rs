@@ -4,7 +4,7 @@
 //! frequencies — unsynchronized for Fig. 7a, TOD-synchronized for
 //! Fig. 9 — and reports per-core %p2p skitter readings.
 
-use crate::experiment::Experiment;
+use crate::experiment::JobList;
 use crate::render::Table;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -12,7 +12,7 @@ use voltnoise_pdn::ac::log_space;
 use voltnoise_pdn::topology::NUM_CORES;
 use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::SyncSpec;
-use voltnoise_system::engine::{Engine, SimJob};
+use voltnoise_system::engine::SimJob;
 use voltnoise_system::noise::{CoreLoad, NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::testbed::Testbed;
 
@@ -129,7 +129,7 @@ pub struct SweepExperiment {
     pub synced: bool,
 }
 
-impl Experiment for SweepExperiment {
+impl JobList for SweepExperiment {
     type Artifact = SweepResult;
 
     fn id(&self) -> &'static str {
@@ -206,28 +206,30 @@ impl Experiment for SweepExperiment {
     }
 }
 
-/// Runs the sweep on the shared engine. `sync` selects Fig. 9 (true) or
-/// Fig. 7a (false).
-///
-/// # Errors
-///
-/// Returns [`PdnError`] if a PDN solve fails.
-pub fn run_sweep(tb: &Testbed, cfg: &SweepConfig, sync: bool) -> Result<SweepResult, PdnError> {
-    SweepExperiment {
-        cfg: cfg.clone(),
-        synced: sync,
-    }
-    .run(tb, Engine::shared())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Experiment;
+    use std::sync::OnceLock;
+    use voltnoise_system::engine::Engine;
+
+    /// The reduced sweep, unsynchronized or synchronized, run once for
+    /// every test that reads it.
+    fn sweep(synced: bool) -> &'static SweepResult {
+        static CELLS: [OnceLock<SweepResult>; 2] = [OnceLock::new(), OnceLock::new()];
+        CELLS[usize::from(synced)].get_or_init(|| {
+            SweepExperiment {
+                cfg: SweepConfig::reduced(),
+                synced,
+            }
+            .run(Testbed::fast(), &Engine::new())
+            .expect("sweep runs")
+        })
+    }
 
     #[test]
     fn unsync_sweep_peaks_in_die_band() {
-        let tb = Testbed::fast();
-        let res = run_sweep(tb, &SweepConfig::reduced(), false).unwrap();
+        let res = sweep(false);
         let (f_peak, m_peak) = res.peak().expect("non-empty sweep");
         assert!(
             (1e6..5e6).contains(&f_peak),
@@ -240,10 +242,7 @@ mod tests {
 
     #[test]
     fn sync_sweep_exceeds_unsync_everywhere() {
-        let tb = Testbed::fast();
-        let cfg = SweepConfig::reduced();
-        let unsync = run_sweep(tb, &cfg, false).unwrap();
-        let synced = run_sweep(tb, &cfg, true).unwrap();
+        let (unsync, synced) = (sweep(false), sweep(true));
         for (u, s) in unsync.points.iter().zip(&synced.points) {
             assert!(
                 s.max_pct() > u.max_pct() + 8.0,
@@ -259,10 +258,7 @@ mod tests {
     fn sync_off_resonance_beats_unsync_resonance() {
         // The paper's key claim: synchronization matters more than
         // resonance (§V-B).
-        let tb = Testbed::fast();
-        let cfg = SweepConfig::reduced();
-        let unsync = run_sweep(tb, &cfg, false).unwrap();
-        let synced = run_sweep(tb, &cfg, true).unwrap();
+        let (unsync, synced) = (sweep(false), sweep(true));
         let unsync_peak = unsync.peak().expect("non-empty sweep").1;
         let sync_mid = synced.at(300e3).unwrap().max_pct();
         assert!(
@@ -283,10 +279,11 @@ mod tests {
 
     #[test]
     fn render_has_header_and_rows() {
-        let tb = Testbed::fast();
-        let mut cfg = SweepConfig::reduced();
-        cfg.freqs_hz.truncate(2);
-        let res = run_sweep(tb, &cfg, false).unwrap();
+        // The first two points are exactly a two-frequency sweep's.
+        let res = SweepResult {
+            synced: false,
+            points: sweep(false).points[..2].to_vec(),
+        };
         let text = res.render();
         assert!(text.contains("Fig. 7a"));
         assert_eq!(text.lines().filter(|l| !l.starts_with('#')).count(), 3);

@@ -3,9 +3,8 @@
 
 use crate::experiment::Experiment;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use voltnoise_pdn::PdnError;
-use voltnoise_system::noise::NoiseOutcome;
+use voltnoise_system::engine::Engine;
 use voltnoise_system::testbed::Testbed;
 
 /// Summary of the search funnel and its products.
@@ -90,11 +89,7 @@ impl Experiment for FunnelExperiment {
         "Fig. 5: maximum-power sequence search funnel"
     }
 
-    fn assemble(
-        &self,
-        tb: &Testbed,
-        _outcomes: &[Arc<NoiseOutcome>],
-    ) -> Result<FunnelSummary, PdnError> {
+    fn run(&self, tb: &Testbed, _engine: &Engine) -> Result<FunnelSummary, PdnError> {
         Ok(FunnelSummary::from_testbed(tb))
     }
 

@@ -5,14 +5,14 @@
 //! controller that tracks utilization against the static worst-case
 //! voltage setting.
 
-use crate::experiment::Experiment;
+use crate::experiment::JobList;
 use crate::render::Table;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use voltnoise_pdn::topology::NUM_CORES;
 use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::SyncSpec;
-use voltnoise_system::engine::{Engine, SimJob};
+use voltnoise_system::engine::SimJob;
 use voltnoise_system::guardband::{energy_saving, GuardbandController, GuardbandTable};
 use voltnoise_system::noise::{NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::testbed::Testbed;
@@ -136,7 +136,7 @@ impl GuardbandExperiment {
     }
 }
 
-impl Experiment for GuardbandExperiment {
+impl JobList for GuardbandExperiment {
     type Artifact = GuardbandStudy;
 
     fn id(&self) -> &'static str {
@@ -220,23 +220,11 @@ impl Experiment for GuardbandExperiment {
     }
 }
 
-/// Runs the study on the shared engine: characterize worst-case noise per
-/// active-core count, build the margin table, and evaluate controller
-/// savings.
-///
-/// # Errors
-///
-/// Returns [`PdnError`] if a PDN solve fails.
-pub fn run_guardband_study(
-    tb: &Testbed,
-    cfg: &GuardbandConfig,
-) -> Result<GuardbandStudy, PdnError> {
-    GuardbandExperiment { cfg: cfg.clone() }.run(tb, Engine::shared())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Experiment;
+    use voltnoise_system::engine::Engine;
 
     #[test]
     fn margins_grow_with_utilization_and_save_energy_when_idle() {
@@ -244,7 +232,7 @@ mod tests {
         let mut cfg = GuardbandConfig::reduced();
         // Keep the mapping enumeration small in tests.
         cfg.window_s = Some(30e-6);
-        let study = run_guardband_study(tb, &cfg).unwrap();
+        let study = GuardbandExperiment { cfg }.run(tb, &Engine::new()).unwrap();
         // Noise with all 6 cores far exceeds the idle baseline.
         assert!(study.worst_noise_v[6] > 2.0 * study.worst_noise_v[0].max(1e-3));
         // Margins monotone.

@@ -4,11 +4,10 @@ use crate::experiment::Experiment;
 use crate::render::Table;
 use crate::signal_summary::SignalSummary;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use voltnoise_pdn::ac::{log_space, AcAnalysis};
 use voltnoise_pdn::PdnError;
 use voltnoise_system::chip::Chip;
-use voltnoise_system::noise::NoiseOutcome;
+use voltnoise_system::engine::Engine;
 use voltnoise_system::testbed::Testbed;
 
 /// Impedance-profile configuration.
@@ -83,8 +82,8 @@ impl ImpedanceProfile {
     }
 }
 
-/// The Fig. 7b impedance-profile experiment: a pure AC analysis, so the
-/// job list stays empty and `assemble` computes directly.
+/// The Fig. 7b impedance-profile experiment: a pure AC analysis, so it
+/// runs without the engine.
 #[derive(Debug, Clone)]
 pub struct ImpedanceExperiment {
     /// The sweep configuration.
@@ -102,11 +101,7 @@ impl Experiment for ImpedanceExperiment {
         "Fig. 7b: die-level impedance profile"
     }
 
-    fn assemble(
-        &self,
-        tb: &Testbed,
-        _outcomes: &[Arc<NoiseOutcome>],
-    ) -> Result<ImpedanceProfile, PdnError> {
+    fn run(&self, tb: &Testbed, _engine: &Engine) -> Result<ImpedanceProfile, PdnError> {
         run_impedance(tb.chip(), &self.cfg)
     }
 

@@ -56,40 +56,30 @@ pub mod stats;
 pub mod table1;
 
 pub use ablation::{AblationConfig, AblationExperiment, AblationStudy};
-pub use delta_i::{run_delta_i, DeltaIConfig, DeltaIDataset, DeltaIExperiment, DeltaIView};
+pub use delta_i::{DeltaIConfig, DeltaIDataset, DeltaIExperiment, DeltaIView};
 pub use experiment::{
     find, registry, run_to_output_settled, Experiment, ExperimentFailure, ExperimentOutput,
-    RegistryEntry,
+    JobList, RegistryEntry,
 };
 pub use extensions::{ExtensionsConfig, ExtensionsExperiment, ExtensionsStudy};
-pub use freq_sweep::{run_sweep, SweepConfig, SweepExperiment, SweepResult};
+pub use freq_sweep::{SweepConfig, SweepExperiment, SweepResult};
 pub use funnel::{FunnelExperiment, FunnelSummary};
-pub use guardband_study::{
-    run_guardband_study, GuardbandConfig, GuardbandExperiment, GuardbandStudy,
-};
+pub use guardband_study::{GuardbandConfig, GuardbandExperiment, GuardbandStudy};
 pub use impedance::{run_impedance, ImpedanceConfig, ImpedanceExperiment, ImpedanceProfile};
-pub use mapping_gain::{
-    run_mapping_gain, MappingGainConfig, MappingGainExperiment, MappingGainResult,
-};
-pub use margin::{run_margin, MarginConfig, MarginExperiment, MarginResult};
-pub use misalignment::{run_misalignment, MisalignConfig, MisalignExperiment, MisalignResult};
+pub use mapping_gain::{MappingGainConfig, MappingGainExperiment, MappingGainResult};
+pub use margin::{MarginConfig, MarginExperiment, MarginResult};
+pub use misalignment::{MisalignConfig, MisalignExperiment, MisalignResult};
 pub use propagation::{
-    run_drawer_propagation, run_mapping_comparison, run_step_response, CorrelationAnalysis,
-    DrawerPropagation, DrawerPropagationExperiment, MappingComparison, MappingComparisonExperiment,
-    StepResponse, StepResponseExperiment,
+    run_step_response, CorrelationAnalysis, DrawerPropagation, DrawerPropagationExperiment,
+    MappingComparison, MappingComparisonExperiment, StepResponse, StepResponseExperiment,
 };
 pub use rack_map::{RackMapConfig, RackMapExperiment, RackMapResult};
-pub use report::{
-    full_report, full_report_on, full_report_with_telemetry, telemetry_section, ReportScale,
-};
+pub use report::{full_report, full_report_with_telemetry, telemetry_section, ReportScale};
 pub use resonance_entropy::{
-    run_resonance_entropy, ResonanceEntropy, ResonanceEntropyConfig, ResonanceEntropyExperiment,
-    ResonancePoint,
+    ResonanceEntropy, ResonanceEntropyConfig, ResonanceEntropyExperiment, ResonancePoint,
 };
-pub use rom_error::{
-    run_rom_error_study, RomErrorConfig, RomErrorExperiment, RomErrorRow, RomErrorStudy,
-};
-pub use scope_shot::{run_scope_shot, ScopeConfig, ScopeShot, ScopeShotExperiment};
+pub use rom_error::{RomErrorConfig, RomErrorExperiment, RomErrorRow, RomErrorStudy};
+pub use scope_shot::{ScopeConfig, ScopeShot, ScopeShotExperiment};
 pub use signal_summary::SignalSummary;
 pub use stats::CorrelationMatrix;
 pub use table1::{Table1, Table1Experiment};

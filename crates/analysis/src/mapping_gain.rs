@@ -3,14 +3,14 @@
 //! For every number of workloads 0–6, evaluate all core assignments and
 //! compare the best (lowest worst-case noise) against the worst mapping.
 
-use crate::experiment::Experiment;
+use crate::experiment::JobList;
 use crate::render::Table;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use voltnoise_pdn::topology::NUM_CORES;
 use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::SyncSpec;
-use voltnoise_system::engine::{Engine, SimJob};
+use voltnoise_system::engine::SimJob;
 use voltnoise_system::mapping::{MappingEvaluation, NoiseAwareMapper};
 use voltnoise_system::noise::{NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::testbed::Testbed;
@@ -144,7 +144,7 @@ impl MappingGainExperiment {
     }
 }
 
-impl Experiment for MappingGainExperiment {
+impl JobList for MappingGainExperiment {
     type Artifact = MappingGainResult;
 
     fn id(&self) -> &'static str {
@@ -207,26 +207,21 @@ impl Experiment for MappingGainExperiment {
     }
 }
 
-/// Runs the mapping-gain study on the shared engine.
-///
-/// # Errors
-///
-/// Returns [`PdnError`] if a PDN solve fails.
-pub fn run_mapping_gain(
-    tb: &Testbed,
-    cfg: &MappingGainConfig,
-) -> Result<MappingGainResult, PdnError> {
-    MappingGainExperiment { cfg: cfg.clone() }.run(tb, Engine::shared())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Experiment;
+    use voltnoise_system::engine::Engine;
+
+    fn run(cfg: MappingGainConfig) -> MappingGainResult {
+        MappingGainExperiment { cfg }
+            .run(Testbed::fast(), &Engine::new())
+            .expect("study runs")
+    }
 
     #[test]
     fn mid_counts_offer_mapping_gain() {
-        let tb = Testbed::fast();
-        let res = run_mapping_gain(tb, &MappingGainConfig::reduced()).unwrap();
+        let res = run(MappingGainConfig::reduced());
         for p in &res.points {
             assert!(p.worst_pct >= p.best_pct);
             // Paper: 2-4 workloads offer a couple of %p2p points.
@@ -242,15 +237,10 @@ mod tests {
 
     #[test]
     fn render_includes_counts() {
-        let tb = Testbed::fast();
-        let res = run_mapping_gain(
-            tb,
-            &MappingGainConfig {
-                counts: vec![2],
-                ..MappingGainConfig::reduced()
-            },
-        )
-        .unwrap();
+        let res = run(MappingGainConfig {
+            counts: vec![2],
+            ..MappingGainConfig::reduced()
+        });
         assert!(res.render().contains("2,"));
     }
 }

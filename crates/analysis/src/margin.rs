@@ -7,7 +7,7 @@
 //! extrapolated "worst-case customer code" line assumes unsynchronized
 //! events at 80 % of the maximum ΔI.
 
-use crate::experiment::{Experiment, ExperimentFailure};
+use crate::experiment::Experiment;
 use crate::render::Table;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -16,7 +16,7 @@ use voltnoise_pdn::topology::NUM_CORES;
 use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::{CompiledStressmark, SyncSpec};
 use voltnoise_system::engine::{Engine, SimJob};
-use voltnoise_system::noise::{CoreLoad, NoiseOutcome, NoiseRunConfig};
+use voltnoise_system::noise::{CoreLoad, NoiseRunConfig};
 use voltnoise_system::testbed::Testbed;
 
 /// Vmin campaign configuration.
@@ -197,7 +197,7 @@ fn vmin_of_loads(
 /// The Fig. 12 available-margin experiment.
 ///
 /// The Vmin descent adapts each next bias to the previous outcome, so the
-/// job list cannot be enumerated up front; this experiment overrides
+/// job list cannot be enumerated up front; this experiment implements
 /// [`Experiment::run`] and drives the engine directly, parallelizing over
 /// grid cells and the customer-code descent with [`Engine::par_map`]
 /// while each descent stays serial.
@@ -207,8 +207,18 @@ pub struct MarginExperiment {
     pub cfg: MarginConfig,
 }
 
-impl MarginExperiment {
-    fn campaign(&self, tb: &Testbed, engine: &Engine) -> Result<MarginResult, PdnError> {
+impl Experiment for MarginExperiment {
+    type Artifact = MarginResult;
+
+    fn id(&self) -> &'static str {
+        "fig12"
+    }
+
+    fn title(&self) -> &'static str {
+        "Fig. 12: available voltage margin (Vmin campaign)"
+    }
+
+    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<MarginResult, PdnError> {
         let cfg = &self.cfg;
         let path = tb.chip().config().critical_path;
         let mut grid: Vec<(f64, Option<u32>)> = Vec::new();
@@ -270,56 +280,10 @@ impl MarginExperiment {
             customer_margin_pct: rel(customer_bias),
         })
     }
-}
-
-impl Experiment for MarginExperiment {
-    type Artifact = MarginResult;
-
-    fn id(&self) -> &'static str {
-        "fig12"
-    }
-
-    fn title(&self) -> &'static str {
-        "Fig. 12: available voltage margin (Vmin campaign)"
-    }
-
-    // jobs() stays empty: the adaptive descent generates jobs on the fly.
-
-    fn assemble(
-        &self,
-        tb: &Testbed,
-        _outcomes: &[Arc<NoiseOutcome>],
-    ) -> Result<MarginResult, PdnError> {
-        self.campaign(tb, Engine::shared())
-    }
 
     fn render(&self, artifact: &MarginResult) -> String {
         artifact.render()
     }
-
-    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<MarginResult, PdnError> {
-        self.campaign(tb, engine)
-    }
-
-    // The default run_settled would route through the job-list path and
-    // assemble (which falls back to the shared engine); the adaptive
-    // campaign must keep driving the caller's engine instead.
-    fn run_settled(
-        &self,
-        tb: &Testbed,
-        engine: &Engine,
-    ) -> Result<MarginResult, ExperimentFailure> {
-        self.campaign(tb, engine).map_err(ExperimentFailure::from)
-    }
-}
-
-/// Runs the full margin campaign on the shared engine.
-///
-/// # Errors
-///
-/// Returns [`PdnError`] if a PDN solve fails.
-pub fn run_margin(tb: &Testbed, cfg: &MarginConfig) -> Result<MarginResult, PdnError> {
-    MarginExperiment { cfg: cfg.clone() }.run(tb, Engine::shared())
 }
 
 /// Rescales a stressmark's high-phase current so its ΔI becomes
@@ -337,7 +301,13 @@ mod tests {
 
     fn result() -> &'static MarginResult {
         static CELL: OnceLock<MarginResult> = OnceLock::new();
-        CELL.get_or_init(|| run_margin(Testbed::fast(), &MarginConfig::reduced()).expect("runs"))
+        CELL.get_or_init(|| {
+            MarginExperiment {
+                cfg: MarginConfig::reduced(),
+            }
+            .run(Testbed::fast(), &Engine::new())
+            .expect("runs")
+        })
     }
 
     #[test]

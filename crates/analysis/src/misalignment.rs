@@ -5,14 +5,14 @@
 //! for a maximum allowed misalignment the offsets are distributed evenly
 //! and all stressmark-to-core rotations are averaged.
 
-use crate::experiment::Experiment;
+use crate::experiment::JobList;
 use crate::render::Table;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use voltnoise_pdn::topology::NUM_CORES;
 use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::SyncSpec;
-use voltnoise_system::engine::{Engine, SimJob};
+use voltnoise_system::engine::SimJob;
 use voltnoise_system::noise::{CoreLoad, NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::testbed::Testbed;
 use voltnoise_system::tod::spread_offsets;
@@ -109,7 +109,7 @@ pub struct MisalignExperiment {
     pub cfg: MisalignConfig,
 }
 
-impl Experiment for MisalignExperiment {
+impl JobList for MisalignExperiment {
     type Artifact = MisalignResult;
 
     fn id(&self) -> &'static str {
@@ -178,23 +178,28 @@ impl Experiment for MisalignExperiment {
     }
 }
 
-/// Runs the misalignment sweep on the shared engine.
-///
-/// # Errors
-///
-/// Returns [`PdnError`] if a PDN solve fails.
-pub fn run_misalignment(tb: &Testbed, cfg: &MisalignConfig) -> Result<MisalignResult, PdnError> {
-    MisalignExperiment { cfg: cfg.clone() }.run(tb, Engine::shared())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Experiment;
+    use std::sync::OnceLock;
+    use voltnoise_system::engine::Engine;
+
+    fn run(cfg: MisalignConfig) -> MisalignResult {
+        MisalignExperiment { cfg }
+            .run(Testbed::fast(), &Engine::new())
+            .expect("sweep runs")
+    }
+
+    /// The reduced sweep, run once for every test that reads it.
+    fn reduced() -> &'static MisalignResult {
+        static CELL: OnceLock<MisalignResult> = OnceLock::new();
+        CELL.get_or_init(|| run(MisalignConfig::reduced()))
+    }
 
     #[test]
     fn misalignment_collapses_sync_bonus() {
-        let tb = Testbed::fast();
-        let res = run_misalignment(tb, &MisalignConfig::reduced()).unwrap();
+        let res = reduced();
         let aligned = res.points[0].mean_pct();
         let one_tick = res.points[1].mean_pct();
         let wide = res.points.last().unwrap().mean_pct();
@@ -210,8 +215,7 @@ mod tests {
 
     #[test]
     fn points_are_monotone_non_increasing_roughly() {
-        let tb = Testbed::fast();
-        let res = run_misalignment(tb, &MisalignConfig::reduced()).unwrap();
+        let res = reduced();
         for w in res.points.windows(2) {
             assert!(
                 w[1].mean_pct() <= w[0].mean_pct() + 2.0,
@@ -224,13 +228,11 @@ mod tests {
 
     #[test]
     fn render_lists_all_settings() {
-        let tb = Testbed::fast();
-        let cfg = MisalignConfig {
+        let res = run(MisalignConfig {
             max_ticks: vec![0, 10],
             rotations: 1,
             ..MisalignConfig::reduced()
-        };
-        let res = run_misalignment(tb, &cfg).unwrap();
+        });
         let text = res.render();
         assert!(text.contains("0.0,"));
         assert!(text.contains("625.0,"));

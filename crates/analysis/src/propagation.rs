@@ -1,8 +1,7 @@
 //! Inter-core noise propagation (paper §VI: Figs. 13a, 13b, 14).
 
 use crate::delta_i::DeltaIDataset;
-use crate::experiment::Experiment;
-use crate::experiment::ExperimentFailure;
+use crate::experiment::{Experiment, JobList};
 use crate::stats::CorrelationMatrix;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -257,9 +256,9 @@ fn mapping_from_cores(cores: &[usize]) -> Mapping {
 }
 
 /// The Fig. 13b step-propagation experiment. The raw transient solve
-/// bypasses the noise kernel, so the job list stays empty and `assemble`
-/// computes directly; `step_amps = None` sizes the step from the
-/// testbed's maximum stressmark.
+/// bypasses the noise kernel, so it runs without the engine;
+/// `step_amps = None` sizes the step from the testbed's maximum
+/// stressmark.
 #[derive(Debug, Clone)]
 pub struct StepResponseExperiment {
     /// Core receiving the ΔI step.
@@ -279,11 +278,7 @@ impl Experiment for StepResponseExperiment {
         "Fig. 13b: simulated dI step propagation to all cores"
     }
 
-    fn assemble(
-        &self,
-        tb: &Testbed,
-        _outcomes: &[Arc<NoiseOutcome>],
-    ) -> Result<StepResponse, PdnError> {
+    fn run(&self, tb: &Testbed, _engine: &Engine) -> Result<StepResponse, PdnError> {
         let amps = self
             .step_amps
             .unwrap_or_else(|| tb.max_stressmark(2.5e6, None).delta_i());
@@ -317,7 +312,7 @@ impl MappingComparisonExperiment {
     }
 }
 
-impl Experiment for MappingComparisonExperiment {
+impl JobList for MappingComparisonExperiment {
     type Artifact = MappingComparison;
 
     fn id(&self) -> &'static str {
@@ -412,8 +407,8 @@ impl DrawerPropagation {
 }
 
 /// The drawer chip-to-chip propagation experiment. Its solve routes
-/// through [`Engine::run_drawer`] (the engine's drawer memo), so repeat
-/// runs on a shared engine assemble from cache.
+/// through [`Engine::run_drawer`] (the engine's drawer memo), so a
+/// repeat run on the same engine answers from cache.
 #[derive(Debug, Clone)]
 pub struct DrawerPropagationExperiment {
     /// The drawer step configuration to run.
@@ -431,21 +426,6 @@ impl Experiment for DrawerPropagationExperiment {
         "Drawer study: dI step propagation across chips on a shared board PDN"
     }
 
-    /// Direct-solve fallback used only when the experiment is driven
-    /// through the default job pipeline (no engine in scope); the
-    /// overridden [`Experiment::run`] is the memoized path.
-    fn assemble(
-        &self,
-        _tb: &Testbed,
-        _outcomes: &[Arc<NoiseOutcome>],
-    ) -> Result<DrawerPropagation, PdnError> {
-        let outcome = DrawerJob::new(self.cfg.clone())?.solve()?;
-        Ok(DrawerPropagation {
-            config: self.cfg.clone(),
-            outcome,
-        })
-    }
-
     fn render(&self, artifact: &DrawerPropagation) -> String {
         artifact.render()
     }
@@ -458,47 +438,15 @@ impl Experiment for DrawerPropagationExperiment {
             outcome: (*outcome).clone(),
         })
     }
-
-    fn run_settled(
-        &self,
-        tb: &Testbed,
-        engine: &Engine,
-    ) -> Result<DrawerPropagation, ExperimentFailure> {
-        self.run(tb, engine).map_err(ExperimentFailure::from)
-    }
-}
-
-/// Runs the drawer propagation study on the shared engine.
-///
-/// # Errors
-///
-/// Returns [`PdnError`] if the PDN solve fails.
-pub fn run_drawer_propagation(cfg: &DrawerStepConfig) -> Result<DrawerPropagation, PdnError> {
-    DrawerPropagationExperiment { cfg: cfg.clone() }.run(Testbed::fast(), Engine::shared())
-}
-
-/// Runs the Fig. 14 comparison on the shared engine.
-///
-/// # Errors
-///
-/// Returns [`PdnError`] if a PDN solve fails.
-pub fn run_mapping_comparison(
-    tb: &Testbed,
-    stim_freq_hz: f64,
-) -> Result<MappingComparison, PdnError> {
-    MappingComparisonExperiment { stim_freq_hz }.run(tb, Engine::shared())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta_i::{run_delta_i, DeltaIConfig};
 
     #[test]
     fn correlation_detects_row_clusters() {
-        let tb = Testbed::fast();
-        let data = run_delta_i(tb, &DeltaIConfig::reduced()).unwrap();
-        let analysis = CorrelationAnalysis::from_dataset(&data);
+        let analysis = CorrelationAnalysis::from_dataset(crate::delta_i::tests::dataset());
         assert_eq!(analysis.cluster_a, vec![0, 2, 4], "{}", analysis.render());
         assert_eq!(analysis.cluster_b, vec![1, 3, 5]);
         assert!(analysis.mean_within > analysis.mean_between);
@@ -555,8 +503,11 @@ mod tests {
 
     #[test]
     fn clustered_mapping_is_noisier_than_split() {
-        let tb = Testbed::fast();
-        let cmp = run_mapping_comparison(tb, 2.5e6).unwrap();
+        let cmp = MappingComparisonExperiment {
+            stim_freq_hz: 2.5e6,
+        }
+        .run(Testbed::fast(), &Engine::new())
+        .unwrap();
         assert!(
             cmp.clustered_worst() > cmp.split_worst(),
             "clustered {:.1} vs split {:.1}",

@@ -20,7 +20,7 @@
 //! own trajectory), repeated studies answer from the memo, and a
 //! persistent store makes the whole campaign crash-resumable.
 
-use crate::experiment::{Experiment, ExperimentFailure};
+use crate::experiment::Experiment;
 use crate::render::Table;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -28,7 +28,7 @@ use voltnoise_pdn::topology::VariationSpec;
 use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::SyncSpec;
 use voltnoise_system::engine::Engine;
-use voltnoise_system::noise::{CoreLoad, NoiseOutcome, NoiseRunConfig};
+use voltnoise_system::noise::{CoreLoad, NoiseRunConfig};
 use voltnoise_system::rack::RackScenario;
 use voltnoise_system::scheduler::{
     replay, synthetic_trace, EngineNoiseModel, NaivePolicy, NoiseAwarePolicy, ScheduleOutcome,
@@ -168,8 +168,18 @@ pub struct RackMapExperiment {
     pub cfg: RackMapConfig,
 }
 
-impl RackMapExperiment {
-    fn campaign(&self, tb: &Testbed, engine: &Engine) -> Result<RackMapResult, PdnError> {
+impl Experiment for RackMapExperiment {
+    type Artifact = RackMapResult;
+
+    fn id(&self) -> &'static str {
+        "rack-map"
+    }
+
+    fn title(&self) -> &'static str {
+        "Rack study: noise-aware placement over a variated chip population"
+    }
+
+    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<RackMapResult, PdnError> {
         let cfg = &self.cfg;
         let rack = Arc::new(RackScenario::build(
             tb.chip(),
@@ -205,45 +215,9 @@ impl RackMapExperiment {
         result.assemble_recovery(cfg.safety_factor);
         Ok(result)
     }
-}
-
-impl Experiment for RackMapExperiment {
-    type Artifact = RackMapResult;
-
-    fn id(&self) -> &'static str {
-        "rack-map"
-    }
-
-    fn title(&self) -> &'static str {
-        "Rack study: noise-aware placement over a variated chip population"
-    }
-
-    // jobs() stays empty: the replay generates occupancy jobs on the fly.
-
-    fn assemble(
-        &self,
-        tb: &Testbed,
-        _outcomes: &[Arc<NoiseOutcome>],
-    ) -> Result<RackMapResult, PdnError> {
-        self.campaign(tb, Engine::shared())
-    }
 
     fn render(&self, artifact: &RackMapResult) -> String {
         artifact.render()
-    }
-
-    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<RackMapResult, PdnError> {
-        self.campaign(tb, engine)
-    }
-
-    // The adaptive replay must keep driving the caller's engine (the
-    // default settled path would fall back to the shared one).
-    fn run_settled(
-        &self,
-        tb: &Testbed,
-        engine: &Engine,
-    ) -> Result<RackMapResult, ExperimentFailure> {
-        self.campaign(tb, engine).map_err(ExperimentFailure::from)
     }
 }
 

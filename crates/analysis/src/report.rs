@@ -1,6 +1,6 @@
 //! Full-evaluation report: walks the experiment registry at a chosen
-//! scale on one shared [`Engine`] and assembles one text document with
-//! all the paper's tables and figures.
+//! scale on the one [`Engine`] it is handed and assembles one text
+//! document with all the paper's tables and figures.
 //!
 //! Because every entry runs through the same engine, overlapping
 //! campaigns deduplicate: Figs. 11a, 11b and 13a share one ΔI job set,
@@ -22,17 +22,9 @@ pub enum ReportScale {
     Reduced,
 }
 
-/// Generates the full evaluation report on a dedicated engine. A
-/// failing experiment does not abort the report: it is dropped from the
-/// document and listed in a trailing fault summary (see
-/// [`full_report_on`]).
-pub fn full_report(tb: &Testbed, scale: ReportScale) -> String {
-    full_report_on(tb, &Engine::new(), scale)
-}
-
-/// Generates the full evaluation report on a caller-provided engine
-/// (e.g. one with a persistent store attached, or a single-worker
-/// engine for determinism checks).
+/// Generates the full evaluation report on `engine` (e.g. one with a
+/// persistent store attached, or a single-worker engine for determinism
+/// checks).
 ///
 /// Experiments run on the settled path: a failing experiment does not
 /// abort the walk. Its figure section is omitted — the surviving
@@ -41,7 +33,7 @@ pub fn full_report(tb: &Testbed, scale: ReportScale) -> String {
 /// its captured fault(s). A fault-free report carries no summary
 /// section, so healthy output is byte-identical to what this function
 /// produced before the degraded path existed.
-pub fn full_report_on(tb: &Testbed, engine: &Engine, scale: ReportScale) -> String {
+pub fn full_report(tb: &Testbed, engine: &Engine, scale: ReportScale) -> String {
     let reduced = scale == ReportScale::Reduced;
     let mut out = String::with_capacity(64 * 1024);
     out.push_str("# voltnoise — full evaluation report\n\n");
@@ -85,7 +77,7 @@ pub fn full_report_with_telemetry(
     engine: &Engine,
     scale: ReportScale,
 ) -> (String, String) {
-    let report = full_report_on(tb, engine, scale);
+    let report = full_report(tb, engine, scale);
     let telemetry = telemetry_section(&engine.stats());
     (report, telemetry)
 }
@@ -100,7 +92,7 @@ fn quantiles_cell(h: &LogHistogram) -> String {
 /// Renders an engine's run statistics and aggregated solver telemetry
 /// as a report-style `#`-commented CSV table.
 ///
-/// This section never enters [`full_report_on`] output — it rides next
+/// This section never enters [`full_report`] output — it rides next
 /// to the report, in the same way store diagnostics do, so that figure
 /// bytes stay a pure function of the experiment content.
 pub fn telemetry_section(stats: &EngineStats) -> String {
@@ -158,7 +150,7 @@ mod tests {
     #[test]
     fn reduced_report_covers_every_artifact() {
         let tb = Testbed::fast();
-        let report = full_report(tb, ReportScale::Reduced);
+        let report = full_report(tb, &Engine::new(), ReportScale::Reduced);
         for marker in [
             "Table I", "Fig. 5", "Fig. 7a", "Fig. 7b", "Fig. 8", "Fig. 9", "Fig. 10", "Fig. 11a",
             "Fig. 11b", "Fig. 12", "Fig. 13a", "Fig. 13b", "Fig. 14", "Fig. 15", "§VII-B",
@@ -171,11 +163,11 @@ mod tests {
     #[test]
     fn telemetry_section_rides_alongside_not_inside() {
         let tb = Testbed::fast();
-        let engine = Engine::with_workers(2);
+        let engine = Engine::with_workers(2).with_trace(false);
         let (report, telemetry) = full_report_with_telemetry(tb, &engine, ReportScale::Reduced);
-        // The report half is exactly what full_report_on produces on an
+        // The report half is exactly what full_report produces on an
         // equivalent engine — telemetry never leaks into figure bytes.
-        let plain = full_report_on(tb, &Engine::with_workers(2), ReportScale::Reduced);
+        let plain = full_report(tb, &Engine::with_workers(2), ReportScale::Reduced);
         assert_eq!(report, plain);
         assert!(telemetry.starts_with("# Engine telemetry"));
         assert!(telemetry.contains("jobs_solved"));

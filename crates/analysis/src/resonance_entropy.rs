@@ -14,7 +14,7 @@
 //! collapses the min-entropy of the strongly periodic on-resonance
 //! signal far below its memoryless (MCV) estimate.
 
-use crate::experiment::Experiment;
+use crate::experiment::JobList;
 use crate::render::Table;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -25,7 +25,7 @@ use voltnoise_pdn::signal::{
 use voltnoise_pdn::topology::NUM_CORES;
 use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::SyncSpec;
-use voltnoise_system::engine::{Engine, SimJob};
+use voltnoise_system::engine::SimJob;
 use voltnoise_system::noise::{CoreLoad, NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::testbed::Testbed;
 
@@ -141,7 +141,7 @@ pub struct ResonanceEntropyExperiment {
     pub cfg: ResonanceEntropyConfig,
 }
 
-impl Experiment for ResonanceEntropyExperiment {
+impl JobList for ResonanceEntropyExperiment {
     type Artifact = ResonanceEntropy;
 
     fn id(&self) -> &'static str {
@@ -232,26 +232,28 @@ fn assess_trace(
     })
 }
 
-/// Runs the study on the shared engine.
-///
-/// # Errors
-///
-/// Returns [`PdnError`] if a solve or the signal pipeline fails.
-pub fn run_resonance_entropy(
-    tb: &Testbed,
-    cfg: &ResonanceEntropyConfig,
-) -> Result<ResonanceEntropy, PdnError> {
-    ResonanceEntropyExperiment { cfg: cfg.clone() }.run(tb, Engine::shared())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Experiment;
+    use std::sync::OnceLock;
+    use voltnoise_system::engine::Engine;
+
+    /// The reduced study, run once for every test that reads it.
+    fn study() -> &'static ResonanceEntropy {
+        static CELL: OnceLock<ResonanceEntropy> = OnceLock::new();
+        CELL.get_or_init(|| {
+            ResonanceEntropyExperiment {
+                cfg: ResonanceEntropyConfig::reduced(),
+            }
+            .run(Testbed::fast(), &Engine::new())
+            .expect("study runs")
+        })
+    }
 
     #[test]
     fn on_resonance_band_is_energetic_but_predictable() {
-        let tb = Testbed::fast();
-        let study = run_resonance_entropy(tb, &ResonanceEntropyConfig::reduced()).unwrap();
+        let study = study();
         assert_eq!(study.points.len(), 2);
         let on = &study.points[0]; // 2.5 MHz stimulus
         let off = &study.points[1]; // 300 kHz stimulus
@@ -282,9 +284,7 @@ mod tests {
 
     #[test]
     fn render_is_a_table_with_battery_note() {
-        let tb = Testbed::fast();
-        let study = run_resonance_entropy(tb, &ResonanceEntropyConfig::reduced()).unwrap();
-        let text = study.render();
+        let text = study().render();
         assert!(text.contains("resonance-entropy"));
         assert!(text.contains("h_min_bits"));
         assert!(text.contains("SP800-90B"));

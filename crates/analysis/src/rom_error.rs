@@ -10,12 +10,11 @@
 //! magnitude. Not part of the golden report — runnable on demand
 //! (`rom-error`) and exercised by the bench harness.
 
-use crate::experiment::{Experiment, ExperimentFailure};
+use crate::experiment::Experiment;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use voltnoise_pdn::{PdnError, RomSpec, SolveSpec};
 use voltnoise_system::engine::{DrawerJob, Engine};
-use voltnoise_system::noise::{DrawerStepConfig, DrawerStepOutcome, NoiseOutcome};
+use voltnoise_system::noise::{DrawerStepConfig, DrawerStepOutcome};
 use voltnoise_system::testbed::Testbed;
 
 /// Configuration of the ROM error study.
@@ -114,42 +113,9 @@ fn droop_gap(full: &DrawerStepOutcome, rom: &DrawerStepOutcome) -> f64 {
         )
 }
 
-fn assemble_study<F>(cfg: &RomErrorConfig, mut solve: F) -> Result<RomErrorStudy, PdnError>
-where
-    F: FnMut(DrawerStepConfig) -> Result<DrawerStepOutcome, PdnError>,
-{
-    let full = solve(DrawerStepConfig {
-        solve: SolveSpec::full(),
-        ..cfg.base.clone()
-    })?;
-    let mut rows = Vec::with_capacity(cfg.budgets_v.len());
-    for &budget_v in &cfg.budgets_v {
-        let spec = RomSpec {
-            budget_v,
-            ..RomSpec::default()
-        };
-        let rom = solve(DrawerStepConfig {
-            solve: SolveSpec::reduced(spec),
-            ..cfg.base.clone()
-        })?;
-        rows.push(RomErrorRow {
-            budget_v,
-            states: rom.rom_states,
-            calibrated_error_v: rom.rom_max_error_v,
-            droop_gap_v: droop_gap(&full, &rom),
-            steps: rom.steps,
-        });
-    }
-    Ok(RomErrorStudy {
-        config: cfg.clone(),
-        full,
-        rows,
-    })
-}
-
 /// The ROM error study experiment. Each (full or reduced) drawer solve
-/// routes through [`Engine::run_drawer`], so repeat runs on a shared
-/// engine assemble from the drawer memo.
+/// routes through [`Engine::run_drawer`], so a repeat run on the same
+/// engine answers from the drawer memo.
 #[derive(Debug, Clone)]
 pub struct RomErrorExperiment {
     /// The study configuration to run.
@@ -167,54 +133,71 @@ impl Experiment for RomErrorExperiment {
         "ROM study: macromodel error vs budget on the drawer step"
     }
 
-    /// Direct-solve fallback used only when the experiment is driven
-    /// through the default job pipeline (no engine in scope); the
-    /// overridden [`Experiment::run`] is the memoized path.
-    fn assemble(
-        &self,
-        _tb: &Testbed,
-        _outcomes: &[Arc<NoiseOutcome>],
-    ) -> Result<RomErrorStudy, PdnError> {
-        assemble_study(&self.cfg, |c| DrawerJob::new(c)?.solve())
+    fn run(&self, _tb: &Testbed, engine: &Engine) -> Result<RomErrorStudy, PdnError> {
+        let cfg = &self.cfg;
+        let solve = |spec: SolveSpec| -> Result<DrawerStepOutcome, PdnError> {
+            let job = DrawerJob::new(DrawerStepConfig {
+                solve: spec,
+                ..cfg.base.clone()
+            })?;
+            Ok((*engine.run_drawer(&job)?).clone())
+        };
+        let full = solve(SolveSpec::full())?;
+        let mut rows = Vec::with_capacity(cfg.budgets_v.len());
+        for &budget_v in &cfg.budgets_v {
+            let rom = solve(SolveSpec::reduced(RomSpec {
+                budget_v,
+                ..RomSpec::default()
+            }))?;
+            rows.push(RomErrorRow {
+                budget_v,
+                states: rom.rom_states,
+                calibrated_error_v: rom.rom_max_error_v,
+                droop_gap_v: droop_gap(&full, &rom),
+                steps: rom.steps,
+            });
+        }
+        Ok(RomErrorStudy {
+            config: cfg.clone(),
+            full,
+            rows,
+        })
     }
 
     fn render(&self, artifact: &RomErrorStudy) -> String {
         artifact.render()
     }
-
-    fn run(&self, _tb: &Testbed, engine: &Engine) -> Result<RomErrorStudy, PdnError> {
-        assemble_study(&self.cfg, |c| {
-            Ok((*engine.run_drawer(&DrawerJob::new(c)?)?).clone())
-        })
-    }
-
-    fn run_settled(
-        &self,
-        tb: &Testbed,
-        engine: &Engine,
-    ) -> Result<RomErrorStudy, ExperimentFailure> {
-        self.run(tb, engine).map_err(ExperimentFailure::from)
-    }
-}
-
-/// Runs the ROM error study on the shared engine.
-///
-/// # Errors
-///
-/// Returns [`PdnError`] if a solve fails or a budget cannot be met at
-/// the maximum permitted order ([`PdnError::RomBudget`]).
-pub fn run_rom_error_study(cfg: &RomErrorConfig) -> Result<RomErrorStudy, PdnError> {
-    RomErrorExperiment { cfg: cfg.clone() }.run(Testbed::fast(), Engine::shared())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The reduced study and a two-budget study sharing its full and
+    /// 1 mV solves, run once on one engine.
+    fn studies() -> &'static (RomErrorStudy, RomErrorStudy) {
+        static CELL: OnceLock<(RomErrorStudy, RomErrorStudy)> = OnceLock::new();
+        CELL.get_or_init(|| {
+            let engine = Engine::new();
+            let run = |cfg| {
+                RomErrorExperiment { cfg }
+                    .run(Testbed::fast(), &engine)
+                    .expect("study")
+            };
+            let reduced = RomErrorConfig::reduced();
+            let two_budgets = RomErrorConfig {
+                base: reduced.base.clone(),
+                budgets_v: vec![4e-3, 1e-3],
+            };
+            (run(reduced), run(two_budgets))
+        })
+    }
 
     #[test]
     fn reduced_study_meets_budgets_and_saves_steps() {
         let cfg = RomErrorConfig::reduced();
-        let study = run_rom_error_study(&cfg).expect("study");
+        let study = &studies().0;
         assert_eq!(study.rows.len(), cfg.budgets_v.len());
         for row in &study.rows {
             assert!(row.states > 0, "ROM path must report its order");
@@ -250,12 +233,7 @@ mod tests {
 
     #[test]
     fn tighter_budget_never_lowers_order() {
-        let base = RomErrorConfig::reduced().base;
-        let cfg = RomErrorConfig {
-            base,
-            budgets_v: vec![4e-3, 1e-3],
-        };
-        let study = run_rom_error_study(&cfg).expect("study");
+        let study = &studies().1;
         assert!(study.rows[1].states >= study.rows[0].states);
     }
 }

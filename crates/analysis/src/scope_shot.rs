@@ -2,14 +2,14 @@
 //! executing the maximum dI/dt stressmark near the die-band resonance —
 //! a 20 µs window plus one extracted stimulus period.
 
-use crate::experiment::Experiment;
+use crate::experiment::JobList;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use voltnoise_measure::scope::ScopeTrace;
 use voltnoise_pdn::topology::NUM_CORES;
 use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::SyncSpec;
-use voltnoise_system::engine::{Engine, SimJob};
+use voltnoise_system::engine::SimJob;
 use voltnoise_system::noise::{CoreLoad, NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::testbed::Testbed;
 
@@ -75,7 +75,7 @@ pub struct ScopeShotExperiment {
     pub cfg: ScopeConfig,
 }
 
-impl Experiment for ScopeShotExperiment {
+impl JobList for ScopeShotExperiment {
     type Artifact = ScopeShot;
 
     fn id(&self) -> &'static str {
@@ -132,24 +132,28 @@ impl Experiment for ScopeShotExperiment {
     }
 }
 
-/// Captures the Fig. 8 shots on the shared engine.
-///
-/// # Errors
-///
-/// Returns [`PdnError`] if the PDN solve fails, and propagates trace
-/// extraction failures as `InvalidTimebase`.
-pub fn run_scope_shot(tb: &Testbed, cfg: &ScopeConfig) -> Result<ScopeShot, PdnError> {
-    ScopeShotExperiment { cfg: cfg.clone() }.run(tb, Engine::shared())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Experiment;
+    use std::sync::OnceLock;
+    use voltnoise_system::engine::Engine;
+
+    /// The default Fig. 8 capture, run once for every test that reads it.
+    fn shot() -> &'static ScopeShot {
+        static CELL: OnceLock<ScopeShot> = OnceLock::new();
+        CELL.get_or_init(|| {
+            ScopeShotExperiment {
+                cfg: ScopeConfig::default(),
+            }
+            .run(Testbed::fast(), &Engine::new())
+            .expect("capture runs")
+        })
+    }
 
     #[test]
     fn shot_shows_periodic_noise_at_stimulus_frequency() {
-        let tb = Testbed::fast();
-        let shot = run_scope_shot(tb, &ScopeConfig::default()).unwrap();
+        let shot = shot();
         // Large peak-to-peak variations, repeating sinusoid-like form.
         assert!(
             shot.window.peak_to_peak() > 0.015,
@@ -168,9 +172,7 @@ mod tests {
 
     #[test]
     fn render_mentions_window_and_period() {
-        let tb = Testbed::fast();
-        let shot = run_scope_shot(tb, &ScopeConfig::default()).unwrap();
-        let text = shot.render();
+        let text = shot().render();
         assert!(text.contains("window:"));
         assert!(text.contains("single period:"));
     }

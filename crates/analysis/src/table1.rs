@@ -4,9 +4,8 @@
 use crate::experiment::Experiment;
 use crate::render::Table;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use voltnoise_pdn::PdnError;
-use voltnoise_system::noise::NoiseOutcome;
+use voltnoise_system::engine::Engine;
 use voltnoise_system::testbed::Testbed;
 use voltnoise_uarch::epi::EpiEntry;
 
@@ -94,7 +93,7 @@ impl Experiment for Table1Experiment {
         "Table I: EPI profile extremes"
     }
 
-    fn assemble(&self, tb: &Testbed, _outcomes: &[Arc<NoiseOutcome>]) -> Result<Table1, PdnError> {
+    fn run(&self, tb: &Testbed, _engine: &Engine) -> Result<Table1, PdnError> {
         Ok(Table1::from_testbed(tb))
     }
 

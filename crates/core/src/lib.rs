@@ -54,10 +54,11 @@ pub use voltnoise_uarch as uarch;
 /// The most common imports for working with the library.
 pub mod prelude {
     pub use voltnoise_analysis::{
-        find, full_report, registry, run_delta_i, run_impedance, run_mapping_gain, run_margin,
-        run_misalignment, run_scope_shot, run_sweep, CorrelationAnalysis, DeltaIConfig, Experiment,
-        ExperimentOutput, FunnelSummary, ImpedanceConfig, MappingGainConfig, MarginConfig,
-        MisalignConfig, RegistryEntry, ReportScale, ScopeConfig, SweepConfig, Table1,
+        find, full_report, registry, run_impedance, CorrelationAnalysis, DeltaIConfig,
+        DeltaIExperiment, DeltaIView, Experiment, ExperimentOutput, FunnelSummary, ImpedanceConfig,
+        MappingGainConfig, MappingGainExperiment, MarginConfig, MarginExperiment, MisalignConfig,
+        MisalignExperiment, RegistryEntry, ReportScale, ScopeConfig, ScopeShotExperiment,
+        SweepConfig, SweepExperiment, Table1,
     };
     pub use voltnoise_measure::{
         CriticalPath, PowerMeter, ScopeCapture, ScopeTrace, Skitter, SkitterConfig, VminConfig,

@@ -88,7 +88,7 @@ pub use signal::{
     markov_min_entropy, mcv_min_entropy, quantize, resample_uniform, rfft, trace_signature,
     welch_psd, EntropyReport, TraceSignature, WelchConfig, WelchPsd, WelchStream,
 };
-pub use telemetry::{set_trace, trace_enabled, PhaseTimes, SolverCounters};
+pub use telemetry::{PhaseTimes, SolverCounters};
 pub use topology::{
     ChipPdn, DrawerParams, DrawerPdn, PdnParams, RackParams, RackPdn, VariationSpec, NUM_CORES,
 };

@@ -10,13 +10,13 @@
 //! looks at the counters.
 //!
 //! Phase *timing* ([`PhaseTimes`]) is the opposite: wall-clock and
-//! therefore nondeterministic. It is only collected when tracing is
-//! enabled ([`trace_enabled`], i.e. `VOLTNOISE_TRACE` set to anything
-//! but `0`), costs two branch checks per step when disabled, and flows
-//! into diagnostics only — never into figures.
+//! therefore nondeterministic. It is only collected when the caller asks
+//! for it ([`crate::transient::TransientConfig::collect_phase_times`],
+//! which the system layer's engine sets from its own trace flag), costs
+//! two branch checks per step when disabled, and flows into diagnostics
+//! only — never into figures.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Exact work counters of one transient run (or an aggregate of many).
 ///
@@ -155,41 +155,6 @@ impl PhaseTimes {
     }
 }
 
-/// Tri-state trace flag: 0 = read `VOLTNOISE_TRACE` on first use,
-/// 1 = disabled, 2 = enabled.
-static TRACE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether wall-clock tracing is enabled for this process.
-///
-/// Resolved from the `VOLTNOISE_TRACE` environment variable on first
-/// call: unset, empty, or `0` means disabled (the default — figures are
-/// generated untraced); any other value enables it. The resolved value
-/// is cached; [`set_trace`] overrides it at any time.
-pub fn trace_enabled() -> bool {
-    match TRACE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            let on = std::env::var("VOLTNOISE_TRACE").is_ok_and(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0"
-            });
-            TRACE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Forces the process-wide trace flag, overriding `VOLTNOISE_TRACE`.
-///
-/// Exists for harnesses and tests that must compare traced and untraced
-/// runs within one process without racing on environment variables.
-/// Tracing affects diagnostics only — toggling it never changes any
-/// simulated result (an invariant the golden-output tests enforce).
-pub fn set_trace(enabled: bool) {
-    TRACE.store(if enabled { 2 } else { 1 }, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,13 +235,5 @@ mod tests {
             validate_ns: 4,
         });
         assert_eq!(p.total_ns(), 10);
-    }
-
-    #[test]
-    fn set_trace_overrides() {
-        set_trace(true);
-        assert!(trace_enabled());
-        set_trace(false);
-        assert!(!trace_enabled());
     }
 }

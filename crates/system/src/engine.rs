@@ -27,7 +27,11 @@
 //!
 //! The worker count defaults to [`std::thread::available_parallelism`]
 //! and can be overridden with the `VOLTNOISE_THREADS` environment
-//! variable (`VOLTNOISE_THREADS=1` forces serial execution).
+//! variable (`VOLTNOISE_THREADS=1` forces serial execution). Wall-clock
+//! tracing is a property of each engine: it defaults to the
+//! `VOLTNOISE_TRACE` environment variable read when the engine is built,
+//! and [`Engine::with_trace`] sets it explicitly, so a traced and an
+//! untraced engine can run side by side in one process.
 
 use crate::chip::Chip;
 use crate::fault::{panic_message, FaultInjector, FaultKind, InjectedFault, JobFault, RetryPolicy};
@@ -38,13 +42,13 @@ use crate::noise::{
 use crate::rack::{run_rack_noise, run_rack_noise_instrumented, RackScenario};
 use crate::site::SiteVec;
 use crate::store::{Fnv128, ResultStore};
-use crate::telemetry::{trace_enabled, EngineTelemetry};
+use crate::telemetry::EngineTelemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use voltnoise_pdn::signal::trace_signature;
 use voltnoise_pdn::topology::NUM_CORES;
@@ -451,7 +455,7 @@ impl DrawerJob {
     ///
     /// Returns [`PdnError`] when the PDN solve fails.
     pub fn solve(&self) -> Result<DrawerStepOutcome, PdnError> {
-        run_drawer_step_instrumented(&self.cfg).map(|(outcome, _)| outcome)
+        run_drawer_step_instrumented(&self.cfg, false).map(|(outcome, _)| outcome)
     }
 }
 
@@ -613,6 +617,9 @@ pub struct Engine {
     store: Option<ResultStore>,
     cancel: Option<CancelToken>,
     step_budget: Option<usize>,
+    /// Whether solves record wall-clock telemetry (job wall time and
+    /// per-phase solver time).
+    trace: bool,
     /// The memo: job digest → outcome or in-flight solve, sharded.
     memo: Vec<Mutex<HashMap<u128, Entry>>>,
     drawer_memo: Mutex<HashMap<String, Arc<DrawerStepOutcome>>>,
@@ -636,6 +643,7 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("workers", &self.workers)
+            .field("trace", &self.trace)
             .field("solves", &self.solves.load(Ordering::Relaxed))
             .field("cache_hits", &self.hits.load(Ordering::Relaxed))
             .field("faults", &self.faults.load(Ordering::Relaxed))
@@ -677,6 +685,19 @@ fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// Parses a `VOLTNOISE_TRACE` value: empty or `0` means untraced
+/// (figures are generated untraced); any other value enables tracing.
+fn parsed_trace(raw: &str) -> bool {
+    let v = raw.trim();
+    !v.is_empty() && v != "0"
+}
+
+/// Resolves the default trace flag from `VOLTNOISE_TRACE` (unset means
+/// untraced).
+fn default_trace() -> bool {
+    std::env::var("VOLTNOISE_TRACE").is_ok_and(|v| parsed_trace(&v))
+}
+
 impl Engine {
     /// An engine with the default worker count (see module docs). When
     /// `VOLTNOISE_STORE` names a path, the engine additionally opens a
@@ -696,7 +717,8 @@ impl Engine {
         engine
     }
 
-    /// An engine with an explicit worker count (≥ 1; 1 = serial).
+    /// An engine with an explicit worker count (≥ 1; 1 = serial). Its
+    /// trace flag is read from `VOLTNOISE_TRACE` here, once.
     pub fn with_workers(workers: usize) -> Engine {
         Engine {
             workers: workers.max(1),
@@ -705,6 +727,7 @@ impl Engine {
             store: None,
             cancel: None,
             step_budget: None,
+            trace: default_trace(),
             memo: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
@@ -779,12 +802,14 @@ impl Engine {
         self
     }
 
-    /// A process-wide shared engine: experiments routed through it share
-    /// one memo cache, so e.g. the Fig. 11a campaign feeds the Fig. 13a
-    /// correlation analysis without re-solving a single job.
-    pub fn shared() -> &'static Engine {
-        static CELL: OnceLock<Engine> = OnceLock::new();
-        CELL.get_or_init(Engine::new)
+    /// Turns wall-clock tracing on or off for this engine (builder
+    /// style), overriding `VOLTNOISE_TRACE`. Tracing fills the job-wall
+    /// and per-phase histograms of [`Engine::telemetry`]; it never
+    /// changes a solved value.
+    #[must_use]
+    pub fn with_trace(mut self, trace: bool) -> Engine {
+        self.trace = trace;
+        self
     }
 
     /// The engine's worker count.
@@ -883,7 +908,7 @@ impl Engine {
 
     /// A snapshot of the engine's aggregated solver telemetry. Solver
     /// work counters are always populated; the wall-clock histograms
-    /// only fill while tracing is enabled (`VOLTNOISE_TRACE`).
+    /// only fill on a traced engine (see [`Engine::with_trace`]).
     pub fn telemetry(&self) -> EngineTelemetry {
         *lock_recover(&self.telemetry)
     }
@@ -927,8 +952,8 @@ impl Engine {
         let inject_budget = job.cfg.max_steps.is_none() && self.step_budget.is_some();
         let inject_cancel = job.cfg.cancel.is_none() && self.cancel.is_some();
         let run = |cfg: &NoiseRunConfig| match &job.target {
-            JobTarget::Chip(chip) => run_noise_instrumented(chip, &job.loads, cfg),
-            JobTarget::Rack(rack) => run_rack_noise_instrumented(rack, &job.loads, cfg),
+            JobTarget::Chip(chip) => run_noise_instrumented(chip, &job.loads, cfg, self.trace),
+            JobTarget::Rack(rack) => run_rack_noise_instrumented(rack, &job.loads, cfg, self.trace),
         };
         if !inject_budget && !inject_cancel {
             return run(&job.cfg);
@@ -958,8 +983,8 @@ impl Engine {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit.clone());
         }
-        let wall_t0 = trace_enabled().then(Instant::now);
-        let (outcome, solve_tel) = run_drawer_step_instrumented(job.config())?;
+        let wall_t0 = self.trace.then(Instant::now);
+        let (outcome, solve_tel) = run_drawer_step_instrumented(job.config(), self.trace)?;
         let outcome = Arc::new(outcome);
         self.solves.fetch_add(1, Ordering::Relaxed);
         let wall_ns = wall_t0.map(|t0| t0.elapsed().as_nanos() as u64);
@@ -1042,7 +1067,7 @@ impl Engine {
         }
         // Wall-clock is only sampled while tracing: untraced solves pay
         // two branch checks, not two clock reads.
-        let wall_t0 = trace_enabled().then(Instant::now);
+        let wall_t0 = self.trace.then(Instant::now);
         let (mut outcome, solve_tel) = self.solve_job(job)?;
         if injected == Some(InjectedFault::NanOutcome) {
             outcome.pct_p2p[0] = f64::NAN;
@@ -2037,6 +2062,16 @@ mod tests {
         assert_eq!(parsed_workers("1"), Ok(1));
         assert_eq!(parsed_workers(" 8 "), Ok(8));
         assert_eq!(parsed_workers("32"), Ok(32));
+    }
+
+    #[test]
+    fn trace_flag_parses_the_env_convention_and_with_trace_overrides_it() {
+        assert!(!parsed_trace(""));
+        assert!(!parsed_trace(" 0 "));
+        assert!(parsed_trace("1"));
+        assert!(parsed_trace("yes"));
+        assert!(Engine::with_workers(1).with_trace(true).trace);
+        assert!(!Engine::with_workers(1).with_trace(false).trace);
     }
 
     #[test]

@@ -30,8 +30,9 @@
 //!   without re-solving (attach via `Engine::with_store` or the
 //!   `VOLTNOISE_STORE` environment variable);
 //! - [`telemetry`] — engine observability: always-on solver work
-//!   counters, trace-gated wall-clock histograms (`VOLTNOISE_TRACE`),
-//!   and the `VOLTNOISE_STATS_PATH` JSON export;
+//!   counters, wall-clock histograms gated by each engine's own trace
+//!   flag (`Engine::with_trace`, defaulting to `VOLTNOISE_TRACE`), and
+//!   the `VOLTNOISE_STATS_PATH` JSON export;
 //! - [`testbed`] — ISA + EPI profile + searched sequences + chip, cached
 //!   for experiments;
 //! - [`mapping`] — noise-aware workload mapping policy (§VII-A);
@@ -76,10 +77,7 @@ pub use engine::{
 };
 pub use fault::{FaultInjector, FaultKind, InjectedFault, JobFault, RetryPolicy};
 pub use guardband::{energy_saving, GuardbandController, GuardbandTable};
-pub use mapping::{
-    evaluate_all_mappings, evaluate_all_mappings_on, evaluate_mapping, mapping_job, naive_mapping,
-    MappingEvaluation, NoiseAwareMapper,
-};
+pub use mapping::{evaluate_all_mappings, naive_mapping, MappingEvaluation, NoiseAwareMapper};
 pub use mitigation::{evaluate_governor, GlobalNoiseGovernor, GovernorConfig, GovernorEvaluation};
 pub use noise::{
     run_drawer_step_instrumented, run_noise, run_noise_instrumented, CoreLoad, DrawerStepConfig,
@@ -93,10 +91,7 @@ pub use scheduler::{
 };
 pub use site::{Site, SiteSpace, SiteVec};
 pub use store::ResultStore;
-pub use telemetry::{
-    export_stats_json, set_trace, trace_enabled, EngineTelemetry, LogHistogram, PhaseTimes,
-    SolverCounters,
-};
+pub use telemetry::{export_stats_json, EngineTelemetry, LogHistogram, PhaseTimes, SolverCounters};
 pub use testbed::Testbed;
 pub use tod::{spread_offsets, TodSync};
 pub use workload::{

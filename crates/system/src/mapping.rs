@@ -41,42 +41,13 @@ impl MappingEvaluation {
     }
 }
 
-/// The [`SimJob`] that evaluates one mapping on the testbed's chip.
-pub fn mapping_job(
-    tb: &Testbed,
-    mapping: &Mapping,
-    stim_freq_hz: f64,
-    sync: Option<SyncSpec>,
-    cfg: &NoiseRunConfig,
-) -> SimJob {
-    let loads = tb.loads_of_mapping(mapping, stim_freq_hz, sync);
-    SimJob::new(std::sync::Arc::new(tb.chip().clone()), loads, cfg.clone())
-}
-
-/// Evaluates one mapping through the shared experiment engine (cached:
-/// re-evaluating a mapping is free).
-///
-/// # Errors
-///
-/// Returns [`PdnError`] when the PDN solve fails.
-pub fn evaluate_mapping(
-    tb: &Testbed,
-    mapping: &Mapping,
-    stim_freq_hz: f64,
-    sync: Option<SyncSpec>,
-    cfg: &NoiseRunConfig,
-) -> Result<MappingEvaluation, PdnError> {
-    let outcome = Engine::shared().run_one(&mapping_job(tb, mapping, stim_freq_hz, sync, cfg))?;
-    Ok(MappingEvaluation::from_outcome(mapping, &outcome))
-}
-
 /// Evaluates every mapping of `k` maximum-dI/dt workloads (rest idle)
-/// on an explicit engine, running the jobs in parallel.
+/// on `engine`, running the jobs in parallel.
 ///
 /// # Errors
 ///
 /// Returns [`PdnError`] when any PDN solve fails.
-pub fn evaluate_all_mappings_on(
+pub fn evaluate_all_mappings(
     engine: &Engine,
     tb: &Testbed,
     k_workloads: usize,
@@ -100,22 +71,6 @@ pub fn evaluate_all_mappings_on(
         .zip(&outcomes)
         .map(|(m, o)| MappingEvaluation::from_outcome(m, o))
         .collect())
-}
-
-/// Evaluates every mapping of `k` maximum-dI/dt workloads (rest idle)
-/// through the shared experiment engine.
-///
-/// # Errors
-///
-/// Returns [`PdnError`] when any PDN solve fails.
-pub fn evaluate_all_mappings(
-    tb: &Testbed,
-    k_workloads: usize,
-    stim_freq_hz: f64,
-    sync: Option<SyncSpec>,
-    cfg: &NoiseRunConfig,
-) -> Result<Vec<MappingEvaluation>, PdnError> {
-    evaluate_all_mappings_on(Engine::shared(), tb, k_workloads, stim_freq_hz, sync, cfg)
 }
 
 /// A mapping policy built from measured evaluations: picks the mapping
@@ -226,17 +181,13 @@ mod tests {
     #[test]
     fn end_to_end_single_mapping_evaluation() {
         let tb = Testbed::fast();
-        let e = evaluate_mapping(
-            tb,
-            &naive_mapping(2),
-            2.5e6,
-            None,
-            &NoiseRunConfig {
-                window_s: Some(30e-6),
-                ..NoiseRunConfig::default()
-            },
-        )
-        .unwrap();
+        let mapping = naive_mapping(2);
+        let cfg = NoiseRunConfig {
+            window_s: Some(30e-6),
+            ..NoiseRunConfig::default()
+        };
+        let job = SimJob::batch(tb.chip()).job(tb.loads_of_mapping(&mapping, 2.5e6, None), cfg);
+        let e = MappingEvaluation::from_outcome(&mapping, &Engine::new().run_one(&job).unwrap());
         assert!(e.worst_pct > 0.0 && e.worst_pct < 100.0);
         assert_eq!(e.per_core_pct[e.worst_core], e.worst_pct);
     }

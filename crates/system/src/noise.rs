@@ -442,15 +442,15 @@ pub fn run_noise(
     loads: &[CoreLoad],
     cfg: &NoiseRunConfig,
 ) -> Result<NoiseOutcome, PdnError> {
-    run_noise_instrumented(chip, loads, cfg).map(|(outcome, _)| outcome)
+    run_noise_instrumented(chip, loads, cfg, false).map(|(outcome, _)| outcome)
 }
 
 /// [`run_noise`] plus the solve's telemetry.
 ///
 /// Counters are collected unconditionally (they are integer tallies the
-/// solver maintains anyway); phase wall-clock timing is enabled only
-/// when tracing is on ([`crate::telemetry::trace_enabled`]). The outcome
-/// is identical to what [`run_noise`] returns — telemetry rides
+/// solver maintains anyway); phase wall-clock timing is collected only
+/// when `trace` is set (the engine passes its own trace flag). The
+/// outcome is identical to what [`run_noise`] returns — telemetry rides
 /// alongside, never inside.
 ///
 /// # Errors
@@ -460,8 +460,9 @@ pub fn run_noise_instrumented(
     chip: &Chip,
     loads: &[CoreLoad],
     cfg: &NoiseRunConfig,
+    trace: bool,
 ) -> Result<(NoiseOutcome, SolveTelemetry), PdnError> {
-    run_view_noise_instrumented(&ScenarioView::of_chip(chip), loads, cfg)
+    run_view_noise_instrumented(&ScenarioView::of_chip(chip), loads, cfg, trace)
 }
 
 /// The topology-blind noise kernel: one transient solve of `view`'s
@@ -477,6 +478,7 @@ pub(crate) fn run_view_noise_instrumented(
     view: &ScenarioView<'_>,
     loads: &[CoreLoad],
     cfg: &NoiseRunConfig,
+    trace: bool,
 ) -> Result<(NoiseOutcome, SolveTelemetry), PdnError> {
     let n = view.core_nodes.len();
     if loads.len() != n {
@@ -499,7 +501,7 @@ pub(crate) fn run_view_noise_instrumented(
     let drive = MultiCoreDrive::new(waves);
 
     let mut tc = transient_config(loads, cfg);
-    tc.collect_phase_times = crate::telemetry::trace_enabled();
+    tc.collect_phase_times = trace;
     let mut solver = view.pdn.solver(cfg.solve.backend)?;
     let mut probes: Vec<Probe> = view
         .core_nodes
@@ -735,7 +737,8 @@ impl Drive for DrawerStepDrive {
 /// Runs one drawer step experiment and returns the outcome plus solver
 /// telemetry. A default-sized drawer (6 chips, 200+ unknowns) sits past
 /// [`voltnoise_pdn::SPARSE_THRESHOLD`], so this is the workspace's
-/// standing exercise of the sparse solver path.
+/// standing exercise of the sparse solver path. Phase wall-clock
+/// timing is collected only when `trace` is set.
 ///
 /// # Errors
 ///
@@ -743,6 +746,7 @@ impl Drive for DrawerStepDrive {
 /// non-positive window, bad electrical values) or a failed solve.
 pub fn run_drawer_step_instrumented(
     cfg: &DrawerStepConfig,
+    trace: bool,
 ) -> Result<(DrawerStepOutcome, SolveTelemetry), PdnError> {
     if cfg.source_chip >= cfg.drawer.chips {
         return Err(PdnError::UnknownNode {
@@ -804,7 +808,7 @@ pub fn run_drawer_step_instrumented(
             tc.h_fine = 0.5e-9;
             tc.settle = 0.0;
             tc.record_decimation = Some(1);
-            tc.collect_phase_times = crate::telemetry::trace_enabled();
+            tc.collect_phase_times = trace;
             let mut solver = TransientSolver::with_backend(drawer.netlist(), cfg.solve.backend)?;
             let res = solver.run(&drive, &probes, &tc)?;
             let telemetry = SolveTelemetry {
@@ -948,7 +952,7 @@ mod tests {
             window_s: 2e-6,
             ..DrawerStepConfig::default()
         };
-        let (out, tel) = run_drawer_step_instrumented(&cfg).unwrap();
+        let (out, tel) = run_drawer_step_instrumented(&cfg, false).unwrap();
         assert_eq!(out.droop_depth_v.len(), cfg.drawer.chips);
         assert!(out.system_size > voltnoise_pdn::SPARSE_THRESHOLD);
         // The drawer exercises the sparse backend and reuses its
@@ -978,8 +982,8 @@ mod tests {
             solve: voltnoise_pdn::SolveSpec::reduced(voltnoise_pdn::RomSpec::default()),
             ..full_cfg.clone()
         };
-        let (full, _) = run_drawer_step_instrumented(&full_cfg).unwrap();
-        let (rom, rom_tel) = run_drawer_step_instrumented(&rom_cfg).unwrap();
+        let (full, _) = run_drawer_step_instrumented(&full_cfg, false).unwrap();
+        let (rom, rom_tel) = run_drawer_step_instrumented(&rom_cfg, false).unwrap();
         // The reduced path reports its order and calibrated error; the
         // full path reports zeros.
         assert_eq!(full.rom_states, 0);
@@ -1031,12 +1035,12 @@ mod tests {
             source_chip: 6,
             ..DrawerStepConfig::default()
         };
-        assert!(run_drawer_step_instrumented(&bad_chip).is_err());
+        assert!(run_drawer_step_instrumented(&bad_chip, false).is_err());
         let bad_core = DrawerStepConfig {
             source_core: NUM_CORES,
             ..DrawerStepConfig::default()
         };
-        assert!(run_drawer_step_instrumented(&bad_core).is_err());
+        assert!(run_drawer_step_instrumented(&bad_core, false).is_err());
     }
 
     #[test]

@@ -39,25 +39,12 @@ pub struct PopulationStudy {
 
 impl PopulationStudy {
     /// Runs the same per-core loads on `seeds.len()` chip instances
-    /// through the shared experiment engine.
+    /// through `engine`.
     ///
     /// # Errors
     ///
     /// Returns [`PdnError`] if a chip build or PDN solve fails.
     pub fn run(
-        seeds: &[u64],
-        loads: &[CoreLoad],
-        run_cfg: &NoiseRunConfig,
-    ) -> Result<Self, PdnError> {
-        PopulationStudy::run_on(Engine::shared(), seeds, loads, run_cfg)
-    }
-
-    /// [`PopulationStudy::run`] on an explicit engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError`] if a chip build or PDN solve fails.
-    pub fn run_on(
         engine: &Engine,
         seeds: &[u64],
         loads: &[CoreLoad],
@@ -161,7 +148,7 @@ mod tests {
             window_s: Some(30e-6),
             ..NoiseRunConfig::default()
         };
-        let study = PopulationStudy::run(&[0, 7, 21, 42], &loads(), &cfg).unwrap();
+        let study = PopulationStudy::run(&Engine::new(), &[0, 7, 21, 42], &loads(), &cfg).unwrap();
         // Chips agree broadly: the stressmark stresses them all...
         assert!(
             study.grand_mean() > 35.0,
@@ -183,7 +170,7 @@ mod tests {
             window_s: Some(25e-6),
             ..NoiseRunConfig::default()
         };
-        let study = PopulationStudy::run(&[0], &loads(), &cfg).unwrap();
+        let study = PopulationStudy::run(&Engine::new(), &[0], &loads(), &cfg).unwrap();
         assert!(study.std_pct.iter().all(|s| *s == 0.0));
         assert_eq!(study.seeds, vec![0]);
     }
@@ -194,7 +181,7 @@ mod tests {
             window_s: Some(25e-6),
             ..NoiseRunConfig::default()
         };
-        let study = PopulationStudy::run(&[0, 3], &loads(), &cfg).unwrap();
+        let study = PopulationStudy::run(&Engine::new(), &[0, 3], &loads(), &cfg).unwrap();
         let text = study.render();
         for i in 0..NUM_CORES {
             assert!(text.contains(&format!("core{i},")));
@@ -208,12 +195,12 @@ mod tests {
             window_s: Some(8e-6),
             ..NoiseRunConfig::default()
         };
-        let first = PopulationStudy::run_on(&engine, &[0, 7], &loads(), &cfg).unwrap();
+        let first = PopulationStudy::run(&engine, &[0, 7], &loads(), &cfg).unwrap();
         let solved = engine.stats().solves;
         assert_eq!(solved, 2);
         // A second study over an overlapping population only solves the
         // new seed.
-        let second = PopulationStudy::run_on(&engine, &[0, 7, 21], &loads(), &cfg).unwrap();
+        let second = PopulationStudy::run(&engine, &[0, 7, 21], &loads(), &cfg).unwrap();
         assert_eq!(engine.stats().solves, solved + 1);
         assert_eq!(second.seeds.len(), 3);
         assert!(first.grand_mean() > 0.0 && second.grand_mean() > 0.0);

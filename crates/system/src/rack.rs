@@ -216,7 +216,7 @@ pub fn run_rack_noise(
     loads: &[crate::noise::CoreLoad],
     cfg: &NoiseRunConfig,
 ) -> Result<NoiseOutcome, PdnError> {
-    run_rack_noise_instrumented(rack, loads, cfg).map(|(outcome, _)| outcome)
+    run_rack_noise_instrumented(rack, loads, cfg, false).map(|(outcome, _)| outcome)
 }
 
 /// [`run_rack_noise`] plus the solve's telemetry (the rack analogue of
@@ -229,8 +229,9 @@ pub fn run_rack_noise_instrumented(
     rack: &RackScenario,
     loads: &[crate::noise::CoreLoad],
     cfg: &NoiseRunConfig,
+    trace: bool,
 ) -> Result<(NoiseOutcome, SolveTelemetry), PdnError> {
-    crate::noise::run_view_noise_instrumented(&rack.view(), loads, cfg)
+    crate::noise::run_view_noise_instrumented(&rack.view(), loads, cfg, trace)
 }
 
 /// Builds the idle load set of a rack (every site idle).

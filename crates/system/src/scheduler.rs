@@ -217,7 +217,7 @@ impl NoiseTable {
     /// # Errors
     ///
     /// Returns [`PdnError`] if a PDN solve fails.
-    pub fn characterize_on(
+    pub fn characterize(
         engine: &Engine,
         tb: &Testbed,
         stim_freq_hz: f64,
@@ -748,7 +748,7 @@ mod tests {
             window_s: Some(20e-6),
             ..NoiseRunConfig::default()
         };
-        let mut table = NoiseTable::characterize_on(&Engine::new(), tb, 2.5e6, &run_cfg).unwrap();
+        let mut table = NoiseTable::characterize(&Engine::new(), tb, 2.5e6, &run_cfg).unwrap();
         assert!(table.noise_pct(&occ(0b111111)) > table.noise_pct(&occ(0b000001)));
         assert!(table.noise_pct(&occ(0)) < 10.0);
         // The aware policy on the real table avoids pairing row-mates
@@ -766,12 +766,12 @@ mod tests {
             window_s: Some(8e-6),
             ..NoiseRunConfig::default()
         };
-        let first = NoiseTable::characterize_on(&engine, tb, 2.5e6, &run_cfg).unwrap();
+        let first = NoiseTable::characterize(&engine, tb, 2.5e6, &run_cfg).unwrap();
         let solves_after_first = engine.stats().solves;
         assert_eq!(solves_after_first, 64);
         // Re-characterizing (e.g. another policy rebuilding its table)
         // answers every occupancy from the cache.
-        let second = NoiseTable::characterize_on(&engine, tb, 2.5e6, &run_cfg).unwrap();
+        let second = NoiseTable::characterize(&engine, tb, 2.5e6, &run_cfg).unwrap();
         assert_eq!(engine.stats().solves, solves_after_first);
         assert_eq!(first, second);
     }

@@ -8,8 +8,9 @@
 //!   aggregated — they are exact integer tallies, identical on every
 //!   machine, and cost a handful of adds per solved job.
 //! - **Wall-clock spans** (per-job wall time, per-phase solver time)
-//!   are nondeterministic and only recorded while tracing is enabled
-//!   ([`trace_enabled`], `VOLTNOISE_TRACE`). They land in fixed-bucket
+//!   are nondeterministic and only recorded by an engine built with
+//!   tracing on (`Engine::with_trace`, or `VOLTNOISE_TRACE` read when
+//!   the engine is built). They land in fixed-bucket
 //!   log-scale histograms so merging is associative, allocation-free
 //!   and cheap to snapshot.
 //!
@@ -22,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::Path;
 
-pub use voltnoise_pdn::telemetry::{set_trace, trace_enabled, PhaseTimes, SolverCounters};
+pub use voltnoise_pdn::telemetry::{PhaseTimes, SolverCounters};
 
 /// Number of histogram buckets. Bucket `i` covers `[2^i, 2^(i+1))`
 /// nanoseconds (bucket 0 additionally holds zero), so 32 buckets span

@@ -10,6 +10,7 @@ use voltnoise::prelude::*;
 
 fn main() {
     let tb = Testbed::shared();
+    let engine = Engine::new();
 
     println!("== Fig. 7b: impedance profile ==");
     let prof = run_impedance(tb.chip(), &ImpedanceConfig::reduced()).expect("AC sweep");
@@ -18,9 +19,15 @@ fn main() {
     }
 
     println!("\n== Figs. 7a / 9: noise vs stimulus frequency ==");
-    let cfg = SweepConfig::reduced();
-    let unsync = run_sweep(tb, &cfg, false).expect("sweep");
-    let synced = run_sweep(tb, &cfg, true).expect("sweep");
+    let sweep = |synced| {
+        SweepExperiment {
+            cfg: SweepConfig::reduced(),
+            synced,
+        }
+        .run(tb, &engine)
+        .expect("sweep")
+    };
+    let (unsync, synced) = (sweep(false), sweep(true));
     println!("  freq_hz      unsync_max  sync_max");
     for (u, s) in unsync.points.iter().zip(&synced.points) {
         println!(
@@ -35,11 +42,19 @@ fn main() {
     println!("  unsync peak {mu:.1} %p2p at {fu:.3e} Hz; sync peak {ms:.1} %p2p at {fs:.3e} Hz");
 
     println!("\n== Fig. 8: oscilloscope shot at the resonant band ==");
-    let shot = run_scope_shot(tb, &ScopeConfig::default()).expect("scope capture");
+    let shot = ScopeShotExperiment {
+        cfg: ScopeConfig::default(),
+    }
+    .run(tb, &engine)
+    .expect("scope capture");
     print!("{}", shot.render());
 
     println!("== Fig. 10: misalignment sensitivity ==");
-    let mis = run_misalignment(tb, &MisalignConfig::reduced()).expect("misalignment sweep");
+    let mis = MisalignExperiment {
+        cfg: MisalignConfig::reduced(),
+    }
+    .run(tb, &engine)
+    .expect("misalignment sweep");
     for p in &mis.points {
         println!(
             "  max misalignment {:6.1} ns -> {:.1} %p2p",

@@ -14,7 +14,9 @@ fn main() {
         event_counts: vec![Some(1), Some(16), Some(1000), None],
         ..MarginConfig::paper()
     };
-    let res = run_margin(tb, &cfg).expect("margin campaign runs");
+    let res = MarginExperiment { cfg }
+        .run(tb, &Engine::new())
+        .expect("margin campaign runs");
     print!("{}", res.render());
     println!(
         "mean margin: synchronized {:.2} %, unsynchronized {:.2} % (paper: 0-2 % vs 5-7 %)",

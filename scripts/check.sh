@@ -16,6 +16,14 @@ echo "== cargo clippy (solver/engine library code, unwrap/expect are errors)"
 # still unwrap freely.
 cargo clippy -p voltnoise-pdn -p voltnoise-system --lib -- -D warnings
 
+echo "== no process-global engine or trace flag"
+# Engines are passed in and tracing is a per-engine field; a match here
+# reintroduces state that one test could leak into another.
+if grep -rnE "Engine::shared|set_trace|static TRACE|trace_enabled" crates tests examples; then
+    echo "process-global engine or trace flag found (see matches above)" >&2
+    exit 1
+fi
+
 echo "== cargo build --release && cargo test (the tier-1 command)"
 cargo build --release
 cargo test -q
@@ -42,6 +50,7 @@ echo "== server smoke test"
 scripts/server_smoke.sh
 
 echo "== wall-clock bounds (release; each binary's one ignored test runs alone)"
+# Alone so sibling tests do not compete for the cores the timings need.
 cargo test --release -q -p voltnoise --test telemetry --test signal -- --ignored
 
 echo "== voltbench smoke test (every workload once, full metric set)"

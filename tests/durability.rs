@@ -8,10 +8,10 @@
 #[path = "golden/mod.rs"]
 mod golden;
 
-use voltnoise::analysis::{full_report_on, registry, ReportScale};
+use voltnoise::analysis::{full_report, registry, ReportScale};
 use voltnoise::pdn::{CancelToken, PdnError};
 use voltnoise::prelude::*;
-use voltnoise::system::{set_trace, FaultKind, JobFault, NoiseOutcome, ResultStore, RetryPolicy};
+use voltnoise::system::{FaultKind, JobFault, NoiseOutcome, ResultStore, RetryPolicy};
 
 /// A unique temp path per test (one process may run many tests).
 fn temp_store(tag: &str) -> std::path::PathBuf {
@@ -231,7 +231,7 @@ fn budget_faults_render_in_the_report_fault_summary() {
     let tb = Testbed::fast();
     // A 10-step budget fails every experiment's first job deterministically.
     let strict = Engine::with_workers(2).with_step_budget(10);
-    let report = full_report_on(tb, &strict, ReportScale::Reduced);
+    let report = full_report(tb, &strict, ReportScale::Reduced);
     assert!(
         report.contains("Fault summary"),
         "budget-starved report must carry a fault summary"
@@ -251,7 +251,7 @@ fn interrupted_report_campaign_resumes_byte_identically() {
 
     // The uninterrupted baseline.
     let baseline_engine = Engine::with_workers(2);
-    let baseline = full_report_on(tb, &baseline_engine, ReportScale::Reduced);
+    let baseline = full_report(tb, &baseline_engine, ReportScale::Reduced);
 
     // First process: run only the first few experiments, then "crash".
     let first = Engine::with_workers(2).with_store(&path).unwrap();
@@ -264,7 +264,7 @@ fn interrupted_report_campaign_resumes_byte_identically() {
 
     // Second process: the full report, resumed over the same store.
     let second = Engine::with_workers(2).with_store(&path).unwrap();
-    let resumed = full_report_on(tb, &second, ReportScale::Reduced);
+    let resumed = full_report(tb, &second, ReportScale::Reduced);
     assert_eq!(resumed, baseline, "resumed report must be byte-identical");
     assert_eq!(
         second.store_hits(),
@@ -292,14 +292,16 @@ fn report_bytes_are_identical_traced_untraced_and_resumed() {
 
     // Untraced baseline — itself pinned to the shared golden file, so
     // this guard anchors to the same bytes the solver-core suite does.
-    set_trace(false);
-    let baseline = full_report_on(tb, &Engine::with_workers(2), ReportScale::Reduced);
+    let baseline = full_report(
+        tb,
+        &Engine::with_workers(2).with_trace(false),
+        ReportScale::Reduced,
+    );
     golden::assert_golden("full_report_reduced.txt", &baseline);
 
     // Traced run, fresh engine: every solve carries phase timing.
-    set_trace(true);
-    let traced_engine = Engine::with_workers(2);
-    let traced = full_report_on(tb, &traced_engine, ReportScale::Reduced);
+    let traced_engine = Engine::with_workers(2).with_trace(true);
+    let traced = full_report(tb, &traced_engine, ReportScale::Reduced);
     assert!(
         traced_engine.telemetry().job_wall.count() > 0,
         "setup: the traced run must actually have recorded wall times"
@@ -313,14 +315,19 @@ fn report_bytes_are_identical_traced_untraced_and_resumed() {
     // report served largely from disk — still byte-identical, even
     // though this engine's stats (solves, store hits, histograms) are
     // nothing like the baseline engine's.
-    let first = Engine::with_workers(2).with_store(&path).unwrap();
+    let first = Engine::with_workers(2)
+        .with_trace(true)
+        .with_store(&path)
+        .unwrap();
     for entry in registry().iter().filter(|e| e.in_report).take(3) {
         let _ = entry.run_settled(tb, &first, true);
     }
     drop(first);
-    let second = Engine::with_workers(2).with_store(&path).unwrap();
-    let resumed = full_report_on(tb, &second, ReportScale::Reduced);
-    set_trace(false);
+    let second = Engine::with_workers(2)
+        .with_trace(true)
+        .with_store(&path)
+        .unwrap();
+    let resumed = full_report(tb, &second, ReportScale::Reduced);
     assert!(second.store_hits() > 0, "setup: resume must hit the store");
     assert_eq!(
         resumed, baseline,

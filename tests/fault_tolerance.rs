@@ -3,7 +3,7 @@
 //! turn numerical blow-ups into typed errors, and the full report
 //! degrades gracefully instead of aborting.
 
-use voltnoise::analysis::{full_report_on, registry, ReportScale};
+use voltnoise::analysis::{full_report, registry, ReportScale};
 use voltnoise::pdn::netlist::{Netlist, NodeId};
 use voltnoise::pdn::transient::{Drive, Probe, TransientConfig, TransientSolver};
 use voltnoise::pdn::PdnError;
@@ -312,7 +312,7 @@ fn degraded_report_renders_healthy_figures_and_fault_summary() {
 
     // Pass 2 (injected): the report must still complete.
     let engine = Engine::new().with_injector(injector);
-    let report = full_report_on(tb, &engine, ReportScale::Reduced);
+    let report = full_report(tb, &engine, ReportScale::Reduced);
     assert_eq!(engine.faults(), targets.len());
 
     assert!(

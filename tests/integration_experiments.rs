@@ -2,20 +2,29 @@
 //! reduced scale in one place.
 
 use voltnoise::analysis::{
-    run_delta_i, run_mapping_comparison, run_misalignment, run_step_response, run_sweep,
-    CorrelationAnalysis, DeltaIConfig, MisalignConfig, SweepConfig, Table1,
+    run_step_response, CorrelationAnalysis, DeltaIConfig, DeltaIExperiment, DeltaIView,
+    GuardbandConfig, GuardbandExperiment, MappingComparisonExperiment, MisalignConfig,
+    MisalignExperiment, SweepConfig, SweepExperiment, Table1,
 };
 use voltnoise::prelude::*;
 
 #[test]
 fn headline_claims_hold_together() {
     let tb = Testbed::fast();
-    let sweep_cfg = SweepConfig::reduced();
+    let engine = Engine::new();
+    let sweep = |synced| {
+        SweepExperiment {
+            cfg: SweepConfig::reduced(),
+            synced,
+        }
+        .run(tb, &engine)
+        .unwrap()
+    };
 
     // (a) Resonant bands exist and sit where the impedance profile says.
     let prof = run_impedance(tb.chip(), &ImpedanceConfig::reduced()).unwrap();
     let (f_die, _) = prof.die_band().unwrap();
-    let unsync = run_sweep(tb, &sweep_cfg, false).unwrap();
+    let unsync = sweep(false);
     let (f_noise_peak, _) = unsync.peak().expect("non-empty sweep");
     assert!(
         (f_noise_peak / f_die).log2().abs() < 1.5,
@@ -23,11 +32,15 @@ fn headline_claims_hold_together() {
     );
 
     // (b) Synchronization beats resonance.
-    let synced = run_sweep(tb, &sweep_cfg, true).unwrap();
+    let synced = sweep(true);
     assert!(synced.at(45e3).unwrap().max_pct() > unsync.peak().expect("non-empty sweep").1);
 
     // (c) 62.5 ns misalignment collapses most of the sync bonus.
-    let mis = run_misalignment(tb, &MisalignConfig::reduced()).unwrap();
+    let mis = MisalignExperiment {
+        cfg: MisalignConfig::reduced(),
+    }
+    .run(tb, &engine)
+    .unwrap();
     let bonus = mis.points[0].mean_pct() - mis.points.last().unwrap().mean_pct();
     let after_one_tick = mis.points[0].mean_pct() - mis.points[1].mean_pct();
     assert!(
@@ -39,9 +52,15 @@ fn headline_claims_hold_together() {
 #[test]
 fn propagation_claims_hold_together() {
     let tb = Testbed::fast();
+    let engine = Engine::new();
 
     // Clusters from the ΔI campaign match the floorplan rows...
-    let data = run_delta_i(tb, &DeltaIConfig::reduced()).unwrap();
+    let data = DeltaIExperiment {
+        cfg: DeltaIConfig::reduced(),
+        view: DeltaIView::Correlation,
+    }
+    .run(tb, &engine)
+    .unwrap();
     let corr = CorrelationAnalysis::from_dataset(&data);
     assert_eq!(corr.cluster_a, vec![0, 2, 4]);
 
@@ -53,7 +72,11 @@ fn propagation_claims_hold_together() {
     assert!(same > cross);
 
     // ...and with the mapping comparison (Fig. 14).
-    let cmp = run_mapping_comparison(tb, 2.5e6).unwrap();
+    let cmp = MappingComparisonExperiment {
+        stim_freq_hz: 2.5e6,
+    }
+    .run(tb, &engine)
+    .unwrap();
     assert!(cmp.clustered_worst() > cmp.split_worst());
 }
 
@@ -77,6 +100,7 @@ fn noise_aware_mapping_reduces_worst_case() {
         ..NoiseRunConfig::default()
     };
     let evals = voltnoise::system::evaluate_all_mappings(
+        &Engine::new(),
         tb,
         3,
         2.5e6,
@@ -102,10 +126,10 @@ fn noise_aware_mapping_reduces_worst_case() {
 fn guardband_margin_tracks_active_core_regions() {
     // Fig. 11a regions -> margins monotone in the active count.
     let tb = Testbed::fast();
-    let study = voltnoise::analysis::run_guardband_study(
-        tb,
-        &voltnoise::analysis::GuardbandConfig::reduced(),
-    )
+    let study = GuardbandExperiment {
+        cfg: GuardbandConfig::reduced(),
+    }
+    .run(tb, &Engine::new())
     .unwrap();
     assert!(study.margins_v[6] > study.margins_v[1]);
     let table = GuardbandTable::from_worst_case_noise(study.worst_noise_v, 1.1);

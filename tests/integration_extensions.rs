@@ -75,7 +75,7 @@ fn governor_dither_and_scheduler_compose() {
     assert!(cmp.dither_outcome.best_aligned_cores < 6);
 
     // The noise-aware scheduler needs no more margin than the naive one.
-    let table = NoiseTable::characterize_on(&Engine::new(), tb, 2.5e6, &run_cfg).unwrap();
+    let table = NoiseTable::characterize(&Engine::new(), tb, 2.5e6, &run_cfg).unwrap();
     let trace = synthetic_trace(50, 3.0);
     let naive = replay(&mut table.clone(), &NaivePolicy, &trace).unwrap();
     let aware = replay(&mut table.clone(), &NoiseAwarePolicy::new(), &trace).unwrap();
@@ -88,6 +88,7 @@ fn population_and_design_flows_run() {
     let sm = tb.max_stressmark(2.5e6, Some(SyncSpec::paper_default()));
     let loads: [CoreLoad; NUM_CORES] = std::array::from_fn(|_| CoreLoad::Stressmark(sm.clone()));
     let study = PopulationStudy::run(
+        &Engine::new(),
         &[0, 11],
         &loads,
         &NoiseRunConfig {

@@ -311,9 +311,9 @@ fn streaming_welch_wall_time_stays_within_bound_of_batch() {
 /// refactor (resonance experiments now route through `SignalSummary`).
 #[test]
 fn full_report_reduced_matches_golden() {
-    use voltnoise::analysis::{full_report_on, ReportScale};
+    use voltnoise::analysis::{full_report, ReportScale};
     use voltnoise::system::{Engine, Testbed};
-    let report = full_report_on(
+    let report = full_report(
         Testbed::fast(),
         &Engine::with_workers(2),
         ReportScale::Reduced,
@@ -326,8 +326,12 @@ fn full_report_reduced_matches_golden() {
 /// reviewable diff, not a silent number change.
 #[test]
 fn resonance_entropy_reduced_render_matches_golden() {
-    use voltnoise::analysis::{run_resonance_entropy, ResonanceEntropyConfig};
-    use voltnoise::system::Testbed;
-    let study = run_resonance_entropy(Testbed::fast(), &ResonanceEntropyConfig::reduced()).unwrap();
+    use voltnoise::analysis::{Experiment, ResonanceEntropyConfig, ResonanceEntropyExperiment};
+    use voltnoise::system::{Engine, Testbed};
+    let study = ResonanceEntropyExperiment {
+        cfg: ResonanceEntropyConfig::reduced(),
+    }
+    .run(Testbed::fast(), &Engine::new())
+    .unwrap();
     golden::assert_golden("resonance_entropy_reduced.txt", &study.render());
 }

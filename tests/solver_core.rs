@@ -400,9 +400,9 @@ fn rom_beats_the_full_order_transient_on_a_long_drawer_window() {
 
 #[test]
 fn full_report_reduced_is_byte_identical_to_golden() {
-    use voltnoise::analysis::{full_report_on, ReportScale};
+    use voltnoise::analysis::{full_report, ReportScale};
     use voltnoise::system::Testbed;
-    let report = full_report_on(
+    let report = full_report(
         Testbed::fast(),
         &Engine::with_workers(2),
         ReportScale::Reduced,

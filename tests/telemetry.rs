@@ -3,18 +3,17 @@
 //! stats round-trip through JSON, and — most importantly — telemetry is
 //! pure observation: toggling it never changes a single result bit.
 //!
-//! The one `#[ignore]`d test is a wall-clock bound, run in release by
-//! `scripts/check.sh` with `--ignored`; being the only test that run
-//! selects, it can flip the process-wide trace flag without racing.
+//! Tracing is a property of each engine, so traced and untraced engines
+//! share one process freely. The one `#[ignore]`d test is a wall-clock
+//! bound, run alone in release by `scripts/check.sh` with `--ignored` so
+//! sibling tests do not skew its timings.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use voltnoise::pdn::transient::{ConstantDrive, Probe, TransientConfig};
 use voltnoise::pdn::{Netlist, NodeId, TransientSolver};
 use voltnoise::prelude::*;
-use voltnoise::system::{
-    run_noise_instrumented, set_trace, EngineStats, LogHistogram, NoiseRunConfig,
-};
+use voltnoise::system::{run_noise_instrumented, EngineStats, LogHistogram, NoiseRunConfig};
 
 /// Six distinct (by seed) stressmark jobs on the fast testbed chip.
 fn test_jobs(tb: &Testbed, n: u64) -> Vec<SimJob> {
@@ -87,7 +86,7 @@ fn instrumented_noise_run_matches_plain_run() {
         ..NoiseRunConfig::default()
     };
     let plain = run_noise(tb.chip(), &loads, &cfg).unwrap();
-    let (instr, tel1) = run_noise_instrumented(tb.chip(), &loads, &cfg).unwrap();
+    let (instr, tel1) = run_noise_instrumented(tb.chip(), &loads, &cfg, false).unwrap();
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&instr).unwrap(),
@@ -105,7 +104,7 @@ fn instrumented_noise_run_matches_plain_run() {
         tel1.counters.factor_cache_hits + tel1.counters.lu_factorizations - tel1.counters.dc_solves,
         tel1.counters.steps
     );
-    let (_, tel2) = run_noise_instrumented(tb.chip(), &loads, &cfg).unwrap();
+    let (_, tel2) = run_noise_instrumented(tb.chip(), &loads, &cfg, false).unwrap();
     assert_eq!(
         tel1.counters, tel2.counters,
         "counters must be deterministic"
@@ -179,37 +178,40 @@ fn histogram_merge_property() {
     }
 }
 
-/// The one test allowed to flip the process-wide trace flag (the flag
-/// is global, so gating assertions and the on/off comparison must live
-/// in a single test to avoid racing siblings).
-///
-/// Untraced engines record no wall-clock samples; traced engines record
-/// one histogram sample per solve; and the outcomes are bit-identical
-/// either way.
+/// A traced and an untraced engine run the same jobs at the same time
+/// on two threads of one process: the trace flag belongs to each
+/// engine, so neither sees the other's setting. The untraced engine
+/// records no wall-clock samples, the traced one records one histogram
+/// sample per solve, and the outcomes are bit-identical either way.
 #[test]
 fn tracing_fills_histograms_without_changing_results() {
     let tb = Testbed::fast();
     let jobs = test_jobs(tb, 3);
+    let untraced = Engine::with_workers(2).with_trace(false);
+    let traced = Engine::with_workers(2).with_trace(true);
+    let (base, hot) = std::thread::scope(|s| {
+        let cold_run = s.spawn(|| untraced.run_jobs(&jobs).unwrap());
+        let hot_run = s.spawn(|| traced.run_jobs(&jobs).unwrap());
+        (cold_run.join().unwrap(), hot_run.join().unwrap())
+    });
 
-    set_trace(false);
-    let untraced = Engine::with_workers(2);
-    let base = untraced.run_jobs(&jobs).unwrap();
     let cold = untraced.telemetry();
     assert!(!cold.solver.is_zero(), "counters are always collected");
     assert!(cold.job_wall.is_empty(), "untraced: no wall samples");
     assert_eq!(cold.phase_ns.total_ns(), 0, "untraced: no phase time");
 
-    set_trace(true);
-    let traced = Engine::with_workers(2);
-    let hot = traced.run_jobs(&jobs).unwrap();
     let warm = traced.telemetry();
-    set_trace(false);
-
     assert_eq!(warm.solver, cold.solver, "counters ignore the trace flag");
-    assert_eq!(warm.job_wall.count(), jobs.len() as u64);
+    assert_eq!(traced.solves(), jobs.len(), "setup: every job solved fresh");
+    assert_eq!(
+        warm.job_wall.count(),
+        jobs.len() as u64,
+        "one sample per solve"
+    );
     assert_eq!(warm.step.count(), jobs.len() as u64);
     assert!(warm.phase_ns.total_ns() > 0, "traced: phase time recorded");
     assert!(warm.job_wall.p95().is_some());
+    assert_eq!(base.len(), hot.len());
     for (a, b) in base.iter().zip(&hot) {
         assert_eq!(
             serde_json::to_string(&**a).unwrap(),
@@ -239,8 +241,7 @@ fn tracing_overhead_stays_bounded_on_report_experiments() {
         let mut traced = Vec::with_capacity(RUNS);
         for _ in 0..RUNS {
             for (trace, samples) in [(false, &mut untraced), (true, &mut traced)] {
-                set_trace(trace);
-                let engine = Engine::with_workers(workers);
+                let engine = Engine::with_workers(workers).with_trace(trace);
                 let t0 = Instant::now();
                 entry.run(tb, &engine, true).unwrap();
                 samples.push(t0.elapsed().as_nanos());
@@ -259,7 +260,6 @@ fn tracing_overhead_stays_bounded_on_report_experiments() {
                 }
             }
         }
-        set_trace(false);
         untraced.sort_unstable();
         traced.sort_unstable();
         let ratio = traced[RUNS / 2] as f64 / untraced[RUNS / 2].max(1) as f64;
