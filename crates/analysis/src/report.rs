@@ -146,11 +146,21 @@ pub fn telemetry_section(stats: &EngineStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One untraced reduced report and its telemetry section, built once
+    /// per test binary.
+    fn reduced() -> &'static (String, String) {
+        static CELL: OnceLock<(String, String)> = OnceLock::new();
+        CELL.get_or_init(|| {
+            let engine = Engine::with_workers(2).with_trace(false);
+            full_report_with_telemetry(Testbed::fast(), &engine, ReportScale::Reduced)
+        })
+    }
 
     #[test]
     fn reduced_report_covers_every_artifact() {
-        let tb = Testbed::fast();
-        let report = full_report(tb, &Engine::new(), ReportScale::Reduced);
+        let (report, _) = reduced();
         for marker in [
             "Table I", "Fig. 5", "Fig. 7a", "Fig. 7b", "Fig. 8", "Fig. 9", "Fig. 10", "Fig. 11a",
             "Fig. 11b", "Fig. 12", "Fig. 13a", "Fig. 13b", "Fig. 14", "Fig. 15", "§VII-B",
@@ -162,13 +172,11 @@ mod tests {
 
     #[test]
     fn telemetry_section_rides_alongside_not_inside() {
-        let tb = Testbed::fast();
-        let engine = Engine::with_workers(2).with_trace(false);
-        let (report, telemetry) = full_report_with_telemetry(tb, &engine, ReportScale::Reduced);
-        // The report half is exactly what full_report produces on an
-        // equivalent engine — telemetry never leaks into figure bytes.
-        let plain = full_report(tb, &Engine::with_workers(2), ReportScale::Reduced);
-        assert_eq!(report, plain);
+        let (report, telemetry) = reduced();
+        // The report half is exactly the pinned plain report —
+        // telemetry never leaks into figure bytes.
+        let golden = include_str!("../../../tests/golden/full_report_reduced.txt");
+        assert!(*report == golden, "report differs from the golden report");
         assert!(telemetry.starts_with("# Engine telemetry"));
         assert!(telemetry.contains("jobs_solved"));
         assert!(telemetry.contains("solver_steps"));

@@ -90,11 +90,6 @@ impl Skitter {
         (c.nominal_position * ratio).clamp(0.0, c.taps as f64)
     }
 
-    /// Quantized (latched) edge position at supply voltage `v`.
-    pub fn latched_position(&self, v: f64) -> u32 {
-        self.edge_position(v).round() as u32
-    }
-
     /// Sticky-mode measurement over a stream of voltage samples: records
     /// every latch position an edge lands in and reports the spread.
     ///

@@ -9,7 +9,7 @@
 //! The solve path factors **once per frequency**: the stamped matrix
 //! depends only on `ω`, so any number of injection nodes at one
 //! frequency share a single factorization ([`AcAnalysis::impedance_batch`]
-//! solves them as one multi-RHS batch). On the sparse path the
+//! solves them as multi-RHS lanes, up to [`MAX_LANES`] at a time). On the sparse path the
 //! elimination order discovered at the first frequency is replayed at
 //! every later one (the pattern never changes), skipping the Markowitz
 //! search. Work is tallied in [`SolverCounters`] — telemetry only,
@@ -23,6 +23,7 @@ use crate::mna::{MnaSystem, SolverBackend, SystemPattern};
 use crate::netlist::{Netlist, NodeId};
 use crate::sparse::{CsrMatrix, EliminationOrder, SparseLu};
 use crate::telemetry::SolverCounters;
+use crate::transient::MAX_LANES;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -189,13 +190,14 @@ impl AcAnalysis {
         Ok(x)
     }
 
-    /// Self-impedances at several nodes for one frequency, solved as a
-    /// single multi-RHS batch against **one** factorization — the
-    /// "many injection ports, one matrix" case of a drawer
+    /// Self-impedances at several nodes for one frequency, solved as
+    /// multi-RHS lanes ([`Factorization::solve_lanes`], up to
+    /// [`MAX_LANES`] ports per solve) against **one** factorization —
+    /// the "many injection ports, one matrix" case of a drawer
     /// characterization sweep. Results are bitwise identical to calling
-    /// [`AcAnalysis::impedance_at`] per node (the batched triangular
-    /// solves preserve per-column operation order); only the work
-    /// differs: one factorization instead of `nodes.len()`.
+    /// [`AcAnalysis::impedance_at`] per node (every lane keeps the
+    /// single-RHS operation order); only the work differs: one
+    /// factorization instead of `nodes.len()`.
     ///
     /// # Errors
     ///
@@ -215,26 +217,29 @@ impl AcAnalysis {
             .collect::<Result<_, _>>()?;
         let factors = self.factor_at(freq_hz)?;
         let n = self.sys.size();
-        let k = idxs.len();
-        let mut rhs = vec![Complex::ZERO; n * k];
-        for (col, &idx) in idxs.iter().enumerate() {
-            rhs[col * n + idx] = -Complex::ONE;
+        let mut z = Vec::with_capacity(idxs.len());
+        for ports in idxs.chunks(MAX_LANES) {
+            let f = &factors;
+            match ports.len() {
+                1 => injection_lanes::<1>(f, n, ports, &mut z),
+                2 => injection_lanes::<2>(f, n, ports, &mut z),
+                3 => injection_lanes::<3>(f, n, ports, &mut z),
+                4 => injection_lanes::<4>(f, n, ports, &mut z),
+                5 => injection_lanes::<5>(f, n, ports, &mut z),
+                6 => injection_lanes::<6>(f, n, ports, &mut z),
+                7 => injection_lanes::<7>(f, n, ports, &mut z),
+                _ => injection_lanes::<MAX_LANES>(f, n, ports, &mut z),
+            }?;
         }
-        let mut x = vec![Complex::ZERO; n * k];
-        factors.solve_batch_into(&rhs, &mut x)?;
+        let k = idxs.len() as u64;
         let mut st = self.state.borrow_mut();
-        st.counters.solve_calls += k as u64;
-        st.counters.batched_solves += k as u64;
-        st.counters.est_flops += k as u64 * factors.solve_flops();
+        st.counters.solve_calls += k;
+        st.counters.batched_solves += k;
+        st.counters.est_flops += k * factors.solve_flops();
         if factors.is_sparse() {
-            st.counters.sparse_solves += k as u64;
+            st.counters.sparse_solves += k;
         }
-        // The load draws +1 A at each port, so each node voltage is -Z.
-        Ok(idxs
-            .iter()
-            .enumerate()
-            .map(|(col, &idx)| -x[col * n + idx])
-            .collect())
+        Ok(z)
     }
 
     /// Impedance magnitude/phase seen *into the PDN* at `node` for a unit
@@ -298,6 +303,25 @@ impl AcAnalysis {
             })
             .collect()
     }
+}
+
+/// Solves one unit injection per port (exactly `K` ports) as the `K`
+/// lanes of one multi-RHS solve and appends each port's impedance to
+/// `z`. The load draws +1 A at each port, so each node voltage is -Z.
+fn injection_lanes<const K: usize>(
+    factors: &Factorization<Complex>,
+    n: usize,
+    ports: &[usize],
+    z: &mut Vec<Complex>,
+) -> Result<(), PdnError> {
+    let mut rhs = vec![[Complex::ZERO; K]; n];
+    for (lane, &idx) in ports.iter().enumerate() {
+        rhs[idx][lane] = -Complex::ONE;
+    }
+    let mut x = vec![[Complex::ZERO; K]; n];
+    factors.solve_lanes(&mut rhs, &mut x)?;
+    z.extend(ports.iter().enumerate().map(|(lane, &idx)| -x[idx][lane]));
+    Ok(())
 }
 
 /// Builds `count` log-spaced frequencies between `f_lo` and `f_hi`

@@ -13,10 +13,13 @@
 //!
 //! Two invariants the rest of the workspace leans on:
 //!
-//! - **Batching never changes bits.** [`Factorization::solve_batch_into`]
-//!   delegates to batched kernels whose per-column operation order is
-//!   exactly the single-RHS order, so a sweep routed through the batch
-//!   path produces byte-identical figures.
+//! - **Batching never changes bits.** [`Factorization::solve_lanes`]
+//!   solves up to [`crate::transient::MAX_LANES`] right-hand sides in
+//!   lockstep lanes, each lane performing exactly the single-RHS
+//!   operation order, so an AC sweep routed through the batch path and
+//!   a transient job advanced as one lane of a group
+//!   ([`crate::transient::TransientSolver::run_lanes`]) both produce
+//!   byte-identical figures.
 //! - **The spec is content.** [`SolveSpec`] (backend choice + ROM error
 //!   budget) serializes and feeds the system layer's content keys: a
 //!   result computed under a different spec is a different result.
@@ -75,20 +78,25 @@ impl<T: Scalar> Factorization<T> {
         }
     }
 
-    /// Solves a batch of right-hand sides stored column-contiguously
-    /// (RHS `k` in `rhs[k*n .. (k+1)*n]`), bitwise identical to calling
-    /// [`Factorization::solve_into`] per column — see
-    /// [`crate::linalg::LuFactors::solve_batch_into`] and
-    /// [`crate::sparse::SparseLu::solve_batch_into`].
+    /// Solves `K` lane-interleaved right-hand sides against these
+    /// factors (`rhs[i][k]` is entry `i` of right-hand side `k`), each
+    /// lane bitwise identical to [`Factorization::solve_into`] — see
+    /// [`crate::linalg::LuFactors::solve_lanes`] and
+    /// [`crate::sparse::SparseLu::solve_lanes`]. `rhs` is scratch
+    /// afterwards.
     ///
     /// # Errors
     ///
-    /// [`PdnError::DimensionMismatch`] when buffer lengths differ or
-    /// are not a multiple of the factored dimension.
-    pub fn solve_batch_into(&self, rhs: &[T], x: &mut [T]) -> Result<(), PdnError> {
+    /// [`PdnError::DimensionMismatch`] when a buffer's length differs
+    /// from the factored dimension.
+    pub fn solve_lanes<const K: usize>(
+        &self,
+        rhs: &mut [[T; K]],
+        x: &mut [[T; K]],
+    ) -> Result<(), PdnError> {
         match self {
-            Factorization::Dense(f) => f.solve_batch_into(rhs, x),
-            Factorization::Sparse(f) => f.solve_batch_into(rhs, x),
+            Factorization::Dense(f) => f.solve_lanes(rhs, x),
+            Factorization::Sparse(f) => f.solve_lanes(rhs, x),
         }
     }
 }
@@ -229,9 +237,9 @@ mod tests {
         let mut x = vec![0.0; 3];
         f.solve_into(&[1.0, 2.0, 3.0], &mut x).unwrap();
         assert_eq!(x, vec![1.0, 2.0, 3.0]);
-        let mut xb = vec![0.0; 6];
-        f.solve_batch_into(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &mut xb)
+        let mut xb = [[0.0; 2]; 3];
+        f.solve_lanes(&mut [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]], &mut xb)
             .unwrap();
-        assert_eq!(xb, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(xb, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]);
     }
 }

@@ -74,6 +74,12 @@ impl CancelToken {
             .compare_exchange(LIVE, state, Ordering::AcqRel, Ordering::Acquire);
     }
 
+    /// Identity of the token's shared flag: equal for a token and all
+    /// of its clones, distinct between live independent tokens.
+    pub(crate) fn id(&self) -> usize {
+        Arc::as_ptr(&self.flag) as usize
+    }
+
     /// Requests cancellation. Idempotent and irreversible.
     pub fn cancel(&self) {
         self.cancel_as(CANCELLED);

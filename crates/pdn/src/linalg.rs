@@ -287,58 +287,60 @@ impl<T: Scalar> LuFactors<T> {
         Ok(())
     }
 
-    /// Solves `A X = B` for a batch of right-hand sides stored
-    /// column-contiguously: RHS `k` occupies `rhs[k*n .. (k+1)*n]` and
-    /// its solution lands in the same slice of `x`.
+    /// Solves `A X = B` for `K` right-hand sides at once, stored
+    /// lane-interleaved: `rhs[i][k]` is entry `i` of right-hand side
+    /// `k`, and its solution lands in `x[i][k]`.
     ///
-    /// The triangular sweeps run row-outer so each LU entry is loaded
-    /// once per row and applied across the whole batch. Per-column the
-    /// operation sequence is exactly that of [`LuFactors::solve_into`]
-    /// (columns are independent), so results are **bitwise identical**
-    /// to solving each RHS alone — batching is a pure traversal
-    /// reordering, never a numerical change.
+    /// Every lane performs exactly the operation sequence of
+    /// [`LuFactors::solve_into`] (lanes are independent), so each lane
+    /// is **bitwise identical** to solving its right-hand side alone;
+    /// the lanes only share the loads of the LU entries and let the
+    /// independent per-lane dependency chains overlap. `rhs` is only
+    /// read here, but callers must treat it as scratch: the sparse
+    /// kernel eliminates in place.
     ///
     /// # Errors
     ///
-    /// Returns [`PdnError::DimensionMismatch`] when the buffer lengths
-    /// differ or are not a multiple of the factored dimension.
-    pub fn solve_batch_into(&self, rhs: &[T], x: &mut [T]) -> Result<(), PdnError> {
+    /// Returns [`PdnError::DimensionMismatch`] when either buffer's
+    /// length differs from the factored dimension.
+    pub fn solve_lanes<const K: usize>(
+        &self,
+        rhs: &mut [[T; K]],
+        x: &mut [[T; K]],
+    ) -> Result<(), PdnError> {
         let n = self.n;
-        if n == 0 || rhs.len() != x.len() || !rhs.len().is_multiple_of(n) {
+        if rhs.len() != n || x.len() != n {
             return Err(PdnError::DimensionMismatch {
                 expected: n,
                 actual: rhs.len().min(x.len()),
             });
         }
-        let k = rhs.len() / n;
-        // Forward substitution on the permuted RHS (L has unit
-        // diagonal); x[col*n + i] plays the role of solve_into's `acc`.
+        // Forward substitution on the permuted RHS (L has unit diagonal).
         for i in 0..n {
-            let pi = self.perm[i];
-            for col in 0..k {
-                x[col * n + i] = rhs[col * n + pi];
-            }
-            for j in 0..i {
-                let lij = self.lu[i * n + j];
-                for col in 0..k {
-                    let sub = lij * x[col * n + j];
-                    x[col * n + i] = x[col * n + i] - sub;
+            let mut acc = rhs[self.perm[i]];
+            for (j, xj) in x.iter().enumerate().take(i) {
+                let l = self.lu[i * n + j];
+                for k in 0..K {
+                    acc[k] = acc[k] - l * xj[k];
                 }
             }
+            x[i] = acc;
         }
-        // Backward substitution, same batch-inner traversal.
+        // Backward substitution.
+        #[allow(clippy::needless_range_loop)]
         for i in (0..n).rev() {
+            let mut acc = x[i];
             for j in (i + 1)..n {
-                let uij = self.lu[i * n + j];
-                for col in 0..k {
-                    let sub = uij * x[col * n + j];
-                    x[col * n + i] = x[col * n + i] - sub;
+                let u = self.lu[i * n + j];
+                for k in 0..K {
+                    acc[k] = acc[k] - u * x[j][k];
                 }
             }
             let d = self.lu[i * n + i];
-            for col in 0..k {
-                x[col * n + i] = x[col * n + i] / d;
+            for a in &mut acc {
+                *a = *a / d;
             }
+            x[i] = acc;
         }
         Ok(())
     }
@@ -453,18 +455,21 @@ mod tests {
             a[(r, r)] += 50.0;
         }
         let lu = a.lu().unwrap();
-        let k = 5;
-        let rhs: Vec<f64> = (0..n * k).map(|i| ((i * 13) as f64).cos() * 7.5).collect();
-        let mut batched = vec![0.0; n * k];
-        lu.solve_batch_into(&rhs, &mut batched).unwrap();
-        for col in 0..k {
+        const K: usize = 5;
+        let rhs: Vec<[f64; K]> = (0..n)
+            .map(|i| std::array::from_fn(|col| (((col * n + i) * 13) as f64).cos() * 7.5))
+            .collect();
+        let mut work = rhs.clone();
+        let mut batched = vec![[0.0; K]; n];
+        lu.solve_lanes(&mut work, &mut batched).unwrap();
+        for col in 0..K {
+            let column: Vec<f64> = rhs.iter().map(|r| r[col]).collect();
             let mut single = vec![0.0; n];
-            lu.solve_into(&rhs[col * n..(col + 1) * n], &mut single)
-                .unwrap();
+            lu.solve_into(&column, &mut single).unwrap();
             for i in 0..n {
                 assert_eq!(
                     single[i].to_bits(),
-                    batched[col * n + i].to_bits(),
+                    batched[i][col].to_bits(),
                     "col {col} row {i}"
                 );
             }
@@ -474,11 +479,10 @@ mod tests {
     #[test]
     fn batched_solve_rejects_ragged_buffers() {
         let lu = Matrix::<f64>::identity(3).lu().unwrap();
-        let mut x = [0.0; 6];
-        assert!(lu.solve_batch_into(&[1.0; 7], &mut x[..6]).is_err());
-        assert!(lu.solve_batch_into(&[1.0; 6], &mut x[..3]).is_err());
-        // Empty batch is a valid no-op.
-        assert!(lu.solve_batch_into(&[], &mut []).is_ok());
+        let mut x = [[0.0; 2]; 3];
+        assert!(lu.solve_lanes(&mut [[1.0; 2]; 4], &mut x).is_err());
+        assert!(lu.solve_lanes(&mut [[1.0; 2]; 3], &mut x[..2]).is_err());
+        assert!(lu.solve_lanes(&mut [[1.0; 2]; 3], &mut x).is_ok());
     }
 
     #[test]

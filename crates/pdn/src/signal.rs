@@ -295,11 +295,6 @@ impl WelchPsd {
         self.segments
     }
 
-    /// Raw fixed-point bin sums (exact; for bitwise comparisons).
-    pub fn fixed_bins(&self) -> &[u128] {
-        &self.bins
-    }
-
     /// Merges another partial periodogram into this one. Element-wise
     /// saturating integer addition: associative, commutative, and
     /// segment-count-preserving (saturation is unreachable for any

@@ -368,53 +368,55 @@ impl<T: Scalar> SparseLu<T> {
         Ok(x)
     }
 
-    /// Solves `A X = B` for a batch of right-hand sides stored
-    /// column-contiguously (RHS `k` in `rhs[k*n .. (k+1)*n]`), the
-    /// sparse analogue of
-    /// [`crate::linalg::LuFactors::solve_batch_into`].
+    /// Solves `A X = B` for `K` lane-interleaved right-hand sides
+    /// (`rhs[i][k]` is entry `i` of right-hand side `k`), the sparse
+    /// analogue of [`crate::linalg::LuFactors::solve_lanes`].
     ///
-    /// The elimination replay and backward sweep run column-outer, so
-    /// each column performs exactly the operation sequence of
-    /// [`SparseLu::solve_into`] — results are bitwise identical to
-    /// solving each RHS alone. The batch shares one workspace
-    /// allocation instead of one per RHS.
+    /// Every lane performs exactly the operation sequence of
+    /// [`SparseLu::solve_into`], so each lane is bitwise identical to
+    /// solving its right-hand side alone. The elimination replay runs
+    /// in place in `rhs`, which is left holding scratch values; no
+    /// workspace is allocated.
     ///
     /// # Errors
     ///
-    /// [`PdnError::DimensionMismatch`] when the buffer lengths differ
-    /// or are not a multiple of the factored dimension.
-    pub fn solve_batch_into(&self, rhs: &[T], x: &mut [T]) -> Result<(), PdnError> {
+    /// [`PdnError::DimensionMismatch`] when either buffer's length
+    /// differs from the factored dimension.
+    pub fn solve_lanes<const K: usize>(
+        &self,
+        rhs: &mut [[T; K]],
+        x: &mut [[T; K]],
+    ) -> Result<(), PdnError> {
         let n = self.n;
-        if n == 0 || rhs.len() != x.len() || !rhs.len().is_multiple_of(n) {
+        if rhs.len() != n || x.len() != n {
             return Err(PdnError::DimensionMismatch {
                 expected: n,
                 actual: rhs.len().min(x.len()),
             });
         }
-        let k = rhs.len() / n;
-        let mut w = rhs.to_vec();
+        let w = rhs;
         for step in 0..n {
-            let r0 = self.row_of[step];
-            for col in 0..k {
-                let base = col * n;
-                let yk = w[base + r0];
-                for &(r, m) in &self.l_cols[step] {
-                    w[base + r] = w[base + r] - m * yk;
+            let yk = w[self.row_of[step]];
+            for &(r, m) in &self.l_cols[step] {
+                let wr = &mut w[r];
+                for k in 0..K {
+                    wr[k] = wr[k] - m * yk[k];
                 }
             }
         }
         for step in (0..n).rev() {
-            let r0 = self.row_of[step];
-            let c0 = self.col_of[step];
-            let d = self.u_diag[step];
-            for col in 0..k {
-                let base = col * n;
-                let mut acc = w[base + r0];
-                for &(c, u) in &self.u_rows[step] {
-                    acc = acc - u * x[base + c];
+            let mut acc = w[self.row_of[step]];
+            for &(c, u) in &self.u_rows[step] {
+                let xc = &x[c];
+                for k in 0..K {
+                    acc[k] = acc[k] - u * xc[k];
                 }
-                x[base + c0] = acc / d;
             }
+            let d = self.u_diag[step];
+            for a in &mut acc {
+                *a = *a / d;
+            }
+            x[self.col_of[step]] = acc;
         }
         Ok(())
     }
@@ -642,25 +644,30 @@ mod tests {
         let m = sparse_of(&sys, &pattern, 3e-9);
         let lu = SparseLu::factor(&m).unwrap();
         let n = sys.size();
-        let k = 4;
+        const K: usize = 4;
         let mut rng = SmallRng::seed_from_u64(0xba7c);
-        let rhs: Vec<f64> = (0..n * k).map(|_| rng.gen_range(-8.0..8.0)).collect();
-        let mut batched = vec![0.0; n * k];
-        lu.solve_batch_into(&rhs, &mut batched).unwrap();
-        for col in 0..k {
-            let single = lu.solve(&rhs[col * n..(col + 1) * n]).unwrap();
+        let columns: Vec<Vec<f64>> = (0..K)
+            .map(|_| (0..n).map(|_| rng.gen_range(-8.0..8.0)).collect())
+            .collect();
+        let mut rhs: Vec<[f64; K]> = (0..n)
+            .map(|i| std::array::from_fn(|col| columns[col][i]))
+            .collect();
+        let mut batched = vec![[0.0; K]; n];
+        lu.solve_lanes(&mut rhs, &mut batched).unwrap();
+        for (col, column) in columns.iter().enumerate() {
+            let single = lu.solve(column).unwrap();
             for i in 0..n {
                 assert_eq!(
                     single[i].to_bits(),
-                    batched[col * n + i].to_bits(),
+                    batched[i][col].to_bits(),
                     "col {col} row {i}"
                 );
             }
         }
-        // Ragged buffers are rejected; an empty batch is a no-op.
-        let mut x = vec![0.0; n + 1];
-        assert!(lu.solve_batch_into(&rhs[..n + 1], &mut x).is_err());
-        assert!(lu.solve_batch_into(&[], &mut []).is_ok());
+        // Ragged buffers are rejected.
+        let mut x = vec![[0.0; K]; n + 1];
+        assert!(lu.solve_lanes(&mut rhs, &mut x).is_err());
+        assert!(lu.solve_lanes(&mut rhs[..n - 1], &mut x[..n]).is_err());
     }
 
     #[test]

@@ -51,9 +51,12 @@ pub struct SolverCounters {
     /// Sparse refactorizations that reused a previously discovered
     /// elimination order instead of re-running pivot selection.
     pub pattern_reuses: u64,
-    /// Right-hand sides solved through a batched multi-RHS
-    /// back-substitution (each RHS in a batch counts once; a subset of
-    /// `solve_calls`). Zero on paths that solve one RHS at a time.
+    /// Right-hand sides solved through the multi-RHS kernel
+    /// ([`crate::backend::Factorization::solve_lanes`]) in groups:
+    /// every lane-step of a transient lane group of two or more lanes,
+    /// and every port of an AC impedance batch (each RHS counts once; a
+    /// subset of `solve_calls`). Zero on paths that solve one RHS at a
+    /// time.
     pub batched_solves: u64,
     /// Reduced-order-model integration steps (each one a dense solve of
     /// the projected system). Disjoint from `solve_calls`, which counts

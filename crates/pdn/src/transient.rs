@@ -218,12 +218,145 @@ pub struct TransientResult {
     pub phase_times: PhaseTimes,
 }
 
-/// Trapezoidal companion history of one capacitor or inductor, kept in
-/// vectors parallel to the immutable element views in [`MnaSystem`].
-#[derive(Debug, Clone, Copy, Default)]
-struct CompanionState {
-    v_prev: f64,
-    i_prev: f64,
+/// Most jobs one solver advances in lockstep: [`TransientSolver::run_lanes`]
+/// is monomorphized for every lane width `1..=MAX_LANES`.
+pub const MAX_LANES: usize = 8;
+
+/// Everything that fixes a run's step sequence, as exact bits: the
+/// configuration fields the step loop reads and the merged refinement
+/// windows of the drive's edges.
+///
+/// Runs of one netlist whose schedules are equal take the same steps
+/// with the same step sizes, so they can advance as the lanes of one
+/// [`TransientSolver::run_lanes`] call; that is what callers group by.
+/// The budget and the cancellation token (by identity) are part of the
+/// schedule, so lanes of one group share them by construction.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct StepSchedule {
+    /// `t_end`, `h_coarse`, `h_fine`, `refine_pre`, `refine_post`,
+    /// `settle` and `divergence_limit`.
+    stepping: [u64; 7],
+    record_decimation: Option<usize>,
+    max_steps: Option<usize>,
+    cancel: Option<usize>,
+    collect_phase_times: bool,
+    windows: Vec<(u64, u64)>,
+}
+
+impl StepSchedule {
+    /// The schedule of running `drive` under `cfg`.
+    pub fn new(drive: &dyn Drive, cfg: &TransientConfig) -> StepSchedule {
+        StepSchedule {
+            stepping: [
+                cfg.t_end,
+                cfg.h_coarse,
+                cfg.h_fine,
+                cfg.refine_pre,
+                cfg.refine_post,
+                cfg.settle,
+                cfg.divergence_limit,
+            ]
+            .map(f64::to_bits),
+            record_decimation: cfg.record_decimation,
+            max_steps: cfg.max_steps,
+            cancel: cfg.cancel.as_ref().map(CancelToken::id),
+            collect_phase_times: cfg.collect_phase_times,
+            windows: window_bits(&refine_windows(drive, cfg)),
+        }
+    }
+}
+
+/// The drive's edge times in `[0, t_end)`, widened by the refinement
+/// margins and merged where they overlap, in time order.
+fn refine_windows(drive: &dyn Drive, cfg: &TransientConfig) -> Vec<(f64, f64)> {
+    let mut edge_times = Vec::new();
+    drive.edges(0.0, cfg.t_end, &mut edge_times);
+    edge_times.retain(|t| t.is_finite());
+    edge_times.sort_by(|a, b| a.total_cmp(b));
+    let mut windows: Vec<(f64, f64)> = Vec::new();
+    for &e in &edge_times {
+        let (w0, w1) = (e - cfg.refine_pre, e + cfg.refine_post);
+        match windows.last_mut() {
+            Some(last) if w0 <= last.1 => last.1 = last.1.max(w1),
+            _ => windows.push((w0, w1)),
+        }
+    }
+    windows
+}
+
+fn window_bits(windows: &[(f64, f64)]) -> Vec<(u64, u64)> {
+    windows
+        .iter()
+        .map(|&(a, b)| (a.to_bits(), b.to_bits()))
+        .collect()
+}
+
+/// One factor-cache entry: the factorization for one step size and the
+/// trapezoidal companion conductances at that size, `2C/h` per
+/// capacitor and `h/(2L)` per inductor, evaluated once with the
+/// step loop's expressions so every lane and every step reuses them.
+struct CachedStep {
+    /// The step size's bits.
+    key: u64,
+    factors: Arc<Factorization<f64>>,
+    cap_g: Vec<f64>,
+    ind_g: Vec<f64>,
+}
+
+/// Lane-interleaved trapezoidal companion history of the capacitors or
+/// inductors, parallel to the immutable element views in
+/// [`MnaSystem`]: `v[e][k]` and `i[e][k]` are element `e`'s voltage and
+/// current in lane `k`.
+struct Companions<const K: usize> {
+    v: Vec<[f64; K]>,
+    i: Vec<[f64; K]>,
+}
+
+impl<const K: usize> Companions<K> {
+    fn zeros(len: usize) -> Self {
+        Companions {
+            v: vec![[0.0; K]; len],
+            i: vec![[0.0; K]; len],
+        }
+    }
+
+    /// Zeroes one lane's history (a failed lane stops contributing).
+    fn clear_lane(&mut self, lane: usize) {
+        for (v, i) in self.v.iter_mut().zip(&mut self.i) {
+            v[lane] = 0.0;
+            i[lane] = 0.0;
+        }
+    }
+}
+
+/// Every lane's value of the unknown at `idx`, zero for ground.
+#[inline]
+fn volts<const K: usize>(x: &[[f64; K]], idx: Option<usize>) -> [f64; K] {
+    idx.map_or([0.0; K], |i| x[i])
+}
+
+/// The first unknown of `lane` that is non-finite or exceeds `limit`
+/// in magnitude, as `(index, value)`.
+fn first_diverged<const K: usize>(x: &[[f64; K]], lane: usize, limit: f64) -> Option<(usize, f64)> {
+    x.iter().enumerate().find_map(|(node, v)| {
+        let v = v[lane];
+        (!v.is_finite() || v.abs() > limit).then_some((node, v))
+    })
+}
+
+/// Lane `lane`'s even share of a group's phase times; lane 0 also takes
+/// the remainders, so the shares sum to the group's times.
+fn phase_share(group: &PhaseTimes, lanes: usize, lane: usize) -> PhaseTimes {
+    let share = |ns: u64| {
+        let l = lanes as u64;
+        ns / l + if lane == 0 { ns % l } else { 0 }
+    };
+    PhaseTimes {
+        assemble_ns: share(group.assemble_ns),
+        factor_ns: share(group.factor_ns),
+        step_ns: share(group.step_ns),
+        validate_ns: share(group.validate_ns),
+    }
 }
 
 /// Factorizations of one netlist, shared by every solver its owner
@@ -352,11 +485,9 @@ pub struct TransientSolver {
     n: usize,
     sys: MnaSystem,
     backend: SolverBackend,
-    cap_state: Vec<CompanionState>,
-    ind_state: Vec<CompanionState>,
     /// LRU factor cache keyed by step-size bits; entries come from the
     /// shared [`Factorization`] type in [`crate::backend`].
-    factor_cache: Vec<(u64, Arc<Factorization<f64>>)>,
+    factor_cache: Vec<CachedStep>,
     /// The netlist owner's memo, consulted when `factor_cache` misses.
     memo: Option<Arc<ScenarioFactors>>,
     /// Symbolic pattern of the coupled system, computed lazily on the
@@ -368,10 +499,9 @@ pub struct TransientSolver {
     /// replayed by later same-pattern refactorizations.
     elim: Option<EliminationOrder>,
     dc_elim: Option<EliminationOrder>,
+    /// Factorization work of the current run (computed, reused or
+    /// recalled factors), which a lane group charges to lane 0.
     counters: SolverCounters,
-    rhs: Vec<f64>,
-    x: Vec<f64>,
-    drive_buf: Vec<f64>,
 }
 
 impl TransientSolver {
@@ -399,8 +529,6 @@ impl TransientSolver {
         let n = sys.size();
         Ok(TransientSolver {
             n,
-            cap_state: vec![CompanionState::default(); sys.caps.len()],
-            ind_state: vec![CompanionState::default(); sys.inductors.len()],
             factor_cache: Vec::new(),
             memo: None,
             pattern: None,
@@ -408,9 +536,6 @@ impl TransientSolver {
             elim: None,
             dc_elim: None,
             counters: SolverCounters::default(),
-            rhs: vec![0.0; n],
-            x: vec![0.0; n],
-            drive_buf: vec![0.0; sys.drive_len()],
             backend,
             sys,
         })
@@ -512,7 +637,7 @@ impl TransientSolver {
     /// (e.g. end-of-run clamps).
     fn factors_for(&mut self, h: f64) -> Result<usize, PdnError> {
         let key = h.to_bits();
-        if let Some(pos) = self.factor_cache.iter().position(|(k, _)| *k == key) {
+        if let Some(pos) = self.factor_cache.iter().position(|e| e.key == key) {
             self.counters.factor_cache_hits += 1;
             // Move-to-front on hit keeps the recency order explicit in
             // the Vec itself; with at most 8 entries the shuffle is a
@@ -524,11 +649,19 @@ impl TransientSolver {
             }
             return Ok(0);
         }
-        let lu = self.memoized(Some(key), |s| s.factor_transient(h))?;
+        let factors = self.memoized(Some(key), |s| s.factor_transient(h))?;
         if self.factor_cache.len() >= 8 {
             self.factor_cache.pop();
         }
-        self.factor_cache.insert(0, (key, lu));
+        let entry = CachedStep {
+            key,
+            factors,
+            cap_g: self.sys.caps.iter().map(|c| 2.0 * c.value / h).collect(),
+            ind_g: (self.sys.inductors.iter())
+                .map(|l| h / (2.0 * l.value))
+                .collect(),
+        };
+        self.factor_cache.insert(0, entry);
         Ok(0)
     }
 
@@ -560,62 +693,71 @@ impl TransientSolver {
     }
 
     /// Solves the DC operating point (capacitors open, inductors shorted)
-    /// with source currents evaluated at `t = 0`, and loads it as the
-    /// initial state.
+    /// with source currents evaluated at `t = 0` and returns the node
+    /// voltages and source branch currents — the point every run starts
+    /// from.
     ///
     /// # Errors
     ///
-    /// Returns [`PdnError::SingularMatrix`] when the DC system is singular.
+    /// Returns [`PdnError::SingularMatrix`] when the DC system is
+    /// singular, and [`PdnError::Diverged`] at `t = 0` when the solution
+    /// is not finite.
     pub fn solve_dc(&mut self, drive: &dyn Drive) -> Result<Vec<f64>, PdnError> {
+        let mut bufs = [vec![0.0; self.sys.drive_len()]];
+        let mut lanes = [SolverCounters::default()];
+        let sol = self.dc_lanes(&[drive], &mut bufs, &mut lanes)?;
+        if let Some((node, value)) = first_diverged(&sol, 0, f64::INFINITY) {
+            return Err(PdnError::Diverged {
+                t: 0.0,
+                node,
+                value,
+            });
+        }
+        Ok(sol[..self.n].iter().map(|v| v[0]).collect())
+    }
+
+    /// The full DC solution (nodes, source branches, inductor branches)
+    /// of every lane, from one shared DC factorization. Fills each
+    /// lane's drive buffer with its `t = 0` currents and counts each
+    /// lane's solve into `lanes`.
+    fn dc_lanes<const K: usize>(
+        &mut self,
+        drives: &[&dyn Drive; K],
+        bufs: &mut [Vec<f64>; K],
+        lanes: &mut [SolverCounters; K],
+    ) -> Result<Vec<[f64; K]>, PdnError> {
         // DC system: nodes + vsource branches + inductor branches (shorts).
         let n = self.sys.dc_size();
-        let mut rhs = vec![0.0; n];
+        let mut rhs = vec![[0.0; K]; n];
         for v in &self.sys.vsources {
-            rhs[v.row] = v.volts;
+            rhs[v.row] = [v.volts; K];
         }
-        self.drive_buf.fill(0.0);
-        drive.currents(0.0, &mut self.drive_buf);
+        for (drive, buf) in drives.iter().zip(bufs.iter_mut()) {
+            buf.fill(0.0);
+            drive.currents(0.0, buf);
+        }
         for s in &self.sys.isources {
-            let j = self.drive_buf[s.source];
-            if let Some(ifrom) = s.from {
-                rhs[ifrom] -= j;
-            }
-            if let Some(ito) = s.to {
-                rhs[ito] += j;
+            for (k, buf) in bufs.iter().enumerate() {
+                let j = buf[s.source];
+                if let Some(ifrom) = s.from {
+                    rhs[ifrom][k] -= j;
+                }
+                if let Some(ito) = s.to {
+                    rhs[ito][k] += j;
+                }
             }
         }
-        self.counters.dc_solves += 1;
         let factors = self.memoized(None, Self::factor_dc)?;
-        self.counters.solve_calls += 1;
-        self.counters.est_flops += factors.solve_flops();
-        if factors.is_sparse() {
-            self.counters.sparse_solves += 1;
+        for c in lanes.iter_mut() {
+            c.dc_solves += 1;
+            c.solve_calls += 1;
+            c.est_flops += factors.solve_flops();
+            c.sparse_solves += u64::from(factors.is_sparse());
+            c.batched_solves += u64::from(K > 1);
         }
-        let mut sol = vec![0.0; n];
-        factors.solve_into(&rhs, &mut sol)?;
-        // A singular-but-not-detected system can still yield non-finite
-        // values; catch them before they seed the element states.
-        for (node, &v) in sol.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(PdnError::Diverged {
-                    t: 0.0,
-                    node,
-                    value: v,
-                });
-            }
-        }
-
-        // Load element states from the DC solution.
-        let volt = |idx: Option<usize>| idx.map(|i| sol[i]).unwrap_or(0.0);
-        for (c, st) in self.sys.caps.iter().zip(self.cap_state.iter_mut()) {
-            st.v_prev = volt(c.a) - volt(c.b);
-            st.i_prev = 0.0;
-        }
-        for (k, st) in self.ind_state.iter_mut().enumerate() {
-            st.i_prev = sol[self.n + k];
-            st.v_prev = 0.0;
-        }
-        Ok(sol[..self.n].to_vec())
+        let mut sol = vec![[0.0; K]; n];
+        factors.solve_lanes(&mut rhs, &mut sol)?;
+        Ok(sol)
     }
 
     /// A fresh factorization of the DC system. Backend choice keys on
@@ -646,7 +788,7 @@ impl TransientSolver {
     }
 
     /// Runs a transient simulation from a freshly solved DC operating
-    /// point.
+    /// point: the one-lane case of [`TransientSolver::run_lanes`].
     ///
     /// # Errors
     ///
@@ -657,73 +799,188 @@ impl TransientSolver {
         probes: &[Probe],
         cfg: &TransientConfig,
     ) -> Result<TransientResult, PdnError> {
-        cfg.validate()?;
+        let [result] = self.run_lanes([drive], probes, cfg);
+        result
+    }
+
+    /// Runs one lane per drive, `MAX_LANES` at a time, each lane group
+    /// at the narrowest lane width that holds it. `results[i]` belongs
+    /// to `drives[i]`; see [`TransientSolver::run_lanes`].
+    pub fn run_group(
+        &mut self,
+        drives: &[&dyn Drive],
+        probes: &[Probe],
+        cfg: &TransientConfig,
+    ) -> Vec<Result<TransientResult, PdnError>> {
+        let mut results = Vec::with_capacity(drives.len());
+        for group in drives.chunks(MAX_LANES) {
+            let (p, c) = (probes, cfg);
+            results.extend(match group.len() {
+                1 => self.run_width::<1>(group, p, c),
+                2 => self.run_width::<2>(group, p, c),
+                3 => self.run_width::<3>(group, p, c),
+                4 => self.run_width::<4>(group, p, c),
+                5 => self.run_width::<5>(group, p, c),
+                6 => self.run_width::<6>(group, p, c),
+                7 => self.run_width::<7>(group, p, c),
+                _ => self.run_width::<MAX_LANES>(group, p, c),
+            });
+        }
+        results
+    }
+
+    fn run_width<const K: usize>(
+        &mut self,
+        drives: &[&dyn Drive],
+        probes: &[Probe],
+        cfg: &TransientConfig,
+    ) -> Vec<Result<TransientResult, PdnError>> {
+        self.run_lanes::<K>(std::array::from_fn(|k| drives[k]), probes, cfg)
+            .into()
+    }
+
+    /// Advances `K` runs of this netlist in lockstep, one lane per
+    /// drive, under one configuration. Every lane's drive must have the
+    /// same refinement windows as lane 0's (equal [`StepSchedule`]s);
+    /// a lane whose windows differ fails with
+    /// [`PdnError::InvalidTimebase`].
+    ///
+    /// The lanes share the step sequence, the factorizations and the
+    /// companion conductances; each unknown and each companion element
+    /// holds one `[f64; K]`, and every lane performs exactly the
+    /// operations a one-lane run performs, so each lane's result is
+    /// bitwise the result of running its drive alone. A lane that
+    /// diverges returns the same [`PdnError::Diverged`] a lone run
+    /// returns and stops contributing while the other lanes continue; a
+    /// budget, a cancellation or a failed factorization stops every
+    /// lane still running with the same error.
+    ///
+    /// Each lane counts its own steps and solves; the group's
+    /// factorization work is charged to lane 0, and its phase times are
+    /// split evenly across the lanes. `batched_solves` counts every
+    /// lane's solves when `K > 1`.
+    pub fn run_lanes<const K: usize>(
+        &mut self,
+        drives: [&dyn Drive; K],
+        probes: &[Probe],
+        cfg: &TransientConfig,
+    ) -> [Result<TransientResult, PdnError>; K] {
+        let all = |e: PdnError| std::array::from_fn(|_| Err(e.clone()));
+        if let Err(e) = cfg.validate() {
+            return all(e);
+        }
         self.factor_cache.clear();
         self.counters = SolverCounters::default();
         let timing = cfg.collect_phase_times;
         let mut phase = PhaseTimes::default();
-        let dc = self.solve_dc(drive)?;
+        let mut lanes = [SolverCounters::default(); K];
+        let mut bufs: [Vec<f64>; K] = std::array::from_fn(|_| vec![0.0; self.sys.drive_len()]);
+        let dc = match self.dc_lanes(&drives, &mut bufs, &mut lanes) {
+            Ok(dc) => dc,
+            Err(e) => return all(e),
+        };
 
-        // Build merged refinement windows from the drive's edge times.
-        let mut edge_times = Vec::new();
-        drive.edges(0.0, cfg.t_end, &mut edge_times);
-        edge_times.retain(|t| t.is_finite());
-        edge_times.sort_by(|a, b| a.total_cmp(b));
-        let mut windows: Vec<(f64, f64)> = Vec::new();
-        for &e in &edge_times {
-            let (w0, w1) = (e - cfg.refine_pre, e + cfg.refine_post);
-            match windows.last_mut() {
-                Some(last) if w0 <= last.1 => last.1 = last.1.max(w1),
-                _ => windows.push((w0, w1)),
+        // Per-lane failures; a failed lane's state is zeroed and its
+        // drive no longer called.
+        let mut failed: [Option<PdnError>; K] = std::array::from_fn(|lane| {
+            // A singular-but-not-detected system can still yield
+            // non-finite values; catch them before they seed the
+            // element states.
+            first_diverged(&dc, lane, f64::INFINITY).map(|(node, value)| PdnError::Diverged {
+                t: 0.0,
+                node,
+                value,
+            })
+        });
+        let windows = refine_windows(drives[0], cfg);
+        for (lane, drive) in drives.iter().enumerate().skip(1) {
+            if failed[lane].is_none()
+                && window_bits(&refine_windows(*drive, cfg)) != window_bits(&windows)
+            {
+                failed[lane] = Some(PdnError::InvalidTimebase {
+                    reason: format!("lane {lane} has other refinement windows than lane 0"),
+                });
             }
         }
 
-        let read_probe =
-            |x: &[f64], p: &Probe, n_nodes: usize, vsources: &[crate::mna::BranchStamp]| -> f64 {
-                match p {
-                    Probe::NodeVoltage(node) => node.unknown_index().map(|i| x[i]).unwrap_or(0.0),
-                    Probe::SourceCurrent(k) => {
-                        let _ = n_nodes;
-                        vsources.get(*k).map(|v| x[v.row]).unwrap_or(0.0)
-                    }
-                }
-            };
+        // Load element states from the DC solution.
+        let mut caps = Companions::<K>::zeros(self.sys.caps.len());
+        for (c, v) in self.sys.caps.iter().zip(&mut caps.v) {
+            let (va, vb) = (volts(&dc, c.a), volts(&dc, c.b));
+            *v = std::array::from_fn(|k| va[k] - vb[k]);
+        }
+        let mut inds = Companions::<K>::zeros(self.sys.inductors.len());
+        for (k, i) in inds.i.iter_mut().enumerate() {
+            *i = dc[self.n + k];
+        }
+        let mut active: [bool; K] = std::array::from_fn(|lane| failed[lane].is_none());
+        for lane in (0..K).filter(|&lane| !active[lane]) {
+            caps.clear_lane(lane);
+            inds.clear_lane(lane);
+            bufs[lane].fill(0.0);
+        }
 
-        let n_nodes = self.n - self.sys.vsources.len();
-        let mut stats: Vec<(f64, f64, f64)> =
-            vec![(f64::INFINITY, f64::NEG_INFINITY, 0.0); probes.len()];
+        let rows: Vec<Option<usize>> = probes
+            .iter()
+            .map(|p| match p {
+                Probe::NodeVoltage(node) => node.unknown_index(),
+                Probe::SourceCurrent(k) => self.sys.vsources.get(*k).map(|v| v.row),
+            })
+            .collect();
+        let mut p_min = vec![[f64::INFINITY; K]; probes.len()];
+        let mut p_max = vec![[f64::NEG_INFINITY; K]; probes.len()];
+        let mut p_integral = vec![[0.0f64; K]; probes.len()];
         let mut stat_time = 0.0f64;
         let mut times = Vec::new();
-        let mut traces: Vec<Vec<f64>> = vec![Vec::new(); probes.len()];
+        let mut traces: [Vec<Vec<f64>>; K] =
+            std::array::from_fn(|_| vec![Vec::new(); probes.len()]);
 
         // Record the DC point as the first sample if recording.
         if cfg.record_decimation.is_some() {
             times.push(0.0);
-            for (trace, p) in traces.iter_mut().zip(probes) {
-                trace.push(read_probe(&dc, p, n_nodes, &self.sys.vsources));
+            for (lane, lane_traces) in traces.iter_mut().enumerate() {
+                for (trace, &row) in lane_traces.iter_mut().zip(&rows) {
+                    trace.push(volts(&dc, row)[lane]);
+                }
             }
         }
 
+        let n = self.n;
+        let mut rhs = vec![[0.0; K]; n];
+        let mut x = vec![[0.0; K]; n];
         let mut t = 0.0f64;
         let mut steps = 0usize;
         let mut widx = 0usize;
         let mut rec_counter = 0usize;
         let eps = cfg.h_fine * 1e-6;
+        let limit = cfg.divergence_limit;
+        let batched = u64::from(K > 1);
+        let stop = |failed: &mut [Option<PdnError>; K], active: &mut [bool; K], e: PdnError| {
+            for (f, a) in failed.iter_mut().zip(active.iter_mut()) {
+                if std::mem::take(a) {
+                    *f = Some(e.clone());
+                }
+            }
+        };
 
-        while t < cfg.t_end - eps {
+        while t < cfg.t_end - eps && active.contains(&true) {
             // Cooperative interruption, polled once per accepted step:
             // the budget bounds how much work a runaway netlist may
             // consume, the token lets a controller drain a campaign.
             // Both abort at a step boundary, so no torn state escapes.
             if let Some(budget) = cfg.max_steps {
                 if steps >= budget {
-                    return Err(PdnError::BudgetExceeded { steps, t });
+                    stop(
+                        &mut failed,
+                        &mut active,
+                        PdnError::BudgetExceeded { steps, t },
+                    );
+                    break;
                 }
             }
-            if let Some(token) = &cfg.cancel {
-                if let Some(abort) = token.abort_error(t) {
-                    return Err(abort);
-                }
+            if let Some(abort) = cfg.cancel.as_ref().and_then(|c| c.abort_error(t)) {
+                stop(&mut failed, &mut active, abort);
+                break;
             }
             while widx < windows.len() && t >= windows[widx].1 {
                 widx += 1;
@@ -736,58 +993,85 @@ impl TransientSolver {
             }
 
             let t0 = timing.then(Instant::now);
-            let fidx = self.factors_for(h)?;
+            let fidx = match self.factors_for(h) {
+                Ok(fidx) => fidx,
+                Err(e) => {
+                    stop(&mut failed, &mut active, e);
+                    break;
+                }
+            };
             if let Some(t0) = t0 {
                 phase.factor_ns += t0.elapsed().as_nanos() as u64;
             }
+            let step = &self.factor_cache[fidx];
             let t_next = t + h;
 
             // Assemble the RHS: sources at t_next plus companion history.
             let t0 = timing.then(Instant::now);
-            self.rhs.fill(0.0);
-            drive.currents(t_next, &mut self.drive_buf);
+            rhs.fill([0.0; K]);
+            for ((drive, buf), _) in drives.iter().zip(&mut bufs).zip(active).filter(|p| p.1) {
+                drive.currents(t_next, buf);
+            }
             for s in &self.sys.isources {
-                let j = self.drive_buf[s.source];
+                let j: [f64; K] = std::array::from_fn(|k| bufs[k][s.source]);
                 if let Some(ifrom) = s.from {
-                    self.rhs[ifrom] -= j;
+                    for (r, j) in rhs[ifrom].iter_mut().zip(j) {
+                        *r -= j;
+                    }
                 }
                 if let Some(ito) = s.to {
-                    self.rhs[ito] += j;
+                    for (r, j) in rhs[ito].iter_mut().zip(j) {
+                        *r += j;
+                    }
                 }
             }
-            for (c, st) in self.sys.caps.iter().zip(&self.cap_state) {
-                let ieq = (2.0 * c.value / h) * st.v_prev + st.i_prev;
+            for (c, ((g, v), i)) in
+                (self.sys.caps.iter()).zip(step.cap_g.iter().zip(&caps.v).zip(&caps.i))
+            {
+                let ieq: [f64; K] = std::array::from_fn(|k| g * v[k] + i[k]);
                 if let Some(ia) = c.a {
-                    self.rhs[ia] += ieq;
+                    for (r, q) in rhs[ia].iter_mut().zip(ieq) {
+                        *r += q;
+                    }
                 }
                 if let Some(ib) = c.b {
-                    self.rhs[ib] -= ieq;
+                    for (r, q) in rhs[ib].iter_mut().zip(ieq) {
+                        *r -= q;
+                    }
                 }
             }
-            for (l, st) in self.sys.inductors.iter().zip(&self.ind_state) {
-                let ieq = st.i_prev + (h / (2.0 * l.value)) * st.v_prev;
+            for (l, ((g, v), i)) in
+                (self.sys.inductors.iter()).zip(step.ind_g.iter().zip(&inds.v).zip(&inds.i))
+            {
+                let ieq: [f64; K] = std::array::from_fn(|k| i[k] + g * v[k]);
                 if let Some(ia) = l.a {
-                    self.rhs[ia] -= ieq;
+                    for (r, q) in rhs[ia].iter_mut().zip(ieq) {
+                        *r -= q;
+                    }
                 }
                 if let Some(ib) = l.b {
-                    self.rhs[ib] += ieq;
+                    for (r, q) in rhs[ib].iter_mut().zip(ieq) {
+                        *r += q;
+                    }
                 }
             }
             for v in &self.sys.vsources {
-                self.rhs[v.row] = v.volts;
+                rhs[v.row] = [v.volts; K];
             }
             if let Some(t0) = t0 {
                 phase.assemble_ns += t0.elapsed().as_nanos() as u64;
             }
 
             let t0 = timing.then(Instant::now);
-            self.factor_cache[fidx]
-                .1
-                .solve_into(&self.rhs, &mut self.x)?;
-            self.counters.solve_calls += 1;
-            self.counters.est_flops += self.factor_cache[fidx].1.solve_flops();
-            if self.factor_cache[fidx].1.is_sparse() {
-                self.counters.sparse_solves += 1;
+            if let Err(e) = step.factors.solve_lanes(&mut rhs, &mut x) {
+                stop(&mut failed, &mut active, e);
+                break;
+            }
+            for (c, _) in lanes.iter_mut().zip(active).filter(|p| p.1) {
+                c.solve_calls += 1;
+                c.est_flops += step.factors.solve_flops();
+                c.sparse_solves += u64::from(step.factors.is_sparse());
+                c.batched_solves += batched;
             }
             if let Some(t0) = t0 {
                 phase.step_ns += t0.elapsed().as_nanos() as u64;
@@ -796,30 +1080,56 @@ impl TransientSolver {
             let t0 = timing.then(Instant::now);
             // Divergence guard: an unstable network (or an unstable
             // integration of one) grows exponentially instead of
-            // settling. Abort at the first non-finite or runaway unknown
-            // so NaN never reaches the probe statistics.
-            for (node, &v) in self.x.iter().enumerate() {
-                if !v.is_finite() || v.abs() > cfg.divergence_limit {
-                    return Err(PdnError::Diverged {
+            // settling. One branch-free pass flags the lanes holding a
+            // non-finite or runaway unknown; only a flagged lane is
+            // rescanned for its first bad unknown, so NaN never reaches
+            // its probe statistics.
+            let mut bad = [false; K];
+            for xi in &x {
+                for (b, v) in bad.iter_mut().zip(xi) {
+                    *b |= !v.is_finite() | (v.abs() > limit);
+                }
+            }
+            for lane in 0..K {
+                let flagged = (bad[lane] && active[lane])
+                    .then(|| first_diverged(&x, lane, limit))
+                    .flatten();
+                if let Some((node, value)) = flagged {
+                    failed[lane] = Some(PdnError::Diverged {
                         t: t_next,
                         node,
-                        value: v,
+                        value,
                     });
+                    active[lane] = false;
+                    caps.clear_lane(lane);
+                    inds.clear_lane(lane);
+                    bufs[lane].fill(0.0);
+                    for xi in &mut x {
+                        xi[lane] = 0.0;
+                    }
                 }
             }
 
             // Advance element states.
-            let x = &self.x;
-            let volt = |idx: Option<usize>| idx.map(|i| x[i]).unwrap_or(0.0);
-            for (c, st) in self.sys.caps.iter().zip(self.cap_state.iter_mut()) {
-                let v_new = volt(c.a) - volt(c.b);
-                st.i_prev = (2.0 * c.value / h) * (v_new - st.v_prev) - st.i_prev;
-                st.v_prev = v_new;
+            for (c, ((g, v), i)) in
+                (self.sys.caps.iter()).zip(step.cap_g.iter().zip(&mut caps.v).zip(&mut caps.i))
+            {
+                let (va, vb) = (volts(&x, c.a), volts(&x, c.b));
+                for k in 0..K {
+                    let v_new = va[k] - vb[k];
+                    i[k] = g * (v_new - v[k]) - i[k];
+                    v[k] = v_new;
+                }
             }
-            for (l, st) in self.sys.inductors.iter().zip(self.ind_state.iter_mut()) {
-                let v_new = volt(l.a) - volt(l.b);
-                st.i_prev += (h / (2.0 * l.value)) * (v_new + st.v_prev);
-                st.v_prev = v_new;
+            for (l, ((g, v), i)) in
+                (self.sys.inductors.iter()).zip(step.ind_g.iter().zip(&mut inds.v).zip(&mut inds.i))
+            {
+                let (va, vb) = (volts(&x, l.a), volts(&x, l.b));
+                for k in 0..K {
+                    let v_new = va[k] - vb[k];
+                    i[k] += g * (v_new + v[k]);
+                    v[k] = v_new;
+                }
             }
             if let Some(t0) = t0 {
                 phase.validate_ns += t0.elapsed().as_nanos() as u64;
@@ -829,11 +1139,18 @@ impl TransientSolver {
             steps += 1;
 
             if t >= cfg.settle {
-                for (st, p) in stats.iter_mut().zip(probes) {
-                    let v = read_probe(&self.x, p, n_nodes, &self.sys.vsources);
-                    st.0 = st.0.min(v);
-                    st.1 = st.1.max(v);
-                    st.2 += v * h;
+                for (((lo, hi), integral), &row) in p_min
+                    .iter_mut()
+                    .zip(&mut p_max)
+                    .zip(&mut p_integral)
+                    .zip(&rows)
+                {
+                    let v = volts(&x, row);
+                    for k in 0..K {
+                        lo[k] = lo[k].min(v[k]);
+                        hi[k] = hi[k].max(v[k]);
+                        integral[k] += v[k] * h;
+                    }
                 }
                 stat_time += h;
             }
@@ -842,33 +1159,44 @@ impl TransientSolver {
                 if rec_counter >= dec {
                     rec_counter = 0;
                     times.push(t);
-                    for (trace, p) in traces.iter_mut().zip(probes) {
-                        trace.push(read_probe(&self.x, p, n_nodes, &self.sys.vsources));
+                    for (lane, lane_traces) in traces.iter_mut().enumerate() {
+                        for (trace, &row) in lane_traces.iter_mut().zip(&rows) {
+                            trace.push(volts(&x, row)[lane]);
+                        }
                     }
                 }
             }
         }
 
-        let stats = stats
-            .into_iter()
-            .map(|(min, max, integral)| ProbeStats {
-                min,
-                max,
-                mean: if stat_time > 0.0 {
-                    integral / stat_time
-                } else {
-                    0.0
-                },
+        let group = self.counters;
+        std::array::from_fn(|lane| {
+            if let Some(e) = failed[lane].take() {
+                return Err(e);
+            }
+            let stats = (p_min.iter().zip(&p_max).zip(&p_integral))
+                .map(|((lo, hi), integral)| ProbeStats {
+                    min: lo[lane],
+                    max: hi[lane],
+                    mean: if stat_time > 0.0 {
+                        integral[lane] / stat_time
+                    } else {
+                        0.0
+                    },
+                })
+                .collect();
+            let mut counters = lanes[lane];
+            counters.steps = steps as u64;
+            if lane == 0 {
+                counters.merge(&group);
+            }
+            Ok(TransientResult {
+                times: times.clone(),
+                traces: std::mem::take(&mut traces[lane]),
+                stats,
+                steps,
+                counters,
+                phase_times: phase_share(&phase, K, lane),
             })
-            .collect();
-        self.counters.steps = steps as u64;
-        Ok(TransientResult {
-            times,
-            traces,
-            stats,
-            steps,
-            counters: self.counters,
-            phase_times: phase,
         })
     }
 }
@@ -1186,8 +1514,7 @@ mod tests {
         assert_eq!(solver.factors_for(hot).unwrap(), 0);
         assert_eq!(solver.counters.factor_cache_hits, 8);
         // A hit on the front entry leaves the recency order unchanged.
-        let order =
-            |s: &TransientSolver| s.factor_cache.iter().map(|(k, _)| *k).collect::<Vec<_>>();
+        let order = |s: &TransientSolver| s.factor_cache.iter().map(|e| e.key).collect::<Vec<_>>();
         let before = order(&solver);
         assert_eq!(before[0], hot.to_bits());
         assert_eq!(solver.factors_for(hot).unwrap(), 0);
@@ -1534,5 +1861,163 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `StepAll` whose sources jump to `amps` amperes from `at` on — a
+    /// lane that diverges mid-run while keeping its schedule.
+    struct Runaway {
+        inner: StepAll,
+        at: f64,
+        amps: f64,
+    }
+    impl Drive for Runaway {
+        fn currents(&self, t: f64, out: &mut [f64]) {
+            self.inner.currents(t, out);
+            if t >= self.at {
+                out.fill(self.amps);
+            }
+        }
+        fn edges(&self, t0: f64, t1: f64, out: &mut Vec<f64>) {
+            self.inner.edges(t0, t1, out);
+        }
+    }
+
+    fn assert_same_result(got: &TransientResult, want: &TransientResult, ctx: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let stat_bits = |r: &TransientResult| -> Vec<[u64; 3]> {
+            r.stats
+                .iter()
+                .map(|s| [s.min.to_bits(), s.max.to_bits(), s.mean.to_bits()])
+                .collect()
+        };
+        assert_eq!(got.steps, want.steps, "{ctx}: steps");
+        assert_eq!(stat_bits(got), stat_bits(want), "{ctx}: probe stats");
+        assert_eq!(bits(&got.times), bits(&want.times), "{ctx}: times");
+        assert_eq!(got.traces.len(), want.traces.len(), "{ctx}: probes");
+        for (p, (g, w)) in got.traces.iter().zip(&want.traces).enumerate() {
+            assert_eq!(bits(g), bits(w), "{ctx}: probe {p} trace");
+        }
+        let (g, w) = (got.counters, want.counters);
+        assert_eq!(g.steps, w.steps, "{ctx}");
+        assert_eq!(g.solve_calls, w.solve_calls, "{ctx}");
+        assert_eq!(g.dc_solves, w.dc_solves, "{ctx}");
+        assert_eq!(g.sparse_solves, w.sparse_solves, "{ctx}");
+    }
+
+    /// Every lane of a lockstep group is its solo run, bit for bit, on
+    /// both backends and at every lane width: probe statistics, recorded
+    /// times and traces, and step counts. A lane that diverges returns
+    /// exactly its solo error while the other lanes finish unchanged.
+    #[test]
+    fn lanes_match_solo_runs_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x1a4e_5eed);
+        for trial in 0..2 {
+            let (nl, nodes) = random_rlc(&mut rng, 14 + 6 * trial);
+            let mut probes: Vec<Probe> = nodes
+                .iter()
+                .step_by(3)
+                .map(|&n| Probe::NodeVoltage(n))
+                .collect();
+            probes.push(Probe::SourceCurrent(0));
+            let mut cfg = TransientConfig::new(1.2e-6);
+            cfg.h_coarse = 20e-9;
+            cfg.h_fine = 0.5e-9;
+            cfg.settle = 0.1e-6;
+            cfg.record_decimation = Some(3);
+            let t_step = 0.3e-6 + 0.1e-6 * trial as f64;
+            for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+                for k in 1..=MAX_LANES {
+                    let drives: Vec<Runaway> = (0..k)
+                        .map(|lane| Runaway {
+                            inner: StepAll {
+                                t_step,
+                                amps: (0..3).map(|_| 1.0 + rng.gen::<f64>() * 20.0).collect(),
+                            },
+                            // Lane 1 blows past the divergence limit
+                            // mid-run; every other lane stays healthy.
+                            at: if lane == 1 { 0.7e-6 } else { f64::INFINITY },
+                            amps: 1e15,
+                        })
+                        .collect();
+                    let lanes: Vec<&dyn Drive> = drives.iter().map(|d| d as &dyn Drive).collect();
+                    let mut group = TransientSolver::with_backend(&nl, backend).unwrap();
+                    let got = group.run_group(&lanes, &probes, &cfg);
+                    assert_eq!(got.len(), k);
+                    for (lane, (drive, got)) in drives.iter().zip(&got).enumerate() {
+                        let ctx = format!("trial {trial}, {backend:?}, K = {k}, lane {lane}");
+                        let mut solo = TransientSolver::with_backend(&nl, backend).unwrap();
+                        match (got, solo.run(drive, &probes, &cfg)) {
+                            (Ok(got), Ok(want)) => {
+                                assert_ne!(lane, 1, "{ctx}: lane 1 must diverge");
+                                assert_same_result(got, &want, &ctx);
+                                let c = got.counters;
+                                let batched = if k > 1 { c.solve_calls } else { 0 };
+                                assert_eq!(c.batched_solves, batched, "{ctx}");
+                                if lane == 0 {
+                                    assert_eq!(
+                                        c.lu_factorizations, want.counters.lu_factorizations,
+                                        "{ctx}"
+                                    );
+                                } else {
+                                    assert_eq!(
+                                        c.lu_factorizations, 0,
+                                        "{ctx}: factors charged to lane 0"
+                                    );
+                                }
+                            }
+                            (
+                                Err(PdnError::Diverged { t, node, value }),
+                                Err(PdnError::Diverged {
+                                    t: ts,
+                                    node: ns,
+                                    value: vs,
+                                }),
+                            ) => {
+                                assert_eq!(lane, 1, "{ctx}: only lane 1 diverges");
+                                assert_eq!(
+                                    (t.to_bits(), *node, value.to_bits()),
+                                    (ts.to_bits(), ns, vs.to_bits()),
+                                    "{ctx}"
+                                );
+                            }
+                            (got, want) => panic!("{ctx}: lanes {got:?} vs solo {want:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A lane whose drive refines other windows than lane 0's cannot
+    /// share the step loop: it fails, and lane 0 still runs.
+    #[test]
+    fn lane_with_another_schedule_is_refused() {
+        let (nl, die) = simple_rc();
+        let early = StepDrive {
+            t0: 2e-6,
+            amps: 1.0,
+        };
+        let late = StepDrive {
+            t0: 5e-6,
+            amps: 1.0,
+        };
+        let cfg = TransientConfig::new(10e-6);
+        assert_ne!(
+            StepSchedule::new(&early, &cfg),
+            StepSchedule::new(&late, &cfg)
+        );
+        let same = StepDrive {
+            t0: 2e-6,
+            amps: 3.0,
+        };
+        assert_eq!(
+            StepSchedule::new(&early, &cfg),
+            StepSchedule::new(&same, &cfg)
+        );
+        let mut solver = TransientSolver::new(&nl).unwrap();
+        let [a, b] = solver.run_lanes([&early, &late], &[Probe::NodeVoltage(die)], &cfg);
+        assert!(a.is_ok());
+        assert!(matches!(b, Err(PdnError::InvalidTimebase { .. })), "{b:?}");
     }
 }

@@ -9,7 +9,10 @@
 //! 1. **Parallelism** — independent jobs run on a work-stealing pool of
 //!    scoped threads ([`std::thread::scope`], no extra dependencies).
 //!    Because jobs are pure, parallel execution is bitwise identical to
-//!    serial execution (an invariant the test suite enforces).
+//!    serial execution (an invariant the test suite enforces). Jobs of
+//!    one batch that share a scenario and a step schedule run as the
+//!    lanes of one transient solve ([`Engine::run_jobs_settled_each`]),
+//!    each lane bitwise its lone solve.
 //! 2. **Memoization** — a [`SimJob`] carries a [`JobKey`] derived from
 //!    the *content* of its inputs (chip configuration, the electrical
 //!    fields of each load, window/seed/trace options). Identical jobs —
@@ -36,14 +39,16 @@
 use crate::chip::Chip;
 use crate::fault::{panic_message, FaultInjector, FaultKind, InjectedFault, JobFault, RetryPolicy};
 use crate::noise::{
-    run_drawer_step_instrumented, run_noise, run_noise_instrumented, CoreLoad, DrawerStepConfig,
-    DrawerStepOutcome, NoiseOutcome, NoiseRunConfig, SolveTelemetry,
+    prepare_run, run_drawer_step_instrumented, run_noise, run_view_noise_instrumented,
+    run_view_noise_lanes, CoreLoad, DrawerStepConfig, DrawerStepOutcome, LaneJob, NoiseOutcome,
+    NoiseRunConfig, PreparedRun, ScenarioView, SolveTelemetry,
 };
-use crate::rack::{run_rack_noise, run_rack_noise_instrumented, RackScenario};
+use crate::rack::{run_rack_noise, RackScenario};
 use crate::site::SiteVec;
 use crate::store::{Fnv128, ResultStore};
 use crate::telemetry::EngineTelemetry;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -52,6 +57,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use voltnoise_pdn::signal::trace_signature;
 use voltnoise_pdn::topology::NUM_CORES;
+use voltnoise_pdn::transient::{StepSchedule, MAX_LANES};
 use voltnoise_pdn::{CancelToken, PdnError, SolverBackend};
 
 /// Number of independently locked cache shards. A small power of two:
@@ -258,6 +264,14 @@ impl JobTarget {
         match self {
             JobTarget::Chip(_) => NUM_CORES,
             JobTarget::Rack(rack) => rack.num_sites(),
+        }
+    }
+
+    /// The electrical view the noise kernel solves.
+    fn view(&self) -> ScenarioView<'_> {
+        match self {
+            JobTarget::Chip(chip) => ScenarioView::of_chip(chip),
+            JobTarget::Rack(rack) => rack.view(),
         }
     }
 }
@@ -595,18 +609,35 @@ enum Entry {
     Pending(Arc<Slot>),
 }
 
-/// What a memo lookup found, and the caller's role from here on.
+/// What claiming a job's key found, and the caller's role from here on.
 enum Claim {
-    /// The outcome is memoized.
-    Hit(Arc<NoiseOutcome>),
-    /// The outcome was loaded from the store; this is its first use.
-    Stored(Arc<NoiseOutcome>),
+    /// Settled without solving: a memo or store hit, or a cancelled
+    /// caller's fast fault.
+    Settled(Settled),
     /// Another caller is solving the key: wait for its result.
     Join(Arc<Slot>),
     /// This caller registered the key and must settle its slot.
     Lead(Arc<Slot>),
-    /// Not memoized, and the caller may not solve (it is cancelled).
-    Miss,
+}
+
+/// A leader of one batch: the job, its slot, the configuration it runs
+/// under and, when the kernel could prepare it, its prepared run.
+struct Lead<'a> {
+    /// Index of the job among the batch's distinct keys.
+    unique: usize,
+    job: &'a SimJob,
+    slot: Arc<Slot>,
+    cfg: Cow<'a, NoiseRunConfig>,
+    run: Option<PreparedRun>,
+}
+
+/// One work item of a batch on the executor.
+enum Work {
+    /// Leaders (indices into the batch's leaders) solved together as
+    /// the lanes of one group.
+    Lanes(Vec<usize>),
+    /// A key another caller is solving.
+    Join(usize, Arc<Slot>),
 }
 
 /// The parallel, memoizing job executor.
@@ -817,11 +848,6 @@ impl Engine {
         self.workers
     }
 
-    /// The engine's retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Jobs solved so far (cache misses).
     pub fn solves(&self) -> usize {
         self.solves.load(Ordering::Relaxed)
@@ -942,21 +968,23 @@ impl Engine {
         check(self.cancel.as_ref()).or_else(|| check(job.cfg.cancel.as_ref()))
     }
 
-    /// Solves a job with the engine-level step budget and cancellation
-    /// token injected wherever the job's own config leaves them unset.
-    /// The common case (no engine-level overrides) avoids the config
-    /// clone entirely. Returns the outcome together with the solve's
-    /// telemetry (which the caller aggregates; it never enters the
-    /// outcome, the cache or the store).
+    /// Solves a job alone under [`Engine::run_config`]. Returns the
+    /// outcome together with the solve's telemetry (which the caller
+    /// aggregates; it never enters the outcome, the cache or the store).
     fn solve_job(&self, job: &SimJob) -> Result<(NoiseOutcome, SolveTelemetry), PdnError> {
+        let cfg = self.run_config(job);
+        run_view_noise_instrumented(&job.target.view(), &job.loads, &cfg, self.trace)
+    }
+
+    /// The configuration a job runs under: its own, with the
+    /// engine-level step budget and cancellation token filled in where
+    /// it leaves them unset. The common case (no engine-level
+    /// overrides) borrows the job's config instead of cloning it.
+    fn run_config<'a>(&self, job: &'a SimJob) -> Cow<'a, NoiseRunConfig> {
         let inject_budget = job.cfg.max_steps.is_none() && self.step_budget.is_some();
         let inject_cancel = job.cfg.cancel.is_none() && self.cancel.is_some();
-        let run = |cfg: &NoiseRunConfig| match &job.target {
-            JobTarget::Chip(chip) => run_noise_instrumented(chip, &job.loads, cfg, self.trace),
-            JobTarget::Rack(rack) => run_rack_noise_instrumented(rack, &job.loads, cfg, self.trace),
-        };
         if !inject_budget && !inject_cancel {
-            return run(&job.cfg);
+            return Cow::Borrowed(&job.cfg);
         }
         let mut cfg = job.cfg.clone();
         if inject_budget {
@@ -965,7 +993,7 @@ impl Engine {
         if inject_cancel {
             cfg.cancel = self.cancel.clone();
         }
-        run(&cfg)
+        Cow::Owned(cfg)
     }
 
     /// Runs one drawer-scale job through the engine's drawer memo,
@@ -999,25 +1027,47 @@ impl Engine {
         &self.memo[(digest % CACHE_SHARDS as u128) as usize]
     }
 
-    /// Looks a key up, registering the caller as the key's solver when
-    /// nothing is memoized or in flight and `may_solve` holds.
-    fn claim(&self, digest: u128, may_solve: bool) -> Claim {
+    /// Claims a job's key: served from the memo or the store, joined to
+    /// another caller's solve, or registered with this caller as its
+    /// solver. Finding a result and registering to solve it are one
+    /// step under one shard lock.
+    fn claim(&self, job: &SimJob) -> Claim {
+        let digest = job.key.digest;
+        // A cancelled caller never leads or joins a solve: it is served
+        // only what is already paid for, or fails fast.
+        let abort = self.pre_solve_abort(job);
         let mut shard = lock_recover(self.shard(digest));
         match shard.get(&digest) {
-            Some(Entry::Ready(outcome)) => Claim::Hit(outcome.clone()),
+            Some(Entry::Ready(outcome)) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Claim::Settled(Ok(outcome.clone()));
+            }
             Some(Entry::Stored(outcome)) => {
                 let outcome = outcome.clone();
                 shard.insert(digest, Entry::Ready(outcome.clone()));
-                Claim::Stored(outcome)
+                self.store_hits.fetch_add(1, Ordering::Relaxed);
+                return Claim::Settled(Ok(outcome));
             }
-            _ if !may_solve => Claim::Miss,
-            Some(Entry::Pending(slot)) => Claim::Join(slot.clone()),
-            None => {
-                let slot = Arc::new(Slot::default());
-                shard.insert(digest, Entry::Pending(slot.clone()));
-                Claim::Lead(slot)
+            Some(Entry::Pending(slot)) if abort.is_none() => {
+                self.inflight_joins.fetch_add(1, Ordering::Relaxed);
+                return Claim::Join(slot.clone());
             }
+            _ => {}
         }
+        if let Some(abort) = abort {
+            drop(shard);
+            // Memo miss (the store was loaded into the memo when it was
+            // opened) of a cancelled caller. Cached and stored results
+            // were served above even then — they are already paid for,
+            // and draining them keeps a cancelled batch's partial
+            // results deterministic. The fault kind carries the token's
+            // reason, so a deadline-reaped request reports Deadline,
+            // not Cancelled; attempts = 0: the solver was never entered.
+            return Claim::Settled(Err(self.record_fault(job, 0, FaultKind::of_error(abort))));
+        }
+        let slot = Arc::new(Slot::default());
+        shard.insert(digest, Entry::Pending(slot.clone()));
+        Claim::Lead(slot)
     }
 
     /// Memoizes an outcome under its key's digest.
@@ -1052,12 +1102,28 @@ impl Engine {
         Ok(())
     }
 
-    /// One solve attempt: consult the injector, solve, validate the
-    /// outcome, persist and memoize it. Only finite, successful outcomes
-    /// are ever memoized, so a fault can never poison a later lookup.
+    /// One solve attempt: take the next attempt ordinal, consult the
+    /// injector and solve alone.
     fn solve_attempt(&self, job: &SimJob) -> Result<Arc<NoiseOutcome>, PdnError> {
+        let (ordinal, injected) = self.next_attempt();
+        self.attempt_with(job, ordinal, injected)
+    }
+
+    /// The next attempt ordinal and the fault the injector plants there.
+    fn next_attempt(&self) -> (usize, Option<InjectedFault>) {
         let ordinal = self.attempts.fetch_add(1, Ordering::Relaxed);
         let injected = self.injector.as_ref().and_then(|inj| inj.decide(ordinal));
+        (ordinal, injected)
+    }
+
+    /// One solve attempt alone, at an ordinal whose injected fault is
+    /// already decided.
+    fn attempt_with(
+        &self,
+        job: &SimJob,
+        ordinal: usize,
+        injected: Option<InjectedFault>,
+    ) -> Result<Arc<NoiseOutcome>, PdnError> {
         match injected {
             Some(InjectedFault::SolverError) => return Err(PdnError::Injected { ordinal }),
             Some(InjectedFault::WorkerPanic) => {
@@ -1068,7 +1134,22 @@ impl Engine {
         // Wall-clock is only sampled while tracing: untraced solves pay
         // two branch checks, not two clock reads.
         let wall_t0 = self.trace.then(Instant::now);
-        let (mut outcome, solve_tel) = self.solve_job(job)?;
+        let (outcome, solve_tel) = self.solve_job(job)?;
+        let wall_ns = wall_t0.map(|t0| t0.elapsed().as_nanos() as u64);
+        self.accept(job, outcome, solve_tel, wall_ns, injected)
+    }
+
+    /// Validates a solved outcome, then persists and memoizes it. Only
+    /// finite, successful outcomes are ever memoized, so a fault can
+    /// never poison a later lookup.
+    fn accept(
+        &self,
+        job: &SimJob,
+        mut outcome: NoiseOutcome,
+        solve_tel: SolveTelemetry,
+        wall_ns: Option<u64>,
+        injected: Option<InjectedFault>,
+    ) -> Result<Arc<NoiseOutcome>, PdnError> {
         if injected == Some(InjectedFault::NanOutcome) {
             outcome.pct_p2p[0] = f64::NAN;
         }
@@ -1084,7 +1165,6 @@ impl Engine {
         }
         let outcome = Arc::new(outcome);
         self.solves.fetch_add(1, Ordering::Relaxed);
-        let wall_ns = wall_t0.map(|t0| t0.elapsed().as_nanos() as u64);
         // Spectral fingerprints of any captured traces, computed
         // outside the telemetry lock (an FFT over a resampled trace,
         // paid only by trace-recording jobs). Like the wall-clock
@@ -1114,6 +1194,87 @@ impl Engine {
         Ok(outcome)
     }
 
+    /// Runs an attempt, capturing its failure — error or panic — as the
+    /// fault it settles as.
+    fn caught(
+        f: impl FnOnce() -> Result<Arc<NoiseOutcome>, PdnError>,
+    ) -> Result<Arc<NoiseOutcome>, FaultKind> {
+        match catch_unwind(AssertUnwindSafe(f)) {
+            Ok(Ok(outcome)) => Ok(outcome),
+            Ok(Err(e)) => Err(FaultKind::of_error(e)),
+            Err(payload) => Err(FaultKind::Panic(panic_message(payload.as_ref()))),
+        }
+    }
+
+    /// The first attempt of every leader in `group`, solved as the lanes
+    /// of one transient run. Each member takes its attempt ordinal, in
+    /// member order, before the group runs: a member planted with a
+    /// solver error or a worker panic, or one the kernel could not
+    /// prepare, attempts alone exactly as a lone job does, and the rest
+    /// share the lanes. A panic in the lane run re-runs every lane
+    /// member alone, so each panic is charged to the job that raised it.
+    fn group_attempt(&self, group: &[&Lead<'_>]) -> Vec<Result<Arc<NoiseOutcome>, FaultKind>> {
+        let decided: Vec<(usize, Option<InjectedFault>)> =
+            group.iter().map(|_| self.next_attempt()).collect();
+        let mut firsts: Vec<Option<Result<Arc<NoiseOutcome>, FaultKind>>> =
+            group.iter().map(|_| None).collect();
+        let (mut lanes, mut jobs) = (Vec::new(), Vec::new());
+        for (i, (lead, &(ordinal, injected))) in group.iter().zip(&decided).enumerate() {
+            let planted = matches!(
+                injected,
+                Some(InjectedFault::SolverError | InjectedFault::WorkerPanic)
+            );
+            match &lead.run {
+                Some(run) if !planted => {
+                    lanes.push(i);
+                    jobs.push(LaneJob {
+                        loads: &lead.job.loads,
+                        cfg: &lead.cfg,
+                        run,
+                    });
+                }
+                _ => {
+                    firsts[i] = Some(Self::caught(|| {
+                        self.attempt_with(lead.job, ordinal, injected)
+                    }));
+                }
+            }
+        }
+        if let Some(&first) = lanes.first() {
+            let view = group[first].job.target.view();
+            let wall_t0 = self.trace.then(Instant::now);
+            let solved = catch_unwind(AssertUnwindSafe(|| run_view_noise_lanes(&view, &jobs)));
+            // A group's wall time is split evenly across its lanes, like
+            // its phase times.
+            let wall_ns = wall_t0.map(|t0| t0.elapsed().as_nanos() as u64 / jobs.len() as u64);
+            match solved {
+                Ok(results) => {
+                    for (&i, result) in lanes.iter().zip(results) {
+                        let injected = decided[i].1;
+                        firsts[i] = Some(Self::caught(|| {
+                            let (outcome, tel) = result?;
+                            self.accept(group[i].job, outcome, tel, wall_ns, injected)
+                        }));
+                    }
+                }
+                Err(_) => {
+                    for &i in &lanes {
+                        let (ordinal, injected) = decided[i];
+                        firsts[i] = Some(Self::caught(|| {
+                            self.attempt_with(group[i].job, ordinal, injected)
+                        }));
+                    }
+                }
+            }
+        }
+        firsts
+            .into_iter()
+            .map(|first| {
+                first.unwrap_or_else(|| Err(FaultKind::Panic("member never attempted".to_string())))
+            })
+            .collect()
+    }
+
     /// Runs one job through the cache, capturing failure — solver error
     /// or worker panic — as a [`JobFault`] instead of propagating it.
     /// The retry policy grants failing jobs extra attempts (separated by
@@ -1133,48 +1294,23 @@ impl Engine {
     /// attempt failed. Failures are never cached; a failing job
     /// re-solves when resubmitted.
     pub fn run_one_settled(&self, job: &SimJob) -> Result<Arc<NoiseOutcome>, JobFault> {
-        let digest = job.key.digest;
-        // A cancelled caller never leads or joins a solve: it is served
-        // only what is already paid for, below, or fails fast.
-        let abort = self.pre_solve_abort(job);
-        let slot = match self.claim(digest, abort.is_none()) {
-            Claim::Hit(outcome) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(outcome);
-            }
-            Claim::Stored(outcome) => {
-                self.store_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(outcome);
-            }
-            Claim::Join(slot) => {
-                self.inflight_joins.fetch_add(1, Ordering::Relaxed);
-                return slot.wait();
-            }
-            Claim::Lead(slot) => Some(slot),
-            Claim::Miss => None,
-        };
-        // Memo miss (the store was loaded into the memo when it was
-        // opened): solve, unless cancellation was requested. Cached and
-        // stored results were served above even then — they are already
-        // paid for, and draining them keeps a cancelled batch's partial
-        // results deterministic.
-        let result = match abort {
-            // The fault kind carries the token's reason, so a
-            // deadline-reaped request reports Deadline, not Cancelled;
-            // attempts = 0: the solver was never entered.
-            Some(abort) => Err(self.record_fault(job, 0, FaultKind::of_error(abort))),
-            None => {
+        match self.claim(job) {
+            Claim::Settled(settled) => settled,
+            Claim::Join(slot) => slot.wait(),
+            Claim::Lead(slot) => {
                 self.in_flight.fetch_add(1, Ordering::Relaxed);
-                let result = self.solve_with_retries(job);
-                self.in_flight.fetch_sub(1, Ordering::Relaxed);
-                result
+                let settled = self.solve_with_retries(job);
+                self.settle_lead(job, &slot, &settled);
+                settled
             }
-        };
-        if let Some(slot) = slot {
-            self.vacate(digest, &slot);
-            slot.settle(result.clone());
         }
-        result
+    }
+
+    /// Settles a leader's slot for every caller waiting on the key.
+    fn settle_lead(&self, job: &SimJob, slot: &Arc<Slot>, settled: &Settled) {
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.vacate(job.key.digest, slot);
+        slot.settle(settled.clone());
     }
 
     /// Books a terminal fault into the engine's counters and builds the
@@ -1199,50 +1335,49 @@ impl Engine {
 
     /// The retry loop of one leader solve: every attempt the policy
     /// allows, with the deterministic backoff schedule between attempts.
-    fn solve_with_retries(&self, job: &SimJob) -> Result<Arc<NoiseOutcome>, JobFault> {
-        let max_attempts = self.retry.max_attempts.max(1);
-        let mut last_fault: Option<FaultKind> = None;
-        let mut attempts_made = 0u32;
-        for attempt in 0..max_attempts {
+    fn solve_with_retries(&self, job: &SimJob) -> Settled {
+        let first = Self::caught(|| self.solve_attempt(job));
+        self.retry_after(job, first)
+    }
+
+    /// Continues a leader's retry loop after its first attempt settled
+    /// as `first`: attempt `k ≥ 1` runs alone, after the policy's
+    /// backoff, on the job reseeded to `seed + k` when the policy
+    /// reseeds.
+    fn retry_after(&self, job: &SimJob, first: Result<Arc<NoiseOutcome>, FaultKind>) -> Settled {
+        let mut fault = match first {
+            Ok(outcome) => return Ok(outcome),
+            Err(fault) => fault,
+        };
+        let mut attempts_made = 1u32;
+        for attempt in 1..self.retry.max_attempts.max(1) {
+            // Budget exhaustion, cancellation and deadline reaping are
+            // final: retrying is guaranteed to reproduce them (budgets
+            // are deterministic, tokens stay cancelled), so the attempts
+            // a retry policy would spend are saved.
+            if fault.is_final() {
+                break;
+            }
             let reseeded;
-            let current: &SimJob = if attempt > 0 && self.retry.reseed {
+            let current: &SimJob = if self.retry.reseed {
                 reseeded = job.reseeded(job.cfg.seed.wrapping_add(u64::from(attempt)));
                 &reseeded
             } else {
                 job
             };
-            if attempt > 0 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                // The delay is a pure function of (job seed, attempt):
-                // reproducible under any worker count (see RetryPolicy).
-                let delay_ms = self.retry.backoff_delay_ms(job.cfg.seed, attempt);
-                if delay_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(delay_ms));
-                }
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            // The delay is a pure function of (job seed, attempt):
+            // reproducible under any worker count (see RetryPolicy).
+            let delay_ms = self.retry.backoff_delay_ms(job.cfg.seed, attempt);
+            if delay_ms > 0 {
+                std::thread::sleep(std::time::Duration::from_millis(delay_ms));
             }
             attempts_made = attempt + 1;
-            match catch_unwind(AssertUnwindSafe(|| self.solve_attempt(current))) {
-                Ok(Ok(outcome)) => return Ok(outcome),
-                Ok(Err(e)) => {
-                    let kind = FaultKind::of_error(e);
-                    // Budget exhaustion, cancellation and deadline
-                    // reaping are final: retrying is guaranteed to
-                    // reproduce them (budgets are deterministic, tokens
-                    // stay cancelled), so the attempts a retry policy
-                    // would spend are saved.
-                    let stop = kind.is_final();
-                    last_fault = Some(kind);
-                    if stop {
-                        break;
-                    }
-                }
-                Err(payload) => {
-                    last_fault = Some(FaultKind::Panic(panic_message(payload.as_ref())));
-                }
+            match Self::caught(|| self.solve_attempt(current)) {
+                Ok(outcome) => return Ok(outcome),
+                Err(next) => fault = next,
             }
         }
-        let fault = last_fault
-            .unwrap_or_else(|| FaultKind::Panic("no attempt recorded a fault".to_string()));
         Err(self.record_fault(job, attempts_made, fault))
     }
 
@@ -1283,37 +1418,12 @@ impl Engine {
     /// failure as a [`JobFault`] in its output slots. The output
     /// preserves input order: `result[i]` settles `jobs[i]`, and
     /// duplicate jobs share one result (including a shared fault).
-    pub fn run_jobs_settled(&self, jobs: &[SimJob]) -> Vec<Result<Arc<NoiseOutcome>, JobFault>> {
-        let mut index_of: HashMap<&JobKey, usize> = HashMap::new();
-        let mut unique: Vec<&SimJob> = Vec::new();
-        let mut slots: Vec<usize> = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let next = unique.len();
-            let idx = *index_of.entry(job.key()).or_insert(next);
-            if idx == next {
-                unique.push(job);
-            }
-            slots.push(idx);
-        }
-        let solved: Vec<Result<Arc<NoiseOutcome>, JobFault>> = self
-            .par_map_caught(&unique, |job| self.run_one_settled(job))
-            .into_iter()
-            .zip(&unique)
-            .map(|(r, job)| match r {
-                Ok(settled) => settled,
-                // A panic that escaped run_one_settled's own catch (it
-                // should not happen — the solve path is fully guarded).
-                Err(msg) => {
-                    self.faults.fetch_add(1, Ordering::Relaxed);
-                    Err(JobFault {
-                        key: Box::new(*job.key()),
-                        attempts: 1,
-                        fault: FaultKind::Panic(msg),
-                    })
-                }
-            })
-            .collect();
-        slots.into_iter().map(|i| solved[i].clone()).collect()
+    ///
+    /// Leaders that share a scenario and a step schedule are solved as
+    /// the lanes of one transient run (see [`Engine::run_jobs_settled_each`]);
+    /// every outcome is bitwise what a lone solve produces.
+    pub fn run_jobs_settled(&self, jobs: &[SimJob]) -> Vec<Settled> {
+        self.run_jobs_settled_each(jobs, |_, _| {})
     }
 
     /// Like [`Engine::run_jobs_settled`], but additionally invokes
@@ -1325,13 +1435,18 @@ impl Engine {
     /// `run_jobs_settled`; their slots are all announced when the one
     /// shared solve settles. The full input-ordered result vector is
     /// still returned.
-    pub fn run_jobs_settled_each<F>(
-        &self,
-        jobs: &[SimJob],
-        sink: F,
-    ) -> Vec<Result<Arc<NoiseOutcome>, JobFault>>
+    ///
+    /// The batch first claims every distinct key (memo hit, store hit,
+    /// join or lead). Leaders whose scenario, solver backend and step
+    /// schedule agree are split into the fewest near-equal lane groups
+    /// of at most [`MAX_LANES`] whose count is a multiple of the worker
+    /// count, and every other leader forms a group of its own; the
+    /// groups, then the joins, run on the worker pool. Injected faults
+    /// and retries stay per member (see [`Engine::run_one_settled`]),
+    /// and every member settles its own slot.
+    pub fn run_jobs_settled_each<F>(&self, jobs: &[SimJob], sink: F) -> Vec<Settled>
     where
-        F: Fn(usize, &Result<Arc<NoiseOutcome>, JobFault>) + Sync,
+        F: Fn(usize, &Settled) + Sync,
     {
         let mut index_of: HashMap<&JobKey, usize> = HashMap::new();
         let mut unique: Vec<&SimJob> = Vec::new();
@@ -1347,32 +1462,170 @@ impl Engine {
             slots_of[idx].push(i);
             slots.push(idx);
         }
-        let order: Vec<usize> = (0..unique.len()).collect();
-        let solved: Vec<Result<Arc<NoiseOutcome>, JobFault>> = self
-            .par_map_caught(&order, |&u| {
-                let settled = self.run_one_settled(unique[u]);
-                for &slot in &slots_of[u] {
-                    sink(slot, &settled);
+        let announce = |u: usize, settled: &Settled| {
+            for &slot in &slots_of[u] {
+                sink(slot, settled);
+            }
+        };
+        // A panic escaping the guarded solve path (or raised by the sink
+        // itself) still settles the job as a fault.
+        let escaped = |u: usize, msg: String| -> Settled {
+            self.faults.fetch_add(1, Ordering::Relaxed);
+            Err(JobFault {
+                key: Box::new(*unique[u].key()),
+                attempts: 1,
+                fault: FaultKind::Panic(msg),
+            })
+        };
+        let mut solved: Vec<Option<Settled>> = unique.iter().map(|_| None).collect();
+        let mut joins: Vec<Work> = Vec::new();
+        let mut leads: Vec<Lead<'_>> = Vec::new();
+        for (u, &job) in unique.iter().enumerate() {
+            match self.claim(job) {
+                // Results already paid for are announced at once, off
+                // the pool.
+                Claim::Settled(settled) => {
+                    let announced = catch_unwind(AssertUnwindSafe(|| announce(u, &settled)));
+                    solved[u] = Some(match announced {
+                        Ok(()) => settled,
+                        Err(payload) => escaped(u, panic_message(payload.as_ref())),
+                    });
+                }
+                Claim::Join(slot) => joins.push(Work::Join(u, slot)),
+                Claim::Lead(slot) => leads.push(Lead {
+                    unique: u,
+                    job,
+                    slot,
+                    cfg: self.run_config(job),
+                    run: None,
+                }),
+            }
+        }
+        self.in_flight.fetch_add(leads.len(), Ordering::Relaxed);
+        let mut work: Vec<Work> = (self.lane_groups(&mut leads).into_iter())
+            .map(Work::Lanes)
+            .collect();
+        // Joins come last: every worker takes leader groups before it
+        // waits on another caller, so two batches that join each other's
+        // keys cannot deadlock.
+        work.extend(joins);
+        let done = self.par_map_caught(&work, |item| match item {
+            Work::Lanes(group) => {
+                let group: Vec<&Lead<'_>> = group.iter().map(|&i| &leads[i]).collect();
+                let settled = self.lead_group(&group);
+                for (u, s) in &settled {
+                    announce(*u, s);
                 }
                 settled
-            })
-            .into_iter()
-            .zip(&unique)
-            .map(|(r, job)| match r {
-                Ok(settled) => settled,
-                // A panic escaping run_one_settled's catch (or raised by
-                // the sink itself) still settles the slot as a fault.
-                Err(msg) => {
-                    self.faults.fetch_add(1, Ordering::Relaxed);
-                    Err(JobFault {
-                        key: Box::new(*job.key()),
-                        attempts: 1,
-                        fault: FaultKind::Panic(msg),
-                    })
+            }
+            Work::Join(u, slot) => {
+                let settled = slot.wait();
+                announce(*u, &settled);
+                vec![(*u, settled)]
+            }
+        });
+        for (item, result) in work.iter().zip(done) {
+            match result {
+                Ok(settled) => {
+                    for (u, s) in settled {
+                        solved[u] = Some(s);
+                    }
                 }
+                Err(msg) => {
+                    let members = match item {
+                        Work::Join(u, _) => vec![*u],
+                        Work::Lanes(group) => group.iter().map(|&i| leads[i].unique).collect(),
+                    };
+                    for u in members {
+                        solved[u] = Some(escaped(u, msg.clone()));
+                    }
+                }
+            }
+        }
+        slots
+            .into_iter()
+            .map(|u| {
+                solved[u].clone().unwrap_or_else(|| {
+                    Err(JobFault {
+                        key: Box::new(*unique[u].key()),
+                        attempts: 0,
+                        fault: FaultKind::Panic("job never settled".to_string()),
+                    })
+                })
             })
-            .collect();
-        slots.into_iter().map(|i| solved[i].clone()).collect()
+            .collect()
+    }
+
+    /// Prepares a batch's leaders (waveforms and transient
+    /// configuration) and partitions them into lane groups of indices.
+    /// Leaders whose scenario signature, backend and step schedule agree
+    /// form one set, in order of first appearance, which is split into
+    /// the fewest near-equal groups of at most [`MAX_LANES`] whose count
+    /// is a multiple of the worker count. A leader the kernel cannot
+    /// prepare is a group of its own and fails alone.
+    fn lane_groups(&self, leads: &mut [Lead<'_>]) -> Vec<Vec<usize>> {
+        let shared = leads.len() > 1;
+        let mut sets: Vec<Vec<usize>> = Vec::new();
+        let mut set_of: HashMap<(Fnv128, SolverBackend, StepSchedule), usize> = HashMap::new();
+        for (i, lead) in leads.iter_mut().enumerate() {
+            let view = lead.job.target.view();
+            lead.run = prepare_run(&view, &lead.job.loads, &lead.cfg, self.trace).ok();
+            let Some(run) = lead.run.as_ref().filter(|_| shared) else {
+                // A lone leader has nothing to share lanes with.
+                sets.push(vec![i]);
+                continue;
+            };
+            let (backend, schedule) = run.lane_key();
+            let next = sets.len();
+            let set = *set_of
+                .entry((lead.job.prefix.clone(), backend, schedule))
+                .or_insert(next);
+            if set == next {
+                sets.push(Vec::new());
+            }
+            sets[set].push(i);
+        }
+        let mut groups = Vec::new();
+        for set in sets {
+            let count = (set.len().div_ceil(MAX_LANES))
+                .next_multiple_of(self.workers)
+                .min(set.len());
+            let (base, extra) = (set.len() / count, set.len() % count);
+            let mut members = set.into_iter();
+            for g in 0..count {
+                groups.push(
+                    members
+                        .by_ref()
+                        .take(base + usize::from(g < extra))
+                        .collect(),
+                );
+            }
+        }
+        groups
+    }
+
+    /// Solves one lane group's leaders, retries each failed member
+    /// alone, and settles every member's slot before returning the
+    /// settled results by distinct-job index.
+    fn lead_group(&self, group: &[&Lead<'_>]) -> Vec<(usize, Settled)> {
+        let mut settled = Vec::with_capacity(group.len());
+        let mut failed = Vec::new();
+        for (lead, first) in group.iter().zip(self.group_attempt(group)) {
+            match first {
+                Ok(outcome) => {
+                    let ok = Ok(outcome);
+                    self.settle_lead(lead.job, &lead.slot, &ok);
+                    settled.push((lead.unique, ok));
+                }
+                Err(fault) => failed.push((lead, fault)),
+            }
+        }
+        for (lead, fault) in failed {
+            let result = self.retry_after(lead.job, Err(fault));
+            self.settle_lead(lead.job, &lead.slot, &result);
+            settled.push((lead.unique, result));
+        }
+        settled
     }
 
     /// Runs a slice of jobs fail-fast: a thin wrapper over
@@ -1863,6 +2116,101 @@ mod tests {
             assert_eq!(engine.in_flight(), 0);
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Synchronized rack jobs of one scenario share a step schedule,
+    /// so a batch solves them as lanes; every outcome must still be the
+    /// lone solve's, byte for byte, on one worker and on two.
+    fn rack_lane_jobs(tb: &Testbed) -> Vec<SimJob> {
+        let rack = Arc::new(
+            RackScenario::build(
+                tb.chip(),
+                1,
+                2,
+                voltnoise_pdn::topology::VariationSpec::paper_default(7),
+            )
+            .unwrap(),
+        );
+        let sm = tb.max_stressmark(2.5e6, Some(SyncSpec::paper_default()));
+        let batch = SimJob::rack_batch(rack.clone());
+        (0..11)
+            .map(|j| {
+                batch.job(
+                    SiteVec::from_fn(rack.num_sites(), |s| {
+                        if s <= j || s == 2 * j + 3 {
+                            CoreLoad::Stressmark(sm.clone())
+                        } else {
+                            CoreLoad::Idle
+                        }
+                    }),
+                    NoiseRunConfig {
+                        window_s: Some(2e-6),
+                        ..NoiseRunConfig::default()
+                    },
+                )
+            })
+            .collect()
+    }
+
+    fn json(outcome: &NoiseOutcome) -> String {
+        serde_json::to_string(outcome).unwrap()
+    }
+
+    #[test]
+    fn rack_batch_lanes_match_lone_solves_bytewise() {
+        let tb = Testbed::fast();
+        let jobs = rack_lane_jobs(tb);
+        let lone: Vec<String> = jobs
+            .iter()
+            .map(|job| json(&Engine::with_workers(1).run_one(job).unwrap()))
+            .collect();
+        for workers in [1, 2] {
+            let engine = Engine::with_workers(workers);
+            let batched = engine.run_jobs(&jobs).unwrap();
+            for (i, (got, want)) in batched.iter().zip(&lone).enumerate() {
+                assert_eq!(&json(got), want, "{workers} workers, job {i}");
+            }
+            assert_eq!(engine.solves(), jobs.len());
+            let c = engine.telemetry().solver;
+            assert_eq!(c.batched_solves, c.solve_calls, "{workers} workers: {c:?}");
+        }
+    }
+
+    #[test]
+    fn injected_faults_stay_with_their_lane_member() {
+        let tb = Testbed::fast();
+        let jobs = rack_lane_jobs(tb);
+        let engine = Engine::with_workers(1).with_injector(
+            FaultInjector::new()
+                .fail_solve(1, InjectedFault::SolverError)
+                .fail_solve(3, InjectedFault::NanOutcome),
+        );
+        let settled = engine.run_jobs_settled(&jobs);
+        for (i, (got, job)) in settled.iter().zip(&jobs).enumerate() {
+            match (i, got) {
+                (
+                    1,
+                    Err(JobFault {
+                        fault: FaultKind::Solver(PdnError::Injected { ordinal: 1 }),
+                        ..
+                    }),
+                ) => {}
+                (
+                    3,
+                    Err(JobFault {
+                        fault: FaultKind::Solver(PdnError::Diverged { .. }),
+                        ..
+                    }),
+                ) => {}
+                (1 | 3, other) => panic!("job {i}: expected its injected fault, got {other:?}"),
+                (_, got) => {
+                    let want = Engine::with_workers(1).run_one(job).unwrap();
+                    assert_eq!(json(got.as_ref().unwrap()), json(&want), "job {i}");
+                }
+            }
+        }
+        assert_eq!(engine.faults(), 2);
+        assert_eq!(engine.solves(), jobs.len() - 2);
     }
 
     #[test]

@@ -24,7 +24,9 @@ use voltnoise_measure::skitter::{Skitter, SkitterReading};
 use voltnoise_pdn::netlist::{Netlist, NodeId};
 use voltnoise_pdn::rom::{solve_step_rom, RomStepProblem};
 use voltnoise_pdn::topology::{core_domain, DrawerParams, DrawerPdn, RackPdn, NUM_CORES};
-use voltnoise_pdn::transient::{Drive, Probe, TransientConfig, TransientSolver};
+use voltnoise_pdn::transient::{
+    Drive, Probe, StepSchedule, TransientConfig, TransientResult, TransientSolver,
+};
 use voltnoise_pdn::waveform::{CoreWaveform, MultiCoreDrive, StressWaveform, WaveMode};
 use voltnoise_pdn::{PdnError, SolveSpec, SolverBackend};
 use voltnoise_stressmark::CompiledStressmark;
@@ -467,7 +469,8 @@ pub fn run_noise_instrumented(
 
 /// The topology-blind noise kernel: one transient solve of `view`'s
 /// netlist under per-site `loads`, HF ripple superposed per chip block,
-/// one skitter reading per site.
+/// one skitter reading per site — the one-lane case of
+/// [`run_view_noise_lanes`].
 ///
 /// Everything byte-identity-critical lives here once, for every
 /// topology: the RNG is consumed in site-ordinal order, probes are the
@@ -480,6 +483,51 @@ pub(crate) fn run_view_noise_instrumented(
     cfg: &NoiseRunConfig,
     trace: bool,
 ) -> Result<(NoiseOutcome, SolveTelemetry), PdnError> {
+    let run = prepare_run(view, loads, cfg, trace)?;
+    let job = LaneJob {
+        loads,
+        cfg,
+        run: &run,
+    };
+    let mut results = run_view_noise_lanes(view, &[job]);
+    results.pop().unwrap_or(Err(PdnError::DimensionMismatch {
+        expected: 1,
+        actual: 0,
+    }))
+}
+
+/// One noise job made ready to solve: its drive (the per-site
+/// waveforms, free-run phases drawn from the job's seed) and its
+/// transient configuration.
+pub(crate) struct PreparedRun {
+    drive: MultiCoreDrive,
+    tc: TransientConfig,
+    backend: SolverBackend,
+}
+
+impl PreparedRun {
+    /// What the jobs of one lane group must share besides their
+    /// scenario: the solver backend and the step schedule. Synchronized
+    /// jobs of one scenario and window share it; free-running jobs draw
+    /// random phases, so each one forms a group of its own.
+    pub(crate) fn lane_key(&self) -> (SolverBackend, StepSchedule) {
+        (self.backend, StepSchedule::new(&self.drive, &self.tc))
+    }
+}
+
+/// Builds a job's waveforms and transient configuration; `trace` sets
+/// phase timing.
+///
+/// # Errors
+///
+/// [`PdnError::DimensionMismatch`] when the load count does not match
+/// the view's site count.
+pub(crate) fn prepare_run(
+    view: &ScenarioView<'_>,
+    loads: &[CoreLoad],
+    cfg: &NoiseRunConfig,
+    trace: bool,
+) -> Result<PreparedRun, PdnError> {
     let n = view.core_nodes.len();
     if loads.len() != n {
         return Err(PdnError::DimensionMismatch {
@@ -498,19 +546,60 @@ pub(crate) fn run_view_noise_instrumented(
             waveform_of(l, skew, view.idle_current, &mut rng)
         })
         .collect();
-    let drive = MultiCoreDrive::new(waves);
-
     let mut tc = transient_config(loads, cfg);
     tc.collect_phase_times = trace;
-    let mut solver = view.pdn.solver(cfg.solve.backend)?;
+    Ok(PreparedRun {
+        drive: MultiCoreDrive::new(waves),
+        tc,
+        backend: cfg.solve.backend,
+    })
+}
+
+/// One member of a lane group: a job's loads and run configuration and
+/// the run prepared from them.
+pub(crate) struct LaneJob<'a> {
+    pub loads: &'a [CoreLoad],
+    pub cfg: &'a NoiseRunConfig,
+    pub run: &'a PreparedRun,
+}
+
+/// Solves a group of jobs on `view` as the lanes of one transient run
+/// ([`TransientSolver::run_group`]); every job must carry the same
+/// [`PreparedRun::lane_key`]. `results[i]` settles `jobs[i]` and is
+/// bitwise what [`run_view_noise_instrumented`] returns for it alone.
+pub(crate) fn run_view_noise_lanes(
+    view: &ScenarioView<'_>,
+    jobs: &[LaneJob<'_>],
+) -> Vec<Result<(NoiseOutcome, SolveTelemetry), PdnError>> {
+    let Some(first) = jobs.first() else {
+        return Vec::new();
+    };
+    let mut solver = match view.pdn.solver(first.run.backend) {
+        Ok(solver) => solver,
+        Err(e) => return vec![Err(e); jobs.len()],
+    };
     let mut probes: Vec<Probe> = view
         .core_nodes
         .iter()
         .map(|&node| Probe::NodeVoltage(node))
         .collect();
     probes.push(Probe::SourceCurrent(0));
-    let mut result = solver.run(&drive, &probes, &tc)?;
+    let drives: Vec<&dyn Drive> = jobs.iter().map(|j| &j.run.drive as &dyn Drive).collect();
+    let results = solver.run_group(&drives, &probes, &first.run.tc);
+    (results.into_iter().zip(jobs))
+        .map(|(result, job)| result.and_then(|r| read_out(view, job, r)))
+        .collect()
+}
 
+/// Turns one lane's transient result into the job's outcome: HF ripple,
+/// skitter readings, rail power and optional scope traces.
+fn read_out(
+    view: &ScenarioView<'_>,
+    job: &LaneJob<'_>,
+    mut result: TransientResult,
+) -> Result<(NoiseOutcome, SolveTelemetry), PdnError> {
+    let (loads, cfg) = (job.loads, job.cfg);
+    let n = view.core_nodes.len();
     let hf = hf_amplitudes(view.hf, view.cores_per_chip, loads);
     let mut readings = SiteVec::from_elem(
         SkitterReading {
@@ -570,7 +659,7 @@ pub(crate) fn run_view_noise_instrumented(
     // kernel — downstream statistics silently absorb NaN otherwise.
     if let Some((node, value)) = outcome.first_non_finite() {
         return Err(PdnError::Diverged {
-            t: tc.t_end,
+            t: job.run.tc.t_end,
             node,
             value,
         });

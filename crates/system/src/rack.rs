@@ -18,7 +18,7 @@
 
 use crate::chip::{Chip, HfNoiseParams};
 use crate::noise::{NoiseOutcome, NoiseRunConfig, ScenarioPdn, ScenarioView, SolveTelemetry};
-use crate::site::{Site, SiteSpace, SiteVec};
+use crate::site::{Site, SiteSpace};
 use std::sync::Arc;
 use voltnoise_measure::skitter::Skitter;
 use voltnoise_pdn::topology::{DrawerParams, RackParams, RackPdn, VariationSpec, NUM_CORES};
@@ -232,11 +232,6 @@ pub fn run_rack_noise_instrumented(
     trace: bool,
 ) -> Result<(NoiseOutcome, SolveTelemetry), PdnError> {
     crate::noise::run_view_noise_instrumented(&rack.view(), loads, cfg, trace)
-}
-
-/// Builds the idle load set of a rack (every site idle).
-pub fn idle_loads(rack: &RackScenario) -> SiteVec<crate::noise::CoreLoad> {
-    SiteVec::from_elem(crate::noise::CoreLoad::Idle, rack.num_sites())
 }
 
 #[cfg(test)]

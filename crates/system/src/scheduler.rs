@@ -120,11 +120,6 @@ impl Occupancy {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Whether every site is occupied.
-    pub fn is_full(&self) -> bool {
-        self.count() == self.sites
-    }
-
     /// Iterates the free sites in ascending order.
     pub fn free_sites(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.sites).filter(move |&i| !self.is_set(i))

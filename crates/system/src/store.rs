@@ -56,7 +56,7 @@ const KEY_SCHEME: &str = "jobkey-fnv1a128/3";
 /// is explicitly not stable across Rust releases, so store keys — which
 /// must stay valid across processes, machines and toolchains — use this
 /// fixed, documented function instead.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct Fnv128 {
     state: u128,
 }

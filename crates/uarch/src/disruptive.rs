@@ -236,15 +236,6 @@ impl DisruptionStudy {
     pub fn memory_gain_fraction(&self) -> f64 {
         (self.max_with_memory_w - self.max_power_w) / self.max_power_w
     }
-
-    /// Finding (c): shared-resource activity inflates period variability.
-    pub fn variability_ratio(&self) -> f64 {
-        if self.contained_variability == 0.0 {
-            f64::INFINITY
-        } else {
-            self.memory_variability / self.contained_variability
-        }
-    }
 }
 
 #[cfg(test)]

@@ -49,6 +49,9 @@ cargo test -q -p voltnoise --test signal
 echo "== server smoke test"
 scripts/server_smoke.sh
 
+echo "== paper-scale results/ regenerate byte-identically"
+scripts/check_results.sh
+
 echo "== wall-clock bounds (release; each binary's one ignored test runs alone)"
 # Alone so sibling tests do not compete for the cores the timings need.
 cargo test --release -q -p voltnoise --test telemetry --test signal -- --ignored
