@@ -18,7 +18,7 @@ use crate::propagation::CorrelationAnalysis;
 use crate::signal_summary::SignalSummary;
 use serde::{Deserialize, Serialize};
 use voltnoise_pdn::ac::{log_space, AcAnalysis};
-use voltnoise_pdn::topology::{ChipPdn, PdnParams, NUM_CORES};
+use voltnoise_pdn::topology::{Pdn, PdnParams, NUM_CORES};
 use voltnoise_pdn::transient::{Probe, TransientConfig, TransientSolver};
 use voltnoise_pdn::waveform::{CoreWaveform, MultiCoreDrive, StressWaveform, WaveMode};
 use voltnoise_pdn::PdnError;
@@ -148,7 +148,7 @@ pub struct DecapAblation {
 /// Returns [`PdnError`] if the AC solve fails.
 pub fn run_decap_ablation() -> Result<DecapAblation, PdnError> {
     let band = |params: &PdnParams| -> Result<f64, PdnError> {
-        let chip = ChipPdn::build(params)?;
+        let chip = Pdn::chip(params)?;
         let ac = AcAnalysis::new(chip.netlist());
         let freqs = log_space(1e5, 500e6, 300)?;
         let prof = ac.sweep(chip.core_node(0), &freqs)?;

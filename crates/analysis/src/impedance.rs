@@ -48,24 +48,21 @@ impl ImpedanceConfig {
 pub struct ImpedanceProfile {
     /// `(frequency_hz, |Z| ohms)` pairs in ascending frequency.
     pub points: Vec<(f64, f64)>,
-    /// Resonance peaks `(frequency_hz, |Z| ohms)`, strongest first
-    /// (mirrors `signal.peaks`; kept for compatibility and rendering).
-    pub peaks: Vec<(f64, f64)>,
-    /// The full spectral summary: peaks plus half-power Q and die-band
-    /// `|Z|²` energy. Additive — nothing here enters the rendered
-    /// figure, so Fig. 7b bytes are unchanged.
+    /// The spectral summary: resonance peaks `(frequency_hz, |Z| ohms)`
+    /// strongest first (the figure's peak annotations), plus half-power
+    /// Q and die-band `|Z|²` energy.
     pub signal: SignalSummary,
 }
 
 impl ImpedanceProfile {
     /// The die-band resonance (strongest peak above 500 kHz), if any.
     pub fn die_band(&self) -> Option<(f64, f64)> {
-        self.peaks.iter().copied().find(|(f, _)| *f > 5e5)
+        self.signal.peaks.iter().copied().find(|(f, _)| *f > 5e5)
     }
 
     /// The board/package band (strongest peak below 500 kHz), if any.
     pub fn board_band(&self) -> Option<(f64, f64)> {
-        self.peaks.iter().copied().find(|(f, _)| *f <= 5e5)
+        self.signal.peaks.iter().copied().find(|(f, _)| *f <= 5e5)
     }
 
     /// Renders the Fig. 7b series.
@@ -75,7 +72,7 @@ impl ImpedanceProfile {
         for (f, z) in &self.points {
             t.row([format!("{f:.4e}"), format!("{:.4}", z * 1e3)]);
         }
-        for (f, z) in &self.peaks {
+        for (f, z) in &self.signal.peaks {
             t.note(&format!("peak: {:.3} mOhm at {f:.3e} Hz", z * 1e3));
         }
         t.finish()
@@ -122,7 +119,6 @@ pub fn run_impedance(chip: &Chip, cfg: &ImpedanceConfig) -> Result<ImpedanceProf
     let signal = SignalSummary::of_profile(&profile)?;
     Ok(ImpedanceProfile {
         points: profile.iter().map(|p| (p.freq_hz, p.magnitude())).collect(),
-        peaks: signal.peaks.clone(),
         signal,
     })
 }
@@ -154,9 +150,8 @@ mod tests {
     fn signal_summary_agrees_with_legacy_peak_list() {
         let chip = Chip::paper_default();
         let prof = run_impedance(&chip, &ImpedanceConfig::reduced()).unwrap();
-        // The summary's peak list is the rendered one, byte for byte.
-        assert_eq!(prof.peaks, prof.signal.peaks);
-        assert_eq!(prof.signal.peak_freq_hz, prof.peaks[0].0);
+        // The strongest peak of the rendered list is the summary's.
+        assert_eq!(prof.signal.peak_freq_hz, prof.signal.peaks[0].0);
         // The die resonance is a real, reasonably sharp peak with
         // measurable band energy.
         let q = prof.signal.q_factor.expect("die resonance has a Q");

@@ -11,7 +11,7 @@ use voltnoise_pdn::transient::{Drive, Probe, TransientConfig, TransientSolver};
 use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::SyncSpec;
 use voltnoise_system::chip::Chip;
-use voltnoise_system::engine::{DrawerJob, Engine, SimJob};
+use voltnoise_system::engine::{Engine, SimJob};
 use voltnoise_system::noise::{DrawerStepConfig, DrawerStepOutcome, NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::testbed::Testbed;
 use voltnoise_system::workload::{Mapping, WorkloadKind};
@@ -431,8 +431,7 @@ impl Experiment for DrawerPropagationExperiment {
     }
 
     fn run(&self, _tb: &Testbed, engine: &Engine) -> Result<DrawerPropagation, PdnError> {
-        let job = DrawerJob::new(self.cfg.clone())?;
-        let outcome = engine.run_drawer(&job)?;
+        let outcome = engine.run_drawer(&self.cfg)?;
         Ok(DrawerPropagation {
             config: self.cfg.clone(),
             outcome: (*outcome).clone(),

@@ -13,7 +13,7 @@
 use crate::experiment::Experiment;
 use serde::{Deserialize, Serialize};
 use voltnoise_pdn::{PdnError, RomSpec, SolveSpec};
-use voltnoise_system::engine::{DrawerJob, Engine};
+use voltnoise_system::engine::Engine;
 use voltnoise_system::noise::{DrawerStepConfig, DrawerStepOutcome};
 use voltnoise_system::testbed::Testbed;
 
@@ -136,11 +136,11 @@ impl Experiment for RomErrorExperiment {
     fn run(&self, _tb: &Testbed, engine: &Engine) -> Result<RomErrorStudy, PdnError> {
         let cfg = &self.cfg;
         let solve = |spec: SolveSpec| -> Result<DrawerStepOutcome, PdnError> {
-            let job = DrawerJob::new(DrawerStepConfig {
+            let step = DrawerStepConfig {
                 solve: spec,
                 ..cfg.base.clone()
-            })?;
-            Ok((*engine.run_drawer(&job)?).clone())
+            };
+            Ok((*engine.run_drawer(&step)?).clone())
         };
         let full = solve(SolveSpec::full())?;
         let mut rows = Vec::with_capacity(cfg.budgets_v.len());

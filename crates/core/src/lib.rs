@@ -63,7 +63,7 @@ pub mod prelude {
     pub use voltnoise_measure::{
         CriticalPath, PowerMeter, ScopeCapture, ScopeTrace, Skitter, SkitterConfig, VminConfig,
     };
-    pub use voltnoise_pdn::{ChipPdn, Netlist, NodeId, PdnParams, TransientSolver, NUM_CORES};
+    pub use voltnoise_pdn::{Netlist, NodeId, Pdn, PdnParams, TransientSolver, NUM_CORES};
     pub use voltnoise_stressmark::{
         compile, find_max_power_sequence, min_power_sequence, CompiledStressmark, SearchConfig,
         StressmarkSpec, SyncSpec,

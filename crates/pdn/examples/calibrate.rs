@@ -1,11 +1,11 @@
 //! Dev tool: prints the die-level impedance profile and coupling numbers
 //! used to calibrate `PdnParams`.
 use voltnoise_pdn::ac::{find_peaks, log_space, AcAnalysis};
-use voltnoise_pdn::topology::{ChipPdn, PdnParams};
+use voltnoise_pdn::topology::{Pdn, PdnParams};
 
 fn main() {
     let params = PdnParams::default();
-    let chip = ChipPdn::build(&params).unwrap();
+    let chip = Pdn::chip(&params).unwrap();
     let ac = AcAnalysis::new(chip.netlist());
     let freqs = log_space(1e3, 100e6, 300).expect("valid sweep bounds");
     let prof = ac.sweep(chip.core_node(0), &freqs).unwrap();

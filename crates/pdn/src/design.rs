@@ -11,7 +11,7 @@
 use crate::ac::{log_space, AcAnalysis};
 use crate::error::PdnError;
 use crate::netlist::NodeId;
-use crate::topology::{ChipPdn, PdnParams};
+use crate::topology::{Pdn, PdnParams};
 use serde::{Deserialize, Serialize};
 
 /// A piecewise-constant impedance mask: the maximum |Z| allowed per
@@ -107,7 +107,7 @@ pub struct MaskViolation {
 ///
 /// Returns [`PdnError`] if the AC solve fails.
 pub fn check_mask(
-    chip: &ChipPdn,
+    chip: &Pdn,
     node: NodeId,
     mask: &ImpedanceMask,
     points: usize,
@@ -162,7 +162,7 @@ pub fn size_decap(
         p.c_domain *= scale;
         p.c_l3 *= scale;
         p.c_core *= scale;
-        let chip = ChipPdn::build(&p)?;
+        let chip = Pdn::chip(&p)?;
         let v = check_mask(&chip, chip.core_node(0), mask, points)?;
         Ok((p, v))
     };
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn default_chip_meets_its_own_mask() {
-        let chip = ChipPdn::build(&PdnParams::default()).unwrap();
+        let chip = Pdn::chip(&PdnParams::default()).unwrap();
         let violations = check_mask(
             &chip,
             chip.core_node(0),
@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn legacy_decap_violates_the_mask() {
-        let chip = ChipPdn::build(&PdnParams::legacy_decap()).unwrap();
+        let chip = Pdn::chip(&PdnParams::legacy_decap()).unwrap();
         let violations = check_mask(
             &chip,
             chip.core_node(0),
@@ -260,7 +260,7 @@ mod tests {
             sizing.decap_scale
         );
         // The sized design builds and passes a fresh check.
-        let chip = ChipPdn::build(&sizing.params).unwrap();
+        let chip = Pdn::chip(&sizing.params).unwrap();
         let v = check_mask(
             &chip,
             chip.core_node(0),

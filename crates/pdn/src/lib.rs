@@ -22,9 +22,11 @@
 //!   that package designers use (paper Fig. 7b);
 //! - stressmark current waveforms ([`waveform::StressWaveform`]) with
 //!   free-run and TOD-synchronized burst modes;
-//! - the calibrated six-core chip topology ([`topology::ChipPdn`])
-//!   mirroring the paper's zEC12 floorplan: two on-die voltage domains
-//!   bridged by the deep-trench eDRAM L3 decap.
+//! - the calibrated six-core chip topology mirroring the paper's zEC12
+//!   floorplan (two on-die voltage domains bridged by the deep-trench
+//!   eDRAM L3 decap), built by one shape-parameterized builder
+//!   ([`topology::Pdn`]) as a chip, a drawer of chips or a rack of
+//!   drawers.
 //!
 //! # Examples
 //!
@@ -89,8 +91,6 @@ pub use signal::{
     welch_psd, EntropyReport, TraceSignature, WelchConfig, WelchPsd, WelchStream,
 };
 pub use telemetry::{PhaseTimes, SolverCounters};
-pub use topology::{
-    ChipPdn, DrawerParams, DrawerPdn, PdnParams, RackParams, RackPdn, VariationSpec, NUM_CORES,
-};
+pub use topology::{DrawerParams, Pdn, PdnParams, RackParams, VariationSpec, NUM_CORES};
 pub use transient::{Drive, Probe, ProbeStats, TransientConfig, TransientResult, TransientSolver};
 pub use waveform::{CoreWaveform, MultiCoreDrive, StressWaveform, TracePlayback, WaveMode};

@@ -618,13 +618,9 @@ fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
 mod tests {
     use super::*;
     use crate::netlist::NodeId;
-    use crate::topology::{DrawerParams, DrawerPdn};
+    use crate::topology::{DrawerParams, Pdn};
 
-    fn drawer_problem<'a>(
-        drawer: &'a DrawerPdn,
-        probes: &'a [Probe],
-        window: f64,
-    ) -> RomStepProblem<'a> {
+    fn drawer_problem<'a>(drawer: &'a Pdn, probes: &'a [Probe], window: f64) -> RomStepProblem<'a> {
         RomStepProblem {
             netlist: drawer.netlist(),
             slot: 0,
@@ -640,9 +636,9 @@ mod tests {
 
     #[test]
     fn rom_meets_budget_and_matches_full_solver() {
-        let drawer = DrawerPdn::build(&DrawerParams::default()).unwrap();
+        let drawer = Pdn::drawer(&DrawerParams::default()).unwrap();
         let probes = [
-            Probe::NodeVoltage(drawer.core_node(0, 0)),
+            Probe::NodeVoltage(drawer.core_node(0)),
             Probe::NodeVoltage(drawer.package_node(0)),
             Probe::NodeVoltage(drawer.package_node(3)),
         ];
@@ -691,8 +687,8 @@ mod tests {
 
     #[test]
     fn impossible_budget_fails_with_rom_budget() {
-        let drawer = DrawerPdn::build(&DrawerParams::default()).unwrap();
-        let probes = [Probe::NodeVoltage(drawer.core_node(0, 0))];
+        let drawer = Pdn::drawer(&DrawerParams::default()).unwrap();
+        let probes = [Probe::NodeVoltage(drawer.core_node(0))];
         let problem = drawer_problem(&drawer, &probes, 6e-6);
         let spec = RomSpec {
             budget_v: 1e-15,
@@ -715,8 +711,8 @@ mod tests {
 
     #[test]
     fn bad_parameters_are_rejected() {
-        let drawer = DrawerPdn::build(&DrawerParams::default()).unwrap();
-        let probes = [Probe::NodeVoltage(drawer.core_node(0, 0))];
+        let drawer = Pdn::drawer(&DrawerParams::default()).unwrap();
+        let probes = [Probe::NodeVoltage(drawer.core_node(0))];
         let spec = RomSpec::default();
         // Step outside the calibration window.
         let mut p = drawer_problem(&drawer, &probes, 6e-6);

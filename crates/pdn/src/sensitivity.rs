@@ -8,7 +8,7 @@
 
 use crate::ac::{find_peaks, log_space, AcAnalysis};
 use crate::error::PdnError;
-use crate::topology::{ChipPdn, PdnParams};
+use crate::topology::{Pdn, PdnParams};
 use serde::{Deserialize, Serialize};
 
 /// A perturbable PDN parameter.
@@ -99,7 +99,7 @@ impl ParameterSensitivity {
 }
 
 fn die_band(params: &PdnParams) -> Result<(f64, f64), PdnError> {
-    let chip = ChipPdn::build(params)?;
+    let chip = Pdn::chip(params)?;
     let ac = AcAnalysis::new(chip.netlist());
     let freqs = log_space(3e5, 30e6, 180)?;
     let profile = ac.sweep(chip.core_node(0), &freqs)?;

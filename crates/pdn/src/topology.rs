@@ -8,6 +8,10 @@
 //! and bridges the domains with a big damping capacitance. Cores attach to
 //! their domain rail through the on-die grid and couple resistively to
 //! their row neighbours.
+//!
+//! Drawers and racks repeat that chip on shared board and rack supply
+//! spines. One type, [`Pdn`], builds every shape: a chip is one drawer of
+//! one chip, a drawer one drawer of N chips, a rack D drawers of N chips.
 
 use crate::error::PdnError;
 use crate::mna::SolverBackend;
@@ -130,13 +134,9 @@ impl PdnParams {
 }
 
 /// Handles to one chip's observable nodes, as returned by
-/// [`attach_chip`]. Shared by the single-chip [`ChipPdn`] and the
-/// multi-chip [`DrawerPdn`].
-#[derive(Debug, Clone)]
+/// [`attach_chip`].
 struct ChipNodes {
     pkg: NodeId,
-    domains: [NodeId; 2],
-    l3: NodeId,
     cores: [NodeId; NUM_CORES],
     core_sources: [SourceId; NUM_CORES],
 }
@@ -148,9 +148,8 @@ struct ChipNodes {
 /// The element and node creation sequence here is byte-identity
 /// critical: auto-generated intermediate node names (`rl_mid_N`,
 /// `esr_mid_N`) derive from the running node count, and dense stamping
-/// order follows element insertion order, so [`ChipPdn::build`] calling
-/// this with an empty prefix must reproduce the historical netlist
-/// exactly.
+/// order follows element insertion order, so every chip of every shape
+/// [`Pdn::build`] makes must keep this order.
 fn attach_chip(
     nl: &mut Netlist,
     attach: NodeId,
@@ -196,112 +195,9 @@ fn attach_chip(
 
     Ok(ChipNodes {
         pkg,
-        domains,
-        l3,
         cores,
         core_sources,
     })
-}
-
-/// A built chip PDN: the netlist plus handles to every observable node.
-#[derive(Debug, Clone)]
-pub struct ChipPdn {
-    netlist: Netlist,
-    params: PdnParams,
-    board: NodeId,
-    pkg: NodeId,
-    domains: [NodeId; 2],
-    l3: NodeId,
-    cores: [NodeId; NUM_CORES],
-    core_sources: [SourceId; NUM_CORES],
-}
-
-impl ChipPdn {
-    /// Builds the chip PDN from parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::InvalidElement`] if any parameter is
-    /// non-positive or non-finite.
-    pub fn build(params: &PdnParams) -> Result<Self, PdnError> {
-        let mut nl = Netlist::new();
-        let vrm = nl.add_node("vrm");
-        nl.add_voltage_source(vrm, NodeId::GROUND, params.v_nom)?;
-
-        let board = nl.add_node("board");
-        nl.add_series_rl(vrm, board, params.r_vrm, params.l_vrm)?;
-        nl.add_capacitor_with_esr(board, NodeId::GROUND, params.c_bulk, params.esr_bulk)?;
-
-        let chip = attach_chip(&mut nl, board, params, "")?;
-
-        Ok(ChipPdn {
-            netlist: nl,
-            params: params.clone(),
-            board,
-            pkg: chip.pkg,
-            domains: chip.domains,
-            l3: chip.l3,
-            cores: chip.cores,
-            core_sources: chip.core_sources,
-        })
-    }
-
-    /// The underlying netlist.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
-    }
-
-    /// Parameters the PDN was built from.
-    pub fn params(&self) -> &PdnParams {
-        &self.params
-    }
-
-    /// Node of the board plane.
-    pub fn board_node(&self) -> NodeId {
-        self.board
-    }
-
-    /// Node of the package plane.
-    pub fn package_node(&self) -> NodeId {
-        self.pkg
-    }
-
-    /// Node of on-die voltage domain `d` (0 or 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d > 1`.
-    pub fn domain_node(&self, d: usize) -> NodeId {
-        self.domains[d]
-    }
-
-    /// Node of the L3/eDRAM decap plane.
-    pub fn l3_node(&self) -> NodeId {
-        self.l3
-    }
-
-    /// Supply node of core `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= NUM_CORES`.
-    pub fn core_node(&self, i: usize) -> NodeId {
-        self.cores[i]
-    }
-
-    /// Current-source id of core `i`'s load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= NUM_CORES`.
-    pub fn core_source(&self, i: usize) -> SourceId {
-        self.core_sources[i]
-    }
-
-    /// All six core supply nodes in core order.
-    pub fn core_nodes(&self) -> [NodeId; NUM_CORES] {
-        self.cores
-    }
 }
 
 /// Parameters of a multi-chip drawer: N zEC12-like chips sharing one
@@ -336,133 +232,6 @@ impl Default for DrawerParams {
     }
 }
 
-/// A built multi-chip drawer PDN: the netlist plus handles to every
-/// chip's observable nodes.
-#[derive(Debug, Clone)]
-pub struct DrawerPdn {
-    netlist: Netlist,
-    params: DrawerParams,
-    boards: Vec<NodeId>,
-    chips: Vec<ChipNodes>,
-}
-
-impl DrawerPdn {
-    /// Builds the drawer PDN: a VRM feeding board segment 0, spine
-    /// segments chaining to board `i`, and one chip subtree per
-    /// segment. Chip `i`'s core loads occupy drive slots
-    /// `NUM_CORES*i .. NUM_CORES*(i+1)` in chip/core order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::InvalidElement`] for a zero chip count or
-    /// any non-positive/non-finite electrical parameter.
-    pub fn build(params: &DrawerParams) -> Result<Self, PdnError> {
-        if params.chips == 0 {
-            return Err(PdnError::InvalidElement {
-                element: "drawer chip count".to_string(),
-                value: 0.0,
-            });
-        }
-        let p = &params.chip;
-        let mut nl = Netlist::new();
-        let vrm = nl.add_node("vrm");
-        nl.add_voltage_source(vrm, NodeId::GROUND, p.v_nom)?;
-
-        let mut boards = Vec::with_capacity(params.chips);
-        let board0 = nl.add_node("board0");
-        nl.add_series_rl(vrm, board0, p.r_vrm, p.l_vrm)?;
-        nl.add_capacitor_with_esr(board0, NodeId::GROUND, p.c_bulk, p.esr_bulk)?;
-        boards.push(board0);
-        for i in 1..params.chips {
-            let board = nl.add_node(format!("board{i}"));
-            nl.add_series_rl(boards[i - 1], board, params.r_spine, params.l_spine)?;
-            boards.push(board);
-        }
-
-        let mut chips = Vec::with_capacity(params.chips);
-        for (i, &board) in boards.iter().enumerate() {
-            chips.push(attach_chip(&mut nl, board, p, &format!("c{i}_"))?);
-        }
-
-        Ok(DrawerPdn {
-            netlist: nl,
-            params: params.clone(),
-            boards,
-            chips,
-        })
-    }
-
-    /// The underlying netlist.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
-    }
-
-    /// Parameters the drawer was built from.
-    pub fn params(&self) -> &DrawerParams {
-        &self.params
-    }
-
-    /// Number of chips on the drawer.
-    pub fn num_chips(&self) -> usize {
-        self.chips.len()
-    }
-
-    /// Board plane node of chip site `chip`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chip >= num_chips()`.
-    pub fn board_node(&self, chip: usize) -> NodeId {
-        self.boards[chip]
-    }
-
-    /// Package node of chip `chip`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chip >= num_chips()`.
-    pub fn package_node(&self, chip: usize) -> NodeId {
-        self.chips[chip].pkg
-    }
-
-    /// On-die domain node `d` (0 or 1) of chip `chip`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chip >= num_chips()` or `d > 1`.
-    pub fn domain_node(&self, chip: usize, d: usize) -> NodeId {
-        self.chips[chip].domains[d]
-    }
-
-    /// L3 decap node of chip `chip`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chip >= num_chips()`.
-    pub fn l3_node(&self, chip: usize) -> NodeId {
-        self.chips[chip].l3
-    }
-
-    /// Supply node of core `core` on chip `chip`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chip >= num_chips()` or `core >= NUM_CORES`.
-    pub fn core_node(&self, chip: usize, core: usize) -> NodeId {
-        self.chips[chip].cores[core]
-    }
-
-    /// Current-source id of core `core` on chip `chip` (equals
-    /// `NUM_CORES * chip + core`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chip >= num_chips()` or `core >= NUM_CORES`.
-    pub fn core_source(&self, chip: usize, core: usize) -> SourceId {
-        self.chips[chip].core_sources[core]
-    }
-}
-
 /// Parameters of a rack: N drawers hanging off one shared supply spine.
 ///
 /// Models the next hierarchy level of the paper's zEC12 frame above the
@@ -470,7 +239,7 @@ impl DrawerPdn {
 /// each further drawer through a rack spine segment. Board-level values
 /// (VRM impedance, bulk decap, nominal voltage) are taken from the base
 /// chip parameters in `drawer.chip`; per-chip electrical variation is
-/// supplied separately at build time via [`RackPdn::build_varied`].
+/// supplied separately at build time via [`Pdn::build`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RackParams {
     /// Number of drawers in the rack (>= 1).
@@ -615,49 +384,83 @@ impl VariationSpec {
     }
 }
 
-/// A built rack PDN: N drawers of chips on one shared supply spine.
+/// A built PDN: a VRM feeding `drawers` drawer heads chained by the
+/// rack spine, each head feeding a board spine of `drawer.chips` chip
+/// sites, and one chip subtree (package, two on-die domains, L3 bridge,
+/// six cores) per site. A chip is the 1×1 shape ([`Pdn::chip`]), a
+/// drawer the 1×N shape ([`Pdn::drawer`]); one builder makes all three.
 ///
-/// The rack owns its netlist and the factorization memo every
-/// solver from [`RackPdn::solver`] shares, so the jobs of one rack
-/// factor each of its systems once. Nothing can change the netlist
-/// after it is built, so memoized factors never go stale; clones share
-/// the memo along with the identical netlist.
+/// Chips are numbered drawer-major (`drawer * drawer.chips + chip`) and
+/// cores are addressed by flat *site* ordinal `chip * NUM_CORES + core`,
+/// which is also the core load's drive slot. On a chip, the site is the
+/// core index.
+///
+/// The PDN owns the factorization memo every solver from
+/// [`Pdn::solver`] shares, so the jobs of one scenario factor each of
+/// its systems once. Nothing can change the netlist after it is built,
+/// so memoized factors never go stale; clones share the memo along with
+/// the identical netlist.
 #[derive(Debug, Clone)]
-pub struct RackPdn {
+pub struct Pdn {
     netlist: Netlist,
     params: RackParams,
-    boards: Vec<NodeId>,
-    chips: Vec<ChipNodes>,
+    packages: Vec<NodeId>,
+    cores: Vec<NodeId>,
+    core_sources: Vec<SourceId>,
     factors: Arc<ScenarioFactors>,
 }
 
-impl RackPdn {
-    /// Builds a uniform rack: every chip uses the base parameters in
-    /// `params.drawer.chip`.
+impl Pdn {
+    /// Builds one chip: the 1 drawer × 1 chip shape.
     ///
     /// # Errors
     ///
-    /// Returns [`PdnError::InvalidElement`] for a zero drawer/chip count
-    /// or any non-positive/non-finite electrical parameter.
-    pub fn build(params: &RackParams) -> Result<Self, PdnError> {
-        let per_chip = vec![params.drawer.chip.clone(); params.num_chips()];
-        Self::build_varied(params, &per_chip)
+    /// Returns [`PdnError::InvalidElement`] if any parameter is
+    /// non-positive or non-finite.
+    pub fn chip(params: &PdnParams) -> Result<Self, PdnError> {
+        let shape = RackParams {
+            drawers: 1,
+            drawer: DrawerParams {
+                chips: 1,
+                chip: params.clone(),
+                ..DrawerParams::default()
+            },
+            ..RackParams::default()
+        };
+        Self::build(&shape, std::slice::from_ref(params))
     }
 
-    /// Builds a rack whose chip at flat site `drawer * chips + chip`
-    /// uses `chip_params[site]` (e.g. from [`VariationSpec`]).
+    /// Builds one drawer of identical chips: the 1 × `params.chips`
+    /// shape.
     ///
-    /// Element creation order per drawer mirrors [`DrawerPdn::build`]
-    /// (head board with bulk decap, spine-chained boards, then one chip
-    /// subtree per board), so a 1-drawer × 1-chip rack is structurally —
-    /// and therefore numerically — identical to [`ChipPdn::build`].
+    /// # Errors
+    ///
+    /// Returns [`PdnError::InvalidElement`] for a zero chip count or
+    /// any non-positive/non-finite electrical parameter.
+    pub fn drawer(params: &DrawerParams) -> Result<Self, PdnError> {
+        let shape = RackParams {
+            drawers: 1,
+            drawer: params.clone(),
+            ..RackParams::default()
+        };
+        Self::build(&shape, &vec![params.chip.clone(); params.chips])
+    }
+
+    /// Builds a rack whose chip at flat chip index `drawer * chips +
+    /// chip` uses `chip_params[index]` (e.g. from [`VariationSpec`]).
+    /// Board-level values (VRM impedance, bulk decap, nominal voltage)
+    /// come from `params.drawer.chip`.
+    ///
+    /// Each drawer adds its head board with bulk decap, its spine-chained
+    /// boards, then one chip subtree per board, so a 1 × 1 rack is the
+    /// historical single-chip netlist element for element.
     ///
     /// # Errors
     ///
     /// Returns [`PdnError::InvalidElement`] for a zero drawer/chip
     /// count, a `chip_params` length mismatch, or any non-positive/
     /// non-finite electrical parameter.
-    pub fn build_varied(params: &RackParams, chip_params: &[PdnParams]) -> Result<Self, PdnError> {
+    pub fn build(params: &RackParams, chip_params: &[PdnParams]) -> Result<Self, PdnError> {
         if params.drawers == 0 {
             return Err(PdnError::InvalidElement {
                 element: "rack drawer count".to_string(),
@@ -666,7 +469,7 @@ impl RackPdn {
         }
         if params.drawer.chips == 0 {
             return Err(PdnError::InvalidElement {
-                element: "rack drawer chip count".to_string(),
+                element: "drawer chip count".to_string(),
                 value: 0.0,
             });
         }
@@ -685,13 +488,14 @@ impl RackPdn {
         nl.add_voltage_source(vrm, NodeId::GROUND, base.v_nom)?;
 
         let mut boards = Vec::with_capacity(params.num_chips());
-        let mut chips = Vec::with_capacity(params.num_chips());
+        let mut packages = Vec::with_capacity(params.num_chips());
+        let mut cores = Vec::with_capacity(params.num_chips() * NUM_CORES);
+        let mut core_sources = Vec::with_capacity(params.num_chips() * NUM_CORES);
         let mut prev_head: Option<NodeId> = None;
         for d in 0..params.drawers {
             let head = nl.add_node(format!("d{d}_board0"));
             match prev_head {
-                // Drawer 0 hangs off the VRM exactly like a standalone
-                // drawer's board 0.
+                // Drawer 0 hangs off the VRM through the VRM impedance.
                 None => nl.add_series_rl(vrm, head, base.r_vrm, base.l_vrm)?,
                 Some(prev) => nl.add_series_rl(prev, head, params.r_rack, params.l_rack)?,
             };
@@ -711,21 +515,25 @@ impl RackPdn {
                 boards.push(board);
             }
             for i in 0..params.drawer.chips {
-                let site = first + i;
-                chips.push(attach_chip(
+                let chip = first + i;
+                let nodes = attach_chip(
                     &mut nl,
-                    boards[site],
-                    &chip_params[site],
+                    boards[chip],
+                    &chip_params[chip],
                     &format!("d{d}c{i}_"),
-                )?);
+                )?;
+                packages.push(nodes.pkg);
+                cores.extend(nodes.cores);
+                core_sources.extend(nodes.core_sources);
             }
         }
 
-        Ok(RackPdn {
+        Ok(Pdn {
             netlist: nl,
             params: params.clone(),
-            boards,
-            chips,
+            packages,
+            cores,
+            core_sources,
             factors: Arc::default(),
         })
     }
@@ -735,8 +543,9 @@ impl RackPdn {
         &self.netlist
     }
 
-    /// A transient solver of this rack's netlist that shares the rack's
-    /// factorization memo.
+    /// A transient solver of this PDN's netlist that shares the PDN's
+    /// factorization memo. Scenarios that solve one netlist many times
+    /// use it; a one-off solve takes [`TransientSolver::with_backend`].
     ///
     /// # Errors
     ///
@@ -745,76 +554,47 @@ impl RackPdn {
         TransientSolver::with_memo(&self.netlist, backend, self.factors.clone())
     }
 
-    /// Parameters the rack was built from.
+    /// The shape and base parameters the PDN was built from.
     pub fn params(&self) -> &RackParams {
         &self.params
     }
 
-    /// Number of drawers in the rack.
-    pub fn num_drawers(&self) -> usize {
-        self.params.drawers
-    }
-
-    /// Number of chips per drawer.
-    pub fn chips_per_drawer(&self) -> usize {
-        self.params.drawer.chips
-    }
-
     /// Total chip count across all drawers.
     pub fn num_chips(&self) -> usize {
-        self.chips.len()
+        self.packages.len()
     }
 
-    /// Flat chip-site index of `(drawer, chip)`.
+    /// Package node of flat chip index `chip`.
     ///
     /// # Panics
     ///
-    /// Panics if the site is out of range.
-    fn site(&self, drawer: usize, chip: usize) -> usize {
-        assert!(drawer < self.num_drawers(), "drawer {drawer} out of range");
-        assert!(
-            chip < self.chips_per_drawer(),
-            "chip {chip} out of range on drawer {drawer}"
-        );
-        drawer * self.chips_per_drawer() + chip
+    /// Panics if `chip >= num_chips()`.
+    pub fn package_node(&self, chip: usize) -> NodeId {
+        self.packages[chip]
     }
 
-    /// Board plane node of chip `chip` on drawer `drawer`.
+    /// Supply node of core site `site` (`chip * NUM_CORES + core`).
     ///
     /// # Panics
     ///
-    /// Panics if the site is out of range.
-    pub fn board_node(&self, drawer: usize, chip: usize) -> NodeId {
-        self.boards[self.site(drawer, chip)]
+    /// Panics if `site >= num_chips() * NUM_CORES`.
+    pub fn core_node(&self, site: usize) -> NodeId {
+        self.cores[site]
     }
 
-    /// Package node of chip `chip` on drawer `drawer`.
+    /// Every core supply node, in site order.
+    pub fn core_nodes(&self) -> &[NodeId] {
+        &self.cores
+    }
+
+    /// Current-source id of core site `site`'s load (its index equals
+    /// `site`).
     ///
     /// # Panics
     ///
-    /// Panics if the site is out of range.
-    pub fn package_node(&self, drawer: usize, chip: usize) -> NodeId {
-        self.chips[self.site(drawer, chip)].pkg
-    }
-
-    /// Supply node of core `core` of chip `chip` on drawer `drawer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the site is out of range or `core >= NUM_CORES`.
-    pub fn core_node(&self, drawer: usize, chip: usize, core: usize) -> NodeId {
-        self.chips[self.site(drawer, chip)].cores[core]
-    }
-
-    /// Current-source id of core `core` of chip `chip` on drawer
-    /// `drawer` (equals `NUM_CORES * (drawer * chips_per_drawer + chip)
-    /// + core`, i.e. flat site order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the site is out of range or `core >= NUM_CORES`.
-    pub fn core_source(&self, drawer: usize, chip: usize, core: usize) -> SourceId {
-        self.chips[self.site(drawer, chip)].core_sources[core]
+    /// Panics if `site >= num_chips() * NUM_CORES`.
+    pub fn core_source(&self, site: usize) -> SourceId {
+        self.core_sources[site]
     }
 }
 
@@ -823,6 +603,13 @@ mod tests {
     use super::*;
     use crate::ac::{find_peaks, log_space, AcAnalysis};
     use crate::transient::{ConstantDrive, Probe, TransientConfig, TransientSolver};
+
+    fn uniform_rack(params: &RackParams) -> Result<Pdn, PdnError> {
+        Pdn::build(
+            params,
+            &vec![params.drawer.chip.clone(); params.num_chips()],
+        )
+    }
 
     #[test]
     fn domains_partition_cores_by_row() {
@@ -836,7 +623,7 @@ mod tests {
 
     #[test]
     fn build_produces_expected_sources() {
-        let chip = ChipPdn::build(&PdnParams::default()).unwrap();
+        let chip = Pdn::chip(&PdnParams::default()).unwrap();
         assert_eq!(chip.netlist().current_source_count(), NUM_CORES);
         assert_eq!(chip.netlist().voltage_source_count(), 1);
         for i in 0..NUM_CORES {
@@ -846,11 +633,11 @@ mod tests {
 
     #[test]
     fn dc_droop_is_small_and_ordered() {
-        let chip = ChipPdn::build(&PdnParams::default()).unwrap();
+        let chip = Pdn::chip(&PdnParams::default()).unwrap();
         let mut solver = TransientSolver::new(chip.netlist()).unwrap();
         // All six cores drawing 20 A.
         let sol = solver.solve_dc(&ConstantDrive::new(vec![20.0; 6])).unwrap();
-        let v_nom = chip.params().v_nom;
+        let v_nom = chip.params().drawer.chip.v_nom;
         for i in 0..NUM_CORES {
             let v = sol[chip.core_node(i).unknown_index().unwrap()];
             let droop = v_nom - v;
@@ -858,14 +645,14 @@ mod tests {
             assert!(droop < 0.06 * v_nom, "core {i} droop {droop} too large");
         }
         // Package sits above the core nodes.
-        let v_pkg = sol[chip.package_node().unknown_index().unwrap()];
+        let v_pkg = sol[chip.package_node(0).unknown_index().unwrap()];
         let v_core0 = sol[chip.core_node(0).unknown_index().unwrap()];
         assert!(v_pkg > v_core0);
     }
 
     #[test]
     fn impedance_profile_shows_two_bands() {
-        let chip = ChipPdn::build(&PdnParams::default()).unwrap();
+        let chip = Pdn::chip(&PdnParams::default()).unwrap();
         let ac = AcAnalysis::new(chip.netlist());
         let freqs = log_space(1e3, 50e6, 400).unwrap();
         let profile = ac.sweep(chip.core_node(0), &freqs).unwrap();
@@ -886,7 +673,7 @@ mod tests {
 
     #[test]
     fn no_resonance_above_5mhz_with_deep_trench() {
-        let chip = ChipPdn::build(&PdnParams::default()).unwrap();
+        let chip = Pdn::chip(&PdnParams::default()).unwrap();
         let ac = AcAnalysis::new(chip.netlist());
         let freqs = log_space(5e6, 500e6, 200).unwrap();
         let profile = ac.sweep(chip.core_node(0), &freqs).unwrap();
@@ -903,10 +690,10 @@ mod tests {
 
     #[test]
     fn legacy_decap_moves_first_droop_up() {
-        let modern = ChipPdn::build(&PdnParams::default()).unwrap();
-        let legacy = ChipPdn::build(&PdnParams::legacy_decap()).unwrap();
+        let modern = Pdn::chip(&PdnParams::default()).unwrap();
+        let legacy = Pdn::chip(&PdnParams::legacy_decap()).unwrap();
         let freqs = log_space(1e5, 500e6, 400).unwrap();
-        let find_top_band = |chip: &ChipPdn| {
+        let find_top_band = |chip: &Pdn| {
             let ac = AcAnalysis::new(chip.netlist());
             let profile = ac.sweep(chip.core_node(0), &freqs).unwrap();
             find_peaks(&profile)
@@ -926,7 +713,7 @@ mod tests {
 
     #[test]
     fn same_domain_transfer_impedance_exceeds_cross_domain() {
-        let chip = ChipPdn::build(&PdnParams::default()).unwrap();
+        let chip = Pdn::chip(&PdnParams::default()).unwrap();
         let ac = AcAnalysis::new(chip.netlist());
         // Inject at core 0: response at core 2 (same row) vs core 1 (other row).
         let f = 2e6;
@@ -948,7 +735,7 @@ mod tests {
     fn grid_variation_changes_core_droop() {
         let mut params = PdnParams::default();
         params.grid_variation[2] = 2.0;
-        let chip = ChipPdn::build(&params).unwrap();
+        let chip = Pdn::chip(&params).unwrap();
         let mut solver = TransientSolver::new(chip.netlist()).unwrap();
         let sol = solver.solve_dc(&ConstantDrive::new(vec![20.0; 6])).unwrap();
         let v2 = sol[chip.core_node(2).unknown_index().unwrap()];
@@ -958,7 +745,7 @@ mod tests {
 
     #[test]
     fn transient_on_full_chip_runs() {
-        let chip = ChipPdn::build(&PdnParams::default()).unwrap();
+        let chip = Pdn::chip(&PdnParams::default()).unwrap();
         let mut solver = TransientSolver::new(chip.netlist()).unwrap();
         let cfg = TransientConfig::new(20e-6);
         let probes: Vec<Probe> = (0..NUM_CORES)
@@ -968,7 +755,7 @@ mod tests {
             .run(&ConstantDrive::new(vec![10.0; 6]), &probes, &cfg)
             .unwrap();
         for st in &res.stats {
-            assert!(st.mean > 0.9 * chip.params().v_nom);
+            assert!(st.mean > 0.9 * chip.params().drawer.chip.v_nom);
             assert!(st.peak_to_peak() < 1e-6);
         }
     }
@@ -980,14 +767,14 @@ mod tests {
             ..DrawerParams::default()
         };
         assert!(matches!(
-            DrawerPdn::build(&params),
+            Pdn::drawer(&params),
             Err(PdnError::InvalidElement { .. })
         ));
     }
 
     #[test]
     fn drawer_scale_exceeds_sparse_threshold() {
-        let drawer = DrawerPdn::build(&DrawerParams::default()).unwrap();
+        let drawer = Pdn::drawer(&DrawerParams::default()).unwrap();
         assert_eq!(drawer.num_chips(), 6);
         let nl = drawer.netlist();
         assert_eq!(nl.current_source_count(), 6 * NUM_CORES);
@@ -1004,7 +791,7 @@ mod tests {
 
     #[test]
     fn drawer_dc_droop_grows_down_the_spine() {
-        let drawer = DrawerPdn::build(&DrawerParams::default()).unwrap();
+        let drawer = Pdn::drawer(&DrawerParams::default()).unwrap();
         let mut solver = TransientSolver::new(drawer.netlist()).unwrap();
         let amps = vec![10.0; drawer.num_chips() * NUM_CORES];
         let sol = solver.solve_dc(&ConstantDrive::new(amps)).unwrap();
@@ -1019,31 +806,11 @@ mod tests {
         );
         // Every chip still lands near nominal.
         for c in 0..drawer.num_chips() {
-            let v = volt(drawer.core_node(c, 0));
-            assert!(v > 0.9 * drawer.params().chip.v_nom, "chip {c} at {v}");
-        }
-    }
-
-    #[test]
-    fn drawer_chips_are_electrically_identical_chips() {
-        // A 1-chip drawer's chip subtree matches the standalone chip: the
-        // only difference is the board spine (absent for chip 0).
-        let params = DrawerParams {
-            chips: 1,
-            ..DrawerParams::default()
-        };
-        let drawer = DrawerPdn::build(&params).unwrap();
-        let chip = ChipPdn::build(&params.chip).unwrap();
-        assert_eq!(drawer.netlist().system_size(), chip.netlist().system_size());
-        let mut ds = TransientSolver::new(drawer.netlist()).unwrap();
-        let mut cs = TransientSolver::new(chip.netlist()).unwrap();
-        let drive = ConstantDrive::new(vec![15.0; NUM_CORES]);
-        let dv = ds.solve_dc(&drive).unwrap();
-        let cv = cs.solve_dc(&drive).unwrap();
-        for core in 0..NUM_CORES {
-            let a = dv[drawer.core_node(0, core).unknown_index().unwrap()];
-            let b = cv[chip.core_node(core).unknown_index().unwrap()];
-            assert!((a - b).abs() < 1e-12, "core {core}: {a} vs {b}");
+            let v = volt(drawer.core_node(c * NUM_CORES));
+            assert!(
+                v > 0.9 * drawer.params().drawer.chip.v_nom,
+                "chip {c} at {v}"
+            );
         }
     }
 
@@ -1054,7 +821,7 @@ mod tests {
             ..RackParams::default()
         };
         assert!(matches!(
-            RackPdn::build(&params),
+            uniform_rack(&params),
             Err(PdnError::InvalidElement { .. })
         ));
     }
@@ -1064,7 +831,7 @@ mod tests {
         let params = RackParams::default();
         let wrong = vec![PdnParams::default(); params.num_chips() + 1];
         assert!(matches!(
-            RackPdn::build_varied(&params, &wrong),
+            Pdn::build(&params, &wrong),
             Err(PdnError::InvalidElement { .. })
         ));
     }
@@ -1079,47 +846,16 @@ mod tests {
             },
             ..RackParams::default()
         };
-        let rack = RackPdn::build(&params).unwrap();
+        let rack = uniform_rack(&params).unwrap();
         assert_eq!(rack.num_chips(), 6);
         assert_eq!(rack.netlist().current_source_count(), 6 * NUM_CORES);
         for d in 0..2 {
             for c in 0..3 {
                 for core in 0..NUM_CORES {
-                    assert_eq!(
-                        rack.core_source(d, c, core).index(),
-                        NUM_CORES * (d * 3 + c) + core
-                    );
+                    let site = NUM_CORES * (d * 3 + c) + core;
+                    assert_eq!(rack.core_source(site).index(), site);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn degenerate_rack_is_bitwise_identical_to_chip() {
-        // A 1-drawer × 1-chip rack must reproduce the standalone chip
-        // build sequence exactly: identical system size and bitwise
-        // identical DC solution (node names differ but play no role in
-        // stamping order or auto-generated intermediate node naming).
-        let params = RackParams {
-            drawers: 1,
-            drawer: DrawerParams {
-                chips: 1,
-                ..DrawerParams::default()
-            },
-            ..RackParams::default()
-        };
-        let rack = RackPdn::build(&params).unwrap();
-        let chip = ChipPdn::build(&params.drawer.chip).unwrap();
-        assert_eq!(rack.netlist().system_size(), chip.netlist().system_size());
-        let mut rs = TransientSolver::new(rack.netlist()).unwrap();
-        let mut cs = TransientSolver::new(chip.netlist()).unwrap();
-        let drive = ConstantDrive::new(vec![15.0; NUM_CORES]);
-        let rv = rs.solve_dc(&drive).unwrap();
-        let cv = cs.solve_dc(&drive).unwrap();
-        for core in 0..NUM_CORES {
-            let a = rv[rack.core_node(0, 0, core).unknown_index().unwrap()];
-            let b = cv[chip.core_node(core).unknown_index().unwrap()];
-            assert!(a.to_bits() == b.to_bits(), "core {core}: {a} vs {b}");
         }
     }
 
@@ -1133,20 +869,20 @@ mod tests {
             },
             ..RackParams::default()
         };
-        let rack = RackPdn::build(&params).unwrap();
+        let rack = uniform_rack(&params).unwrap();
         let mut solver = TransientSolver::new(rack.netlist()).unwrap();
         let amps = vec![10.0; rack.num_chips() * NUM_CORES];
         let sol = solver.solve_dc(&ConstantDrive::new(amps)).unwrap();
         let volt = |n: NodeId| sol[n.unknown_index().unwrap()];
-        let v_near = volt(rack.package_node(0, 0));
-        let v_far = volt(rack.package_node(2, 0));
+        let v_near = volt(rack.package_node(0));
+        let v_far = volt(rack.package_node(4));
         assert!(
             v_far < v_near,
             "far drawer {v_far} should droop below near drawer {v_near}"
         );
         for d in 0..3 {
             for c in 0..2 {
-                let v = volt(rack.core_node(d, c, 0));
+                let v = volt(rack.core_node((d * 2 + c) * NUM_CORES));
                 assert!(v > 0.9 * params.drawer.chip.v_nom, "site {d}/{c} at {v}");
             }
         }

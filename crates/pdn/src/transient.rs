@@ -366,7 +366,7 @@ fn phase_share(group: &PhaseTimes, lanes: usize, lane: usize) -> PhaseTimes {
 /// replay, for instance) would otherwise re-factor the same DC and
 /// step-size systems in every job. This memo keeps the most recent
 /// [`ScenarioFactors::CAPACITY`] of them. It is owned by the netlist's
-/// owner ([`crate::topology::RackPdn`]), which is the only place a
+/// owner ([`crate::topology::Pdn`]), which is the only place a
 /// solver gets wired to it, so factors can never meet a netlist they
 /// were not computed from. Solvers built by [`TransientSolver::new`]
 /// or [`TransientSolver::with_backend`] consult no memo.

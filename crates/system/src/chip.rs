@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use voltnoise_measure::skitter::{Skitter, SkitterConfig};
 use voltnoise_measure::vmin::CriticalPath;
-use voltnoise_pdn::topology::{ChipPdn, PdnParams, NUM_CORES};
+use voltnoise_pdn::topology::{Pdn, PdnParams, NUM_CORES};
 use voltnoise_pdn::PdnError;
 use voltnoise_uarch::pipeline::CoreConfig;
 
@@ -102,7 +102,7 @@ const PAPER_GRID_VARIATION: [f64; NUM_CORES] = [1.00, 0.95, 1.18, 1.00, 1.12, 0.
 #[derive(Debug, Clone)]
 pub struct Chip {
     config: ChipConfig,
-    pdn: ChipPdn,
+    pdn: Pdn,
     skitters: [Skitter; NUM_CORES],
 }
 
@@ -128,7 +128,7 @@ impl Chip {
         };
         let mut pdn_params = config.pdn.clone();
         pdn_params.grid_variation = grid_var;
-        let pdn = ChipPdn::build(&pdn_params)?;
+        let pdn = Pdn::chip(&pdn_params)?;
         let skitters = std::array::from_fn(|i| {
             let mut sc = config.skitter;
             sc.sensitivity_variation = skitter_var[i];
@@ -175,7 +175,7 @@ impl Chip {
     }
 
     /// The built PDN.
-    pub fn pdn(&self) -> &ChipPdn {
+    pub fn pdn(&self) -> &Pdn {
         &self.pdn
     }
 

@@ -417,62 +417,6 @@ impl SimJob {
     }
 }
 
-/// A content-keyed drawer-scale simulation job: one
-/// [`run_drawer_step_instrumented`] call.
-///
-/// Unlike [`SimJob`] (keyed on structured [`JobKey`] fields), a drawer
-/// job's key is the [`Fnv128`] digest of the canonical JSON rendering of
-/// its [`DrawerStepConfig`] — the config is plain serializable data, so
-/// the rendering *is* the content. Drawer outcomes are memoized in
-/// memory only; they do not enter the persistent [`ResultStore`], whose
-/// record format is [`NoiseOutcome`]-typed.
-#[derive(Debug, Clone)]
-pub struct DrawerJob {
-    cfg: DrawerStepConfig,
-    digest: String,
-}
-
-impl DrawerJob {
-    /// Builds a job, computing its content digest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::InvalidTimebase`] when the configuration fails
-    /// to serialize (cannot happen for this plain-data struct; the error
-    /// path stays typed rather than panicking).
-    pub fn new(cfg: DrawerStepConfig) -> Result<DrawerJob, PdnError> {
-        let json = serde_json::to_string(&cfg).map_err(|e| PdnError::InvalidTimebase {
-            reason: format!("drawer config failed to serialize: {e}"),
-        })?;
-        let mut h = Fnv128::new();
-        h.update(b"drawer-step/2|");
-        h.update(json.as_bytes());
-        Ok(DrawerJob {
-            cfg,
-            digest: h.finish_hex(),
-        })
-    }
-
-    /// The job's configuration.
-    pub fn config(&self) -> &DrawerStepConfig {
-        &self.cfg
-    }
-
-    /// The job's stable content digest (the memo key).
-    pub fn digest(&self) -> &str {
-        &self.digest
-    }
-
-    /// Solves the job directly, bypassing any cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError`] when the PDN solve fails.
-    pub fn solve(&self) -> Result<DrawerStepOutcome, PdnError> {
-        run_drawer_step_instrumented(&self.cfg, false).map(|(outcome, _)| outcome)
-    }
-}
-
 /// Factory producing [`SimJob`]s that share one scenario instance
 /// (chip or rack). The scenario signature is hashed once, into the
 /// digest state every job of the batch starts from.
@@ -996,29 +940,42 @@ impl Engine {
         Cow::Owned(cfg)
     }
 
-    /// Runs one drawer-scale job through the engine's drawer memo,
+    /// Runs one drawer step experiment through the engine's drawer memo,
     /// solving on a miss. Solves count into [`Engine::solves`], memo
     /// answers into [`Engine::cache_hits`], and solver telemetry —
     /// including the sparse-backend counters the drawer exercises —
     /// aggregates into [`Engine::telemetry`] exactly like chip jobs.
     ///
+    /// The memo key is the [`Fnv128`] digest of the config's canonical
+    /// JSON rendering: the config is plain serializable data, so the
+    /// rendering *is* the content. Drawer outcomes are memoized in
+    /// memory only; they do not enter the persistent [`ResultStore`],
+    /// whose record format is [`NoiseOutcome`]-typed.
+    ///
     /// # Errors
     ///
     /// Returns [`PdnError`] when the PDN solve fails. Failures are never
     /// memoized; a failing job re-solves when resubmitted.
-    pub fn run_drawer(&self, job: &DrawerJob) -> Result<Arc<DrawerStepOutcome>, PdnError> {
-        if let Some(hit) = lock_recover(&self.drawer_memo).get(job.digest()) {
+    pub fn run_drawer(&self, cfg: &DrawerStepConfig) -> Result<Arc<DrawerStepOutcome>, PdnError> {
+        let json = serde_json::to_string(cfg).map_err(|e| PdnError::InvalidTimebase {
+            reason: format!("drawer config failed to serialize: {e}"),
+        })?;
+        let mut h = Fnv128::new();
+        h.update(b"drawer-step/2|");
+        h.update(json.as_bytes());
+        let digest = h.finish_hex();
+        if let Some(hit) = lock_recover(&self.drawer_memo).get(&digest) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit.clone());
         }
         let wall_t0 = self.trace.then(Instant::now);
-        let (outcome, solve_tel) = run_drawer_step_instrumented(job.config(), self.trace)?;
+        let (outcome, solve_tel) = run_drawer_step_instrumented(cfg, self.trace)?;
         let outcome = Arc::new(outcome);
         self.solves.fetch_add(1, Ordering::Relaxed);
         let wall_ns = wall_t0.map(|t0| t0.elapsed().as_nanos() as u64);
         lock_recover(&self.telemetry).record_job(&solve_tel.counters, &solve_tel.phase, wall_ns);
         lock_recover(&self.drawer_memo)
-            .entry(job.digest().to_string())
+            .entry(digest)
             .or_insert_with(|| outcome.clone());
         Ok(outcome)
     }
@@ -1294,16 +1251,10 @@ impl Engine {
     /// attempt failed. Failures are never cached; a failing job
     /// re-solves when resubmitted.
     pub fn run_one_settled(&self, job: &SimJob) -> Result<Arc<NoiseOutcome>, JobFault> {
-        match self.claim(job) {
-            Claim::Settled(settled) => settled,
-            Claim::Join(slot) => slot.wait(),
-            Claim::Lead(slot) => {
-                self.in_flight.fetch_add(1, Ordering::Relaxed);
-                let settled = self.solve_with_retries(job);
-                self.settle_lead(job, &slot, &settled);
-                settled
-            }
-        }
+        // A one-job batch: claimed, led as a one-lane group and retried
+        // exactly like a batch member, on the calling thread.
+        self.run_jobs_settled(std::slice::from_ref(job))
+            .swap_remove(0)
     }
 
     /// Settles a leader's slot for every caller waiting on the key.
@@ -1331,13 +1282,6 @@ impl Engine {
             attempts,
             fault,
         }
-    }
-
-    /// The retry loop of one leader solve: every attempt the policy
-    /// allows, with the deterministic backoff schedule between attempts.
-    fn solve_with_retries(&self, job: &SimJob) -> Settled {
-        let first = Self::caught(|| self.solve_attempt(job));
-        self.retry_after(job, first)
     }
 
     /// Continues a leader's retry loop after its first attempt settled
@@ -1986,13 +1930,10 @@ mod tests {
             window_s: 1e-6,
             ..DrawerStepConfig::default()
         };
-        let job = DrawerJob::new(cfg.clone()).unwrap();
-        let first = engine.run_drawer(&job).unwrap();
+        let first = engine.run_drawer(&cfg).unwrap();
         assert_eq!(engine.solves(), 1);
-        // Same content, fresh job value: answered from the memo.
-        let again = engine
-            .run_drawer(&DrawerJob::new(cfg.clone()).unwrap())
-            .unwrap();
+        // Same content, fresh config value: answered from the memo.
+        let again = engine.run_drawer(&cfg.clone()).unwrap();
         assert_eq!(engine.solves(), 1, "identical drawer jobs solve once");
         assert_eq!(engine.cache_hits(), 1);
         assert_eq!(
@@ -2000,12 +1941,10 @@ mod tests {
             serde_json::to_string(&*again).unwrap()
         );
         // Different content gets a different digest and its own solve.
-        let other = DrawerJob::new(DrawerStepConfig {
+        let other = DrawerStepConfig {
             step_amps: cfg.step_amps * 2.0,
             ..cfg
-        })
-        .unwrap();
-        assert_ne!(job.digest(), other.digest());
+        };
         engine.run_drawer(&other).unwrap();
         assert_eq!(engine.solves(), 2);
         // Drawer solves feed the same aggregated telemetry as chip jobs,

@@ -72,8 +72,7 @@ pub mod workload;
 pub use chip::{Chip, ChipConfig, HfNoiseParams};
 pub use dither::{simulate_dither, AlignmentComparison, DitherOutcome};
 pub use engine::{
-    chip_signature, try_chip_signature, DrawerJob, Engine, EngineStats, JobBatch, JobKey,
-    JobTarget, SimJob,
+    chip_signature, try_chip_signature, Engine, EngineStats, JobBatch, JobKey, JobTarget, SimJob,
 };
 pub use fault::{FaultInjector, FaultKind, InjectedFault, JobFault, RetryPolicy};
 pub use guardband::{energy_saving, GuardbandController, GuardbandTable};

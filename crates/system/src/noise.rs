@@ -21,9 +21,8 @@ use rand::{Rng, SeedableRng};
 use voltnoise_measure::power::{PowerMeter, PowerReading};
 use voltnoise_measure::scope::ScopeCapture;
 use voltnoise_measure::skitter::{Skitter, SkitterReading};
-use voltnoise_pdn::netlist::{Netlist, NodeId};
 use voltnoise_pdn::rom::{solve_step_rom, RomStepProblem};
-use voltnoise_pdn::topology::{core_domain, DrawerParams, DrawerPdn, RackPdn, NUM_CORES};
+use voltnoise_pdn::topology::{core_domain, DrawerParams, Pdn, NUM_CORES};
 use voltnoise_pdn::transient::{
     Drive, Probe, StepSchedule, TransientConfig, TransientResult, TransientSolver,
 };
@@ -271,9 +270,9 @@ fn coherence_key(load: &CoreLoad) -> Option<(u64, u64)> {
 /// properties of one chip's on-die network, so coupling is chip-local:
 /// sites on different chips of a rack never exchange HF ripple (the
 /// shared board path is far too inductive at cycle frequencies). For a
-/// single chip (`cores_per_chip == loads.len()`) this reduces to exactly
-/// the original all-pairs loop, preserving chip figures bit for bit.
-fn hf_amplitudes(hf: &HfNoiseParams, cores_per_chip: usize, loads: &[CoreLoad]) -> SiteVec<f64> {
+/// single chip (`NUM_CORES == loads.len()`) this reduces to exactly the
+/// original all-pairs loop, preserving chip figures bit for bit.
+fn hf_amplitudes(hf: &HfNoiseParams, loads: &[CoreLoad]) -> SiteVec<f64> {
     let ripple: Vec<f64> = loads
         .iter()
         .map(|l| {
@@ -286,10 +285,10 @@ fn hf_amplitudes(hf: &HfNoiseParams, cores_per_chip: usize, loads: &[CoreLoad]) 
         .collect();
     let keys: Vec<Option<(u64, u64)>> = loads.iter().map(coherence_key).collect();
     SiteVec::from_fn(loads.len(), |i| {
-        let chip_base = (i / cores_per_chip) * cores_per_chip;
+        let chip_base = (i / NUM_CORES) * NUM_CORES;
         let mut coherent = 0.0f64;
         let mut incoherent_sq = 0.0f64;
-        for j in chip_base..(chip_base + cores_per_chip).min(loads.len()) {
+        for j in chip_base..(chip_base + NUM_CORES).min(loads.len()) {
             if j == i || ripple[j] == 0.0 {
                 continue;
             }
@@ -372,36 +371,18 @@ pub struct SolveTelemetry {
     pub phase: PhaseTimes,
 }
 
-/// The PDN a [`ScenarioView`] solves. A chip's netlist gets a bare
-/// solver; a rack's solvers share the rack's factorization memo, so the
-/// jobs of one rack factor each of its systems once.
-pub(crate) enum ScenarioPdn<'a> {
-    /// A chip netlist, solved without a memo.
-    Chip(&'a Netlist),
-    /// A rack PDN, solved through its memo.
-    Rack(&'a RackPdn),
-}
-
-impl ScenarioPdn<'_> {
-    fn solver(&self, backend: SolverBackend) -> Result<TransientSolver, PdnError> {
-        match self {
-            ScenarioPdn::Chip(netlist) => TransientSolver::with_backend(netlist, backend),
-            ScenarioPdn::Rack(rack) => rack.solver(backend),
-        }
-    }
-}
-
 /// A scenario's electrical view, as the noise kernel consumes it: the
-/// PDN to solve, one probe node and one skitter per site, the HF
-/// ripple parameters and the rail voltage. Built from a [`Chip`] (the
-/// 1×1×[`NUM_CORES`] case) or from a [`crate::rack::RackScenario`]; the
-/// kernel itself is topology-blind.
+/// PDN to solve (whose core nodes, in site order, are the probes), one
+/// skitter per site, the HF ripple parameters and the rail voltage.
+/// Built from a [`Chip`] (the 1×1×[`NUM_CORES`] case) or from a
+/// [`crate::rack::RackScenario`]; the kernel itself is topology-blind.
 pub(crate) struct ScenarioView<'a> {
     /// PDN of the whole scenario.
-    pub pdn: ScenarioPdn<'a>,
-    /// Per-site core supply node, site-ordinal order (matching the
-    /// netlist's drive-slot order).
-    pub core_nodes: Vec<NodeId>,
+    pub pdn: &'a Pdn,
+    /// Whether solvers share the PDN's factorization memo. A rack's
+    /// jobs do, so they factor each of its systems once; a chip's
+    /// solves factor afresh.
+    pub memoized: bool,
     /// Per-site skitter, site-ordinal order.
     pub skitters: Vec<&'a Skitter>,
     /// Cycle-microstructure ripple parameters (chip-local coupling).
@@ -410,21 +391,26 @@ pub(crate) struct ScenarioView<'a> {
     pub v_nom: f64,
     /// Static current of an idle core, amperes.
     pub idle_current: f64,
-    /// Cores per chip (the HF coupling block size).
-    pub cores_per_chip: usize,
 }
 
 impl<'a> ScenarioView<'a> {
     /// The chip-scale view: every pre-rack experiment reduces to this.
     pub fn of_chip(chip: &'a Chip) -> ScenarioView<'a> {
         ScenarioView {
-            pdn: ScenarioPdn::Chip(chip.pdn().netlist()),
-            core_nodes: (0..NUM_CORES).map(|i| chip.pdn().core_node(i)).collect(),
+            pdn: chip.pdn(),
+            memoized: false,
             skitters: (0..NUM_CORES).map(|i| chip.skitter(i)).collect(),
             hf: &chip.config().hf,
             v_nom: chip.v_nom(),
             idle_current: chip.config().core.static_power_w / chip.config().core.v_nom,
-            cores_per_chip: NUM_CORES,
+        }
+    }
+
+    fn solver(&self, backend: SolverBackend) -> Result<TransientSolver, PdnError> {
+        if self.memoized {
+            self.pdn.solver(backend)
+        } else {
+            TransientSolver::with_backend(self.pdn.netlist(), backend)
         }
     }
 }
@@ -528,7 +514,7 @@ pub(crate) fn prepare_run(
     cfg: &NoiseRunConfig,
     trace: bool,
 ) -> Result<PreparedRun, PdnError> {
-    let n = view.core_nodes.len();
+    let n = view.pdn.core_nodes().len();
     if loads.len() != n {
         return Err(PdnError::DimensionMismatch {
             expected: n,
@@ -542,7 +528,7 @@ pub(crate) fn prepare_run(
         .map(|(i, l)| {
             // Free-run period skew repeats per chip: a site's drift is a
             // property of its in-chip core slot.
-            let skew = CORE_SKEW_PPM[i % view.cores_per_chip % NUM_CORES];
+            let skew = CORE_SKEW_PPM[i % NUM_CORES];
             waveform_of(l, skew, view.idle_current, &mut rng)
         })
         .collect();
@@ -574,13 +560,11 @@ pub(crate) fn run_view_noise_lanes(
     let Some(first) = jobs.first() else {
         return Vec::new();
     };
-    let mut solver = match view.pdn.solver(first.run.backend) {
+    let mut solver = match view.solver(first.run.backend) {
         Ok(solver) => solver,
         Err(e) => return vec![Err(e); jobs.len()],
     };
-    let mut probes: Vec<Probe> = view
-        .core_nodes
-        .iter()
+    let mut probes: Vec<Probe> = (view.pdn.core_nodes().iter())
         .map(|&node| Probe::NodeVoltage(node))
         .collect();
     probes.push(Probe::SourceCurrent(0));
@@ -599,8 +583,8 @@ fn read_out(
     mut result: TransientResult,
 ) -> Result<(NoiseOutcome, SolveTelemetry), PdnError> {
     let (loads, cfg) = (job.loads, job.cfg);
-    let n = view.core_nodes.len();
-    let hf = hf_amplitudes(view.hf, view.cores_per_chip, loads);
+    let n = view.pdn.core_nodes().len();
+    let hf = hf_amplitudes(view.hf, loads);
     let mut readings = SiteVec::from_elem(
         SkitterReading {
             min_tap: 0,
@@ -744,7 +728,7 @@ impl Default for DrawerStepConfig {
 
 /// Outcome of one drawer step experiment: how a ΔI event on one chip
 /// propagates to every chip sharing the board PDN.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DrawerStepOutcome {
     /// Chip that received the step.
     pub source_chip: usize,
@@ -765,35 +749,6 @@ pub struct DrawerStepOutcome {
     /// Calibrated worst-case ROM probe error, volts (zero on the
     /// full-order path).
     pub rom_max_error_v: f64,
-}
-
-/// Hand-written deserialization so the ROM fields default when absent —
-/// outcomes serialized before the reduced-order path existed must keep
-/// parsing (the vendored serde derive has no `#[serde(default)]`).
-impl serde::Deserialize for DrawerStepOutcome {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::msg("expected object for DrawerStepOutcome"))?;
-        let rom_states = match obj.iter().find(|(k, _)| k == "rom_states") {
-            Some((_, v)) => serde::Deserialize::from_value(v)?,
-            None => 0,
-        };
-        let rom_max_error_v = match obj.iter().find(|(k, _)| k == "rom_max_error_v") {
-            Some((_, v)) => serde::Deserialize::from_value(v)?,
-            None => 0.0,
-        };
-        Ok(DrawerStepOutcome {
-            source_chip: serde::field(obj, "source_chip")?,
-            droop_depth_v: serde::field(obj, "droop_depth_v")?,
-            arrival_s: serde::field(obj, "arrival_s")?,
-            source_core_droop_v: serde::field(obj, "source_core_droop_v")?,
-            system_size: serde::field(obj, "system_size")?,
-            steps: serde::field(obj, "steps")?,
-            rom_states,
-            rom_max_error_v,
-        })
-    }
 }
 
 /// Step drive over a drawer's flat drive slots: slot `s` steps by
@@ -847,9 +802,10 @@ pub fn run_drawer_step_instrumented(
             node: cfg.source_core,
         });
     }
-    let drawer = DrawerPdn::build(&cfg.drawer)?;
+    let drawer = Pdn::drawer(&cfg.drawer)?;
+    let source_site = cfg.source_chip * NUM_CORES + cfg.source_core;
     let drive = DrawerStepDrive {
-        slot: cfg.source_chip * NUM_CORES + cfg.source_core,
+        slot: drawer.core_source(source_site).index(),
         t0: cfg.t0_s,
         amps: cfg.step_amps,
         idle: cfg.idle_amps,
@@ -858,9 +814,7 @@ pub fn run_drawer_step_instrumented(
     let mut probes: Vec<Probe> = (0..drawer.num_chips())
         .map(|c| Probe::NodeVoltage(drawer.package_node(c)))
         .collect();
-    probes.push(Probe::NodeVoltage(
-        drawer.core_node(cfg.source_chip, cfg.source_core),
-    ));
+    probes.push(Probe::NodeVoltage(drawer.core_node(source_site)));
     // One solve, two routes: the full-order transient (the byte-identity
     // baseline) or the reduced-order macromodel when the spec carries a
     // ROM request with an error budget.
@@ -1147,8 +1101,8 @@ mod tests {
             }
             *slot = CoreLoad::Stressmark(sm);
         }
-        let hf_aligned = hf_amplitudes(&tb.chip().config().hf, NUM_CORES, &aligned);
-        let hf_mis = hf_amplitudes(&tb.chip().config().hf, NUM_CORES, &misaligned);
+        let hf_aligned = hf_amplitudes(&tb.chip().config().hf, &aligned);
+        let hf_mis = hf_amplitudes(&tb.chip().config().hf, &misaligned);
         for i in 0..NUM_CORES {
             assert!(
                 hf_aligned[i] > hf_mis[i] * 1.3,

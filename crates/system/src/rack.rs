@@ -2,26 +2,29 @@
 //! shared supply spine, run through the same noise kernel, engine and
 //! store as single chips.
 //!
-//! A [`RackScenario`] packages a [`voltnoise_pdn::RackPdn`] (N drawers ×
-//! M chips, each chip's [`voltnoise_pdn::PdnParams`] independently
-//! perturbed by a seeded [`VariationSpec`]) together with one variated
-//! [`Skitter`] per site. Its electrical view plugs straight into the
-//! topology-blind kernel in [`crate::noise`], and its content signature
-//! keys rack jobs through [`crate::engine::SimJob`] — rack solves
-//! memoize, persist and shard through the existing machinery unchanged.
+//! A [`RackScenario`] packages an N drawers × M chips
+//! [`voltnoise_pdn::Pdn`] (each chip's [`voltnoise_pdn::PdnParams`]
+//! independently perturbed by a seeded [`VariationSpec`]) together with
+//! one variated [`Skitter`] per site. Its electrical view plugs straight
+//! into the topology-blind kernel in [`crate::noise`], sharing the PDN's
+//! factorization memo across the scenario's jobs, and its content
+//! signature keys rack jobs through [`crate::engine::SimJob`] — rack
+//! solves memoize, persist and shard through the existing machinery
+//! unchanged.
 //!
 //! The degenerate rack — one drawer, one chip, zero variation — is
-//! electrically bitwise-identical to the chip it was built from (the
-//! build sequences match element for element; see the hierarchy
-//! degeneracy tests), which is what licenses treating every chip-scale
-//! experiment as the 1×1×[`NUM_CORES`] special case.
+//! electrically bitwise-identical to the chip it was built from: one
+//! builder ([`voltnoise_pdn::Pdn::build`]) makes both, element for
+//! element, and the hierarchy degeneracy tests pin the outcomes. That is
+//! what licenses treating every chip-scale experiment as the
+//! 1×1×[`NUM_CORES`](voltnoise_pdn::NUM_CORES) special case.
 
 use crate::chip::{Chip, HfNoiseParams};
-use crate::noise::{NoiseOutcome, NoiseRunConfig, ScenarioPdn, ScenarioView, SolveTelemetry};
+use crate::noise::{NoiseOutcome, NoiseRunConfig, ScenarioView, SolveTelemetry};
 use crate::site::{Site, SiteSpace};
 use std::sync::Arc;
 use voltnoise_measure::skitter::Skitter;
-use voltnoise_pdn::topology::{DrawerParams, RackParams, RackPdn, VariationSpec, NUM_CORES};
+use voltnoise_pdn::topology::{DrawerParams, Pdn, RackParams, VariationSpec};
 use voltnoise_pdn::PdnError;
 
 /// A rack of process-variated chips, ready to solve: the site-indexed
@@ -31,7 +34,7 @@ pub struct RackScenario {
     space: SiteSpace,
     params: RackParams,
     variation: VariationSpec,
-    pdn: RackPdn,
+    pdn: Pdn,
     /// Per-site skitters in site-ordinal order, each with its chip's
     /// variated sensitivity applied.
     skitters: Vec<Skitter>,
@@ -63,7 +66,6 @@ impl RackScenario {
             drawers,
             drawer: DrawerParams {
                 chips: chips_per_drawer,
-                chip: base.pdn().params().clone(),
                 ..DrawerParams::default()
             },
             ..RackParams::default()
@@ -86,7 +88,7 @@ impl RackScenario {
         mut params: RackParams,
         variation: VariationSpec,
     ) -> Result<RackScenario, PdnError> {
-        params.drawer.chip = base.pdn().params().clone();
+        params.drawer.chip = base.pdn().params().drawer.chip.clone();
         let space = SiteSpace::rack(params.drawers, params.drawer.chips);
         let base_params = &params.drawer.chip;
         let mut chip_params = Vec::with_capacity(space.num_chips());
@@ -95,7 +97,7 @@ impl RackScenario {
                 chip_params.push(variation.chip_pdn_params(base_params, d, c));
             }
         }
-        let pdn = RackPdn::build_varied(&params, &chip_params)?;
+        let pdn = Pdn::build(&params, &chip_params)?;
 
         let mut skitters = Vec::with_capacity(space.num_sites());
         for d in 0..space.drawers() {
@@ -145,7 +147,7 @@ impl RackScenario {
     }
 
     /// The built rack PDN.
-    pub fn pdn(&self) -> &RackPdn {
+    pub fn pdn(&self) -> &Pdn {
         &self.pdn
     }
 
@@ -169,17 +171,12 @@ impl RackScenario {
     /// The kernel's electrical view of this rack.
     pub(crate) fn view(&self) -> ScenarioView<'_> {
         ScenarioView {
-            pdn: ScenarioPdn::Rack(&self.pdn),
-            core_nodes: self
-                .space
-                .sites()
-                .map(|s| self.pdn.core_node(s.drawer, s.chip, s.core))
-                .collect(),
+            pdn: &self.pdn,
+            memoized: true,
             skitters: self.skitters.iter().collect(),
             hf: &self.hf,
             v_nom: self.v_nom,
             idle_current: self.idle_current,
-            cores_per_chip: NUM_CORES,
         }
     }
 }
@@ -239,6 +236,7 @@ mod tests {
     use super::*;
     use crate::noise::{run_noise, CoreLoad};
     use crate::testbed::Testbed;
+    use voltnoise_pdn::topology::NUM_CORES;
 
     #[test]
     fn degenerate_rack_reproduces_chip_noise_byte_identically() {

@@ -7,9 +7,10 @@
 //! *site*: the `(drawer, chip, core)` coordinate of one core slot in a
 //! rack. A [`SiteSpace`] enumerates the sites of a concrete topology and
 //! provides the bijection between sites and flat ordinals (drawer-major,
-//! then chip, then core — the same flat order [`voltnoise_pdn::RackPdn`]
-//! assigns its current-source ordinals, so `SiteSpace::ordinal` is also
-//! the drive-slot index). [`SiteVec`] is a site-ordinal-indexed vector
+//! then chip, then core — the same flat order in which
+//! [`voltnoise_pdn::Pdn`] numbers its core nodes and current sources, so
+//! `SiteSpace::ordinal` is also the `Pdn::core_node` index and the
+//! drive-slot index). [`SiteVec`] is a site-ordinal-indexed vector
 //! that replaces the fixed arrays; it dereferences to a slice, so
 //! indexing, iteration and slicing at existing call sites read
 //! unchanged, and it serializes exactly like the array it replaces (a

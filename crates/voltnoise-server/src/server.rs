@@ -3,12 +3,12 @@
 //! batch request. See `DESIGN.md` ("Service model") for the state
 //! machine this file implements.
 
-use crate::admission::AdmissionControl;
+use crate::admission::{AdmissionControl, Rejection};
 use crate::deadline::DeadlineReaper;
 use crate::http::{
     finish_chunked, read_request, start_chunked, write_chunk, write_response, Request,
 };
-use crate::wire::{parse_batch, BatchRequest, SignalStats};
+use crate::wire::{parse_batch, parse_entries, BatchRequest, SignalStats, WireError};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashMap, VecDeque};
 use std::ffi::{c_int, c_short, c_ulong};
@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use voltnoise_pdn::topology::VariationSpec;
-use voltnoise_pdn::CancelToken;
+use voltnoise_pdn::{CancelToken, PdnError};
 use voltnoise_stressmark::SyncSpec;
 use voltnoise_system::engine::{Engine, JobBatch, SimJob};
 use voltnoise_system::fault::{FaultKind, JobFault};
@@ -27,7 +27,6 @@ use voltnoise_system::noise::{CoreLoad, DrawerStepConfig, NoiseOutcome, NoiseRun
 use voltnoise_system::rack::RackScenario;
 use voltnoise_system::site::SiteVec;
 use voltnoise_system::testbed::Testbed;
-use voltnoise_system::DrawerJob;
 
 /// Server configuration. Every knob has a production-shaped default;
 /// the tests and the smoke script turn them down to provoke the
@@ -608,6 +607,68 @@ fn result_line(index: usize, settled: &Result<Arc<NoiseOutcome>, JobFault>) -> S
     }
 }
 
+/// Writes the `400` of a request that failed to decode or validate.
+fn write_invalid(stream: &mut TcpStream, err: &WireError, keep: bool) -> bool {
+    write_response(
+        stream,
+        400,
+        "Bad Request",
+        "application/json",
+        &[],
+        &err.to_json(),
+        keep,
+    )
+    .is_ok()
+        && keep
+}
+
+/// Books a shed batch and writes the `429` every admission-gated route
+/// sends: the batch's estimate, the load in flight, the ceiling and a
+/// `Retry-After` hint.
+fn write_overloaded(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    rejection: &Rejection,
+    keep: bool,
+) -> bool {
+    shared.engine.note_shed();
+    let retry_after = rejection.retry_after_secs();
+    let body = error_body(&[
+        ("error", Value::Str("overloaded".to_string())),
+        ("estimated_steps", Value::U64(rejection.estimated)),
+        ("in_flight_steps", Value::U64(rejection.in_flight)),
+        ("ceiling_steps", Value::U64(rejection.ceiling)),
+        ("retry_after_s", Value::U64(retry_after)),
+    ]);
+    write_response(
+        stream,
+        429,
+        "Too Many Requests",
+        "application/json",
+        &[("Retry-After", retry_after.to_string())],
+        &body,
+        keep,
+    )
+    .is_ok()
+        && keep
+}
+
+/// One element of a `/drawer` or `/rack` response array.
+fn entry_line<T: Serialize>(index: usize, result: Result<Arc<T>, PdnError>) -> String {
+    match result {
+        Ok(outcome) => {
+            let outcome_json =
+                serde_json::to_string(&*outcome).unwrap_or_else(|_| "null".to_string());
+            format!("{{\"index\":{index},\"status\":\"ok\",\"outcome\":{outcome_json}}}")
+        }
+        Err(e) => {
+            let detail = serde_json::to_string(&Value::Str(e.to_string()))
+                .unwrap_or_else(|_| "\"\"".to_string());
+            format!("{{\"index\":{index},\"status\":\"error\",\"detail\":{detail}}}")
+        }
+    }
+}
+
 fn handle_jobs(
     shared: &Arc<Shared>,
     stream: &mut TcpStream,
@@ -629,45 +690,12 @@ fn handle_jobs(
     }
     let batch = match parse_batch(&request.body) {
         Ok(batch) => batch,
-        Err(err) => {
-            return write_response(
-                stream,
-                400,
-                "Bad Request",
-                "application/json",
-                &[],
-                &err.to_json(),
-                keep,
-            )
-            .is_ok()
-                && keep;
-        }
+        Err(err) => return write_invalid(stream, &err, keep),
     };
     // Admission: the whole batch enters or the whole batch bounces.
     let permit = match shared.admission.try_admit(batch.estimated_steps()) {
         Ok(permit) => permit,
-        Err(rejection) => {
-            shared.engine.note_shed();
-            let retry_after = rejection.retry_after_secs();
-            let body = error_body(&[
-                ("error", Value::Str("overloaded".to_string())),
-                ("estimated_steps", Value::U64(rejection.estimated)),
-                ("in_flight_steps", Value::U64(rejection.in_flight)),
-                ("ceiling_steps", Value::U64(rejection.ceiling)),
-                ("retry_after_s", Value::U64(retry_after)),
-            ]);
-            return write_response(
-                stream,
-                429,
-                "Too Many Requests",
-                "application/json",
-                &[("Retry-After", retry_after.to_string())],
-                &body,
-                keep,
-            )
-            .is_ok()
-                && keep;
-        }
+        Err(rejection) => return write_overloaded(shared, stream, &rejection, keep),
     };
     // Deadline + drain wiring: one token per batch, registered with the
     // reaper (wall clock) and the drain registry (SIGTERM).
@@ -748,111 +776,28 @@ fn build_jobs(
         .collect()
 }
 
-/// Raw-value wrapper for the drawer route's lenient-parse/strict-check
-/// boundary.
-struct RawBody(Value);
-
-impl serde::Deserialize for RawBody {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(RawBody(v.clone()))
-    }
-}
-
 fn handle_drawer(
     shared: &Arc<Shared>,
     stream: &mut TcpStream,
     request: &Request,
     keep: bool,
 ) -> bool {
-    let reject = |stream: &mut TcpStream, code: &str, detail: String| -> bool {
-        let body = error_body(&[
-            ("error", Value::Str("invalid-request".to_string())),
-            ("code", Value::Str(code.to_string())),
-            ("detail", Value::Str(detail)),
-        ]);
-        write_response(
-            stream,
-            400,
-            "Bad Request",
-            "application/json",
-            &[],
-            &body,
-            keep,
-        )
-        .is_ok()
-            && keep
-    };
-    let RawBody(root) = match serde_json::from_str::<RawBody>(&request.body) {
-        Ok(raw) => raw,
-        Err(e) => return reject(stream, "invalid-json", e.to_string()),
-    };
-    let entries = match root.as_array() {
-        Some(entries) if !entries.is_empty() => entries,
-        Some(_) => {
-            return reject(
-                stream,
-                "empty-batch",
-                "drawer batch must not be empty".into(),
-            )
-        }
-        None => {
-            return reject(
-                stream,
-                "bad-type",
-                "drawer batch must be a JSON array of step configs".into(),
-            )
-        }
-    };
-    let mut configs: Vec<DrawerStepConfig> = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        match serde::Deserialize::from_value(entry) {
-            Ok(cfg) => configs.push(cfg),
-            Err(e) => return reject(stream, "bad-type", format!("jobs[{i}]: {e}")),
-        }
-    }
+    let configs: Vec<DrawerStepConfig> =
+        match parse_entries(&request.body, "drawer", "step configs", |_, _| Ok(())) {
+            Ok(configs) => configs,
+            Err(err) => return write_invalid(stream, &err, keep),
+        };
     let estimated: u64 = configs
         .iter()
         .map(|c| (c.window_s * 4e8).max(1.0) as u64)
         .sum();
     let permit = match shared.admission.try_admit(estimated) {
         Ok(permit) => permit,
-        Err(rejection) => {
-            shared.engine.note_shed();
-            let retry_after = rejection.retry_after_secs();
-            let body = error_body(&[
-                ("error", Value::Str("overloaded".to_string())),
-                ("retry_after_s", Value::U64(retry_after)),
-            ]);
-            return write_response(
-                stream,
-                429,
-                "Too Many Requests",
-                "application/json",
-                &[("Retry-After", retry_after.to_string())],
-                &body,
-                keep,
-            )
-            .is_ok()
-                && keep;
-        }
+        Err(rejection) => return write_overloaded(shared, stream, &rejection, keep),
     };
-    let mut lines = Vec::with_capacity(configs.len());
-    for (i, cfg) in configs.iter().enumerate() {
-        let line = match DrawerJob::new(cfg.clone()).and_then(|job| shared.engine.run_drawer(&job))
-        {
-            Ok(outcome) => {
-                let outcome_json =
-                    serde_json::to_string(&*outcome).unwrap_or_else(|_| "null".to_string());
-                format!("{{\"index\":{i},\"status\":\"ok\",\"outcome\":{outcome_json}}}")
-            }
-            Err(e) => {
-                let detail = serde_json::to_string(&Value::Str(e.to_string()))
-                    .unwrap_or_else(|_| "\"\"".to_string());
-                format!("{{\"index\":{i},\"status\":\"error\",\"detail\":{detail}}}")
-            }
-        };
-        lines.push(line);
-    }
+    let lines: Vec<String> = (configs.iter().enumerate())
+        .map(|(i, cfg)| entry_line(i, shared.engine.run_drawer(cfg)))
+        .collect();
     drop(permit);
     let body = format!("[{}]", lines.join(","));
     write_response(stream, 200, "OK", "application/json", &[], &body, keep).is_ok() && keep
@@ -883,82 +828,38 @@ struct RackJobSpec {
     seed: u64,
 }
 
+/// Checks the shape and values of rack batch entry `i`.
+fn check_rack_spec(i: usize, spec: &RackJobSpec) -> Result<(), WireError> {
+    let bad = |detail: String| Err(WireError::new("bad-value", format!("jobs[{i}]: {detail}")));
+    if spec.drawers == 0 || spec.chips_per_drawer == 0 {
+        return bad("rack shape must be at least 1x1".into());
+    }
+    if !(spec.stim_freq_hz.is_finite() && spec.stim_freq_hz > 0.0) {
+        return bad("stim_freq_hz must be finite and positive".into());
+    }
+    if !(spec.window_s.is_finite() && spec.window_s > 0.0) {
+        return bad("window_s must be finite and positive".into());
+    }
+    let sites = spec.drawers * spec.chips_per_drawer * voltnoise_pdn::NUM_CORES;
+    if let Some(&site) = spec.active.iter().find(|&&s| s >= sites) {
+        return bad(format!(
+            "active site {site} is outside the {sites}-site rack"
+        ));
+    }
+    Ok(())
+}
+
 fn handle_rack(
     shared: &Arc<Shared>,
     stream: &mut TcpStream,
     request: &Request,
     keep: bool,
 ) -> bool {
-    let reject = |stream: &mut TcpStream, code: &str, detail: String| -> bool {
-        let body = error_body(&[
-            ("error", Value::Str("invalid-request".to_string())),
-            ("code", Value::Str(code.to_string())),
-            ("detail", Value::Str(detail)),
-        ]);
-        write_response(
-            stream,
-            400,
-            "Bad Request",
-            "application/json",
-            &[],
-            &body,
-            keep,
-        )
-        .is_ok()
-            && keep
-    };
-    let RawBody(root) = match serde_json::from_str::<RawBody>(&request.body) {
-        Ok(raw) => raw,
-        Err(e) => return reject(stream, "invalid-json", e.to_string()),
-    };
-    let entries = match root.as_array() {
-        Some(entries) if !entries.is_empty() => entries,
-        Some(_) => return reject(stream, "empty-batch", "rack batch must not be empty".into()),
-        None => {
-            return reject(
-                stream,
-                "bad-type",
-                "rack batch must be a JSON array of rack job specs".into(),
-            )
-        }
-    };
-    let mut specs: Vec<RackJobSpec> = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        let spec: RackJobSpec = match serde::Deserialize::from_value(entry) {
-            Ok(spec) => spec,
-            Err(e) => return reject(stream, "bad-type", format!("jobs[{i}]: {e}")),
+    let specs: Vec<RackJobSpec> =
+        match parse_entries(&request.body, "rack", "rack job specs", check_rack_spec) {
+            Ok(specs) => specs,
+            Err(err) => return write_invalid(stream, &err, keep),
         };
-        if spec.drawers == 0 || spec.chips_per_drawer == 0 {
-            return reject(
-                stream,
-                "bad-value",
-                format!("jobs[{i}]: rack shape must be at least 1x1"),
-            );
-        }
-        if !(spec.stim_freq_hz.is_finite() && spec.stim_freq_hz > 0.0) {
-            return reject(
-                stream,
-                "bad-value",
-                format!("jobs[{i}]: stim_freq_hz must be finite and positive"),
-            );
-        }
-        if !(spec.window_s.is_finite() && spec.window_s > 0.0) {
-            return reject(
-                stream,
-                "bad-value",
-                format!("jobs[{i}]: window_s must be finite and positive"),
-            );
-        }
-        let sites = spec.drawers * spec.chips_per_drawer * voltnoise_pdn::NUM_CORES;
-        if let Some(&bad) = spec.active.iter().find(|&&s| s >= sites) {
-            return reject(
-                stream,
-                "bad-value",
-                format!("jobs[{i}]: active site {bad} is outside the {sites}-site rack"),
-            );
-        }
-        specs.push(spec);
-    }
     // Admission: a rack solve scales with its chip count, so the step
     // estimate is the chip-scale window estimate times the population.
     let estimated: u64 = specs
@@ -967,25 +868,7 @@ fn handle_rack(
         .sum();
     let permit = match shared.admission.try_admit(estimated) {
         Ok(permit) => permit,
-        Err(rejection) => {
-            shared.engine.note_shed();
-            let retry_after = rejection.retry_after_secs();
-            let body = error_body(&[
-                ("error", Value::Str("overloaded".to_string())),
-                ("retry_after_s", Value::U64(retry_after)),
-            ]);
-            return write_response(
-                stream,
-                429,
-                "Too Many Requests",
-                "application/json",
-                &[("Retry-After", retry_after.to_string())],
-                &body,
-                keep,
-            )
-            .is_ok()
-                && keep;
-        }
+        Err(rejection) => return write_overloaded(shared, stream, &rejection, keep),
     };
     // Scenarios are shared within the batch: entries naming the same
     // shape + variation draw compile against one built rack PDN.
@@ -1007,7 +890,7 @@ fn handle_rack(
                 s
             }),
         };
-        let line = match scenario.and_then(|rack| {
+        let outcome = scenario.and_then(|rack| {
             let sync = spec.sync.then(SyncSpec::paper_default);
             let active =
                 CoreLoad::Stressmark(shared.testbed.max_stressmark(spec.stim_freq_hz, sync));
@@ -1028,19 +911,8 @@ fn handle_rack(
                 },
             );
             shared.engine.run_one(&job)
-        }) {
-            Ok(outcome) => {
-                let outcome_json =
-                    serde_json::to_string(&*outcome).unwrap_or_else(|_| "null".to_string());
-                format!("{{\"index\":{i},\"status\":\"ok\",\"outcome\":{outcome_json}}}")
-            }
-            Err(e) => {
-                let detail = serde_json::to_string(&Value::Str(e.to_string()))
-                    .unwrap_or_else(|_| "\"\"".to_string());
-                format!("{{\"index\":{i},\"status\":\"error\",\"detail\":{detail}}}")
-            }
-        };
-        lines.push(line);
+        });
+        lines.push(entry_line(i, outcome));
     }
     drop(permit);
     let body = format!("[{}]", lines.join(","));

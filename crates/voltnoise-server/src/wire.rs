@@ -164,7 +164,7 @@ pub struct WireError {
 }
 
 impl WireError {
-    fn new(code: &'static str, detail: impl Into<String>) -> WireError {
+    pub(crate) fn new(code: &'static str, detail: impl Into<String>) -> WireError {
         WireError {
             code,
             detail: detail.into(),
@@ -392,6 +392,44 @@ impl SignalStats {
     pub fn to_json(&self) -> String {
         render(&self.to_value())
     }
+}
+
+/// Decodes a body that must be a non-empty JSON array of `T` entries,
+/// running `check(i, &entry)` on each as it decodes: the boundary of the
+/// `/drawer` and `/rack` routes. `batch` names the route's batch and
+/// `entries` its entry kind in the error details.
+///
+/// # Errors
+///
+/// Returns an `invalid-json`, `empty-batch` or `bad-type` [`WireError`],
+/// or the first error `check` returns.
+pub(crate) fn parse_entries<T: serde::Deserialize>(
+    body: &str,
+    batch: &str,
+    entries: &str,
+    check: impl Fn(usize, &T) -> Result<(), WireError>,
+) -> Result<Vec<T>, WireError> {
+    let RawValue(root) = serde_json::from_str::<RawValue>(body)
+        .map_err(|e| WireError::new("invalid-json", e.to_string()))?;
+    let items = match root.as_array() {
+        Some(items) if !items.is_empty() => items,
+        Some(_) => {
+            let detail = format!("{batch} batch must not be empty");
+            return Err(WireError::new("empty-batch", detail));
+        }
+        None => {
+            let detail = format!("{batch} batch must be a JSON array of {entries}");
+            return Err(WireError::new("bad-type", detail));
+        }
+    };
+    let mut out = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        let entry = T::from_value(item)
+            .map_err(|e| WireError::new("bad-type", format!("jobs[{i}]: {e}")))?;
+        check(i, &entry)?;
+        out.push(entry);
+    }
+    Ok(out)
 }
 
 /// Decodes and validates one `/stats` `"signal"` section.

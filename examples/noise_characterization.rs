@@ -14,7 +14,7 @@ fn main() {
 
     println!("== Fig. 7b: impedance profile ==");
     let prof = run_impedance(tb.chip(), &ImpedanceConfig::reduced()).expect("AC sweep");
-    for (f, z) in prof.peaks.iter().take(3) {
+    for (f, z) in prof.signal.peaks.iter().take(3) {
         println!("  resonance: {:.3} mOhm at {:.3e} Hz", z * 1e3, f);
     }
 

@@ -6,19 +6,19 @@
 //! Run with: `cargo run --release --example package_design`
 
 use voltnoise::pdn::design::{check_mask, size_decap, ImpedanceMask};
-use voltnoise::pdn::{ChipPdn, PdnParams};
+use voltnoise::pdn::{Pdn, PdnParams};
 
 fn main() {
     let mask = ImpedanceMask::zlike_default();
 
     println!("== modern (deep-trench eDRAM) design vs the impedance mask ==");
-    let modern = ChipPdn::build(&PdnParams::default()).expect("default params valid");
+    let modern = Pdn::chip(&PdnParams::default()).expect("default params valid");
     let v = check_mask(&modern, modern.core_node(0), &mask, 200).expect("AC sweep");
     println!("violations: {}", v.len());
 
     println!("\n== legacy design (1/40 on-die decap) ==");
     let legacy_params = PdnParams::legacy_decap();
-    let legacy = ChipPdn::build(&legacy_params).expect("legacy params valid");
+    let legacy = Pdn::chip(&legacy_params).expect("legacy params valid");
     let v = check_mask(&legacy, legacy.core_node(0), &mask, 200).expect("AC sweep");
     println!("violations: {}", v.len());
     for viol in v.iter().take(5) {

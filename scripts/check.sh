@@ -16,11 +16,14 @@ echo "== cargo clippy (solver/engine library code, unwrap/expect are errors)"
 # still unwrap freely.
 cargo clippy -p voltnoise-pdn -p voltnoise-system --lib -- -D warnings
 
-echo "== no process-global engine or trace flag"
+echo "== no process-global engine or trace flag, one PDN builder"
 # Engines are passed in and tracing is a per-engine field; a match here
-# reintroduces state that one test could leak into another.
-if grep -rnE "Engine::shared|set_trace|static TRACE|trace_enabled" crates tests examples; then
-    echo "process-global engine or trace flag found (see matches above)" >&2
+# reintroduces state that one test could leak into another. `Pdn` is the
+# one topology builder (a chip is 1x1, a drawer 1xN) and drawer steps go
+# straight to `Engine::run_drawer`; a per-level type or job wrapper must
+# not come back.
+if grep -rnE "Engine::shared|set_trace|static TRACE|trace_enabled|ChipPdn|DrawerPdn|DrawerJob" crates tests examples; then
+    echo "process-global engine or trace flag, or a per-level PDN type, found (see matches above)" >&2
     exit 1
 fi
 

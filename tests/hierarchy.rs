@@ -140,3 +140,22 @@ fn variated_rack_departs_from_the_chip() {
         "a variated 1x1 rack is different silicon and must read differently"
     );
 }
+
+/// The drawer studies' `--reduced --json` artifacts, pinned to the bit:
+/// floats serialize shortest-round-trip, so any change to the drawer
+/// netlist, its transient solve or the reduced-order path moves these
+/// bytes (`VOLTNOISE_BLESS=1` regenerates).
+#[test]
+fn drawer_study_artifacts_match_their_goldens() {
+    for (id, file) in [
+        ("drawer-prop", "drawer_prop_reduced.json"),
+        ("rom-error", "rom_error_reduced.json"),
+    ] {
+        let entry = voltnoise::analysis::find(id).expect("registered experiment");
+        let out = entry
+            .run(Testbed::fast(), &Engine::new(), true)
+            .unwrap_or_else(|e| panic!("{id} failed: {e}"));
+        let json = serde_json::to_string_pretty(&out.value).expect("artifact serializes");
+        assert_golden(file, &json);
+    }
+}

@@ -18,7 +18,9 @@ use voltnoise::pdn::ac::{log_space, AcAnalysis};
 use voltnoise::pdn::netlist::{Netlist, NodeId};
 use voltnoise::pdn::transient::{ConstantDrive, Probe, TransientConfig, TransientSolver};
 use voltnoise::pdn::{SolverBackend, SolverCounters};
-use voltnoise::system::{DrawerJob, DrawerStepConfig, DrawerStepOutcome, Engine};
+use voltnoise::system::{
+    run_drawer_step_instrumented, DrawerStepConfig, DrawerStepOutcome, Engine,
+};
 
 /// Floor on the drawer's dense-model-to-sparse flop ratio (measured
 /// ~55x on the default drawer step).
@@ -44,7 +46,7 @@ fn dense_model_flops(n: usize) -> (f64, f64) {
 /// outcome and the solver counters it charged.
 fn drawer_solve(cfg: DrawerStepConfig) -> (DrawerStepOutcome, SolverCounters) {
     let engine = Engine::with_workers(1);
-    let outcome = engine.run_drawer(&DrawerJob::new(cfg).unwrap()).unwrap();
+    let outcome = engine.run_drawer(&cfg).unwrap();
     ((*outcome).clone(), engine.stats().telemetry.solver)
 }
 
@@ -252,17 +254,14 @@ fn sparse_drawer_step_beats_the_dense_cost_model() {
 /// flops than one factorization plus one solve per (frequency, port).
 #[test]
 fn batched_drawer_ac_sweep_beats_per_injection_refactorization() {
-    use voltnoise::pdn::{DrawerParams, DrawerPdn, MnaSystem, NUM_CORES};
-    let drawer = DrawerPdn::build(&DrawerParams::default()).unwrap();
-    let ports: Vec<NodeId> = (0..drawer.num_chips())
-        .flat_map(|chip| (0..NUM_CORES).map(move |core| (chip, core)))
-        .map(|(chip, core)| drawer.core_node(chip, core))
-        .collect();
+    use voltnoise::pdn::{DrawerParams, MnaSystem, Pdn};
+    let drawer = Pdn::drawer(&DrawerParams::default()).unwrap();
+    let ports = drawer.core_nodes();
     assert_eq!(ports.len(), 36);
     let freqs = log_space(1e5, 1e8, 24).unwrap();
     let ac = AcAnalysis::with_backend(drawer.netlist(), SolverBackend::Dense);
     for &f in &freqs {
-        ac.impedance_batch(&ports, f).unwrap();
+        ac.impedance_batch(ports, f).unwrap();
     }
     let c = ac.counters();
     assert!(
@@ -306,15 +305,13 @@ fn rom_tracks_full_solver_across_drawer_topologies() {
             window_s: 3e-6,
             ..DrawerStepConfig::default()
         };
-        let full = DrawerJob::new(base.clone()).unwrap().solve().unwrap();
+        let (full, _) = run_drawer_step_instrumented(&base, false).unwrap();
         let spec = RomSpec::default();
-        let rom = DrawerJob::new(DrawerStepConfig {
+        let reduced = DrawerStepConfig {
             solve: SolveSpec::reduced(spec),
             ..base.clone()
-        })
-        .unwrap()
-        .solve()
-        .unwrap();
+        };
+        let (rom, _) = run_drawer_step_instrumented(&reduced, false).unwrap();
         assert!(
             rom.rom_states > 0,
             "topology {t}: ROM must report its order"
