@@ -9,7 +9,7 @@
 //! 4. The analytic IPC pre-filter vs power-evaluating every filtered
 //!    sequence (the funnel's cost structure).
 //!
-//! [`AblationExperiment`] runs all four as one registry entry
+//! `AblationExperiment` runs all four as one registry entry
 //! (`ablations`), outside the full report.
 
 use crate::delta_i::{DeltaIConfig, DeltaIExperiment, DeltaIView};
@@ -28,7 +28,7 @@ use voltnoise_system::testbed::Testbed;
 
 /// Ablation 1 result: timestep strategy comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StepAblation {
+pub(crate) struct StepAblation {
     /// Steps taken by the edge-refined two-rate scheme.
     pub refined_steps: usize,
     /// Steps a uniform fine-step run takes.
@@ -43,7 +43,7 @@ pub struct StepAblation {
 /// # Errors
 ///
 /// Returns [`PdnError`] if a solve fails.
-pub fn run_step_ablation(chip: &Chip) -> Result<StepAblation, PdnError> {
+pub(crate) fn run_step_ablation(chip: &Chip) -> Result<StepAblation, PdnError> {
     let wave = StressWaveform {
         i_low: 8.0,
         i_high: 18.0,
@@ -83,7 +83,7 @@ pub fn run_step_ablation(chip: &Chip) -> Result<StepAblation, PdnError> {
 /// Ablation 2 result: cluster separation with and without the split-domain
 /// topology.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DomainAblation {
+pub(crate) struct DomainAblation {
     /// `mean_within - mean_between` correlation gap of the paper chip.
     pub split_domain_gap: f64,
     /// The same gap when the domains are electrically merged and the
@@ -96,7 +96,7 @@ pub struct DomainAblation {
 /// # Errors
 ///
 /// Returns [`PdnError`] if a solve fails.
-pub fn run_domain_ablation(
+pub(crate) fn run_domain_ablation(
     tb: &Testbed,
     engine: &Engine,
     campaign: &DeltaIConfig,
@@ -134,7 +134,7 @@ pub fn run_domain_ablation(
 
 /// Ablation 3 result: first-droop band of modern vs legacy decap.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DecapAblation {
+pub(crate) struct DecapAblation {
     /// Strongest die-band resonance frequency of the deep-trench design.
     pub modern_first_droop_hz: f64,
     /// Strongest resonance frequency of the legacy (1/40 decap) design.
@@ -146,7 +146,7 @@ pub struct DecapAblation {
 /// # Errors
 ///
 /// Returns [`PdnError`] if the AC solve fails.
-pub fn run_decap_ablation() -> Result<DecapAblation, PdnError> {
+pub(crate) fn run_decap_ablation() -> Result<DecapAblation, PdnError> {
     let band = |params: &PdnParams| -> Result<f64, PdnError> {
         let chip = Pdn::chip(params)?;
         let ac = AcAnalysis::new(chip.netlist());
@@ -162,7 +162,7 @@ pub fn run_decap_ablation() -> Result<DecapAblation, PdnError> {
 
 /// Ablation 4 result: funnel cost with and without the IPC pre-filter.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FilterAblation {
+pub(crate) struct FilterAblation {
     /// Power evaluations needed with the IPC filter.
     pub evals_with_filter: usize,
     /// Power evaluations needed without it (every microarch survivor).
@@ -172,7 +172,7 @@ pub struct FilterAblation {
 }
 
 /// Summarizes ablation 4 from a testbed's search outcome.
-pub fn run_filter_ablation(tb: &Testbed) -> FilterAblation {
+pub(crate) fn run_filter_ablation(tb: &Testbed) -> FilterAblation {
     let s = tb.search();
     FilterAblation {
         evals_with_filter: s.after_ipc,
@@ -183,7 +183,7 @@ pub fn run_filter_ablation(tb: &Testbed) -> FilterAblation {
 
 /// Configuration of the ablation study.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AblationConfig {
+pub(crate) struct AblationConfig {
     /// The ΔI campaign ablation 2 runs on both topologies.
     pub campaign: DeltaIConfig,
 }
@@ -210,7 +210,7 @@ impl AblationConfig {
 
 /// All four ablation results.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AblationStudy {
+pub(crate) struct AblationStudy {
     /// Ablation 1: edge-refined vs uniform stepping.
     pub step: StepAblation,
     /// Ablation 2: split vs merged voltage domains.
@@ -245,7 +245,7 @@ impl AblationStudy {
 
 /// The DESIGN.md ablation study (registry id `ablations`).
 #[derive(Debug, Clone)]
-pub struct AblationExperiment {
+pub(crate) struct AblationExperiment {
     /// The study configuration.
     pub cfg: AblationConfig,
 }

@@ -15,7 +15,7 @@ use voltnoise_stressmark::SyncSpec;
 use voltnoise_system::engine::SimJob;
 use voltnoise_system::noise::{NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::testbed::Testbed;
-use voltnoise_system::workload::{all_distributions, mappings_of, Distribution, Mapping};
+use voltnoise_system::workload::{all_distributions, mappings_of, Distribution, Placement};
 
 /// Campaign configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,9 +51,9 @@ impl DeltaIConfig {
 
 /// One evaluated run of the campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DeltaIRun {
+pub(crate) struct DeltaIRun {
     /// The workload-to-core mapping.
-    pub mapping: Mapping,
+    pub mapping: Placement,
     /// Its distribution.
     pub distribution: Distribution,
     /// Fraction of the maximum possible chip ΔI.
@@ -76,13 +76,13 @@ impl DeltaIRun {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeltaIDataset {
     /// Every evaluated run.
-    pub runs: Vec<DeltaIRun>,
+    pub(crate) runs: Vec<DeltaIRun>,
 }
 
 impl DeltaIDataset {
     /// Fig. 11a series: for each distinct ΔI fraction, the maximum
     /// per-core noise observed across all mappings generating it.
-    pub fn max_noise_by_delta_i(&self) -> Vec<(f64, f64)> {
+    pub(crate) fn max_noise_by_delta_i(&self) -> Vec<(f64, f64)> {
         let mut by_frac: Vec<(f64, f64)> = Vec::new();
         for run in &self.runs {
             match by_frac
@@ -99,7 +99,7 @@ impl DeltaIDataset {
 
     /// Fig. 11b series: noise averaged over cores and mappings, grouped
     /// by distribution, sorted by ΔI fraction then by concentration.
-    pub fn average_noise_by_distribution(&self) -> Vec<(Distribution, f64, f64)> {
+    pub(crate) fn average_noise_by_distribution(&self) -> Vec<(Distribution, f64, f64)> {
         let mut out: Vec<(Distribution, f64, f64, usize)> = Vec::new();
         for run in &self.runs {
             let avg: f64 = run.per_core_pct.iter().sum::<f64>() / NUM_CORES as f64;
@@ -120,12 +120,12 @@ impl DeltaIDataset {
     }
 
     /// Per-core noise series across runs (input to Fig. 13a correlation).
-    pub fn per_core_series(&self) -> [Vec<f64>; NUM_CORES] {
+    pub(crate) fn per_core_series(&self) -> [Vec<f64>; NUM_CORES] {
         std::array::from_fn(|i| self.runs.iter().map(|r| r.per_core_pct[i]).collect())
     }
 
     /// Renders the Fig. 11a rows.
-    pub fn render_fig11a(&self) -> String {
+    pub(crate) fn render_fig11a(&self) -> String {
         let mut t = Table::new("Fig. 11a: max %p2p noise vs % of maximum possible dI");
         t.columns(["pct_of_max_di", "max_pct_p2p"]);
         for (f, m) in self.max_noise_by_delta_i() {
@@ -135,7 +135,7 @@ impl DeltaIDataset {
     }
 
     /// Renders the Fig. 11b rows.
-    pub fn render_fig11b(&self) -> String {
+    pub(crate) fn render_fig11b(&self) -> String {
         let mut t = Table::new("Fig. 11b: average noise by workload distribution (max-medium)");
         t.columns(["distribution", "pct_of_max_di", "avg_pct_p2p"]);
         for (d, f, avg) in self.average_noise_by_distribution() {
@@ -170,7 +170,7 @@ pub struct DeltaIExperiment {
 impl DeltaIExperiment {
     /// The deterministic campaign plan: every `(distribution, mapping)`
     /// pair, in run order.
-    fn plan(&self) -> Vec<(Distribution, Mapping)> {
+    fn plan(&self) -> Vec<(Distribution, Placement)> {
         let mut out = Vec::new();
         for dist in all_distributions() {
             let mappings = mappings_of(&dist);

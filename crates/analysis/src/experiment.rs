@@ -58,7 +58,7 @@ pub struct ExperimentFailure {
 
 impl ExperimentFailure {
     /// Builds a failure from the engine's captured job faults.
-    pub fn from_faults(faults: Vec<JobFault>) -> ExperimentFailure {
+    pub(crate) fn from_faults(faults: Vec<JobFault>) -> ExperimentFailure {
         let primary = faults.first().map_or_else(
             || FaultKind::Panic("experiment failed without a recorded fault".to_string()),
             |f| f.fault.clone(),
@@ -67,7 +67,7 @@ impl ExperimentFailure {
     }
 
     /// Builds a failure from a panic that escaped the experiment.
-    pub fn from_panic(message: String) -> ExperimentFailure {
+    pub(crate) fn from_panic(message: String) -> ExperimentFailure {
         ExperimentFailure {
             faults: Vec::new(),
             primary: FaultKind::Panic(message),
@@ -244,7 +244,7 @@ pub struct ExperimentOutput {
 /// # Errors
 ///
 /// Returns [`ExperimentFailure`] when the experiment fails or panics.
-pub fn run_to_output_settled<E: Experiment>(
+pub(crate) fn run_to_output_settled<E: Experiment>(
     exp: &E,
     tb: &Testbed,
     engine: &Engine,

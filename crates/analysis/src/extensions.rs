@@ -26,7 +26,7 @@ const STIM_FREQ_HZ: f64 = 2.5e6;
 
 /// Configuration of the extension studies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExtensionsConfig {
+pub(crate) struct ExtensionsConfig {
     /// Noise window of every governor and characterization solve (s).
     pub window_s: f64,
     /// Sync intervals of the alignment comparison.
@@ -57,7 +57,7 @@ impl ExtensionsConfig {
 
 /// Results of the four extension studies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExtensionsStudy {
+pub(crate) struct ExtensionsStudy {
     /// The §V-F governor evaluation.
     pub governor: GovernorEvaluation,
     /// Deterministic vs dithered alignment.
@@ -101,7 +101,7 @@ impl ExtensionsStudy {
 
 /// The extension studies (registry id `extensions`).
 #[derive(Debug, Clone)]
-pub struct ExtensionsExperiment {
+pub(crate) struct ExtensionsExperiment {
     /// The study configuration.
     pub cfg: ExtensionsConfig,
 }

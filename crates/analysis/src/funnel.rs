@@ -76,7 +76,7 @@ impl FunnelSummary {
 
 /// The Fig. 5 experiment: pure search-funnel summary, no simulation.
 #[derive(Debug, Clone, Default)]
-pub struct FunnelExperiment;
+pub(crate) struct FunnelExperiment;
 
 impl Experiment for FunnelExperiment {
     type Artifact = FunnelSummary;

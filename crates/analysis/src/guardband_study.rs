@@ -16,7 +16,7 @@ use voltnoise_system::engine::SimJob;
 use voltnoise_system::guardband::{energy_saving, GuardbandController, GuardbandTable};
 use voltnoise_system::noise::{NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::testbed::Testbed;
-use voltnoise_system::workload::{mappings_of, Distribution, Mapping};
+use voltnoise_system::workload::{mappings_of, Distribution, Placement};
 
 /// Study configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -121,7 +121,7 @@ pub struct GuardbandExperiment {
 
 impl GuardbandExperiment {
     /// The deterministic plan: `(active count, mapping)` in run order.
-    fn plan(&self) -> Vec<(usize, Mapping)> {
+    fn plan(&self) -> Vec<(usize, Placement)> {
         let mut out = Vec::new();
         for k in 0..=NUM_CORES {
             let dist = Distribution {

@@ -55,31 +55,19 @@ pub mod signal_summary;
 pub mod stats;
 pub mod table1;
 
-pub use ablation::{AblationConfig, AblationExperiment, AblationStudy};
-pub use delta_i::{DeltaIConfig, DeltaIDataset, DeltaIExperiment, DeltaIView};
-pub use experiment::{
-    find, registry, run_to_output_settled, Experiment, ExperimentFailure, ExperimentOutput,
-    JobList, RegistryEntry,
-};
-pub use extensions::{ExtensionsConfig, ExtensionsExperiment, ExtensionsStudy};
-pub use freq_sweep::{SweepConfig, SweepExperiment, SweepResult};
-pub use funnel::{FunnelExperiment, FunnelSummary};
-pub use guardband_study::{GuardbandConfig, GuardbandExperiment, GuardbandStudy};
-pub use impedance::{run_impedance, ImpedanceConfig, ImpedanceExperiment, ImpedanceProfile};
-pub use mapping_gain::{MappingGainConfig, MappingGainExperiment, MappingGainResult};
-pub use margin::{MarginConfig, MarginExperiment, MarginResult};
-pub use misalignment::{MisalignConfig, MisalignExperiment, MisalignResult};
-pub use propagation::{
-    run_step_response, CorrelationAnalysis, DrawerPropagation, DrawerPropagationExperiment,
-    MappingComparison, MappingComparisonExperiment, StepResponse, StepResponseExperiment,
-};
-pub use rack_map::{RackMapConfig, RackMapExperiment, RackMapResult};
-pub use report::{full_report, full_report_with_telemetry, telemetry_section, ReportScale};
-pub use resonance_entropy::{
-    ResonanceEntropy, ResonanceEntropyConfig, ResonanceEntropyExperiment, ResonancePoint,
-};
-pub use rom_error::{RomErrorConfig, RomErrorExperiment, RomErrorRow, RomErrorStudy};
-pub use scope_shot::{ScopeConfig, ScopeShot, ScopeShotExperiment};
+pub use delta_i::{DeltaIConfig, DeltaIExperiment, DeltaIView};
+pub use experiment::{find, registry, Experiment, RegistryEntry};
+pub use freq_sweep::{SweepConfig, SweepExperiment};
+pub use funnel::FunnelSummary;
+pub use guardband_study::{GuardbandConfig, GuardbandExperiment};
+pub use impedance::{run_impedance, ImpedanceConfig};
+pub use mapping_gain::{MappingGainConfig, MappingGainExperiment};
+pub use margin::{MarginConfig, MarginExperiment};
+pub use misalignment::{MisalignConfig, MisalignExperiment};
+pub use propagation::{run_step_response, CorrelationAnalysis, MappingComparisonExperiment};
+pub use rack_map::{RackMapConfig, RackMapExperiment};
+pub use report::{full_report, full_report_with_telemetry, ReportScale};
+pub use resonance_entropy::{ResonanceEntropyConfig, ResonanceEntropyExperiment};
+pub use scope_shot::{ScopeConfig, ScopeShotExperiment};
 pub use signal_summary::SignalSummary;
-pub use stats::CorrelationMatrix;
-pub use table1::{Table1, Table1Experiment};
+pub use table1::Table1;

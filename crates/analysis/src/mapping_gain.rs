@@ -14,7 +14,7 @@ use voltnoise_system::engine::SimJob;
 use voltnoise_system::mapping::{MappingEvaluation, NoiseAwareMapper};
 use voltnoise_system::noise::{NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::testbed::Testbed;
-use voltnoise_system::workload::{mappings_of, Distribution, Mapping, WorkloadKind};
+use voltnoise_system::workload::{mappings_of, Distribution, Placement, WorkloadKind};
 
 /// Mapping-gain study configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -49,7 +49,7 @@ impl MappingGainConfig {
 
 /// One workload-count row of Fig. 15.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MappingGainPoint {
+pub(crate) struct MappingGainPoint {
     /// Number of scheduled workloads.
     pub workloads: usize,
     /// Worst-case noise of the best mapping.
@@ -64,7 +64,7 @@ pub struct MappingGainPoint {
 
 impl MappingGainPoint {
     /// The noise-reduction opportunity (secondary axis of Fig. 15).
-    pub fn gain_pct(&self) -> f64 {
+    pub(crate) fn gain_pct(&self) -> f64 {
         self.worst_pct - self.best_pct
     }
 }
@@ -73,7 +73,7 @@ impl MappingGainPoint {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MappingGainResult {
     /// One point per workload count.
-    pub points: Vec<MappingGainPoint>,
+    pub(crate) points: Vec<MappingGainPoint>,
 }
 
 impl MappingGainResult {
@@ -103,7 +103,7 @@ impl MappingGainResult {
     }
 }
 
-fn cores_of(m: &Mapping) -> Vec<usize> {
+fn cores_of(m: &Placement) -> Vec<usize> {
     m.iter()
         .enumerate()
         .filter(|(_, w)| **w != WorkloadKind::Idle)
@@ -129,7 +129,7 @@ impl MappingGainExperiment {
     }
 
     /// The deterministic plan: `(workload count, mapping)` in run order.
-    fn plan(&self) -> Vec<(usize, Mapping)> {
+    fn plan(&self) -> Vec<(usize, Placement)> {
         let mut out = Vec::new();
         for &k in &self.cfg.counts {
             let dist = Distribution {

@@ -70,7 +70,7 @@ impl MarginConfig {
 
 /// One Vmin grid cell.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MarginCell {
+pub(crate) struct MarginCell {
     /// Stimulus frequency.
     pub freq_hz: f64,
     /// Consecutive events per burst; `None` = no synchronization.
@@ -85,7 +85,7 @@ pub struct MarginCell {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MarginResult {
     /// All grid cells.
-    pub cells: Vec<MarginCell>,
+    pub(crate) cells: Vec<MarginCell>,
     /// The worst-case failing bias (highest bias to fail).
     pub worst_bias: f64,
     /// Extrapolated customer-code margin relative to the worst case.
@@ -93,11 +93,6 @@ pub struct MarginResult {
 }
 
 impl MarginResult {
-    /// Cells of one event count, in frequency order.
-    pub fn row(&self, events: Option<u32>) -> Vec<&MarginCell> {
-        self.cells.iter().filter(|c| c.events == events).collect()
-    }
-
     /// Mean relative margin of the synchronized cells (any finite event
     /// count).
     pub fn mean_sync_margin(&self) -> f64 {
@@ -328,8 +323,14 @@ mod tests {
         // Paper: "the noise generated with just a single synchronized dI
         // event is large enough" — events=1 margins track events=1000.
         let r = result();
-        let one: Vec<f64> = r.row(Some(1)).iter().map(|c| c.margin_rel_pct).collect();
-        let thousand: Vec<f64> = r.row(Some(1000)).iter().map(|c| c.margin_rel_pct).collect();
+        let row = |events| -> Vec<f64> {
+            r.cells
+                .iter()
+                .filter(|c| c.events == events)
+                .map(|c| c.margin_rel_pct)
+                .collect()
+        };
+        let (one, thousand) = (row(Some(1)), row(Some(1000)));
         for (a, b) in one.iter().zip(&thousand) {
             assert!((a - b).abs() < 2.5, "events=1 {a} vs events=1000 {b}");
         }

@@ -14,14 +14,14 @@ use voltnoise_system::chip::Chip;
 use voltnoise_system::engine::{Engine, SimJob};
 use voltnoise_system::noise::{DrawerStepConfig, DrawerStepOutcome, NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::testbed::Testbed;
-use voltnoise_system::workload::{Mapping, WorkloadKind};
+use voltnoise_system::workload::{Placement, WorkloadKind};
 
 /// Fig. 13a: the inter-core correlation analysis over a ΔI campaign
 /// dataset.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CorrelationAnalysis {
     /// The 6×6 correlation matrix.
-    pub matrix: CorrelationMatrix,
+    pub(crate) matrix: CorrelationMatrix,
     /// Detected cluster containing core 0.
     pub cluster_a: Vec<usize>,
     /// The other cluster.
@@ -245,8 +245,8 @@ impl MappingComparison {
     }
 }
 
-fn mapping_from_cores(cores: &[usize]) -> Mapping {
-    Mapping::from_fn(NUM_CORES, |i| {
+fn mapping_from_cores(cores: &[usize]) -> Placement {
+    Placement::from_fn(NUM_CORES, |i| {
         if cores.contains(&i) {
             WorkloadKind::MaxDidt
         } else {
@@ -260,7 +260,7 @@ fn mapping_from_cores(cores: &[usize]) -> Mapping {
 /// `step_amps = None` sizes the step from the testbed's maximum
 /// stressmark.
 #[derive(Debug, Clone)]
-pub struct StepResponseExperiment {
+pub(crate) struct StepResponseExperiment {
     /// Core receiving the ΔI step.
     pub source_core: usize,
     /// Step amplitude in amps (`None` = the max stressmark's ΔI).
@@ -363,7 +363,7 @@ impl JobList for MappingComparisonExperiment {
 /// on demand (`drawer-prop`) and inside the benchmark harness, where its
 /// 200+-unknown system exercises the sparse solver path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DrawerPropagation {
+pub(crate) struct DrawerPropagation {
     /// The configuration the study ran.
     pub config: DrawerStepConfig,
     /// The solved outcome.
@@ -410,7 +410,7 @@ impl DrawerPropagation {
 /// through [`Engine::run_drawer`] (the engine's drawer memo), so a
 /// repeat run on the same engine answers from cache.
 #[derive(Debug, Clone)]
-pub struct DrawerPropagationExperiment {
+pub(crate) struct DrawerPropagationExperiment {
     /// The drawer step configuration to run.
     pub cfg: DrawerStepConfig,
 }

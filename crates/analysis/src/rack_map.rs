@@ -105,14 +105,14 @@ pub struct RackMapResult {
     /// deduped everything else).
     pub occupancies_evaluated: usize,
     /// Time-weighted guardband recovered in mV (see
-    /// [`RackMapResult::guardband_recovered_mv`]); set at assembly with
+    /// `RackMapResult::guardband_recovered_mv`); set at assembly with
     /// the config's safety factor applied once.
     pub recovered_mv: f64,
 }
 
 impl RackMapResult {
     /// Worst-case improvement: naive peak minus aware peak, %p2p.
-    pub fn worst_gain_pct(&self) -> f64 {
+    pub(crate) fn worst_gain_pct(&self) -> f64 {
         self.naive.peak_required_pct - self.aware.peak_required_pct
     }
 
@@ -120,7 +120,7 @@ impl RackMapResult {
     /// millivolts: the difference of the two policies' time-weighted
     /// mean required margins, converted at `v_nom` and inflated by the
     /// config's safety factor (§VII-B convention).
-    pub fn guardband_recovered_mv(&self) -> f64 {
+    pub(crate) fn guardband_recovered_mv(&self) -> f64 {
         self.recovered_mv
     }
 

@@ -95,7 +95,7 @@ fn quantiles_cell(h: &LogHistogram) -> String {
 /// This section never enters [`full_report`] output — it rides next
 /// to the report, in the same way store diagnostics do, so that figure
 /// bytes stay a pure function of the experiment content.
-pub fn telemetry_section(stats: &EngineStats) -> String {
+pub(crate) fn telemetry_section(stats: &EngineStats) -> String {
     let tel = &stats.telemetry;
     let mut t = Table::new("Engine telemetry (this run only; never part of figure bytes)");
     t.columns(["metric", "value"]);
@@ -148,19 +148,21 @@ mod tests {
     use super::*;
     use std::sync::OnceLock;
 
-    /// One untraced reduced report and its telemetry section, built once
-    /// per test binary.
-    fn reduced() -> &'static (String, String) {
-        static CELL: OnceLock<(String, String)> = OnceLock::new();
+    /// One untraced reduced report, its telemetry section and the
+    /// engine's final stats, built once per test binary.
+    fn reduced() -> &'static (String, String, EngineStats) {
+        static CELL: OnceLock<(String, String, EngineStats)> = OnceLock::new();
         CELL.get_or_init(|| {
             let engine = Engine::with_workers(2).with_trace(false);
-            full_report_with_telemetry(Testbed::fast(), &engine, ReportScale::Reduced)
+            let (report, telemetry) =
+                full_report_with_telemetry(Testbed::fast(), &engine, ReportScale::Reduced);
+            (report, telemetry, engine.stats())
         })
     }
 
     #[test]
     fn reduced_report_covers_every_artifact() {
-        let (report, _) = reduced();
+        let (report, _, _) = reduced();
         for marker in [
             "Table I", "Fig. 5", "Fig. 7a", "Fig. 7b", "Fig. 8", "Fig. 9", "Fig. 10", "Fig. 11a",
             "Fig. 11b", "Fig. 12", "Fig. 13a", "Fig. 13b", "Fig. 14", "Fig. 15", "§VII-B",
@@ -172,7 +174,7 @@ mod tests {
 
     #[test]
     fn telemetry_section_rides_alongside_not_inside() {
-        let (report, telemetry) = reduced();
+        let (report, telemetry, _) = reduced();
         // The report half is exactly the pinned plain report —
         // telemetry never leaks into figure bytes.
         let golden = include_str!("../../../tests/golden/full_report_reduced.txt");
@@ -183,5 +185,33 @@ mod tests {
         // Untraced run: the section says so instead of printing zeros.
         assert!(telemetry.contains("tracing disabled"));
         assert!(!report.contains("Engine telemetry"));
+    }
+
+    /// The work the reduced report costs, counter by counter. Figure
+    /// bytes cannot show a change that keeps the answers but redoes or
+    /// skips work; this ledger does. Memo hits and singleflight joins
+    /// are one sum because a concurrent campaign may turn a hit into a
+    /// join. Only counters that read the same on one worker and on two
+    /// are pinned: lane grouping, and with it the factorization count,
+    /// depends on the worker count.
+    #[test]
+    fn work_ledger_matches_the_golden() {
+        let (_, _, stats) = reduced();
+        let solver = &stats.telemetry.solver;
+        let ledger = format!(
+            "# Work ledger of the reduced full report (deterministic counters)\n\
+             steps {}\n\
+             dc_solves {}\n\
+             solve_calls {}\n\
+             engine_solves {}\n\
+             cache_hits_plus_inflight_joins {}\n",
+            solver.steps,
+            solver.dc_solves,
+            solver.solve_calls,
+            stats.solves,
+            stats.cache_hits + stats.inflight_joins,
+        );
+        let golden = include_str!("../../../tests/golden/work_ledger_reduced.txt");
+        assert_eq!(ledger, golden, "the reduced report's work changed");
     }
 }

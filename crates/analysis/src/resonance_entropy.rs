@@ -77,7 +77,7 @@ impl ResonanceEntropyConfig {
 
 /// One `(stimulus, seed)` assessment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ResonancePoint {
+pub(crate) struct ResonancePoint {
     /// Stressmark stimulus frequency, Hz.
     pub stim_freq_hz: f64,
     /// Workload seed.
@@ -94,7 +94,7 @@ pub struct ResonancePoint {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResonanceEntropy {
     /// One row per `(stimulus, seed)` job, in job order.
-    pub points: Vec<ResonancePoint>,
+    pub(crate) points: Vec<ResonancePoint>,
 }
 
 impl ResonanceEntropy {

@@ -19,7 +19,7 @@ use voltnoise_system::testbed::Testbed;
 
 /// Configuration of the ROM error study.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RomErrorConfig {
+pub(crate) struct RomErrorConfig {
     /// The drawer step to solve (its `solve` field is overridden per
     /// row; the full-order reference forces [`SolveSpec::full`]).
     pub base: DrawerStepConfig,
@@ -53,7 +53,7 @@ impl RomErrorConfig {
 
 /// One study row: a budget and what the macromodel achieved under it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RomErrorRow {
+pub(crate) struct RomErrorRow {
     /// The caller-supplied error budget (volts).
     pub budget_v: f64,
     /// Reduced order the calibration settled on.
@@ -69,7 +69,7 @@ pub struct RomErrorRow {
 /// The assembled study: the full-order reference plus one row per
 /// budget.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RomErrorStudy {
+pub(crate) struct RomErrorStudy {
     /// The study configuration.
     pub config: RomErrorConfig,
     /// The full-order reference outcome.
@@ -117,7 +117,7 @@ fn droop_gap(full: &DrawerStepOutcome, rom: &DrawerStepOutcome) -> f64 {
 /// routes through [`Engine::run_drawer`], so a repeat run on the same
 /// engine answers from the drawer memo.
 #[derive(Debug, Clone)]
-pub struct RomErrorExperiment {
+pub(crate) struct RomErrorExperiment {
     /// The study configuration to run.
     pub cfg: RomErrorConfig,
 }

@@ -14,7 +14,7 @@ use voltnoise_pdn::PdnError;
 
 /// Frequency bound separating board/package resonances from die-level
 /// ones — the same 500 kHz boundary the Fig. 7b bands use.
-pub const DIE_BAND_MIN_HZ: f64 = 5e5;
+pub(crate) const DIE_BAND_MIN_HZ: f64 = 5e5;
 
 /// Spectral summary of one swept impedance profile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -30,7 +30,7 @@ pub struct SignalSummary {
     /// never falls to half power around it.
     pub q_factor: Option<f64>,
     /// `|Z|²` energy integrated (trapezoidal) over the die band
-    /// (≥ [`DIE_BAND_MIN_HZ`]), in Ω²·Hz.
+    /// (≥ `DIE_BAND_MIN_HZ`), in Ω²·Hz.
     pub die_band_energy: f64,
 }
 
@@ -41,7 +41,7 @@ impl SignalSummary {
     ///
     /// Returns [`PdnError::EmptyProfile`] for an empty profile, as
     /// [`find_peaks`] does.
-    pub fn of_profile(profile: &[ImpedancePoint]) -> Result<SignalSummary, PdnError> {
+    pub(crate) fn of_profile(profile: &[ImpedancePoint]) -> Result<SignalSummary, PdnError> {
         let peaks = find_peaks(profile)?;
         let peak_freq_hz = peaks.first().map(|p| p.0).unwrap_or(0.0);
         let q_factor = peaks.first().and_then(|&(f, m)| q_of(profile, f, m));
@@ -52,12 +52,6 @@ impl SignalSummary {
             q_factor,
             die_band_energy,
         })
-    }
-
-    /// The strongest peak at or above `f_min_hz`, if any (peaks are
-    /// already sorted strongest-first).
-    pub fn strongest_at_or_above(&self, f_min_hz: f64) -> Option<(f64, f64)> {
-        self.peaks.iter().copied().find(|(f, _)| *f >= f_min_hz)
     }
 }
 
@@ -148,7 +142,6 @@ mod tests {
         assert_eq!(s.peaks, find_peaks(&profile).unwrap());
         assert_eq!(s.peak_freq_hz, 4e6);
         assert!(s.die_band_energy > 0.0);
-        assert_eq!(s.strongest_at_or_above(3.5e6), Some((4e6, 6.0)));
     }
 
     #[test]

@@ -12,15 +12,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation; 0 for fewer than two samples.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 /// Pearson correlation coefficient of two equal-length series.
 ///
 /// Returns 0 when either series is constant (no linear relation defined).
@@ -28,7 +19,7 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if the series lengths differ.
-pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn pearson(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "series lengths differ");
     if a.len() < 2 {
         return 0.0;
@@ -51,7 +42,7 @@ pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
 
 /// A 6×6 inter-core correlation matrix (Fig. 13a).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CorrelationMatrix {
+pub(crate) struct CorrelationMatrix {
     values: [[f64; NUM_CORES]; NUM_CORES],
 }
 
@@ -62,7 +53,7 @@ impl CorrelationMatrix {
     /// # Panics
     ///
     /// Panics if the series have differing lengths.
-    pub fn from_series(series: &[Vec<f64>; NUM_CORES]) -> Self {
+    pub(crate) fn from_series(series: &[Vec<f64>; NUM_CORES]) -> Self {
         let mut values = [[0.0; NUM_CORES]; NUM_CORES];
         for (i, row) in values.iter_mut().enumerate() {
             for (j, cell) in row.iter_mut().enumerate() {
@@ -82,7 +73,7 @@ impl CorrelationMatrix {
     }
 
     /// Minimum off-diagonal correlation (the paper reports all > 0.91).
-    pub fn min_off_diagonal(&self) -> f64 {
+    pub(crate) fn min_off_diagonal(&self) -> f64 {
         let mut m = f64::INFINITY;
         for i in 0..NUM_CORES {
             for j in 0..NUM_CORES {
@@ -95,7 +86,7 @@ impl CorrelationMatrix {
     }
 
     /// Mean correlation within a group of cores (off-diagonal pairs only).
-    pub fn mean_within(&self, group: &[usize]) -> f64 {
+    pub(crate) fn mean_within(&self, group: &[usize]) -> f64 {
         let mut acc = Vec::new();
         for (k, &i) in group.iter().enumerate() {
             for &j in &group[k + 1..] {
@@ -106,7 +97,7 @@ impl CorrelationMatrix {
     }
 
     /// Mean correlation between two disjoint groups.
-    pub fn mean_between(&self, a: &[usize], b: &[usize]) -> f64 {
+    pub(crate) fn mean_between(&self, a: &[usize], b: &[usize]) -> f64 {
         let mut acc = Vec::new();
         for &i in a {
             for &j in b {
@@ -119,7 +110,7 @@ impl CorrelationMatrix {
     /// Splits the cores into two clusters by greedy agglomeration on
     /// correlation, returning `(cluster_a, cluster_b)` with `a` holding
     /// core 0. The paper detects {0, 2, 4} vs {1, 3, 5}.
-    pub fn two_clusters(&self) -> (Vec<usize>, Vec<usize>) {
+    pub(crate) fn two_clusters(&self) -> (Vec<usize>, Vec<usize>) {
         // Assign each non-seed core to whichever seed (0 or its least
         // correlated partner) it correlates with more.
         let seed_a = 0usize;
@@ -150,11 +141,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std_dev_basics() {
+    fn mean_basics() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert!((std_dev(&[1.0, 1.0, 1.0])).abs() < 1e-12);
-        assert!((std_dev(&[0.0, 2.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl Table1 {
 
 /// The Table I experiment: pure EPI-profile processing, no simulation.
 #[derive(Debug, Clone, Default)]
-pub struct Table1Experiment;
+pub(crate) struct Table1Experiment;
 
 impl Experiment for Table1Experiment {
     type Artifact = Table1;

@@ -55,7 +55,7 @@ pub use voltnoise_uarch as uarch;
 pub mod prelude {
     pub use voltnoise_analysis::{
         find, full_report, registry, run_impedance, CorrelationAnalysis, DeltaIConfig,
-        DeltaIExperiment, DeltaIView, Experiment, ExperimentOutput, FunnelSummary, ImpedanceConfig,
+        DeltaIExperiment, DeltaIView, Experiment, FunnelSummary, ImpedanceConfig,
         MappingGainConfig, MappingGainExperiment, MarginConfig, MarginExperiment, MisalignConfig,
         MisalignExperiment, RegistryEntry, ReportScale, ScopeConfig, ScopeShotExperiment,
         SweepConfig, SweepExperiment, Table1,
@@ -71,7 +71,7 @@ pub mod prelude {
     pub use voltnoise_system::{
         evaluate_governor, run_noise, AlignmentComparison, Chip, ChipConfig, CoreLoad, Engine,
         EngineStats, GlobalNoiseGovernor, GovernorConfig, GuardbandController, GuardbandTable,
-        Mapping, NoiseAwareMapper, NoiseRunConfig, NoiseTable, SimJob, Testbed, TodSync,
+        NoiseAwareMapper, NoiseRunConfig, NoiseTable, Placement, SimJob, Testbed, TodSync,
         WorkloadKind,
     };
     pub use voltnoise_uarch::{CoreConfig, EpiProfile, Isa, Kernel, Opcode};

@@ -137,22 +137,6 @@ impl StickyBitmap {
     pub fn samples(&self) -> usize {
         self.samples
     }
-
-    /// Width of the first edge band in latches: the contiguous run of 1's
-    /// containing the shallowest captured edge. On a quiet rail this is
-    /// 1; supply noise widens it.
-    pub fn first_band_width(&self) -> u32 {
-        let Some((lo, _)) = self.acc.span() else {
-            return 0;
-        };
-        let mut w = 0;
-        let mut i = lo;
-        while i < TAPS && self.acc.get(i) {
-            w += 1;
-            i += 1;
-        }
-        w
-    }
 }
 
 #[cfg(test)]
@@ -196,26 +180,6 @@ mod tests {
     fn starved_line_captures_nothing() {
         let s = skitter();
         assert_eq!(capture(&s, 0.3).count(), 0);
-    }
-
-    #[test]
-    fn sticky_band_widens_with_noise() {
-        let s = skitter();
-        let mut quiet = StickyBitmap::new();
-        let mut noisy = StickyBitmap::new();
-        for k in 0..200 {
-            let phase = (k as f64) * 0.13;
-            quiet.observe(&s, 1.05 + 0.001 * phase.sin());
-            noisy.observe(&s, 1.05 + 0.045 * phase.sin());
-        }
-        assert!(quiet.first_band_width() <= 3);
-        assert!(
-            noisy.first_band_width() > quiet.first_band_width() + 3,
-            "noisy {} vs quiet {}",
-            noisy.first_band_width(),
-            quiet.first_band_width()
-        );
-        assert_eq!(noisy.samples(), 200);
     }
 
     #[test]

@@ -30,8 +30,8 @@ pub mod scope;
 pub mod skitter;
 pub mod vmin;
 
-pub use bitstring::{capture, BitString, StickyBitmap};
+pub use bitstring::{capture, StickyBitmap};
 pub use power::{PowerMeter, PowerReading};
 pub use scope::{ScopeCapture, ScopeTrace};
 pub use skitter::{Skitter, SkitterConfig, SkitterReading};
-pub use vmin::{run_vmin, CriticalPath, RUnit, VminConfig, VminResult};
+pub use vmin::{run_vmin, CriticalPath, RUnit, VminConfig};

@@ -60,20 +60,6 @@ impl PowerMeter {
             milliwatts: (rail_volts * rail_amps * 1e3).round() as i64,
         }
     }
-
-    /// Averages a stream of (volts, amps) samples into one reading.
-    pub fn read_average(&self, samples: impl IntoIterator<Item = (f64, f64)>) -> PowerReading {
-        let mut acc = 0.0f64;
-        let mut n = 0usize;
-        for (v, i) in samples {
-            acc += v * i;
-            n += 1;
-        }
-        let w = if n == 0 { 0.0 } else { acc / n as f64 };
-        PowerReading {
-            milliwatts: (w * 1e3).round() as i64,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -85,23 +71,6 @@ mod tests {
         let m = PowerMeter::new();
         assert_eq!(m.read(1.0, 0.0123456).milliwatts(), 12);
         assert!((m.read(1.05, 100.0).watts() - 105.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn average_of_constant_equals_instant() {
-        let m = PowerMeter::new();
-        let avg = m.read_average((0..10).map(|_| (1.05, 50.0)));
-        assert_eq!(avg, m.read(1.05, 50.0));
-    }
-
-    #[test]
-    fn empty_average_reads_zero() {
-        assert_eq!(
-            PowerMeter::new()
-                .read_average(std::iter::empty())
-                .milliwatts(),
-            0
-        );
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl Skitter {
     ///
     /// Below the threshold voltage the line stops toggling; the position
     /// pins to zero.
-    pub fn edge_position(&self, v: f64) -> f64 {
+    pub(crate) fn edge_position(&self, v: f64) -> f64 {
         let c = &self.config;
         let od = (v - c.vth).max(0.0);
         let od_nom = c.v_nom - c.vth;

@@ -191,7 +191,7 @@ impl AcAnalysis {
     }
 
     /// Self-impedances at several nodes for one frequency, solved as
-    /// multi-RHS lanes ([`Factorization::solve_lanes`], up to
+    /// multi-RHS lanes (`Factorization::solve_lanes`, up to
     /// [`MAX_LANES`] ports per solve) against **one** factorization —
     /// the "many injection ports, one matrix" case of a drawer
     /// characterization sweep. Results are bitwise identical to calling
@@ -377,8 +377,7 @@ pub fn log_space(f_lo: f64, f_hi: f64, count: usize) -> Result<Vec<f64>, PdnErro
 /// `(freq_hz, magnitude)` pairs sorted by descending magnitude.
 ///
 /// Only *interior* maxima count: a profile rising monotonically into an
-/// endpoint returns no peaks (use [`find_peaks_with_endpoints`] when
-/// sweep-edge resonances matter). A monotone or flat profile therefore
+/// endpoint returns no peaks. A monotone or flat profile therefore
 /// yields an empty, not erroneous, result.
 ///
 /// **Plateau tie-break:** a sample is a peak when it strictly exceeds
@@ -404,33 +403,6 @@ pub fn find_peaks(profile: &[ImpedancePoint]) -> Result<Vec<(f64, f64)>, PdnErro
         let m = profile[i].magnitude();
         if m > profile[i - 1].magnitude() && m >= profile[i + 1].magnitude() {
             peaks.push((profile[i].freq_hz, m));
-        }
-    }
-    peaks.sort_by(|a, b| b.1.total_cmp(&a.1));
-    Ok(peaks)
-}
-
-/// Like [`find_peaks`], but endpoints may qualify: the first point
-/// counts when it is at least its successor, the last when it strictly
-/// exceeds its predecessor (mirroring the interior tie-breaking), and a
-/// single-point profile is its own peak. Use for truncated sweeps whose
-/// resonance may sit at the sweep edge.
-///
-/// # Errors
-///
-/// Returns [`PdnError::EmptyProfile`] for an empty profile.
-pub fn find_peaks_with_endpoints(profile: &[ImpedancePoint]) -> Result<Vec<(f64, f64)>, PdnError> {
-    let mut peaks = find_peaks(profile)?;
-    if profile.len() == 1 {
-        peaks.push((profile[0].freq_hz, profile[0].magnitude()));
-    } else {
-        let first = profile[0].magnitude();
-        if first >= profile[1].magnitude() {
-            peaks.push((profile[0].freq_hz, first));
-        }
-        let last = profile[profile.len() - 1].magnitude();
-        if last > profile[profile.len() - 2].magnitude() {
-            peaks.push((profile[profile.len() - 1].freq_hz, last));
         }
     }
     peaks.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -581,16 +553,11 @@ mod tests {
         assert_eq!(peaks, vec![(2.0, 3.0)]);
         let peaks = find_peaks(&profile_of(&[1.0, 2.0, 3.0, 3.0])).unwrap();
         assert_eq!(peaks, vec![(3.0, 3.0)]);
-        // Endpoint variant keeps the same plateau rule and does not
-        // double-count the interior plateau peak.
-        let peaks = find_peaks_with_endpoints(&profile_of(&[1.0, 3.0, 3.0, 1.0])).unwrap();
-        assert_eq!(peaks, vec![(2.0, 3.0)]);
     }
 
     #[test]
     fn find_peaks_rejects_empty_profile() {
         assert_eq!(find_peaks(&[]), Err(PdnError::EmptyProfile));
-        assert_eq!(find_peaks_with_endpoints(&[]), Err(PdnError::EmptyProfile));
     }
 
     #[test]
@@ -604,27 +571,6 @@ mod tests {
         assert!(find_peaks(&profile_of(&[2.0, 2.0, 2.0]))
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn endpoint_peaks_are_found_when_asked() {
-        // Rising into the right endpoint.
-        let rising = profile_of(&[1.0, 2.0, 3.0]);
-        assert!(find_peaks(&rising).unwrap().is_empty());
-        let peaks = find_peaks_with_endpoints(&rising).unwrap();
-        assert_eq!(peaks, vec![(3.0, 3.0)]);
-        // Falling from the left endpoint.
-        let falling = profile_of(&[3.0, 2.0, 1.0]);
-        let peaks = find_peaks_with_endpoints(&falling).unwrap();
-        assert_eq!(peaks, vec![(1.0, 3.0)]);
-        // A single point is its own peak.
-        let single = profile_of(&[7.0]);
-        let peaks = find_peaks_with_endpoints(&single).unwrap();
-        assert_eq!(peaks, vec![(1.0, 7.0)]);
-        // Both interior and endpoint peaks, ordered by magnitude.
-        let both = profile_of(&[1.0, 5.0, 1.0, 9.0]);
-        let peaks = find_peaks_with_endpoints(&both).unwrap();
-        assert_eq!(peaks, vec![(4.0, 9.0), (2.0, 5.0)]);
     }
 
     #[test]

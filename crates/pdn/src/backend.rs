@@ -6,19 +6,19 @@
 //! Historically every analysis that needed "factor once, solve many"
 //! carried its own private dense-or-sparse enum (the transient solver's
 //! factor cache, the AC analyzer's per-frequency matrix). This module
-//! hoists that shape into a first-class [`Factorization`] so the
+//! hoists that shape into a first-class `Factorization` so the
 //! batched multi-RHS path, the AC sweep, the transient step loop, and
 //! the ROM calibration all share one solve surface — and one set of
 //! flop/telemetry conventions.
 //!
 //! Two invariants the rest of the workspace leans on:
 //!
-//! - **Batching never changes bits.** [`Factorization::solve_lanes`]
+//! - **Batching never changes bits.** `Factorization::solve_lanes`
 //!   solves up to [`crate::transient::MAX_LANES`] right-hand sides in
 //!   lockstep lanes, each lane performing exactly the single-RHS
 //!   operation order, so an AC sweep routed through the batch path and
 //!   a transient job advanced as one lane of a group
-//!   ([`crate::transient::TransientSolver::run_lanes`]) both produce
+//!   (`crate::transient::TransientSolver::run_lanes`) both produce
 //!   byte-identical figures.
 //! - **The spec is content.** [`SolveSpec`] (backend choice + ROM error
 //!   budget) serializes and feeds the system layer's content keys: a
@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// cache stores these, the AC analyzer factors one per frequency, and
 /// the batched sweep solves whole RHS blocks against one.
 #[derive(Debug, Clone)]
-pub enum Factorization<T> {
+pub(crate) enum Factorization<T> {
     /// Dense partial-pivoting LU ([`crate::linalg::LuFactors`]).
     Dense(LuFactors<T>),
     /// Sparse Markowitz LU ([`crate::sparse::SparseLu`]).
@@ -43,23 +43,15 @@ pub enum Factorization<T> {
 }
 
 impl<T: Scalar> Factorization<T> {
-    /// Dimension of the factored system.
-    pub fn dim(&self) -> usize {
-        match self {
-            Factorization::Dense(f) => f.dim(),
-            Factorization::Sparse(f) => f.dim(),
-        }
-    }
-
     /// Whether these factors came from the sparse backend.
-    pub fn is_sparse(&self) -> bool {
+    pub(crate) fn is_sparse(&self) -> bool {
         matches!(self, Factorization::Sparse(_))
     }
 
     /// Estimated floating-point operations of one back-substitution:
     /// the dense `2n²` model or the sparse `2·nnz(L+U)` measurement
     /// (see [`crate::telemetry::SolverCounters::est_flops`]).
-    pub fn solve_flops(&self) -> u64 {
+    pub(crate) fn solve_flops(&self) -> u64 {
         match self {
             Factorization::Dense(f) => f.solve_flops(),
             Factorization::Sparse(f) => f.solve_flops(),
@@ -71,7 +63,7 @@ impl<T: Scalar> Factorization<T> {
     /// # Errors
     ///
     /// [`PdnError::DimensionMismatch`] on size mismatch.
-    pub fn solve_into(&self, b: &[T], x: &mut [T]) -> Result<(), PdnError> {
+    pub(crate) fn solve_into(&self, b: &[T], x: &mut [T]) -> Result<(), PdnError> {
         match self {
             Factorization::Dense(f) => f.solve_into(b, x),
             Factorization::Sparse(f) => f.solve_into(b, x),
@@ -89,7 +81,7 @@ impl<T: Scalar> Factorization<T> {
     ///
     /// [`PdnError::DimensionMismatch`] when a buffer's length differs
     /// from the factored dimension.
-    pub fn solve_lanes<const K: usize>(
+    pub(crate) fn solve_lanes<const K: usize>(
         &self,
         rhs: &mut [[T; K]],
         x: &mut [[T; K]],
@@ -232,7 +224,6 @@ mod tests {
         let dense = Matrix::<f64>::identity(3).lu().unwrap();
         let f = Factorization::Dense(dense);
         assert!(!f.is_sparse());
-        assert_eq!(f.dim(), 3);
         assert_eq!(f.solve_flops(), 18);
         let mut x = vec![0.0; 3];
         f.solve_into(&[1.0, 2.0, 3.0], &mut x).unwrap();

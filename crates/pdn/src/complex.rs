@@ -29,9 +29,9 @@ pub struct Complex {
 
 impl Complex {
     /// The additive identity `0 + 0i`.
-    pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
+    pub(crate) const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
     /// The multiplicative identity `1 + 0i`.
-    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
+    pub(crate) const ONE: Complex = Complex { re: 1.0, im: 0.0 };
     /// The imaginary unit `0 + 1i`.
     pub const I: Complex = Complex { re: 0.0, im: 1.0 };
 
@@ -71,7 +71,7 @@ impl Complex {
     /// Squared magnitude; cheaper than [`Complex::abs`] when only ordering
     /// matters.
     #[inline]
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
@@ -92,7 +92,7 @@ impl Complex {
     /// Returns non-finite components when `self` is zero, mirroring `f64`
     /// division semantics.
     #[inline]
-    pub fn recip(self) -> Self {
+    pub(crate) fn recip(self) -> Self {
         let d = self.norm_sqr();
         Complex::new(self.re / d, -self.im / d)
     }

@@ -82,7 +82,7 @@ impl ImpedanceMask {
     }
 
     /// Highest frequency the mask covers.
-    pub fn max_freq(&self) -> f64 {
+    pub(crate) fn max_freq(&self) -> f64 {
         // `new` rejects empty band lists, so a mask always has a last
         // band; 0.0 (mask covers nothing) is the total fallback.
         self.bands.last().map_or(0.0, |(f, _)| *f)

@@ -74,23 +74,21 @@ pub mod transient;
 pub mod waveform;
 
 pub use ac::{AcAnalysis, ImpedancePoint};
-pub use backend::{Factorization, RomSpec, SolveSpec};
+pub use backend::{RomSpec, SolveSpec};
 pub use cancel::{CancelReason, CancelToken};
 pub use complex::Complex;
-pub use design::{check_mask, size_decap, DecapSizing, ImpedanceMask, MaskViolation};
+pub use design::{check_mask, size_decap, ImpedanceMask};
 pub use error::PdnError;
-pub use mna::{MnaSystem, SolverBackend, SystemPattern, SPARSE_THRESHOLD};
-pub use netlist::{Netlist, NodeId, SourceId};
-pub use rom::{solve_step_rom, ReducedPdn, RomOutcome, RomStepProblem};
-pub use sensitivity::{
-    full_sensitivity, parameter_sensitivity, ParameterSensitivity, PdnParameter,
-};
+pub use mna::{MnaSystem, SolverBackend, SPARSE_THRESHOLD};
+pub use netlist::{Netlist, NodeId};
+pub use rom::{solve_step_rom, RomStepProblem};
+pub use sensitivity::{parameter_sensitivity, PdnParameter};
 pub use signal::{
     autocorrelation, band_filter, entropy_report, fft_in_place, hann_window, ifft_in_place,
-    markov_min_entropy, mcv_min_entropy, quantize, resample_uniform, rfft, trace_signature,
-    welch_psd, EntropyReport, TraceSignature, WelchConfig, WelchPsd, WelchStream,
+    markov_min_entropy, mcv_min_entropy, quantize, resample_uniform, trace_signature, welch_psd,
+    EntropyReport, TraceSignature, WelchConfig, WelchPsd, WelchStream,
 };
 pub use telemetry::{PhaseTimes, SolverCounters};
 pub use topology::{DrawerParams, Pdn, PdnParams, RackParams, VariationSpec, NUM_CORES};
-pub use transient::{Drive, Probe, ProbeStats, TransientConfig, TransientResult, TransientSolver};
+pub use transient::{Drive, Probe, TransientConfig, TransientResult, TransientSolver};
 pub use waveform::{CoreWaveform, MultiCoreDrive, StressWaveform, TracePlayback, WaveMode};

@@ -94,11 +94,6 @@ impl<T: Scalar> Matrix<T> {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Resets all entries to zero, keeping the allocation.
     pub fn clear(&mut self) {
         self.data.fill(T::ZERO);
@@ -106,7 +101,7 @@ impl<T: Scalar> Matrix<T> {
 
     /// Adds `value` to entry `(r, c)`; the standard MNA "stamp" primitive.
     #[inline]
-    pub fn stamp(&mut self, r: usize, c: usize, value: T) {
+    pub(crate) fn stamp(&mut self, r: usize, c: usize, value: T) {
         let idx = r * self.cols + c;
         self.data[idx] = self.data[idx] + value;
     }
@@ -136,7 +131,7 @@ impl<T: Scalar> Matrix<T> {
     /// [`crate::telemetry::SolverCounters::est_flops`]; an estimate, not
     /// a measurement (pivot searches and zero-skip branches are not
     /// charged).
-    pub fn lu_flops(&self) -> u64 {
+    pub(crate) fn lu_flops(&self) -> u64 {
         let n = self.rows as u64;
         2 * n * n * n / 3 + n * n / 2
     }
@@ -221,15 +216,10 @@ pub struct LuFactors<T> {
 }
 
 impl<T: Scalar> LuFactors<T> {
-    /// Dimension of the factored system.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Estimated floating-point operations of one back-substitution
     /// against these factors: `2n²` (forward plus backward sweep). The
     /// companion of [`Matrix::lu_flops`] in the solver cost model.
-    pub fn solve_flops(&self) -> u64 {
+    pub(crate) fn solve_flops(&self) -> u64 {
         let n = self.n as u64;
         2 * n * n
     }
@@ -258,7 +248,7 @@ impl<T: Scalar> LuFactors<T> {
     /// # Errors
     ///
     /// Returns [`PdnError::DimensionMismatch`] on size mismatch.
-    pub fn solve_into(&self, b: &[T], x: &mut [T]) -> Result<(), PdnError> {
+    pub(crate) fn solve_into(&self, b: &[T], x: &mut [T]) -> Result<(), PdnError> {
         let n = self.n;
         if b.len() != n || x.len() != n {
             return Err(PdnError::DimensionMismatch {
@@ -303,7 +293,7 @@ impl<T: Scalar> LuFactors<T> {
     ///
     /// Returns [`PdnError::DimensionMismatch`] when either buffer's
     /// length differs from the factored dimension.
-    pub fn solve_lanes<const K: usize>(
+    pub(crate) fn solve_lanes<const K: usize>(
         &self,
         rhs: &mut [[T; K]],
         x: &mut [[T; K]],

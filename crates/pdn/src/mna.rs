@@ -6,14 +6,14 @@
 //! each with its own closure and its own opportunity to drift. This
 //! module centralizes them:
 //!
-//! - [`Stamper`] is the one primitive set (two-terminal admittance,
+//! - `Stamper` is the one primitive set (two-terminal admittance,
 //!   branch-constraint pair), generic over [`Scalar`] so the same code
 //!   assembles real transient systems and complex AC systems;
 //! - [`MnaSystem`] is the parsed, analysis-ready view of a
 //!   [`Netlist`], with one stamping function per system kind
-//!   ([`MnaSystem::stamp_transient`], [`MnaSystem::stamp_dc`],
-//!   [`MnaSystem::stamp_ac`]);
-//! - [`SystemPattern`] is the symbolic sparsity of an assembled system,
+//!   (`MnaSystem::stamp_transient`, `MnaSystem::stamp_dc`,
+//!   `MnaSystem::stamp_ac`);
+//! - `SystemPattern` is the symbolic sparsity of an assembled system,
 //!   computed once per netlist and shared by every sparse
 //!   factorization of it (see [`crate::sparse`]).
 //!
@@ -55,7 +55,7 @@ pub enum SolverBackend {
 
 impl SolverBackend {
     /// Whether a system of `n` unknowns should use the sparse path.
-    pub fn is_sparse(self, n: usize) -> bool {
+    pub(crate) fn is_sparse(self, n: usize) -> bool {
         match self {
             SolverBackend::Auto => n >= SPARSE_THRESHOLD,
             SolverBackend::Dense => false,
@@ -69,7 +69,7 @@ impl SolverBackend {
 /// matrix of [`crate::sparse`], and the symbolic pattern builder — so
 /// numeric assembly and sparsity discovery run through the exact same
 /// stamping code.
-pub trait StampTarget<T: Scalar> {
+pub(crate) trait StampTarget<T: Scalar> {
     /// Adds `value` at position `(r, c)`.
     fn add(&mut self, r: usize, c: usize, value: T);
 }
@@ -87,7 +87,7 @@ impl<T: Scalar> StampTarget<T> for Matrix<T> {
 /// their internal stamp order is fixed (and documented per method)
 /// because dense accumulation order decides the low bits of every
 /// figure.
-pub struct Stamper<'m, T: Scalar, M: StampTarget<T>> {
+pub(crate) struct Stamper<'m, T: Scalar, M: StampTarget<T>> {
     target: &'m mut M,
     _scalar: std::marker::PhantomData<T>,
 }
@@ -105,7 +105,7 @@ impl<'m, T: Scalar, M: StampTarget<T>> Stamper<'m, T, M> {
     /// `b` (`None` = ground): `+y` on both diagonals, `-y` on both
     /// off-diagonals, in the fixed order `(a,a)`, `(b,b)`, `(a,b)`,
     /// `(b,a)`.
-    pub fn admittance(&mut self, a: Option<usize>, b: Option<usize>, y: T) {
+    pub(crate) fn admittance(&mut self, a: Option<usize>, b: Option<usize>, y: T) {
         if let Some(ia) = a {
             self.target.add(ia, ia, y);
         }
@@ -170,14 +170,13 @@ enum OrderedElement {
 ///
 /// Element values and unknown indices are resolved once at
 /// construction; the three stamping functions then assemble any
-/// [`StampTarget`] — a dense matrix, a CSR matrix, or the symbolic
+/// `StampTarget` — a dense matrix, a CSR matrix, or the symbolic
 /// pattern builder — without touching the netlist again. The system is
 /// immutable: companion-model *state* (trapezoidal history) lives in
 /// the transient solver, not here.
 #[derive(Debug, Clone)]
 pub struct MnaSystem {
     n: usize,
-    n_nodes: usize,
     pub(crate) resistors: Vec<TwoTerminal>,
     pub(crate) caps: Vec<TwoTerminal>,
     pub(crate) inductors: Vec<TwoTerminal>,
@@ -196,7 +195,6 @@ impl MnaSystem {
         let n = netlist.system_size();
         let mut sys = MnaSystem {
             n,
-            n_nodes,
             resistors: Vec::new(),
             caps: Vec::new(),
             inductors: Vec::new(),
@@ -265,19 +263,14 @@ impl MnaSystem {
         self.n
     }
 
-    /// Number of non-ground nodes.
-    pub fn node_unknowns(&self) -> usize {
-        self.n_nodes
-    }
-
     /// Size of the DC operating-point system: the coupled system plus
     /// one branch row per inductor (inductors are DC shorts).
-    pub fn dc_size(&self) -> usize {
+    pub(crate) fn dc_size(&self) -> usize {
         self.n + self.inductors.len()
     }
 
     /// Length of the drive vector (number of current sources).
-    pub fn drive_len(&self) -> usize {
+    pub(crate) fn drive_len(&self) -> usize {
         self.n_drive
     }
 
@@ -285,7 +278,7 @@ impl MnaSystem {
     /// resistor conductances, capacitor companions `2C/h`, inductor
     /// companions `h/2L`, then voltage-source branch pairs — the
     /// historical transient assembly order.
-    pub fn stamp_transient<M: StampTarget<f64>>(&self, target: &mut M, h: f64) {
+    pub(crate) fn stamp_transient<M: StampTarget<f64>>(&self, target: &mut M, h: f64) {
         let mut s = Stamper::new(target);
         for r in &self.resistors {
             s.admittance(r.a, r.b, r.value);
@@ -307,7 +300,7 @@ impl MnaSystem {
     /// short-circuit branch row per inductor (`v(a) - v(b) = 0` with a
     /// branch-current unknown at row `size() + k`). Capacitors are DC
     /// open circuits and stamp nothing.
-    pub fn stamp_dc<M: StampTarget<f64>>(&self, target: &mut M) {
+    pub(crate) fn stamp_dc<M: StampTarget<f64>>(&self, target: &mut M) {
         let mut s = Stamper::new(target);
         for r in &self.resistors {
             s.admittance(r.a, r.b, r.value);
@@ -333,7 +326,7 @@ impl MnaSystem {
     /// unknowns: node KCL rows gain `C·dv/dt` terms, and each inductor
     /// branch row reads `v(a) - v(b) - L·di/dt = 0`. This is the
     /// state-space form the reduced-order macromodel projects.
-    pub fn stamp_capacitance<M: StampTarget<f64>>(&self, target: &mut M, scale: f64) {
+    pub(crate) fn stamp_capacitance<M: StampTarget<f64>>(&self, target: &mut M, scale: f64) {
         {
             let mut s = Stamper::new(target);
             for c in &self.caps {
@@ -351,7 +344,7 @@ impl MnaSystem {
     /// order): resistors `1/R`, capacitors `jωC`, inductors `-j/(ωL)`,
     /// voltage sources as AC shorts (branch pairs), current sources as
     /// small-signal opens.
-    pub fn stamp_ac<M: StampTarget<Complex>>(&self, target: &mut M, omega: f64) {
+    pub(crate) fn stamp_ac<M: StampTarget<Complex>>(&self, target: &mut M, omega: f64) {
         let mut s = Stamper::new(target);
         for el in &self.order {
             match *el {
@@ -386,7 +379,7 @@ impl MnaSystem {
 /// at every step size, and the AC matrix at every frequency, have the
 /// same pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SystemPattern {
+pub(crate) struct SystemPattern {
     n: usize,
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
@@ -441,7 +434,7 @@ impl SystemPattern {
 
     /// Pattern of the DC operating-point system (includes the inductor
     /// branch rows).
-    pub fn dc(sys: &MnaSystem) -> SystemPattern {
+    pub(crate) fn dc(sys: &MnaSystem) -> SystemPattern {
         let mut b = PatternBuilder::new(sys.dc_size());
         sys.stamp_dc(&mut b);
         b.finish()
@@ -452,7 +445,7 @@ impl SystemPattern {
     /// ([`MnaSystem::stamp_capacitance`]), so one pattern serves `G`,
     /// `C`, and any shifted combination `G + s·C` the reduced-order
     /// model factors.
-    pub fn dc_dynamic(sys: &MnaSystem) -> SystemPattern {
+    pub(crate) fn dc_dynamic(sys: &MnaSystem) -> SystemPattern {
         let mut b = PatternBuilder::new(sys.dc_size());
         sys.stamp_dc(&mut b);
         sys.stamp_capacitance(&mut b, 1.0);
@@ -470,7 +463,7 @@ impl SystemPattern {
     }
 
     /// Sorted column indices of row `r`.
-    pub fn row_cols(&self, r: usize) -> &[usize] {
+    pub(crate) fn row_cols(&self, r: usize) -> &[usize] {
         &self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]]
     }
 
@@ -514,7 +507,6 @@ mod tests {
         let nl = rlc_netlist();
         let sys = MnaSystem::new(&nl);
         assert_eq!(sys.size(), nl.system_size());
-        assert_eq!(sys.node_unknowns(), nl.node_count() - 1);
         assert_eq!(sys.dc_size(), sys.size() + 1); // one inductor
         assert_eq!(sys.drive_len(), 1);
     }
@@ -534,7 +526,7 @@ mod tests {
             }
         }
         // Every node unknown touches at least one element.
-        for r in 0..sys.node_unknowns() {
+        for r in 0..nl.node_count() - 1 {
             assert!(p.index_of(r, r).is_some(), "missing diagonal at {r}");
         }
     }
@@ -583,7 +575,7 @@ mod tests {
         let mut m = Matrix::<f64>::zeros(n, n);
         sys.stamp_transient(&mut m, 1e-9);
         // Symmetric structure with positive diagonals on node rows.
-        for r in 0..sys.node_unknowns() {
+        for r in 0..nl.node_count() - 1 {
             assert!(m[(r, r)] > 0.0, "diagonal {r} must be positive");
         }
         let vrow = sys.vsources[0].row;

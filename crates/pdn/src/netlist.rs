@@ -20,11 +20,6 @@ impl NodeId {
     /// The reference (ground) node, fixed at 0 V.
     pub const GROUND: NodeId = NodeId(0);
 
-    /// True for the ground node.
-    pub fn is_ground(self) -> bool {
-        self.0 == 0
-    }
-
     /// Index of this node among the MNA unknowns — i.e. its position in
     /// solution vectors returned by the solvers — or `None` for ground.
     pub fn unknown_index(self) -> Option<usize> {
@@ -148,30 +143,13 @@ impl Netlist {
         self.node_names.len()
     }
 
-    /// Name of a node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError::UnknownNode`] for an out-of-range id.
-    pub fn node_name(&self, node: NodeId) -> Result<&str, PdnError> {
-        self.node_names
-            .get(node.0)
-            .map(String::as_str)
-            .ok_or(PdnError::UnknownNode { node: node.0 })
-    }
-
     /// All elements added so far.
     pub fn elements(&self) -> &[Element] {
         &self.elements
     }
 
-    /// Number of independent voltage sources.
-    pub fn voltage_source_count(&self) -> usize {
-        self.n_vsources
-    }
-
     /// Number of time-varying current sources.
-    pub fn current_source_count(&self) -> usize {
+    pub(crate) fn current_source_count(&self) -> usize {
         self.n_isources
     }
 
@@ -285,7 +263,12 @@ impl Netlist {
     /// # Errors
     ///
     /// Rejects non-positive or non-finite inductance and unknown nodes.
-    pub fn add_inductor(&mut self, a: NodeId, b: NodeId, henries: f64) -> Result<(), PdnError> {
+    pub(crate) fn add_inductor(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        henries: f64,
+    ) -> Result<(), PdnError> {
         self.check_node(a)?;
         self.check_node(b)?;
         Self::check_value("inductor", henries)?;
@@ -360,29 +343,6 @@ impl Netlist {
         self.n_isources += 1;
         Ok(source)
     }
-
-    /// Rescales the DC voltage of every voltage source by `factor`
-    /// (used by the Vmin harness to undervolt the whole network).
-    ///
-    /// # Errors
-    ///
-    /// Rejects non-finite or negative factors with
-    /// [`PdnError::InvalidElement`] — a NaN or negative scale would
-    /// silently corrupt every downstream solve.
-    pub fn scale_voltage_sources(&mut self, factor: f64) -> Result<(), PdnError> {
-        if !(factor.is_finite() && factor >= 0.0) {
-            return Err(PdnError::InvalidElement {
-                element: "voltage source scale factor".to_string(),
-                value: factor,
-            });
-        }
-        for el in &mut self.elements {
-            if let Element::VoltageSource { volts, .. } = el {
-                *volts *= factor;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -394,10 +354,8 @@ mod tests {
         let mut nl = Netlist::new();
         let a = nl.add_node("a");
         let b = nl.add_node("b");
-        assert_eq!(nl.node_name(a).unwrap(), "a");
-        assert_eq!(nl.node_name(b).unwrap(), "b");
-        assert_eq!(nl.node_name(NodeId::GROUND).unwrap(), "gnd");
-        assert!(a != b && !a.is_ground());
+        assert_eq!((a, b), (NodeId(1), NodeId(2)));
+        assert_eq!(nl.node_count(), 3);
     }
 
     #[test]
@@ -447,7 +405,7 @@ mod tests {
             .add_capacitor_with_esr(a, NodeId::GROUND, 1e-6, 1e-3)
             .unwrap();
         assert_eq!(nl.node_count(), before + 1);
-        assert!(!mid.is_ground());
+        assert_ne!(mid, NodeId::GROUND);
         assert_eq!(nl.elements().len(), 2);
     }
 
@@ -460,33 +418,5 @@ mod tests {
         assert_eq!(s0.index(), 0);
         assert_eq!(s1.index(), 1);
         assert_eq!(nl.current_source_count(), 2);
-    }
-
-    #[test]
-    fn scale_voltage_sources_scales_all() {
-        let mut nl = Netlist::new();
-        let a = nl.add_node("a");
-        nl.add_voltage_source(a, NodeId::GROUND, 1.0).unwrap();
-        nl.scale_voltage_sources(0.95).unwrap();
-        match &nl.elements()[0] {
-            Element::VoltageSource { volts, .. } => assert!((volts - 0.95).abs() < 1e-12),
-            other => panic!("unexpected element {other:?}"),
-        }
-    }
-
-    #[test]
-    fn scale_voltage_sources_rejects_bad_factors() {
-        let mut nl = Netlist::new();
-        let a = nl.add_node("a");
-        nl.add_voltage_source(a, NodeId::GROUND, 1.0).unwrap();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
-            let err = nl.scale_voltage_sources(bad).unwrap_err();
-            assert!(matches!(err, PdnError::InvalidElement { .. }), "{bad}");
-        }
-        // A rejected factor must leave the netlist untouched.
-        match &nl.elements()[0] {
-            Element::VoltageSource { volts, .. } => assert_eq!(*volts, 1.0),
-            other => panic!("unexpected element {other:?}"),
-        }
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! The reduction is PRIMA-style single-input moment matching. The
 //! netlist's descriptor form `C·ż + G·z = b·u(t)` (assembled by
-//! [`MnaSystem::stamp_dc`] and [`MnaSystem::stamp_capacitance`] over
-//! [`MnaSystem::dc_size`] unknowns, taken as a *deviation* from the DC
+//! `MnaSystem::stamp_dc` and `MnaSystem::stamp_capacitance` over
+//! `MnaSystem::dc_size` unknowns, taken as a *deviation* from the DC
 //! operating point so `z(0) = 0`) is projected onto the Krylov basis of
 //! `(G + s₀C)⁻¹C` seeded with `(G + s₀C)⁻¹b`, matching transfer-function
 //! moments at the expansion frequency `s₀ = 2π·expansion_hz`.
@@ -95,7 +95,7 @@ pub struct RomOutcome {
 /// integrates it over any window. [`solve_step_rom`] wraps both for the
 /// common one-shot case.
 #[derive(Debug, Clone)]
-pub struct ReducedPdn {
+pub(crate) struct ReducedPdn {
     /// Active (calibrated) order; `gr`/`cr` leading blocks of this size
     /// are what `simulate` integrates.
     q: usize,
@@ -345,23 +345,6 @@ impl ReducedPdn {
         })
     }
 
-    /// Calibrated reduced order.
-    pub fn states(&self) -> usize {
-        self.q
-    }
-
-    /// Worst calibration discrepancy against the full solver, volts.
-    pub fn max_error_v(&self) -> f64 {
-        self.max_error_v
-    }
-
-    /// Work counters accumulated so far (build + calibration; merge the
-    /// outcome counters of later [`ReducedPdn::simulate`] calls
-    /// yourself — they are returned per run).
-    pub fn counters(&self) -> SolverCounters {
-        self.counters
-    }
-
     /// Integrates the reduced model over `[0, window_s]` with
     /// trapezoidal steps: dilated coarse steps away from the edge, fine
     /// steps inside the refinement window around it. Records every
@@ -478,7 +461,7 @@ struct RomTrace {
 ///
 /// # Errors
 ///
-/// See [`ReducedPdn::build`]; additionally anything the final
+/// See `ReducedPdn::build`; additionally anything the final
 /// integration raises.
 pub fn solve_step_rom(
     problem: &RomStepProblem<'_>,

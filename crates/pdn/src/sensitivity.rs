@@ -84,20 +84,6 @@ pub struct ParameterSensitivity {
     pub points: Vec<BandPoint>,
 }
 
-impl ParameterSensitivity {
-    /// Logarithmic frequency sensitivity `d ln(f) / d ln(factor)` between
-    /// the first and last point (≈ −0.5 for the LC pair members).
-    pub fn log_slope(&self) -> f64 {
-        let (Some(first), Some(last)) = (self.points.first(), self.points.last()) else {
-            return 0.0;
-        };
-        if first.freq_hz <= 0.0 || last.freq_hz <= 0.0 {
-            return 0.0;
-        }
-        (last.freq_hz / first.freq_hz).ln() / (last.factor / first.factor).ln()
-    }
-}
-
 fn die_band(params: &PdnParams) -> Result<(f64, f64), PdnError> {
     let chip = Pdn::chip(params)?;
     let ac = AcAnalysis::new(chip.netlist());
@@ -130,40 +116,18 @@ pub fn parameter_sensitivity(
     Ok(ParameterSensitivity { parameter, points })
 }
 
-/// Runs the sweep for every parameter and renders a report.
-///
-/// # Errors
-///
-/// Returns [`PdnError`] if a build or AC solve fails.
-pub fn full_sensitivity(base: &PdnParams, factors: &[f64]) -> Result<String, PdnError> {
-    let mut out = String::from(
-        "# PDN parameter sensitivity of the die-band resonance\nparameter,factor,freq_hz,z_mohm\n",
-    );
-    for parameter in PdnParameter::ALL {
-        let s = parameter_sensitivity(base, parameter, factors)?;
-        for p in &s.points {
-            out.push_str(&format!(
-                "{},{:.2},{:.4e},{:.4}\n",
-                parameter.name(),
-                p.factor,
-                p.freq_hz,
-                p.z_ohm * 1e3
-            ));
-        }
-        out.push_str(&format!(
-            "# {} log-slope d ln f / d ln x = {:.2}\n",
-            parameter.name(),
-            s.log_slope()
-        ));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const FACTORS: [f64; 3] = [0.5, 1.0, 2.0];
+
+    /// Logarithmic frequency sensitivity `d ln(f) / d ln(factor)` between
+    /// the first and last point (≈ −0.5 for the LC pair members).
+    fn log_slope(s: &ParameterSensitivity) -> f64 {
+        let (first, last) = (&s.points[0], &s.points[s.points.len() - 1]);
+        (last.freq_hz / first.freq_hz).ln() / (last.factor / first.factor).ln()
+    }
 
     #[test]
     fn c4_inductance_moves_band_down() {
@@ -172,7 +136,7 @@ mod tests {
         // the ideal -0.5 and 0.
         let s = parameter_sensitivity(&PdnParams::default(), PdnParameter::C4Inductance, &FACTORS)
             .unwrap();
-        let slope = s.log_slope();
+        let slope = log_slope(&s);
         assert!((-0.65..=-0.15).contains(&slope), "slope = {slope}");
         assert!(s.points[0].freq_hz > s.points[2].freq_hz);
     }
@@ -182,7 +146,7 @@ mod tests {
         let s = parameter_sensitivity(&PdnParams::default(), PdnParameter::DomainDecap, &FACTORS)
             .unwrap();
         assert!(s.points[0].freq_hz > s.points[2].freq_hz);
-        assert!(s.log_slope() < -0.1);
+        assert!(log_slope(&s) < -0.1);
     }
 
     #[test]
@@ -192,7 +156,7 @@ mod tests {
         // Magnitude drops with more ESR...
         assert!(s.points[2].z_ohm < s.points[0].z_ohm);
         // ...while frequency stays within ~20 %.
-        assert!(s.log_slope().abs() < 0.3, "slope = {}", s.log_slope());
+        assert!(log_slope(&s).abs() < 0.3, "slope = {}", log_slope(&s));
     }
 
     #[test]
@@ -203,14 +167,6 @@ mod tests {
             &FACTORS,
         )
         .unwrap();
-        assert!(s.log_slope().abs() < 0.1, "slope = {}", s.log_slope());
-    }
-
-    #[test]
-    fn full_report_covers_all_parameters() {
-        let report = full_sensitivity(&PdnParams::default(), &FACTORS).unwrap();
-        for p in PdnParameter::ALL {
-            assert!(report.contains(p.name()));
-        }
+        assert!(log_slope(&s).abs() < 0.1, "slope = {}", log_slope(&s));
     }
 }

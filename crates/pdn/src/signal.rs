@@ -3,8 +3,7 @@
 //! This module turns transient scope traces into *signals*: an
 //! iterative radix-2 FFT, streaming Welch power-spectral-density
 //! estimation with an associative merge (so partial periodograms
-//! compose the same way [`voltnoise_system`-style] telemetry
-//! histograms do), windowed autocorrelation, and an
+//! compose the same way the engine's telemetry histograms do), windowed autocorrelation, and an
 //! NIST-SP800-90B-style entropy estimator battery (most-common-value
 //! and Markov min-entropy, repetition-count and adaptive-proportion
 //! health checks) over quantized samples.
@@ -41,7 +40,7 @@ const HEALTH_ALPHA_EXP: f64 = 20.0;
 
 /// Window length of the adaptive-proportion health check (SP800-90B
 /// §4.4.2, non-binary cutoff table's window).
-pub const ADAPTIVE_WINDOW: usize = 512;
+pub(crate) const ADAPTIVE_WINDOW: usize = 512;
 
 fn signal_err(reason: impl Into<String>) -> PdnError {
     PdnError::Signal {
@@ -141,19 +140,6 @@ pub fn ifft_in_place(re: &mut [f64], im: &mut [f64]) -> Result<(), PdnError> {
     Ok(())
 }
 
-/// Forward FFT of a real signal: returns `(re, im)` spectra of the
-/// same (power-of-two) length as the input.
-///
-/// # Errors
-///
-/// Returns [`PdnError::Signal`] if the length is not a power of two.
-pub fn rfft(samples: &[f64]) -> Result<(Vec<f64>, Vec<f64>), PdnError> {
-    let mut re = samples.to_vec();
-    let mut im = vec![0.0; samples.len()];
-    fft_in_place(&mut re, &mut im)?;
-    Ok((re, im))
-}
-
 // ---------------------------------------------------------------------------
 // Windows
 // ---------------------------------------------------------------------------
@@ -249,7 +235,7 @@ impl WelchConfig {
     }
 
     /// Number of one-sided PSD bins (`segment_len / 2 + 1`).
-    pub fn bins(&self) -> usize {
+    pub(crate) fn bins(&self) -> usize {
         self.segment_len / 2 + 1
     }
 
@@ -824,7 +810,7 @@ pub fn markov_min_entropy(sym: &[u8]) -> Result<f64, PdnError> {
 /// `1 + ceil(20 / h_bits)` consecutive samples. A non-positive
 /// entropy claim makes the cutoff unbounded, so the check passes
 /// vacuously — a weak claim gets a weak check, as in the spec.
-pub fn repetition_count_ok(sym: &[u8], h_bits: f64) -> bool {
+pub(crate) fn repetition_count_ok(sym: &[u8], h_bits: f64) -> bool {
     if sym.len() < 2 || h_bits.is_nan() || h_bits <= 0.0 {
         return true;
     }
@@ -868,7 +854,7 @@ fn binomial_cutoff(w: usize, p: f64) -> usize {
 /// windows: fails if the first symbol of any window occurs at least
 /// `binomial_cutoff(W, 2^-h)` times within it. Passes vacuously when
 /// the sequence is shorter than one window.
-pub fn adaptive_proportion_ok(sym: &[u8], h_bits: f64) -> bool {
+pub(crate) fn adaptive_proportion_ok(sym: &[u8], h_bits: f64) -> bool {
     let w = ADAPTIVE_WINDOW;
     if sym.len() < w {
         return true;
@@ -950,10 +936,10 @@ pub struct TraceSignature {
 
 /// Number of uniform samples traces are resampled to before the
 /// engine computes a [`TraceSignature`].
-pub const SIGNATURE_SAMPLES: usize = 1024;
+pub(crate) const SIGNATURE_SAMPLES: usize = 1024;
 
 /// Welch segment length used by [`trace_signature`].
-pub const SIGNATURE_SEGMENT: usize = 256;
+pub(crate) const SIGNATURE_SEGMENT: usize = 256;
 
 /// Die-resonance band assessed by [`trace_signature`] (Hz).
 pub const DIE_BAND_HZ: (f64, f64) = (1.0e6, 5.0e6);
@@ -961,11 +947,11 @@ pub const DIE_BAND_HZ: (f64, f64) = (1.0e6, 5.0e6);
 /// Lower edge of [`trace_signature`]'s peak search (Hz) — the same
 /// board/die boundary the impedance experiments use, so turn-on
 /// drift in the first bins never masquerades as a resonance.
-pub const SIGNATURE_PEAK_MIN_HZ: f64 = 5.0e5;
+pub(crate) const SIGNATURE_PEAK_MIN_HZ: f64 = 5.0e5;
 
 /// Computes the standard signature of one `(times, volts)` trace:
-/// resample to [`SIGNATURE_SAMPLES`] points, Welch PSD at
-/// [`SIGNATURE_SEGMENT`]/50% overlap, 3-bit quantization for the
+/// resample to `SIGNATURE_SAMPLES` points, Welch PSD at
+/// `SIGNATURE_SEGMENT`/50% overlap, 3-bit quantization for the
 /// entropy battery.
 ///
 /// # Errors
@@ -1024,10 +1010,11 @@ mod tests {
     #[test]
     fn fft_of_single_tone_concentrates_in_one_bin() {
         let n = 64;
-        let samples: Vec<f64> = (0..n)
+        let mut re: Vec<f64> = (0..n)
             .map(|i| (std::f64::consts::TAU * 5.0 * i as f64 / n as f64).cos())
             .collect();
-        let (re, im) = rfft(&samples).unwrap();
+        let mut im = vec![0.0; n];
+        fft_in_place(&mut re, &mut im).unwrap();
         let mags: Vec<f64> = re
             .iter()
             .zip(&im)

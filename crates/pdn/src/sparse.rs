@@ -5,20 +5,20 @@
 //! where dense `O(n³)` factorization wastes almost all of its work on
 //! structural zeros. This module provides the large-system path:
 //!
-//! - [`CsrMatrix`]: numeric values over a shared
-//!   [`SystemPattern`](crate::mna::SystemPattern), assembled through the
-//!   same [`StampTarget`] stamping code as the dense path;
-//! - [`SparseLu`]: right-looking sparse LU with Markowitz pivoting
+//! - `CsrMatrix`: numeric values over a shared
+//!   `SystemPattern`, assembled through the
+//!   same `StampTarget` stamping code as the dense path;
+//! - `SparseLu`: right-looking sparse LU with Markowitz pivoting
 //!   under a threshold-pivoting stability constraint, plus
-//!   [`SparseLu::refactor`] which reuses a previously discovered
-//!   [`EliminationOrder`] (the expensive symbolic part) when only the
+//!   `SparseLu::refactor` which reuses a previously discovered
+//!   `EliminationOrder` (the expensive symbolic part) when only the
 //!   numeric values changed — the common case for the transient
 //!   factor cache, where the pattern is fixed and only the step size
 //!   varies.
 //!
-//! Flop accounting is *nnz-aware*: [`SparseLu::factor_flops`] counts
+//! Flop accounting is *nnz-aware*: `SparseLu::factor_flops` counts
 //! the multiply-adds and divisions actually performed (fill-in
-//! included), and [`SparseLu::solve_flops`] is `2·nnz(L+U)` — so
+//! included), and `SparseLu::solve_flops` is `2·nnz(L+U)` — so
 //! [`crate::telemetry::SolverCounters::est_flops`] reflects real sparse
 //! work, directly comparable against the dense cost model.
 
@@ -45,7 +45,7 @@ const PIVOT_MIN: f64 = 1e-300;
 /// outside the pattern are counted (never silently dropped);
 /// [`SparseLu::factor`] refuses a matrix with such strays.
 #[derive(Debug, Clone)]
-pub struct CsrMatrix<T> {
+pub(crate) struct CsrMatrix<T> {
     pattern: Arc<SystemPattern>,
     values: Vec<T>,
     missing: usize,
@@ -63,33 +63,14 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 
     /// Matrix dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.pattern.size()
-    }
-
-    /// The shared symbolic pattern.
-    pub fn pattern(&self) -> &Arc<SystemPattern> {
-        &self.pattern
     }
 
     /// Number of stamps that fell outside the pattern (should be zero
     /// whenever the pattern was built from the same stamping sequence).
-    pub fn missing_stamps(&self) -> usize {
+    pub(crate) fn missing_stamps(&self) -> usize {
         self.missing
-    }
-
-    /// Resets all values to zero, keeping pattern and allocation.
-    pub fn clear(&mut self) {
-        self.values.fill(T::ZERO);
-        self.missing = 0;
-    }
-
-    /// Value at `(r, c)`, zero for structurally absent positions.
-    pub fn get(&self, r: usize, c: usize) -> T {
-        self.pattern
-            .index_of(r, c)
-            .map(|i| self.values[i])
-            .unwrap_or(T::ZERO)
     }
 
     /// Matrix-vector product `y = A x`, the sparse analogue of
@@ -151,7 +132,7 @@ impl<T: Scalar> StampTarget<T> for CsrMatrix<T> {
 /// pivot has gone numerically bad, [`SparseLu::refactor`] fails and the
 /// caller falls back to a fresh [`SparseLu::factor`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EliminationOrder {
+pub(crate) struct EliminationOrder {
     rows: Vec<usize>,
     cols: Vec<usize>,
 }
@@ -159,7 +140,7 @@ pub struct EliminationOrder {
 /// Sparse LU factors of a [`CsrMatrix`], reusable across right-hand
 /// sides just like the dense [`crate::linalg::LuFactors`].
 #[derive(Debug, Clone)]
-pub struct SparseLu<T> {
+pub(crate) struct SparseLu<T> {
     n: usize,
     /// Pivot row chosen at step `k` (original row index).
     row_of: Vec<usize>,
@@ -289,11 +270,6 @@ impl<T: Scalar> SparseLu<T> {
         Ok(lu)
     }
 
-    /// Dimension of the factored system.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// The pivot order this factorization used (fresh or replayed),
     /// for reuse via [`SparseLu::refactor`].
     pub fn order(&self) -> EliminationOrder {
@@ -307,18 +283,13 @@ impl<T: Scalar> SparseLu<T> {
     /// (multiply-adds counted as two, divisions as one; fill-in
     /// included). The sparse analogue of
     /// [`crate::linalg::Matrix::lu_flops`], but measured, not modeled.
-    pub fn factor_flops(&self) -> u64 {
+    pub(crate) fn factor_flops(&self) -> u64 {
         self.factor_flops
-    }
-
-    /// Stored factor entries (L multipliers + U entries + diagonals).
-    pub fn nnz(&self) -> u64 {
-        self.nnz_factors
     }
 
     /// Floating-point operations of one solve: `2·nnz(L+U)` — the
     /// nnz-aware analogue of [`crate::linalg::LuFactors::solve_flops`].
-    pub fn solve_flops(&self) -> u64 {
+    pub(crate) fn solve_flops(&self) -> u64 {
         2 * self.nnz_factors
     }
 
@@ -327,7 +298,7 @@ impl<T: Scalar> SparseLu<T> {
     /// # Errors
     ///
     /// [`PdnError::DimensionMismatch`] on size mismatch.
-    pub fn solve_into(&self, b: &[T], x: &mut [T]) -> Result<(), PdnError> {
+    pub(crate) fn solve_into(&self, b: &[T], x: &mut [T]) -> Result<(), PdnError> {
         if b.len() != self.n || x.len() != self.n {
             return Err(PdnError::DimensionMismatch {
                 expected: self.n,
@@ -382,7 +353,7 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// [`PdnError::DimensionMismatch`] when either buffer's length
     /// differs from the factored dimension.
-    pub fn solve_lanes<const K: usize>(
+    pub(crate) fn solve_lanes<const K: usize>(
         &self,
         rhs: &mut [[T; K]],
         x: &mut [[T; K]],
@@ -625,7 +596,7 @@ mod tests {
         let dense = dense_of(&sys, 1e-9);
         let lu = SparseLu::factor(&m).unwrap();
         assert!(lu.factor_flops() > 0);
-        assert!(lu.solve_flops() == 2 * lu.nnz());
+        assert!(lu.solve_flops() == 2 * lu.nnz_factors);
         // A tridiagonal-ish PDN chain factors far cheaper than the
         // dense cost model.
         assert!(

@@ -39,10 +39,10 @@ pub struct SolverCounters {
     /// Back-substitutions (`solve`/`solve_into` calls).
     pub solve_calls: u64,
     /// Estimated floating-point operations. Dense solves use the dense
-    /// cost model ([`crate::linalg::Matrix::lu_flops`] /
-    /// [`crate::linalg::LuFactors::solve_flops`]); sparse solves count
-    /// nnz-aware actual work ([`crate::sparse::SparseLu::factor_flops`] /
-    /// [`crate::sparse::SparseLu::solve_flops`]).
+    /// cost model (`crate::linalg::Matrix::lu_flops` /
+    /// `crate::linalg::LuFactors::solve_flops`); sparse solves count
+    /// nnz-aware actual work (`crate::sparse::SparseLu::factor_flops` /
+    /// `crate::sparse::SparseLu::solve_flops`).
     pub est_flops: u64,
     /// Back-substitutions performed by the sparse backend (a subset of
     /// `solve_calls`; zero whenever the system stayed on the dense fast
@@ -52,7 +52,7 @@ pub struct SolverCounters {
     /// elimination order instead of re-running pivot selection.
     pub pattern_reuses: u64,
     /// Right-hand sides solved through the multi-RHS kernel
-    /// ([`crate::backend::Factorization::solve_lanes`]) in groups:
+    /// (`crate::backend::Factorization::solve_lanes`) in groups:
     /// every lane-step of a transient lane group of two or more lanes,
     /// and every port of an AC impedance batch (each RHS counts once; a
     /// subset of `solve_calls`). Zero on paths that solve one RHS at a

@@ -31,7 +31,7 @@ pub fn core_domain(core: usize) -> usize {
 
 /// Row-adjacent core pairs of the modeled floorplan (Fig. 3): upper row
 /// 0–2–4, lower row 1–3–5.
-pub const NEIGHBOR_PAIRS: [(usize, usize); 4] = [(0, 2), (2, 4), (1, 3), (3, 5)];
+pub(crate) const NEIGHBOR_PAIRS: [(usize, usize); 4] = [(0, 2), (2, 4), (1, 3), (3, 5)];
 
 /// Electrical parameters of the chip/package/board model.
 ///
@@ -625,7 +625,8 @@ mod tests {
     fn build_produces_expected_sources() {
         let chip = Pdn::chip(&PdnParams::default()).unwrap();
         assert_eq!(chip.netlist().current_source_count(), NUM_CORES);
-        assert_eq!(chip.netlist().voltage_source_count(), 1);
+        // One voltage source: one branch row past the node unknowns.
+        assert_eq!(chip.netlist().system_size(), chip.netlist().node_count());
         for i in 0..NUM_CORES {
             assert_eq!(chip.core_source(i).index(), i);
         }
@@ -778,7 +779,7 @@ mod tests {
         assert_eq!(drawer.num_chips(), 6);
         let nl = drawer.netlist();
         assert_eq!(nl.current_source_count(), 6 * NUM_CORES);
-        assert_eq!(nl.voltage_source_count(), 1);
+        assert_eq!(nl.system_size(), nl.node_count());
         let size = nl.system_size();
         assert!(
             size >= 150,

@@ -218,7 +218,7 @@ pub struct TransientResult {
     pub phase_times: PhaseTimes,
 }
 
-/// Most jobs one solver advances in lockstep: [`TransientSolver::run_lanes`]
+/// Most jobs one solver advances in lockstep: `TransientSolver::run_lanes`
 /// is monomorphized for every lane width `1..=MAX_LANES`.
 pub const MAX_LANES: usize = 8;
 
@@ -228,7 +228,7 @@ pub const MAX_LANES: usize = 8;
 ///
 /// Runs of one netlist whose schedules are equal take the same steps
 /// with the same step sizes, so they can advance as the lanes of one
-/// [`TransientSolver::run_lanes`] call; that is what callers group by.
+/// `TransientSolver::run_lanes` call; that is what callers group by.
 /// The budget and the cancellation token (by identity) are part of the
 /// schedule, so lanes of one group share them by construction.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -788,7 +788,7 @@ impl TransientSolver {
     }
 
     /// Runs a transient simulation from a freshly solved DC operating
-    /// point: the one-lane case of [`TransientSolver::run_lanes`].
+    /// point: the one-lane case of `TransientSolver::run_lanes`.
     ///
     /// # Errors
     ///
@@ -805,7 +805,7 @@ impl TransientSolver {
 
     /// Runs one lane per drive, `MAX_LANES` at a time, each lane group
     /// at the narrowest lane width that holds it. `results[i]` belongs
-    /// to `drives[i]`; see [`TransientSolver::run_lanes`].
+    /// to `drives[i]`; see `TransientSolver::run_lanes`.
     pub fn run_group(
         &mut self,
         drives: &[&dyn Drive],
@@ -859,7 +859,7 @@ impl TransientSolver {
     /// factorization work is charged to lane 0, and its phase times are
     /// split evenly across the lanes. `batched_solves` counts every
     /// lane's solves when `K > 1`.
-    pub fn run_lanes<const K: usize>(
+    pub(crate) fn run_lanes<const K: usize>(
         &mut self,
         drives: [&dyn Drive; K],
         probes: &[Probe],

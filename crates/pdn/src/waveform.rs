@@ -83,7 +83,7 @@ impl StressWaveform {
 
     /// Effective period after skew (free-run) or the nominal period
     /// (synced).
-    pub fn effective_period(&self) -> f64 {
+    pub(crate) fn effective_period(&self) -> f64 {
         match self.mode {
             WaveMode::FreeRun {
                 period_skew_ppm, ..

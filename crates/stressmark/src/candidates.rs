@@ -13,7 +13,7 @@ use voltnoise_uarch::isa::{Isa, Opcode};
 use voltnoise_uarch::units::{IssueClass, UnitKind};
 
 /// Number of candidates the selection keeps (paper: nine).
-pub const NUM_CANDIDATES: usize = 9;
+pub(crate) const NUM_CANDIDATES: usize = 9;
 
 /// Category key: unit × issue class × branch-ness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -45,7 +45,7 @@ pub struct Candidate {
 ///
 /// Serializing categories are discarded outright (their loops cannot
 /// sustain IPC), then categories are ranked by the loop power of their
-/// strongest member and the top [`NUM_CANDIDATES`] survive.
+/// strongest member and the top `NUM_CANDIDATES` survive.
 ///
 /// # Examples
 ///

@@ -87,7 +87,7 @@ impl Iterator for Combinations<'_> {
 
 /// Static microarchitectural constraints applied before simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FilterConfig {
+pub(crate) struct FilterConfig {
     /// Required average dispatch-group size (the zEC12 maximum is 3).
     pub required_avg_group_size: f64,
     /// Maximum branches per sequence.
@@ -116,7 +116,7 @@ impl Default for FilterConfig {
 /// 3. at most `max_blocking` blocking operations;
 /// 4. no unit's total port-occupancy may exceed what the dispatch-bound
 ///    cycle count lets it issue.
-pub fn microarch_filter(
+pub(crate) fn microarch_filter(
     isa: &Isa,
     core: &CoreConfig,
     filter: &FilterConfig,
@@ -164,7 +164,7 @@ pub fn microarch_filter(
 /// Runs the combination enumeration and filter, returning survivors and
 /// funnel counts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FilterOutcome {
+pub(crate) struct FilterOutcome {
     /// Sequences that passed the filter.
     pub survivors: Vec<[Opcode; SEQ_LEN]>,
     /// Total combinations enumerated (the paper's 531 441 for 9 candidates).
@@ -173,7 +173,7 @@ pub struct FilterOutcome {
 
 /// Enumerates every combination of `candidates` and keeps those passing
 /// [`microarch_filter`].
-pub fn filter_combinations(
+pub(crate) fn filter_combinations(
     isa: &Isa,
     core: &CoreConfig,
     filter: &FilterConfig,

@@ -50,8 +50,8 @@ pub mod genetic;
 pub mod search;
 pub mod stressmark;
 
-pub use candidates::{select_candidates, Candidate, Category, NUM_CANDIDATES};
-pub use filter::{filter_combinations, microarch_filter, Combinations, FilterConfig, SEQ_LEN};
+pub use candidates::select_candidates;
+pub use filter::{Combinations, SEQ_LEN};
 pub use genetic::{ga_search, GaConfig, GaOutcome};
 pub use search::{
     find_max_power_sequence, find_sequence_with_power, min_power_sequence, SearchConfig,
@@ -59,12 +59,12 @@ pub use search::{
 };
 pub use stressmark::{
     compile, CompiledStressmark, MeasuredPhases, StressmarkError, StressmarkSpec, SyncSpec,
-    SYNC_INTERVAL_SECONDS, TOD_TICK_SECONDS,
+    TOD_TICK_SECONDS,
 };
 
 /// Convenient star-import surface.
 pub mod prelude {
-    pub use crate::candidates::{select_candidates, Candidate};
+    pub use crate::candidates::select_candidates;
     pub use crate::search::{
         find_max_power_sequence, find_sequence_with_power, min_power_sequence, SearchConfig,
         SearchOutcome, SequenceEval,

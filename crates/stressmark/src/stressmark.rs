@@ -18,7 +18,7 @@ use voltnoise_uarch::pipeline::CoreConfig;
 pub const TOD_TICK_SECONDS: f64 = 62.5e-9;
 
 /// Default synchronization interval: the paper re-syncs every 4 ms.
-pub const SYNC_INTERVAL_SECONDS: f64 = 4e-3;
+pub(crate) const SYNC_INTERVAL_SECONDS: f64 = 4e-3;
 
 /// Synchronization options of a stressmark.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -81,13 +81,13 @@ pub fn simulate_dither(
 }
 
 /// Probability that all `cores` land in the same slot in one interval.
-pub fn full_alignment_probability(cores: usize, window_slots: u64) -> f64 {
+pub(crate) fn full_alignment_probability(cores: usize, window_slots: u64) -> f64 {
     (1.0 / window_slots as f64).powi(cores as i32 - 1)
 }
 
 /// Expected intervals until the first fully aligned interval (geometric
 /// distribution), or `f64::INFINITY` for a degenerate window.
-pub fn expected_intervals_to_alignment(cores: usize, window_slots: u64) -> f64 {
+pub(crate) fn expected_intervals_to_alignment(cores: usize, window_slots: u64) -> f64 {
     let p = full_alignment_probability(cores, window_slots);
     if p <= 0.0 {
         f64::INFINITY

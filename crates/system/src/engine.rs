@@ -39,11 +39,11 @@
 use crate::chip::Chip;
 use crate::fault::{panic_message, FaultInjector, FaultKind, InjectedFault, JobFault, RetryPolicy};
 use crate::noise::{
-    prepare_run, run_drawer_step_instrumented, run_noise, run_view_noise_instrumented,
-    run_view_noise_lanes, CoreLoad, DrawerStepConfig, DrawerStepOutcome, LaneJob, NoiseOutcome,
-    NoiseRunConfig, PreparedRun, ScenarioView, SolveTelemetry,
+    prepare_run, run_drawer_step_instrumented, run_view_noise_instrumented, run_view_noise_lanes,
+    CoreLoad, DrawerStepConfig, DrawerStepOutcome, LaneJob, NoiseOutcome, NoiseRunConfig,
+    PreparedRun, ScenarioView, SolveTelemetry,
 };
-use crate::rack::{run_rack_noise, RackScenario};
+use crate::rack::RackScenario;
 use crate::site::SiteVec;
 use crate::store::{Fnv128, ResultStore};
 use crate::telemetry::EngineTelemetry;
@@ -79,7 +79,7 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// The digest is a fixed FNV-1a over a canonical byte rendering of
 /// every input [`crate::noise::run_noise`] consumes (see
-/// [`JobKey::store_digest`]), computed once when the [`SimJob`] is
+/// `JobKey::store_digest`), computed once when the [`SimJob`] is
 /// built. It is trusted as the job's identity everywhere: the
 /// persistent store's key, the memo's key and the singleflight key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,7 +113,7 @@ impl JobKey {
     /// processes, machines and toolchain upgrades. It is the on-disk key
     /// contract of [`ResultStore`]; changing the rendering requires
     /// bumping the store's key-scheme version.
-    pub fn store_digest(&self) -> String {
+    pub(crate) fn store_digest(&self) -> String {
         format!("{:032x}", self.digest)
     }
 }
@@ -218,7 +218,7 @@ fn job_digest(prefix: &Fnv128, loads: &[CoreLoad], cfg: &NoiseRunConfig) -> u128
 /// config structs, so this cannot happen today; the fallible signature
 /// exists so the error path stays typed if a config ever grows a
 /// non-serializable field.
-pub fn try_chip_signature(chip: &Chip) -> Result<Arc<str>, PdnError> {
+pub(crate) fn try_chip_signature(chip: &Chip) -> Result<Arc<str>, PdnError> {
     let render = |what: &str, r: Result<String, serde_json::Error>| {
         r.map_err(|e| PdnError::InvalidTimebase {
             reason: format!("{what} configuration failed to serialize: {e}"),
@@ -241,7 +241,7 @@ pub fn try_chip_signature(chip: &Chip) -> Result<Arc<str>, PdnError> {
 /// [`try_chip_signature`]). In the impossible case that serialization
 /// fails, falls back to the `Debug` rendering of the chip configuration —
 /// still deterministic and content-derived, so memoization stays sound.
-pub fn chip_signature(chip: &Chip) -> Arc<str> {
+pub(crate) fn chip_signature(chip: &Chip) -> Arc<str> {
     try_chip_signature(chip)
         .unwrap_or_else(|_| Arc::from(format!("debug-fallback|{:?}", chip.config())))
 }
@@ -251,22 +251,14 @@ pub fn chip_signature(chip: &Chip) -> Arc<str> {
 /// flow through the same key scheme, cache, store and executor — a rack
 /// job is just a job with more load slots and a different fingerprint.
 #[derive(Debug, Clone)]
-pub enum JobTarget {
+enum JobTarget {
     /// A single six-core chip, solved by [`run_noise`].
     Chip(Arc<Chip>),
-    /// A rack scenario, solved by [`crate::rack::run_rack_noise`].
+    /// A rack scenario, solved through its [`ScenarioView`].
     Rack(Arc<RackScenario>),
 }
 
 impl JobTarget {
-    /// Number of load slots the target expects.
-    pub fn num_sites(&self) -> usize {
-        match self {
-            JobTarget::Chip(_) => NUM_CORES,
-            JobTarget::Rack(rack) => rack.num_sites(),
-        }
-    }
-
     /// The electrical view the noise kernel solves.
     fn view(&self) -> ScenarioView<'_> {
         match self {
@@ -303,7 +295,7 @@ impl SimJob {
     }
 
     /// Builds a chip job reusing a precomputed chip signature.
-    pub fn with_signature(
+    pub(crate) fn with_signature(
         chip: Arc<Chip>,
         chip_sig: Arc<str>,
         loads: impl Into<SiteVec<CoreLoad>>,
@@ -354,7 +346,7 @@ impl SimJob {
     }
 
     /// A factory for jobs sharing one rack scenario (and one signature).
-    pub fn rack_batch(rack: Arc<RackScenario>) -> JobBatch {
+    pub(crate) fn rack_batch(rack: Arc<RackScenario>) -> JobBatch {
         let prefix = signature_prefix(&rack.signature());
         JobBatch {
             target: JobTarget::Rack(rack),
@@ -365,19 +357,6 @@ impl SimJob {
     /// The job's content key.
     pub fn key(&self) -> &JobKey {
         &self.key
-    }
-
-    /// The scenario the job runs on.
-    pub fn target(&self) -> &JobTarget {
-        &self.target
-    }
-
-    /// The chip the job runs on, when it is a chip job.
-    pub fn chip(&self) -> Option<&Chip> {
-        match &self.target {
-            JobTarget::Chip(chip) => Some(chip),
-            JobTarget::Rack(_) => None,
-        }
     }
 
     /// The per-site loads (site-ordinal order).
@@ -402,18 +381,6 @@ impl SimJob {
             self.loads.clone(),
             cfg,
         )
-    }
-
-    /// Solves the job directly, bypassing any cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError`] when the PDN solve fails.
-    pub fn solve(&self) -> Result<NoiseOutcome, PdnError> {
-        match &self.target {
-            JobTarget::Chip(chip) => run_noise(chip, &self.loads, &self.cfg),
-            JobTarget::Rack(rack) => run_rack_noise(rack, &self.loads, &self.cfg),
-        }
     }
 }
 
@@ -946,7 +913,7 @@ impl Engine {
     /// including the sparse-backend counters the drawer exercises —
     /// aggregates into [`Engine::telemetry`] exactly like chip jobs.
     ///
-    /// The memo key is the [`Fnv128`] digest of the config's canonical
+    /// The memo key is the FNV-1a 128-bit digest of the config's canonical
     /// JSON rendering: the config is plain serializable data, so the
     /// rendering *is* the content. Drawer outcomes are memoized in
     /// memory only; they do not enter the persistent [`ResultStore`],
@@ -1613,7 +1580,7 @@ impl Engine {
     /// tear down the whole batch. Results arrive in input order. The
     /// serial (1-worker) path catches panics identically, keeping
     /// parallel and serial behavior aligned.
-    pub fn par_map_caught<T, U, F>(&self, items: &[T], f: F) -> Vec<Result<U, String>>
+    pub(crate) fn par_map_caught<T, U, F>(&self, items: &[T], f: F) -> Vec<Result<U, String>>
     where
         T: Sync,
         U: Send,

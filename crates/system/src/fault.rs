@@ -16,8 +16,7 @@
 //!    random phase assignment).
 //! 3. [`FaultInjector`] — a deterministic hook the engine consults
 //!    before every solve attempt. Faults are injected by solve ordinal
-//!    (fail the Nth solve) or by a seeded pseudo-random rate, and come
-//!    in three classes: a solver error, a NaN-corrupted outcome (which
+//!    (fail the Nth solve) and come in three classes: a solver error, a NaN-corrupted outcome (which
 //!    must be caught by the finite-output guard), and a worker panic
 //!    (which must be captured, not propagated).
 
@@ -65,22 +64,11 @@ impl FaultKind {
     /// True for faults that retrying cannot change: a budget fault is
     /// deterministic, a cancelled campaign is draining, and a deadline
     /// token stays cancelled.
-    pub fn is_final(&self) -> bool {
+    pub(crate) fn is_final(&self) -> bool {
         matches!(
             self,
             FaultKind::Budget(_) | FaultKind::Cancelled(_) | FaultKind::Deadline(_)
         )
-    }
-
-    /// The underlying solver error, when the fault carries one.
-    pub fn as_error(&self) -> Option<&PdnError> {
-        match self {
-            FaultKind::Solver(e)
-            | FaultKind::Budget(e)
-            | FaultKind::Cancelled(e)
-            | FaultKind::Deadline(e) => Some(e),
-            FaultKind::Panic(_) => None,
-        }
     }
 }
 
@@ -170,7 +158,7 @@ impl RetryPolicy {
 
     /// Sets the exponential-backoff base (builder style). Retry `k`
     /// sleeps `base · 2^(k-1)` ms, jittered deterministically (see
-    /// [`RetryPolicy::backoff_delay_ms`]) and capped at
+    /// `RetryPolicy::backoff_delay_ms`) and capped at
     /// `backoff_cap_ms`.
     #[must_use]
     pub fn with_backoff(mut self, base_ms: u64, cap_ms: u64) -> RetryPolicy {
@@ -190,7 +178,7 @@ impl RetryPolicy {
     /// a shared-resource fault) by scaling the nominal exponential delay
     /// into `[1/2, 1)·nominal` with a splitmix64 hash of the seed and
     /// attempt.
-    pub fn backoff_delay_ms(&self, job_seed: u64, retry: u32) -> u64 {
+    pub(crate) fn backoff_delay_ms(&self, job_seed: u64, retry: u32) -> u64 {
         if self.backoff_base_ms == 0 || retry == 0 {
             return 0;
         }
@@ -240,20 +228,12 @@ pub enum InjectedFault {
     WorkerPanic,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct RandomFaults {
-    seed: u64,
-    rate: f64,
-    kind: InjectedFault,
-}
-
 /// Deterministic fault-injection plan, consulted by the engine before
 /// every solve attempt.
 ///
 /// Solve attempts are numbered 0, 1, 2, ... in the order the engine
 /// starts them (cache hits consume no ordinal). A plan maps ordinals to
-/// fault classes; an optional seeded random component fails a fraction
-/// of the remaining ordinals, reproducibly for a given seed.
+/// fault classes.
 ///
 /// # Examples
 ///
@@ -270,7 +250,6 @@ struct RandomFaults {
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector {
     planned: HashMap<usize, InjectedFault>,
-    random: Option<RandomFaults>,
 }
 
 impl FaultInjector {
@@ -286,45 +265,9 @@ impl FaultInjector {
         self
     }
 
-    /// Builds an injector from explicit `(ordinal, fault)` pairs.
-    pub fn fail_solves<I>(plan: I) -> Self
-    where
-        I: IntoIterator<Item = (usize, InjectedFault)>,
-    {
-        FaultInjector {
-            planned: plan.into_iter().collect(),
-            random: None,
-        }
-    }
-
-    /// Adds a seeded random component: each ordinal not covered by the
-    /// explicit plan fails with probability `rate`, decided by a
-    /// deterministic hash of `(seed, ordinal)` — the same seed always
-    /// fails the same ordinals.
-    #[must_use]
-    pub fn with_random(mut self, seed: u64, rate: f64, kind: InjectedFault) -> Self {
-        self.random = Some(RandomFaults {
-            seed,
-            rate: rate.clamp(0.0, 1.0),
-            kind,
-        });
-        self
-    }
-
     /// The fault planted at `ordinal`, if any.
     pub fn decide(&self, ordinal: usize) -> Option<InjectedFault> {
-        if let Some(&kind) = self.planned.get(&ordinal) {
-            return Some(kind);
-        }
-        let r = self.random?;
-        // splitmix64 of (seed ^ ordinal): deterministic, well mixed, and
-        // independent of the std hasher's internal randomization.
-        let mut z = r.seed ^ (ordinal as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
-        (unit < r.rate).then_some(r.kind)
+        self.planned.get(&ordinal).copied()
     }
 }
 
@@ -345,38 +288,14 @@ mod tests {
 
     #[test]
     fn planned_ordinals_fire_exactly() {
-        let inj = FaultInjector::fail_solves([
-            (2, InjectedFault::NanOutcome),
-            (5, InjectedFault::SolverError),
-        ]);
+        let inj = FaultInjector::new()
+            .fail_solve(2, InjectedFault::NanOutcome)
+            .fail_solve(5, InjectedFault::SolverError);
         assert_eq!(inj.decide(2), Some(InjectedFault::NanOutcome));
         assert_eq!(inj.decide(5), Some(InjectedFault::SolverError));
         for n in [0, 1, 3, 4, 6, 100] {
             assert_eq!(inj.decide(n), None, "ordinal {n}");
         }
-    }
-
-    #[test]
-    fn random_component_is_deterministic_and_rate_bounded() {
-        let inj = FaultInjector::new().with_random(42, 0.25, InjectedFault::SolverError);
-        let again = FaultInjector::new().with_random(42, 0.25, InjectedFault::SolverError);
-        let hits: Vec<usize> = (0..4000).filter(|&n| inj.decide(n).is_some()).collect();
-        let hits2: Vec<usize> = (0..4000).filter(|&n| again.decide(n).is_some()).collect();
-        assert_eq!(hits, hits2, "same seed must fail the same ordinals");
-        let rate = hits.len() as f64 / 4000.0;
-        assert!((rate - 0.25).abs() < 0.05, "observed rate {rate}");
-        let other = FaultInjector::new().with_random(43, 0.25, InjectedFault::SolverError);
-        let hits3: Vec<usize> = (0..4000).filter(|&n| other.decide(n).is_some()).collect();
-        assert_ne!(hits, hits3, "different seeds should differ");
-    }
-
-    #[test]
-    fn explicit_plan_overrides_random() {
-        let inj = FaultInjector::new()
-            .fail_solve(7, InjectedFault::WorkerPanic)
-            .with_random(1, 0.0, InjectedFault::SolverError);
-        assert_eq!(inj.decide(7), Some(InjectedFault::WorkerPanic));
-        assert_eq!(inj.decide(8), None);
     }
 
     #[test]
@@ -434,13 +353,12 @@ mod tests {
     #[test]
     fn deadline_faults_are_final_and_typed() {
         let deadline = FaultKind::of_error(PdnError::DeadlineExceeded { t: 1e-6 });
-        assert!(matches!(deadline, FaultKind::Deadline(_)));
+        assert!(matches!(
+            deadline,
+            FaultKind::Deadline(PdnError::DeadlineExceeded { .. })
+        ));
         assert!(deadline.is_final());
         assert!(deadline.to_string().starts_with("deadline fault:"));
-        assert!(matches!(
-            deadline.as_error(),
-            Some(PdnError::DeadlineExceeded { .. })
-        ));
     }
 
     #[test]
@@ -456,8 +374,6 @@ mod tests {
         let solver = FaultKind::of_error(PdnError::Injected { ordinal: 3 });
         assert!(matches!(solver, FaultKind::Solver(_)));
         assert!(!solver.is_final());
-        assert!(solver.as_error().is_some());
-        assert!(FaultKind::Panic("boom".into()).as_error().is_none());
     }
 
     #[test]

@@ -47,13 +47,13 @@ impl GuardbandTable {
 
     /// Supply voltage to program for `active` cores, given the failure
     /// voltage of the critical path.
-    pub fn voltage_for(&self, active: usize, v_fail: f64) -> f64 {
+    pub(crate) fn voltage_for(&self, active: usize, v_fail: f64) -> f64 {
         v_fail + self.margin_v(active)
     }
 
     /// The static (worst-case, all cores) setting a conventional design
     /// ships with.
-    pub fn static_voltage(&self, v_fail: f64) -> f64 {
+    pub(crate) fn static_voltage(&self, v_fail: f64) -> f64 {
         self.voltage_for(NUM_CORES, v_fail)
     }
 }

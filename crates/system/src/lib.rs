@@ -69,11 +69,9 @@ pub mod testbed;
 pub mod tod;
 pub mod workload;
 
-pub use chip::{Chip, ChipConfig, HfNoiseParams};
-pub use dither::{simulate_dither, AlignmentComparison, DitherOutcome};
-pub use engine::{
-    chip_signature, try_chip_signature, Engine, EngineStats, JobBatch, JobKey, JobTarget, SimJob,
-};
+pub use chip::{Chip, ChipConfig};
+pub use dither::{simulate_dither, AlignmentComparison};
+pub use engine::{Engine, EngineStats, JobBatch, JobKey, SimJob};
 pub use fault::{FaultInjector, FaultKind, InjectedFault, JobFault, RetryPolicy};
 pub use guardband::{energy_saving, GuardbandController, GuardbandTable};
 pub use mapping::{evaluate_all_mappings, naive_mapping, MappingEvaluation, NoiseAwareMapper};
@@ -83,16 +81,14 @@ pub use noise::{
     DrawerStepOutcome, NoiseOutcome, NoiseRunConfig,
 };
 pub use population::PopulationStudy;
-pub use rack::{run_rack_noise, run_rack_noise_instrumented, RackScenario};
+pub use rack::RackScenario;
 pub use scheduler::{
-    placement_of_occupancy, replay, synthetic_trace, EngineNoiseModel, Job, NaivePolicy,
-    NoiseAwarePolicy, NoiseModel, NoiseTable, Occupancy, PlacementPolicy, ScheduleOutcome,
+    replay, synthetic_trace, EngineNoiseModel, Job, NaivePolicy, NoiseAwarePolicy, NoiseTable,
+    PlacementPolicy, ScheduleOutcome,
 };
-pub use site::{Site, SiteSpace, SiteVec};
+pub use site::{Site, SiteVec};
 pub use store::ResultStore;
-pub use telemetry::{export_stats_json, EngineTelemetry, LogHistogram, PhaseTimes, SolverCounters};
+pub use telemetry::{export_stats_json, LogHistogram, PhaseTimes, SolverCounters};
 pub use testbed::Testbed;
 pub use tod::{spread_offsets, TodSync};
-pub use workload::{
-    all_distributions, mappings_of, Distribution, Mapping, Placement, WorkloadKind,
-};
+pub use workload::{all_distributions, mappings_of, Distribution, Placement, WorkloadKind};

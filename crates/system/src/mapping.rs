@@ -9,7 +9,7 @@ use crate::engine::{Engine, SimJob};
 use crate::noise::{NoiseOutcome, NoiseRunConfig};
 use crate::site::SiteVec;
 use crate::testbed::Testbed;
-use crate::workload::{mappings_of, Distribution, Mapping, WorkloadKind};
+use crate::workload::{mappings_of, Distribution, Placement, WorkloadKind};
 use serde::{Deserialize, Serialize};
 use voltnoise_pdn::topology::NUM_CORES;
 use voltnoise_pdn::PdnError;
@@ -19,7 +19,7 @@ use voltnoise_stressmark::SyncSpec;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MappingEvaluation {
     /// The evaluated mapping.
-    pub mapping: Mapping,
+    pub mapping: Placement,
     /// Per-site %p2p readings.
     pub per_core_pct: SiteVec<f64>,
     /// Site ordinal with the highest reading.
@@ -30,7 +30,7 @@ pub struct MappingEvaluation {
 
 impl MappingEvaluation {
     /// Builds the evaluation of a mapping from its noise outcome.
-    pub fn from_outcome(mapping: &Mapping, outcome: &NoiseOutcome) -> MappingEvaluation {
+    pub fn from_outcome(mapping: &Placement, outcome: &NoiseOutcome) -> MappingEvaluation {
         let (worst_core, worst_pct) = outcome.worst();
         MappingEvaluation {
             mapping: mapping.clone(),
@@ -125,8 +125,8 @@ impl NoiseAwareMapper {
 
 /// The naive mapping: fill cores in index order (what a noise-oblivious
 /// scheduler does).
-pub fn naive_mapping(k_workloads: usize) -> Mapping {
-    Mapping::from_fn(NUM_CORES, |i| {
+pub fn naive_mapping(k_workloads: usize) -> Placement {
+    Placement::from_fn(NUM_CORES, |i| {
         if i < k_workloads.min(NUM_CORES) {
             WorkloadKind::MaxDidt
         } else {
@@ -139,7 +139,7 @@ pub fn naive_mapping(k_workloads: usize) -> Mapping {
 mod tests {
     use super::*;
 
-    fn eval(mapping: Mapping, worst_pct: f64) -> MappingEvaluation {
+    fn eval(mapping: Placement, worst_pct: f64) -> MappingEvaluation {
         MappingEvaluation {
             mapping,
             per_core_pct: SiteVec::from_elem(worst_pct, NUM_CORES),

@@ -395,7 +395,7 @@ pub(crate) struct ScenarioView<'a> {
 
 impl<'a> ScenarioView<'a> {
     /// The chip-scale view: every pre-rack experiment reduces to this.
-    pub fn of_chip(chip: &'a Chip) -> ScenarioView<'a> {
+    pub(crate) fn of_chip(chip: &'a Chip) -> ScenarioView<'a> {
         ScenarioView {
             pdn: chip.pdn(),
             memoized: false,

@@ -100,16 +100,6 @@ impl PopulationStudy {
         self.mean_pct.iter().sum::<f64>() / self.mean_pct.len().max(1) as f64
     }
 
-    /// Largest per-core relative spread (`std / mean`) — the
-    /// reproducibility figure of merit.
-    pub fn max_relative_spread(&self) -> f64 {
-        self.mean_pct
-            .iter()
-            .zip(self.std_pct.iter())
-            .map(|(m, s)| if *m > 0.0 { s / m } else { 0.0 })
-            .fold(0.0, f64::max)
-    }
-
     /// Renders the study.
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -156,11 +146,13 @@ mod tests {
             study.grand_mean()
         );
         // ...and manufacturing variation stays a second-order effect.
-        assert!(
-            study.max_relative_spread() < 0.20,
-            "spread {}",
-            study.max_relative_spread()
-        );
+        let spread = study
+            .mean_pct
+            .iter()
+            .zip(&study.std_pct)
+            .map(|(m, s)| if *m > 0.0 { s / m } else { 0.0 })
+            .fold(0.0, f64::max);
+        assert!(spread < 0.20, "spread {spread}");
         assert!(study.worst.2 >= study.grand_mean());
     }
 

@@ -20,7 +20,7 @@
 //! 1×1×[`NUM_CORES`](voltnoise_pdn::NUM_CORES) special case.
 
 use crate::chip::{Chip, HfNoiseParams};
-use crate::noise::{NoiseOutcome, NoiseRunConfig, ScenarioView, SolveTelemetry};
+use crate::noise::ScenarioView;
 use crate::site::{Site, SiteSpace};
 use std::sync::Arc;
 use voltnoise_measure::skitter::Skitter;
@@ -49,7 +49,7 @@ impl RackScenario {
     /// each chip's PDN parameters and skitter sensitivities perturbed by
     /// `variation` (pass [`VariationSpec::none`] for an unvaried rack).
     /// Spine electricals come from the default [`RackParams`] /
-    /// [`DrawerParams`]; use [`RackScenario::build_with_params`] to
+    /// [`DrawerParams`]; use `RackScenario::build_with_params` to
     /// override them.
     ///
     /// # Errors
@@ -83,7 +83,7 @@ impl RackScenario {
     ///
     /// Returns [`PdnError`] when the topology is empty or an electrical
     /// value is invalid.
-    pub fn build_with_params(
+    pub(crate) fn build_with_params(
         base: &Chip,
         mut params: RackParams,
         variation: VariationSpec,
@@ -124,11 +124,6 @@ impl RackScenario {
             idle_current: base.config().core.static_power_w / base.config().core.v_nom,
             signature,
         })
-    }
-
-    /// The rack's site space.
-    pub fn space(&self) -> &SiteSpace {
-        &self.space
     }
 
     /// Total number of sites (= load slots of a rack job).
@@ -200,41 +195,10 @@ fn rack_signature(
     )))
 }
 
-/// Runs one rack-scale noise experiment: one transient solve of the
-/// whole rack netlist under per-site `loads` (site-ordinal order, one
-/// per site), skitter readings per site.
-///
-/// # Errors
-///
-/// Returns [`PdnError::DimensionMismatch`] when the load count does not
-/// match the rack's site count, or a [`PdnError`] when the solve fails.
-pub fn run_rack_noise(
-    rack: &RackScenario,
-    loads: &[crate::noise::CoreLoad],
-    cfg: &NoiseRunConfig,
-) -> Result<NoiseOutcome, PdnError> {
-    run_rack_noise_instrumented(rack, loads, cfg, false).map(|(outcome, _)| outcome)
-}
-
-/// [`run_rack_noise`] plus the solve's telemetry (the rack analogue of
-/// [`crate::noise::run_noise_instrumented`]).
-///
-/// # Errors
-///
-/// Returns [`PdnError`] when the solve fails.
-pub fn run_rack_noise_instrumented(
-    rack: &RackScenario,
-    loads: &[crate::noise::CoreLoad],
-    cfg: &NoiseRunConfig,
-    trace: bool,
-) -> Result<(NoiseOutcome, SolveTelemetry), PdnError> {
-    crate::noise::run_view_noise_instrumented(&rack.view(), loads, cfg, trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::noise::{run_noise, CoreLoad};
+    use crate::noise::{run_noise, run_view_noise_instrumented, CoreLoad, NoiseRunConfig};
     use crate::testbed::Testbed;
     use voltnoise_pdn::topology::NUM_CORES;
 
@@ -252,7 +216,9 @@ mod tests {
             ..NoiseRunConfig::default()
         };
         let chip_out = run_noise(tb.chip(), &loads, &cfg).unwrap();
-        let rack_out = run_rack_noise(&rack, &loads, &cfg).unwrap();
+        let rack_out = run_view_noise_instrumented(&rack.view(), &loads, &cfg, false)
+            .unwrap()
+            .0;
         assert_eq!(
             serde_json::to_string(&chip_out).unwrap(),
             serde_json::to_string(&rack_out).unwrap(),
@@ -268,15 +234,11 @@ mod tests {
         let loads: Vec<CoreLoad> = (0..rack.num_sites())
             .map(|_| CoreLoad::Stressmark(sm.clone()))
             .collect();
-        let out = run_rack_noise(
-            &rack,
-            &loads,
-            &NoiseRunConfig {
-                window_s: Some(8e-6),
-                ..NoiseRunConfig::default()
-            },
-        )
-        .unwrap();
+        let cfg = NoiseRunConfig {
+            window_s: Some(8e-6),
+            ..NoiseRunConfig::default()
+        };
+        let (out, _) = run_view_noise_instrumented(&rack.view(), &loads, &cfg, false).unwrap();
         assert_eq!(out.num_sites(), 2 * NUM_CORES);
         // The two chips carry independently drawn variation, so their
         // continuous voltage extrema must not coincide (the tap-quantized

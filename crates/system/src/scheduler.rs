@@ -22,7 +22,7 @@ use crate::noise::{CoreLoad, NoiseRunConfig};
 use crate::rack::RackScenario;
 use crate::site::SiteVec;
 use crate::testbed::Testbed;
-use crate::workload::{Mapping, WorkloadKind};
+use crate::workload::{Placement, WorkloadKind};
 use serde::{Deserialize, Error as SerdeError, MapKey, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -56,7 +56,7 @@ impl Occupancy {
     /// Returns [`PdnError::DimensionMismatch`] when the mask sets a bit
     /// at or beyond `sites` — the failure mode the old `u8` mask hid by
     /// silent truncation.
-    pub fn from_mask(mask: u64, sites: usize) -> Result<Occupancy, PdnError> {
+    pub(crate) fn from_mask(mask: u64, sites: usize) -> Result<Occupancy, PdnError> {
         let width = 64 - mask.leading_zeros() as usize;
         if width > sites {
             return Err(PdnError::DimensionMismatch {
@@ -79,7 +79,7 @@ impl Occupancy {
     /// # Panics
     ///
     /// Panics when `site >= sites()`.
-    pub fn is_set(&self, site: usize) -> bool {
+    pub(crate) fn is_set(&self, site: usize) -> bool {
         assert!(site < self.sites, "site {site} >= {} sites", self.sites);
         self.bits[site / 64] & (1u64 << (site % 64)) != 0
     }
@@ -121,7 +121,7 @@ impl Occupancy {
     }
 
     /// Iterates the free sites in ascending order.
-    pub fn free_sites(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn free_sites(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.sites).filter(move |&i| !self.is_set(i))
     }
 }
@@ -164,8 +164,8 @@ impl MapKey for Occupancy {
 
 /// The workload placement of an occupancy: occupied sites run the
 /// maximum-dI/dt stressmark, free sites idle.
-pub fn placement_of_occupancy(occ: &Occupancy) -> Mapping {
-    Mapping::from_fn(occ.sites(), |i| {
+pub(crate) fn placement_of_occupancy(occ: &Occupancy) -> Placement {
+    Placement::from_fn(occ.sites(), |i| {
         if occ.is_set(i) {
             WorkloadKind::MaxDidt
         } else {
@@ -247,32 +247,9 @@ impl NoiseTable {
         })
     }
 
-    /// Builds a table from precomputed entries (tests, serialization).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless all `2^sites` occupancies are present.
-    pub fn from_entries(sites: usize, entries: HashMap<Occupancy, f64>) -> Self {
-        assert_eq!(
-            entries.len(),
-            1usize << sites,
-            "need all 2^{sites} occupancies"
-        );
-        NoiseTable { sites, entries }
-    }
-
     /// Number of sites the table covers.
     pub fn sites(&self) -> usize {
         self.sites
-    }
-
-    /// Worst-case noise of an occupancy.
-    ///
-    /// # Panics
-    ///
-    /// Panics for occupancies outside the table.
-    pub fn noise_pct(&self, occ: &Occupancy) -> f64 {
-        self.entries[occ]
     }
 }
 
@@ -642,7 +619,10 @@ mod tests {
             let imbalance = (even as f64 - odd as f64).abs();
             entries.insert(occ(mask), 5.0 + 8.0 * count + 3.0 * imbalance);
         }
-        NoiseTable::from_entries(NUM_CORES, entries)
+        NoiseTable {
+            sites: NUM_CORES,
+            entries,
+        }
     }
 
     #[test]
@@ -683,7 +663,6 @@ mod tests {
         let json = serde_json::to_string(&table).unwrap();
         let back: NoiseTable = serde_json::from_str(&json).unwrap();
         assert_eq!(back, table);
-        assert_eq!(back.noise_pct(&occ(0b101)), table.noise_pct(&occ(0b101)));
     }
 
     #[test]
@@ -744,8 +723,8 @@ mod tests {
             ..NoiseRunConfig::default()
         };
         let mut table = NoiseTable::characterize(&Engine::new(), tb, 2.5e6, &run_cfg).unwrap();
-        assert!(table.noise_pct(&occ(0b111111)) > table.noise_pct(&occ(0b000001)));
-        assert!(table.noise_pct(&occ(0)) < 10.0);
+        assert!(table.entries[&occ(0b111111)] > table.entries[&occ(0b000001)]);
+        assert!(table.entries[&occ(0)] < 10.0);
         // The aware policy on the real table avoids pairing row-mates
         // early: starting from {0}, it avoids cores 2 and 4.
         let p = NoiseAwarePolicy;

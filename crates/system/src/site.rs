@@ -1,11 +1,11 @@
-//! Topology-indexed core identity: [`Site`], [`SiteSpace`] and
+//! Topology-indexed core identity: [`Site`], `SiteSpace` and
 //! [`SiteVec`].
 //!
 //! Every scenario in the workspace used to address cores with a bare
 //! `usize` into `[_; NUM_CORES]` arrays, hard-wiring the single-chip
 //! topology into every API. This module replaces that convention with a
 //! *site*: the `(drawer, chip, core)` coordinate of one core slot in a
-//! rack. A [`SiteSpace`] enumerates the sites of a concrete topology and
+//! rack. A `SiteSpace` enumerates the sites of a concrete topology and
 //! provides the bijection between sites and flat ordinals (drawer-major,
 //! then chip, then core — the same flat order in which
 //! [`voltnoise_pdn::Pdn`] numbers its core nodes and current sources, so
@@ -17,7 +17,7 @@
 //! JSON array), keeping every golden byte-identical.
 //!
 //! The chip-scale paths are the 1 drawer × 1 chip × [`NUM_CORES`]
-//! special case ([`SiteSpace::chip_scale`]).
+//! special case.
 
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use voltnoise_pdn::topology::NUM_CORES;
@@ -38,7 +38,7 @@ pub struct Site {
 /// cores_per_chip` slots, with flat ordinals assigned in
 /// (drawer, chip, core) lexicographic order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct SiteSpace {
+pub(crate) struct SiteSpace {
     drawers: usize,
     chips_per_drawer: usize,
     cores_per_chip: usize,
@@ -55,12 +55,6 @@ impl SiteSpace {
         }
     }
 
-    /// The single-chip special case: 1 drawer × 1 chip × [`NUM_CORES`]
-    /// cores. Every pre-rack experiment runs in this space.
-    pub fn chip_scale() -> SiteSpace {
-        SiteSpace::new(1, 1, NUM_CORES)
-    }
-
     /// A rack of `drawers` drawers carrying `chips` [`NUM_CORES`]-core
     /// chips each.
     pub fn rack(drawers: usize, chips: usize) -> SiteSpace {
@@ -75,11 +69,6 @@ impl SiteSpace {
     /// Chips per drawer.
     pub fn chips_per_drawer(&self) -> usize {
         self.chips_per_drawer
-    }
-
-    /// Cores per chip.
-    pub fn cores_per_chip(&self) -> usize {
-        self.cores_per_chip
     }
 
     /// Total number of sites.
@@ -109,30 +98,6 @@ impl SiteSpace {
         assert!(self.contains(site), "site {site:?} outside space {self:?}");
         (site.drawer * self.chips_per_drawer + site.chip) * self.cores_per_chip + site.core
     }
-
-    /// The site of a flat ordinal (inverse of [`SiteSpace::ordinal`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `ordinal ≥ num_sites()`.
-    pub fn site(&self, ordinal: usize) -> Site {
-        assert!(
-            ordinal < self.num_sites(),
-            "ordinal {ordinal} outside space {self:?}"
-        );
-        let core = ordinal % self.cores_per_chip;
-        let chip_flat = ordinal / self.cores_per_chip;
-        Site {
-            drawer: chip_flat / self.chips_per_drawer,
-            chip: chip_flat % self.chips_per_drawer,
-            core,
-        }
-    }
-
-    /// Iterates every site in ordinal order.
-    pub fn sites(&self) -> impl Iterator<Item = Site> + '_ {
-        (0..self.num_sites()).map(move |o| self.site(o))
-    }
 }
 
 /// A site-ordinal-indexed vector: the growable replacement for the
@@ -159,7 +124,7 @@ impl<T> SiteVec<T> {
     }
 
     /// A site vector of `n` copies of `value`.
-    pub fn from_elem(value: T, n: usize) -> SiteVec<T>
+    pub(crate) fn from_elem(value: T, n: usize) -> SiteVec<T>
     where
         T: Clone,
     {
@@ -262,13 +227,16 @@ mod tests {
 
     #[test]
     fn chip_scale_is_the_degenerate_space() {
-        let s = SiteSpace::chip_scale();
+        let s = SiteSpace::new(1, 1, NUM_CORES);
         assert_eq!(s.num_sites(), NUM_CORES);
         assert_eq!(s.num_chips(), 1);
-        for i in 0..NUM_CORES {
-            let site = s.site(i);
-            assert_eq!((site.drawer, site.chip, site.core), (0, 0, i));
-            assert_eq!(s.ordinal(site), i);
+        for core in 0..NUM_CORES {
+            let site = Site {
+                drawer: 0,
+                chip: 0,
+                core,
+            };
+            assert_eq!(s.ordinal(site), core);
         }
     }
 
@@ -277,30 +245,18 @@ mod tests {
         let s = SiteSpace::rack(2, 3);
         assert_eq!(s.num_sites(), 2 * 3 * NUM_CORES);
         assert_eq!(s.num_chips(), 6);
-        let mut seen = 0usize;
-        for (o, site) in s.sites().enumerate() {
-            assert_eq!(s.ordinal(site), o);
-            assert_eq!(s.site(o), site);
-            seen += 1;
+        // Drawer-major, then chip, then core: lexicographic site order
+        // is ordinal order, and it covers every ordinal exactly once.
+        let mut next = 0usize;
+        for drawer in 0..2 {
+            for chip in 0..3 {
+                for core in 0..NUM_CORES {
+                    assert_eq!(s.ordinal(Site { drawer, chip, core }), next);
+                    next += 1;
+                }
+            }
         }
-        assert_eq!(seen, s.num_sites());
-        // Drawer-major: the first chip's cores come first.
-        assert_eq!(
-            s.site(NUM_CORES),
-            Site {
-                drawer: 0,
-                chip: 1,
-                core: 0
-            }
-        );
-        assert_eq!(
-            s.site(3 * NUM_CORES),
-            Site {
-                drawer: 1,
-                chip: 0,
-                core: 0
-            }
-        );
+        assert_eq!(next, s.num_sites());
     }
 
     #[test]

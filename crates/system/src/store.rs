@@ -12,7 +12,7 @@
 //!   configured chips can share one store without ever colliding.
 //! - **Append-on-solve** — each successful solve appends one flushed
 //!   line, so a `kill -9` loses at most the line being written.
-//! - **Log plus loader** — [`ResultStore::open_with`] streams the file
+//! - **Log plus loader** — `ResultStore::open_with` streams the file
 //!   line by line and hands each outcome to the caller once; the store
 //!   keeps only where each key's record lies, and reads a record back
 //!   from the log when asked for it.
@@ -38,12 +38,12 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Magic format name in the header line.
-pub const STORE_FORMAT: &str = "voltnoise-store";
+pub(crate) const STORE_FORMAT: &str = "voltnoise-store";
 /// Current store format version. Bumped whenever the record layout or
 /// the key scheme changes incompatibly. `2` writes a traced outcome as
 /// one multi-channel capture, its timebase once, where `1` repeated the
 /// timebase in a trace per site.
-pub const STORE_VERSION: u32 = 2;
+pub(crate) const STORE_VERSION: u32 = 2;
 /// Identifier of the key scheme: FNV-1a 128 over the canonical byte
 /// rendering of a `JobKey` (scenario signature included). `/2` added the
 /// solve-spec fields (backend selection plus the optional reduced-order
@@ -265,7 +265,7 @@ impl ResultStore {
     /// # Errors
     ///
     /// As for [`ResultStore::open`].
-    pub fn open_with<P: AsRef<Path>>(
+    pub(crate) fn open_with<P: AsRef<Path>>(
         path: P,
         mut load: impl FnMut(&str, NoiseOutcome),
     ) -> std::io::Result<ResultStore> {
@@ -356,7 +356,7 @@ impl ResultStore {
 
     /// Corrupt lines skipped when the store was opened (compaction
     /// resets this to zero).
-    pub fn corrupt_lines(&self) -> usize {
+    pub(crate) fn corrupt_lines(&self) -> usize {
         self.lock().corrupt_lines
     }
 

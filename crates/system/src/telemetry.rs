@@ -28,7 +28,7 @@ pub use voltnoise_pdn::telemetry::{PhaseTimes, SolverCounters};
 /// Number of histogram buckets. Bucket `i` covers `[2^i, 2^(i+1))`
 /// nanoseconds (bucket 0 additionally holds zero), so 32 buckets span
 /// sub-nanosecond to ~4.3 s — wider than any sane solve.
-pub const HISTOGRAM_BUCKETS: usize = 32;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 32;
 
 /// A fixed-bucket logarithmic (base-2) latency histogram over
 /// nanosecond samples.
@@ -61,7 +61,7 @@ impl LogHistogram {
     /// The bucket index of a nanosecond sample: `floor(log2(ns))`,
     /// clamped into the bucket range (0 holds 0–1 ns, the last bucket
     /// holds everything ≥ ~2.1 s).
-    pub fn bucket_of(ns: u64) -> usize {
+    pub(crate) fn bucket_of(ns: u64) -> usize {
         if ns <= 1 {
             0
         } else {
@@ -70,7 +70,7 @@ impl LogHistogram {
     }
 
     /// The lower bound (inclusive, nanoseconds) of bucket `i`.
-    pub fn bucket_floor(i: usize) -> u64 {
+    pub(crate) fn bucket_floor(i: usize) -> u64 {
         if i == 0 {
             0
         } else {
@@ -105,7 +105,7 @@ impl LogHistogram {
     /// (`q` in `[0, 1]`), or `None` for an empty histogram. Bucket
     /// resolution means the answer is exact to within a factor of two —
     /// the right fidelity for "where did the time go" questions.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<u64> {
         let total = self.count();
         if total == 0 {
             return None;
@@ -121,12 +121,12 @@ impl LogHistogram {
         Some(Self::bucket_floor(HISTOGRAM_BUCKETS - 1))
     }
 
-    /// Median bucket floor (see [`LogHistogram::quantile`]).
+    /// Median bucket floor (see `LogHistogram::quantile`).
     pub fn median(&self) -> Option<u64> {
         self.quantile(0.5)
     }
 
-    /// 95th-percentile bucket floor (see [`LogHistogram::quantile`]).
+    /// 95th-percentile bucket floor (see `LogHistogram::quantile`).
     pub fn p95(&self) -> Option<u64> {
         self.quantile(0.95)
     }
@@ -233,7 +233,7 @@ impl EngineTelemetry {
 
     /// Records one solved job's telemetry: counters always, wall-clock
     /// spans only when `traced`.
-    pub fn record_job(
+    pub(crate) fn record_job(
         &mut self,
         counters: &SolverCounters,
         phase: &PhaseTimes,

@@ -187,7 +187,7 @@ impl Testbed {
     /// # Panics
     ///
     /// Panics if the frequency is unrealizable.
-    pub fn medium_stressmark(
+    pub(crate) fn medium_stressmark(
         &self,
         stim_freq_hz: f64,
         sync: Option<SyncSpec>,
@@ -196,7 +196,7 @@ impl Testbed {
     }
 
     /// The [`CoreLoad`] of a workload kind.
-    pub fn load_of(
+    pub(crate) fn load_of(
         &self,
         kind: WorkloadKind,
         stim_freq_hz: f64,

@@ -9,13 +9,8 @@
 use serde::{Deserialize, Serialize};
 use voltnoise_stressmark::TOD_TICK_SECONDS;
 
-/// Converts a simulation time to TOD ticks (62.5 ns units).
-pub fn ticks_of(t_seconds: f64) -> u64 {
-    (t_seconds / TOD_TICK_SECONDS).floor() as u64
-}
-
 /// Converts TOD ticks to seconds.
-pub fn seconds_of(ticks: u64) -> f64 {
+pub(crate) fn seconds_of(ticks: u64) -> f64 {
     ticks as f64 * TOD_TICK_SECONDS
 }
 
@@ -55,7 +50,7 @@ impl TodSync {
     }
 
     /// Interval in seconds.
-    pub fn interval_seconds(&self) -> f64 {
+    pub(crate) fn interval_seconds(&self) -> f64 {
         seconds_of(self.interval_ticks)
     }
 
@@ -102,8 +97,7 @@ mod tests {
 
     #[test]
     fn tick_conversions_round_trip() {
-        assert_eq!(ticks_of(62.5e-9), 1);
-        assert_eq!(ticks_of(4e-3), 64_000);
+        assert_eq!(seconds_of(1), TOD_TICK_SECONDS);
         assert!((seconds_of(64_000) - 4e-3).abs() < 1e-12);
     }
 

@@ -38,13 +38,9 @@ impl WorkloadKind {
 }
 
 /// A placement of workload kinds onto the sites of a
-/// [`crate::site::SiteSpace`], indexed by site ordinal. At chip scale
+/// `crate::site::SiteSpace`, indexed by site ordinal. At chip scale
 /// this has [`NUM_CORES`] entries; at rack scale one per rack site.
 pub type Placement = SiteVec<WorkloadKind>;
-
-/// A workload-to-core mapping (the chip-scale name for a
-/// [`Placement`], kept for the §V-D/VI experiments' vocabulary).
-pub type Mapping = Placement;
 
 /// A workload *distribution*: how many cores run each class, regardless
 /// of which cores (the paper's Fig. 11b "x-y" notation: x maximum
@@ -100,7 +96,7 @@ pub fn all_distributions() -> Vec<Distribution> {
 }
 
 /// Enumerates every distinct core-assignment (mapping) of a distribution.
-pub fn mappings_of(dist: &Distribution) -> Vec<Mapping> {
+pub fn mappings_of(dist: &Distribution) -> Vec<Placement> {
     let mut out = Vec::new();
     let n = NUM_CORES;
     // Choose positions for max workloads, then medium among the rest.
@@ -114,7 +110,7 @@ pub fn mappings_of(dist: &Distribution) -> Vec<Mapping> {
             0,
             &mut med_sel,
             &mut |med_mask| {
-                let mut m = Mapping::from_elem(WorkloadKind::Idle, NUM_CORES);
+                let mut m = Placement::from_elem(WorkloadKind::Idle, NUM_CORES);
                 for (i, &is_max) in max_mask.iter().enumerate() {
                     if is_max {
                         m[i] = WorkloadKind::MaxDidt;

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Number of architected general registers in the model.
-pub const NUM_REGS: usize = 16;
+pub(crate) const NUM_REGS: usize = 16;
 
 /// How operands are assigned to a kernel's instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -37,7 +37,7 @@ pub enum DisruptiveEvent {
 
 impl DisruptiveEvent {
     /// Stall cycles the event inserts at the dispatch stage.
-    pub fn stall_cycles(self) -> u32 {
+    pub(crate) fn stall_cycles(self) -> u32 {
         match self {
             DisruptiveEvent::BranchMiss => 18,
             DisruptiveEvent::L1Miss => 12,
@@ -59,7 +59,7 @@ impl DisruptiveEvent {
 
     /// True when the event occupies a *shared* resource whose service
     /// time varies with other cores' traffic.
-    pub fn uses_shared_resource(self) -> bool {
+    pub(crate) fn uses_shared_resource(self) -> bool {
         matches!(self, DisruptiveEvent::L3Miss | DisruptiveEvent::TlbMiss)
     }
 }
@@ -67,7 +67,7 @@ impl DisruptiveEvent {
 /// A kernel decorated with periodic disruptive events and, optionally,
 /// off-core memory traffic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DisruptedKernel {
+pub(crate) struct DisruptedKernel {
     /// The underlying instruction kernel.
     pub kernel: Kernel,
     /// Event injected once per `every_uops` micro-ops (`None` = never).
@@ -85,7 +85,7 @@ const MEMORY_ACCESS_SHARED_CYCLES: f64 = 4.0;
 
 /// Result of running a disrupted kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DisruptedMetrics {
+pub(crate) struct DisruptedMetrics {
     /// Baseline metrics (cycles, power, IPC) including disruption.
     pub metrics: RunMetrics,
     /// Relative loop-period variability (coefficient of variation) caused
@@ -105,13 +105,13 @@ impl DisruptedKernel {
     }
 
     /// Adds a periodic disruptive event.
-    pub fn with_event(mut self, event: DisruptiveEvent, every_uops: u32) -> Self {
+    pub(crate) fn with_event(mut self, event: DisruptiveEvent, every_uops: u32) -> Self {
         self.event = Some((event, every_uops.max(1)));
         self
     }
 
     /// Adds off-core memory traffic.
-    pub fn with_memory_traffic(mut self, accesses_per_iter: u32) -> Self {
+    pub(crate) fn with_memory_traffic(mut self, accesses_per_iter: u32) -> Self {
         self.memory_accesses_per_iter = accesses_per_iter;
         self
     }

@@ -113,14 +113,6 @@ impl EpiProfile {
         &self.entries[self.entries.len() - n..]
     }
 
-    /// 1-based rank of an opcode (1 = highest power), or `None` if absent.
-    pub fn rank_of(&self, op: Opcode) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.opcode == op)
-            .map(|i| i + 1)
-    }
-
     /// The lowest-power instruction — the paper's choice for the minimum
     /// power sequence ("we select the last instruction of the instruction
     /// rank", §IV-B).
@@ -180,8 +172,11 @@ mod tests {
         // Paper: "the non-intuitive case where a compare immediate
         // instruction (CHHSI) is in the Top 5".
         let (isa, p) = profile();
-        let rank = p.rank_of(isa.opcode("CHHSI").unwrap()).unwrap();
-        assert!(rank <= 5, "CHHSI rank = {rank}");
+        let chhsi = isa.opcode("CHHSI").unwrap();
+        assert!(
+            p.top(5).iter().any(|e| e.opcode == chhsi),
+            "CHHSI outside the Top 5"
+        );
     }
 
     #[test]
@@ -189,14 +184,5 @@ mod tests {
         let (isa, p) = profile();
         let def = isa.def(p.min_power_opcode());
         assert!(def.serializing, "minimum power should be a serializing op");
-    }
-
-    #[test]
-    fn ranks_are_consistent_with_order() {
-        let (_, p) = profile();
-        let first = p.entries()[0].opcode;
-        let last = p.entries().last().unwrap().opcode;
-        assert_eq!(p.rank_of(first), Some(1));
-        assert_eq!(p.rank_of(last), Some(p.len()));
     }
 }

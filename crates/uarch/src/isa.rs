@@ -82,7 +82,7 @@ pub struct Isa {
 
 /// Number of instructions in the modeled z-like ISA (paper Table I ranks
 /// run 1..=1301).
-pub const ZLIKE_ISA_SIZE: usize = 1301;
+pub(crate) const ZLIKE_ISA_SIZE: usize = 1301;
 
 impl Isa {
     /// Builds an ISA from explicit definitions.
@@ -90,7 +90,7 @@ impl Isa {
     /// # Panics
     ///
     /// Panics on duplicate mnemonics or more than `u16::MAX` entries.
-    pub fn from_defs(defs: Vec<InstrDef>) -> Self {
+    pub(crate) fn from_defs(defs: Vec<InstrDef>) -> Self {
         assert!(defs.len() <= u16::MAX as usize, "too many instructions");
         let mut by_mnemonic = HashMap::with_capacity(defs.len());
         for (i, d) in defs.iter().enumerate() {

@@ -11,7 +11,7 @@ use crate::pipeline::{CoreConfig, PipelineSim};
 use serde::{Deserialize, Serialize};
 
 /// Default repetition count of the EPI micro-benchmark skeleton.
-pub const EPI_REPETITIONS: usize = 4000;
+pub(crate) const EPI_REPETITIONS: usize = 4000;
 
 /// A looped instruction sequence.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -46,11 +46,6 @@ impl Kernel {
             body,
             iterations: iterations.max(1),
         }
-    }
-
-    /// Micro-ops per loop iteration.
-    pub fn body_len(&self) -> usize {
-        self.body.len()
     }
 
     /// Simulates the kernel and reports aggregate metrics.
@@ -127,7 +122,7 @@ mod tests {
         let (isa, _) = setup();
         let op = isa.opcode("CHHSI").unwrap();
         let k = Kernel::single_instruction(&isa, op, EPI_REPETITIONS);
-        assert_eq!(k.body_len() * k.iterations, EPI_REPETITIONS);
+        assert_eq!(k.body.len() * k.iterations, EPI_REPETITIONS);
     }
 
     #[test]

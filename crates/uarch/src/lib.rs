@@ -44,10 +44,10 @@ pub mod target;
 pub mod units;
 
 pub use deps::{assign_operands, run_with_deps, DependencyStudy, OperandPolicy};
-pub use disruptive::{DisruptedKernel, DisruptionStudy, DisruptiveEvent};
+pub use disruptive::DisruptionStudy;
 pub use epi::{EpiEntry, EpiProfile};
-pub use isa::{InstrDef, Isa, Opcode, ZLIKE_ISA_SIZE};
-pub use kernel::{Kernel, RunMetrics, EPI_REPETITIONS};
-pub use pipeline::{estimate_throughput, form_groups, CoreConfig, PipelineSim, SimOutcome};
-pub use target::{TargetDefinition, TargetError};
+pub use isa::{Isa, Opcode};
+pub use kernel::Kernel;
+pub use pipeline::{estimate_throughput, form_groups, CoreConfig, PipelineSim};
+pub use target::TargetDefinition;
 pub use units::{IssueClass, UnitKind};

@@ -2,31 +2,28 @@
 //! solver load.
 //!
 //! Every batch request carries a deterministic step estimate (see
-//! [`crate::wire::JobSpec::estimated_steps`]). Admission adds the
+//! `crate::wire::JobSpec::estimated_steps`). Admission adds the
 //! estimate to a running in-flight total under a lock; if the total
 //! would exceed the configured ceiling the batch is refused — the
 //! caller answers `429` with a `Retry-After` hint — and the total is
-//! untouched. Admitted batches hold a [`Permit`] whose `Drop` returns
+//! untouched. Admitted batches hold a `Permit` whose `Drop` returns
 //! the estimate, so the accounting can never leak on an early return,
 //! a panic in the handler, or a reaped deadline.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The admission gate. Cheap to clone handles via [`Arc`].
 #[derive(Debug)]
-pub struct AdmissionControl {
+pub(crate) struct AdmissionControl {
     /// Maximum estimated steps allowed in flight at once.
     ceiling: u64,
     /// Estimated steps currently admitted.
     in_flight: Mutex<u64>,
-    /// Batches refused so far (monotonic).
-    rejected: AtomicU64,
 }
 
 /// Why a batch was refused, with the data the `429` response needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Rejection {
+pub(crate) struct Rejection {
     /// The batch's own estimate.
     pub estimated: u64,
     /// Estimated steps already in flight at refusal time.
@@ -38,7 +35,7 @@ pub struct Rejection {
 impl Rejection {
     /// Deterministic `Retry-After` hint, seconds: proportional to how
     /// overcommitted the gate is, clamped to `[1, 30]`.
-    pub fn retry_after_secs(&self) -> u64 {
+    pub(crate) fn retry_after_secs(&self) -> u64 {
         let over = self.in_flight.saturating_add(self.estimated);
         let ratio = over / self.ceiling.max(1);
         ratio.clamp(1, 30)
@@ -53,13 +50,7 @@ impl AdmissionControl {
         Arc::new(AdmissionControl {
             ceiling,
             in_flight: Mutex::new(0),
-            rejected: AtomicU64::new(0),
         })
-    }
-
-    /// The configured ceiling.
-    pub fn ceiling(&self) -> u64 {
-        self.ceiling
     }
 
     /// Estimated steps currently admitted.
@@ -68,11 +59,6 @@ impl AdmissionControl {
             .in_flight
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Batches refused so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
     }
 
     /// Tries to admit a batch of `estimated` steps.
@@ -85,7 +71,7 @@ impl AdmissionControl {
     /// # Errors
     ///
     /// Returns a [`Rejection`] carrying the numbers behind the `429`.
-    pub fn try_admit(self: &Arc<Self>, estimated: u64) -> Result<Permit, Rejection> {
+    pub(crate) fn try_admit(self: &Arc<Self>, estimated: u64) -> Result<Permit, Rejection> {
         let mut in_flight = self
             .in_flight
             .lock()
@@ -98,8 +84,6 @@ impl AdmissionControl {
                 in_flight: *in_flight,
                 ceiling: self.ceiling,
             };
-            drop(in_flight);
-            self.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(rejection);
         }
         *in_flight += estimated;
@@ -121,16 +105,9 @@ impl AdmissionControl {
 /// An admitted batch's hold on the gate; dropping it returns the
 /// estimate.
 #[derive(Debug)]
-pub struct Permit {
+pub(crate) struct Permit {
     gate: Arc<AdmissionControl>,
     estimated: u64,
-}
-
-impl Permit {
-    /// The estimate this permit holds.
-    pub fn estimated(&self) -> u64 {
-        self.estimated
-    }
 }
 
 impl Drop for Permit {
@@ -157,7 +134,6 @@ mod tests {
                 ceiling: 100
             }
         );
-        assert_eq!(gate.rejected(), 1);
         // Within the remaining headroom: admitted.
         let b = gate.try_admit(40).unwrap();
         assert_eq!(gate.in_flight(), 100);
@@ -182,7 +158,7 @@ mod tests {
         let gate = AdmissionControl::new(10);
         // Idle gate: a 50-step batch passes (anti-starvation).
         let big = gate.try_admit(50).unwrap();
-        assert_eq!(big.estimated(), 50);
+        assert_eq!(big.estimated, 50);
         // Busy gate: everything else bounces.
         assert!(gate.try_admit(1).is_err());
         drop(big);
@@ -194,7 +170,6 @@ mod tests {
         let gate = AdmissionControl::new(0);
         assert!(gate.try_admit(1).is_err());
         assert!(gate.try_admit(0).is_err());
-        assert_eq!(gate.rejected(), 2);
     }
 
     #[test]

@@ -24,7 +24,7 @@ struct ReaperState {
 }
 
 /// The reaper: shared state plus the condvar its thread sleeps on.
-pub struct DeadlineReaper {
+pub(crate) struct DeadlineReaper {
     state: Mutex<ReaperState>,
     wake: Condvar,
 }
@@ -68,15 +68,10 @@ impl DeadlineReaper {
         }
     }
 
-    /// Entries currently pending (observability and tests).
-    pub fn pending(&self) -> usize {
-        self.lock().pending.len()
-    }
-
     /// Stops the reaper thread. Pending registrations are abandoned
     /// un-cancelled — shutdown cancels batches through the drain path,
     /// not through their deadlines.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.lock().shutdown = true;
         self.wake.notify_all();
     }
@@ -124,7 +119,7 @@ impl DeadlineReaper {
 
 /// A pending deadline registration; dropping it (batch settled in
 /// time) withdraws the entry before it can fire.
-pub struct DeadlineGuard {
+pub(crate) struct DeadlineGuard {
     reaper: Arc<DeadlineReaper>,
     id: u64,
 }
@@ -153,7 +148,7 @@ mod tests {
         }
         assert!(token.is_cancelled(), "deadline never fired");
         assert_eq!(token.reason(), Some(CancelReason::Deadline));
-        assert_eq!(reaper.pending(), 0);
+        assert_eq!(reaper.lock().pending.len(), 0);
         reaper.shutdown();
     }
 
@@ -162,9 +157,9 @@ mod tests {
         let reaper = DeadlineReaper::start();
         let token = CancelToken::new();
         let guard = reaper.register(token.clone(), Duration::from_millis(40));
-        assert_eq!(reaper.pending(), 1);
+        assert_eq!(reaper.lock().pending.len(), 1);
         drop(guard);
-        assert_eq!(reaper.pending(), 0);
+        assert_eq!(reaper.lock().pending.len(), 0);
         std::thread::sleep(Duration::from_millis(80));
         assert!(!token.is_cancelled(), "withdrawn deadline must not fire");
         reaper.shutdown();
@@ -183,7 +178,7 @@ mod tests {
         }
         assert!(fast.is_cancelled());
         assert!(!slow.is_cancelled(), "distant deadline fired early");
-        assert_eq!(reaper.pending(), 1);
+        assert_eq!(reaper.lock().pending.len(), 1);
         reaper.shutdown();
     }
 }

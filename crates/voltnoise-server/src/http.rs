@@ -6,7 +6,7 @@
 //! exactly the subset the daemon serves — sequential requests on a
 //! keep-alive connection, `Content-Length` bodies, case-insensitive
 //! header lookup — and enforces limits *before* buffering: an oversized
-//! header block or body is refused with a typed [`HttpError`] instead
+//! header block or body is refused with a typed `HttpError` instead
 //! of an allocation.
 //!
 //! Keep-alive is the caller's decision per response: every writer takes
@@ -19,11 +19,11 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
 /// Largest accepted request head (request line + headers), bytes.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// Request method (`GET`, `POST`, ...), uppercased by the client.
     pub method: String,
     /// Request path, query string included.
@@ -45,7 +45,7 @@ impl Request {
 
     /// Whether the peer asked for the connection to be closed after
     /// this response (`Connection: close`).
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.header("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
@@ -62,7 +62,7 @@ fn connection_header(keep_alive: bool) -> &'static str {
 /// Why a request could not be read. Each variant maps onto one HTTP
 /// status so the connection handler can answer before closing.
 #[derive(Debug)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// The request line or headers were malformed (→ 400).
     Malformed(String),
     /// The head exceeded [`MAX_HEAD_BYTES`] (→ 431).
@@ -113,7 +113,7 @@ impl std::fmt::Display for HttpError {
 /// # Errors
 ///
 /// Returns [`HttpError`] on malformed, oversized or truncated input.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
+pub(crate) fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
     // Read byte-at-a-time until the blank line; the head is tiny and a
@@ -193,7 +193,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
 ///
 /// Returns the underlying I/O error (callers log and drop the
 /// connection; the peer may already be gone).
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
     reason: &str,
@@ -225,7 +225,7 @@ pub fn write_response(
 /// # Errors
 ///
 /// Returns the underlying I/O error.
-pub fn start_chunked(
+pub(crate) fn start_chunked(
     stream: &mut TcpStream,
     content_type: &str,
     keep_alive: bool,
@@ -247,7 +247,7 @@ pub fn start_chunked(
 /// # Errors
 ///
 /// Returns the underlying I/O error.
-pub fn write_chunk(stream: &mut TcpStream, data: &str) -> io::Result<()> {
+pub(crate) fn write_chunk(stream: &mut TcpStream, data: &str) -> io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
@@ -262,7 +262,7 @@ pub fn write_chunk(stream: &mut TcpStream, data: &str) -> io::Result<()> {
 /// # Errors
 ///
 /// Returns the underlying I/O error.
-pub fn finish_chunked(stream: &mut TcpStream) -> io::Result<()> {
+pub(crate) fn finish_chunked(stream: &mut TcpStream) -> io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()
 }

@@ -76,7 +76,7 @@ impl JobSpec {
     /// estimate; otherwise the estimate scales with the simulated
     /// window at the solver's coarse rate (a deliberate overcount:
     /// admission errs toward shedding, not overload).
-    pub fn estimated_steps(&self) -> u64 {
+    pub(crate) fn estimated_steps(&self) -> u64 {
         if let Some(budget) = self.max_steps {
             return budget as u64;
         }
@@ -130,7 +130,7 @@ pub struct BatchRequest {
 
 impl BatchRequest {
     /// Total estimated step cost of the batch.
-    pub fn estimated_steps(&self) -> u64 {
+    pub(crate) fn estimated_steps(&self) -> u64 {
         self.jobs.iter().map(JobSpec::estimated_steps).sum()
     }
 
@@ -452,7 +452,7 @@ pub fn parse_signal_stats(body: &str) -> Result<SignalStats, WireError> {
 ///
 /// Returns a typed [`WireError`] on duplicate keys, unknown or missing
 /// fields and wrong shapes.
-pub fn signal_stats_of(v: &Value, what: &str) -> Result<SignalStats, WireError> {
+pub(crate) fn signal_stats_of(v: &Value, what: &str) -> Result<SignalStats, WireError> {
     let obj = StrictObject::of(
         v,
         what,

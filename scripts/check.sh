@@ -16,6 +16,12 @@ echo "== cargo clippy (solver/engine library code, unwrap/expect are errors)"
 # still unwrap freely.
 cargo clippy -p voltnoise-pdn -p voltnoise-system --lib -- -D warnings
 
+echo "== public surface (every pub item has an outside caller or an allowlist reason)"
+scripts/check_surface.sh
+
+echo "== rustdoc (warnings are errors: a narrowed item must not stay linked from public docs)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== no process-global engine or trace flag, one PDN builder"
 # Engines are passed in and tracing is a per-engine field; a match here
 # reintroduces state that one test could leak into another. `Pdn` is the

@@ -242,23 +242,18 @@ fn unstable_netlist_surfaces_diverged_not_nan() {
 #[test]
 fn noise_outcomes_are_finite_over_seed_and_frequency_grid() {
     let tb = Testbed::fast();
-    let batch = SimJob::batch(tb.chip());
     for &freq in &[45e3, 300e3, 2.5e6] {
         for seed in 1..=3u64 {
             let sm = tb.max_stressmark(freq, None);
             let loads: [CoreLoad; NUM_CORES] =
                 std::array::from_fn(|_| CoreLoad::Stressmark(sm.clone()));
-            let job = batch.job(
-                loads,
-                NoiseRunConfig {
-                    window_s: Some(20e-6),
-                    record_traces: false,
-                    seed,
-                    ..NoiseRunConfig::default()
-                },
-            );
-            let out = job
-                .solve()
+            let cfg = NoiseRunConfig {
+                window_s: Some(20e-6),
+                record_traces: false,
+                seed,
+                ..NoiseRunConfig::default()
+            };
+            let out = run_noise(tb.chip(), &loads, &cfg)
                 .unwrap_or_else(|e| panic!("{freq:.1e}/{seed}: {e}"));
             assert!(
                 out.first_non_finite().is_none(),

@@ -8,6 +8,8 @@
 //! ladders exercise both transient and AC analysis on both backends.
 //! Beside each equivalence test sits the cost floor of the same
 //! optimization: the deterministic `est_flops` ratio it must keep.
+//! Reciprocity (`Z_ij = Z_ji` on any passive RLC network) checks the AC
+//! stamps against circuit theory rather than against the other backend.
 
 #[path = "golden/mod.rs"]
 mod golden;
@@ -17,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use voltnoise::pdn::ac::{log_space, AcAnalysis};
 use voltnoise::pdn::netlist::{Netlist, NodeId};
 use voltnoise::pdn::transient::{ConstantDrive, Probe, TransientConfig, TransientSolver};
-use voltnoise::pdn::{SolverBackend, SolverCounters};
+use voltnoise::pdn::{Pdn, PdnParams, SolverBackend, SolverCounters, NUM_CORES};
 use voltnoise::system::{
     run_drawer_step_instrumented, DrawerStepConfig, DrawerStepOutcome, Engine,
 };
@@ -178,6 +180,54 @@ fn ac_sparse_matches_dense_on_random_netlists() {
                 b.z.im
             );
         }
+    }
+}
+
+/// Asserts `Z(i→j) == Z(j→i)` to rounding for every ordered pair of
+/// `nodes` at `freq_hz`: a passive RLC network is reciprocal, so a slip
+/// in either solver's AC stamps (an asymmetric companion, a transposed
+/// branch row) breaks the equality.
+fn assert_reciprocal(ac: &AcAnalysis, nodes: &[NodeId], freq_hz: f64, what: &str) {
+    for (a, &i) in nodes.iter().enumerate() {
+        for &j in &nodes[a + 1..] {
+            let zij = ac.transfer_impedance(i, j, freq_hz).unwrap();
+            let zji = ac.transfer_impedance(j, i, freq_hz).unwrap();
+            let scale = zij.abs().max(zji.abs());
+            assert!(
+                (zij - zji).abs() <= 1e-9 * scale + 1e-15,
+                "{what} at {freq_hz:.3e} Hz: Z({i:?}->{j:?}) = {}+{}j but Z({j:?}->{i:?}) = {}+{}j",
+                zij.re,
+                zij.im,
+                zji.re,
+                zji.im
+            );
+        }
+    }
+}
+
+#[test]
+fn transfer_impedance_is_reciprocal_on_random_netlists() {
+    let mut rng = SmallRng::seed_from_u64(0x2ec1_0c17);
+    for trial in 0..4 {
+        let (nl, nodes) = random_ladder(&mut rng, 12, 2);
+        let ports: Vec<NodeId> = nodes.iter().step_by(3).copied().collect();
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+            let ac = AcAnalysis::with_backend(&nl, backend);
+            for freq_hz in [1e4, 1e6, 50e6] {
+                assert_reciprocal(&ac, &ports, freq_hz, &format!("trial {trial} {backend:?}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn chip_core_transfer_impedance_is_reciprocal() {
+    let chip = Pdn::chip(&PdnParams::default()).unwrap();
+    let ac = AcAnalysis::new(chip.netlist());
+    let cores: Vec<NodeId> = (0..NUM_CORES).map(|i| chip.core_node(i)).collect();
+    // Die band, board band, and off resonance between them.
+    for freq_hz in [2.5e6, 40e3, 400e3] {
+        assert_reciprocal(&ac, &cores, freq_hz, "chip cores");
     }
 }
 
