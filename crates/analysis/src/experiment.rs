@@ -11,10 +11,11 @@
 //!   [`Experiment`] impl routes the jobs through the engine, so it gets
 //!   parallel execution and content-keyed memoization for free;
 //! - every other experiment implements [`Experiment::run`] itself:
-//!   adaptive ones, whose next job depends on earlier outcomes (e.g. the
-//!   Vmin descent of Fig. 12), drive [`Engine::run_one`] /
-//!   [`Engine::par_map`] directly, and solver-free ones (tables, AC
-//!   analyses) ignore the engine.
+//!   Fig. 12's Vmin campaign solves one nominal job per descent in one
+//!   [`Engine::run_jobs`] batch, walks each bias ladder on rail-shifted
+//!   minima, and solves a step with [`Engine::run_one`] only when its
+//!   shifted minimum sits at the failure voltage; solver-free ones
+//!   (tables, AC analyses) ignore the engine.
 //!
 //! Either way there is one path from configuration to artifact, and it
 //! runs on the caller's engine: sharing work between experiments (the

@@ -6,6 +6,14 @@
 //! (the configuration that fails at the highest bias), and an
 //! extrapolated "worst-case customer code" line assumes unsynchronized
 //! events at 80 % of the maximum ΔI.
+//!
+//! Each descent solves its chip once, at nominal bias. The PDN is linear
+//! and no load current depends on the rail, so undervolting to `bias`
+//! lowers every node by exactly `v_nom − v_nom·bias`: every later step
+//! reads the nominal minimum shifted by that rail drop. Only a step whose
+//! shifted minimum lies within a stated bound of the critical path's
+//! failure voltage solves its undervolted chip, so rounding can never
+//! flip an R-Unit decision.
 
 use crate::experiment::Experiment;
 use crate::render::Table;
@@ -16,7 +24,7 @@ use voltnoise_pdn::topology::NUM_CORES;
 use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::{CompiledStressmark, SyncSpec};
 use voltnoise_system::engine::{Engine, SimJob};
-use voltnoise_system::noise::{CoreLoad, NoiseRunConfig};
+use voltnoise_system::noise::{CoreLoad, NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::testbed::Testbed;
 
 /// Vmin campaign configuration.
@@ -140,47 +148,80 @@ impl MarginResult {
     }
 }
 
-/// One Vmin descent: lowers the bias until the R-Unit flags a failure.
-/// Each bias step is a content-keyed [`SimJob`] on an undervolted chip,
-/// so repeated descents over the same grid hit the engine cache.
-fn vmin_of_loads(
+/// Bound on how far a rail-shifted step minimum may lie from the
+/// critical path's failure voltage and still be trusted. The solved
+/// minimum matches the shifted one to a few 1e-13 V (the rail-shift
+/// oracle in `tests/solver_core.rs` holds it to this bound), so a
+/// shifted minimum farther than this from `failure_voltage()` sits on
+/// the same side of it as the solved one.
+const SHIFT_BOUND_V: f64 = 1e-9;
+
+/// Run configuration of every Vmin step.
+fn step_config(cfg: &MarginConfig) -> NoiseRunConfig {
+    NoiseRunConfig {
+        window_s: Some(cfg.window_s),
+        record_traces: false,
+        seed: 1,
+        ..NoiseRunConfig::default()
+    }
+}
+
+/// Lowest minimum over all sites of one outcome.
+fn lowest_v_min(out: &NoiseOutcome) -> f64 {
+    out.v_min.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// Solves one Vmin step: the loads on the chip undervolted to `bias`,
+/// as a content-keyed [`SimJob`]. Returns the lowest site minimum.
+fn solved_v_min(
     tb: &Testbed,
     engine: &Engine,
     loads: &[CoreLoad; NUM_CORES],
     cfg: &MarginConfig,
+    bias: f64,
+) -> Result<f64, PdnError> {
+    let chip = tb.chip().undervolted(bias)?;
+    let job = SimJob::new(Arc::new(chip), loads.clone(), step_config(cfg));
+    Ok(lowest_v_min(&*engine.run_one(&job)?))
+}
+
+/// One Vmin descent: lowers the bias in the paper's steps until the
+/// R-Unit flags a failure.
+///
+/// The PDN is linear and no load current depends on the rail, so
+/// undervolting the VRM source from `v_nom` to `v_nom·bias` moves every
+/// node by exactly `v_nom − v_nom·bias`. Each step therefore reads the
+/// nominal solve's minimum `v_min_nominal` shifted by that amount. A
+/// step whose shifted minimum lies within [`SHIFT_BOUND_V`] of the
+/// failure voltage, where rounding could flip the R-Unit's decision,
+/// reads `solve(bias)` instead.
+fn descend(
+    vmin: &VminConfig,
     path: &CriticalPath,
+    v_nom: f64,
+    v_min_nominal: f64,
+    mut solve: impl FnMut(f64) -> Result<f64, PdnError>,
 ) -> Result<Option<f64>, PdnError> {
+    let v_fail = path.failure_voltage();
     let mut error: Option<PdnError> = None;
     let mut runit = RUnit::new();
-    let result = run_vmin(&cfg.vmin, |bias| {
+    let result = run_vmin(vmin, |bias| {
         if error.is_some() {
             return true; // abort quickly once an error occurred
         }
-        let chip = match tb.chip().undervolted(bias) {
-            Ok(c) => c,
-            Err(e) => {
-                error = Some(e);
-                return true;
+        // Mirrors `Chip::undervolted`'s `v_nom *= bias`.
+        let shifted = v_min_nominal - (v_nom - v_nom * bias);
+        let v_min = if (shifted - v_fail).abs() > SHIFT_BOUND_V {
+            shifted
+        } else {
+            match solve(bias) {
+                Ok(v) => v,
+                Err(e) => {
+                    error = Some(e);
+                    return true;
+                }
             }
         };
-        let job = SimJob::new(
-            Arc::new(chip),
-            loads.clone(),
-            NoiseRunConfig {
-                window_s: Some(cfg.window_s),
-                record_traces: false,
-                seed: 1,
-                ..NoiseRunConfig::default()
-            },
-        );
-        let out = match engine.run_one(&job) {
-            Ok(o) => o,
-            Err(e) => {
-                error = Some(e);
-                return true;
-            }
-        };
-        let v_min = out.v_min.iter().copied().fold(f64::INFINITY, f64::min);
         runit.check(path, v_min)
     });
     match error {
@@ -189,13 +230,67 @@ fn vmin_of_loads(
     }
 }
 
+/// Grid cells: (stimulus frequency, consecutive events).
+type Grid = Vec<(f64, Option<u32>)>;
+
+/// The descents of a campaign: the grid cells in row-major order, each
+/// with the loads of all cores, then the customer-code descent.
+fn descent_loads(tb: &Testbed, cfg: &MarginConfig) -> (Grid, Vec<[CoreLoad; NUM_CORES]>) {
+    let mut grid: Grid = Vec::new();
+    for &freq in &cfg.freqs_hz {
+        for &events in &cfg.event_counts {
+            grid.push((freq, events));
+        }
+    }
+    // Customer-code extrapolation: unsynchronized, 80 % of max ΔI.
+    let customer_sm = scaled_stressmark(
+        tb.max_stressmark(2.5e6, None),
+        cfg.customer_delta_i_fraction,
+    );
+    let stressmarks = grid.iter().map(|&(freq, events)| {
+        let sync = events.map(|e| SyncSpec {
+            events: e,
+            ..SyncSpec::paper_default()
+        });
+        tb.max_stressmark(freq, sync)
+    });
+    let loads = stressmarks
+        .chain([customer_sm])
+        .map(|sm| std::array::from_fn(|_| CoreLoad::Stressmark(sm.clone())))
+        .collect();
+    (grid, loads)
+}
+
+/// Assembles the result from the failing bias of every descent, in
+/// [`descent_loads`] order.
+fn assemble(grid: &Grid, mut biases: Vec<Option<f64>>) -> MarginResult {
+    let customer_bias = biases.pop().flatten();
+    let worst_bias = (biases.iter().flatten()).fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+    let rel = |b: Option<f64>| b.map_or(100.0, |b| (worst_bias - b) * 100.0);
+    let cells = (grid.iter().zip(biases))
+        .map(|(&(freq_hz, events), failing_bias)| MarginCell {
+            freq_hz,
+            events,
+            failing_bias,
+            margin_rel_pct: rel(failing_bias),
+        })
+        .collect();
+    MarginResult {
+        cells,
+        worst_bias,
+        customer_margin_pct: rel(customer_bias),
+    }
+}
+
 /// The Fig. 12 available-margin experiment.
 ///
-/// The Vmin descent adapts each next bias to the previous outcome, so the
-/// job list cannot be enumerated up front; this experiment implements
-/// [`Experiment::run`] and drives the engine directly, parallelizing over
-/// grid cells and the customer-code descent with [`Engine::par_map`]
-/// while each descent stays serial.
+/// Every descent (each grid cell, then the customer-code line) is one
+/// job at nominal bias; the experiment solves them all in one
+/// [`Engine::run_jobs`] batch and then walks each descent's 0.5 %
+/// ladder on rail-shifted minima (see the module docs), so it
+/// implements [`Experiment::run`] rather than a fixed job list. Only a
+/// step that lands within 1e-9 V of the failure voltage solves its
+/// undervolted chip.
 #[derive(Debug, Clone)]
 pub struct MarginExperiment {
     /// The campaign grid.
@@ -216,64 +311,21 @@ impl Experiment for MarginExperiment {
     fn run(&self, tb: &Testbed, engine: &Engine) -> Result<MarginResult, PdnError> {
         let cfg = &self.cfg;
         let path = tb.chip().config().critical_path;
-        let mut grid: Vec<(f64, Option<u32>)> = Vec::new();
-        for &freq in &cfg.freqs_hz {
-            for &events in &cfg.event_counts {
-                grid.push((freq, events));
-            }
-        }
-        // The customer-code descent rides as one more item of the same
-        // pool, after the grid, so the lowest-index error is still a
-        // grid cell's before the customer's.
-        let customer_sm = scaled_stressmark(
-            tb.max_stressmark(2.5e6, None),
-            cfg.customer_delta_i_fraction,
-        );
-        let descents: Vec<Option<(f64, Option<u32>)>> =
-            grid.iter().copied().map(Some).chain([None]).collect();
-        let mut biases = engine.par_map(&descents, |descent| {
-            let sm = match *descent {
-                Some((freq, events)) => {
-                    let sync = events.map(|e| SyncSpec {
-                        events: e,
-                        ..SyncSpec::paper_default()
-                    });
-                    tb.max_stressmark(freq, sync)
-                }
-                // Customer-code extrapolation: unsynchronized, 80 % of
-                // max ΔI.
-                None => customer_sm.clone(),
-            };
-            let loads: [CoreLoad; NUM_CORES] =
-                std::array::from_fn(|_| CoreLoad::Stressmark(sm.clone()));
-            vmin_of_loads(tb, engine, &loads, cfg, &path)
-        })?;
-        let customer_bias = biases.pop().expect("the customer descent is the last item");
-        let raw: Vec<(f64, Option<u32>, Option<f64>)> = grid
-            .iter()
-            .zip(biases)
-            .map(|(&(freq, events), bias)| (freq, events, bias))
+        let v_nom = tb.chip().config().pdn.v_nom;
+        let (grid, loads) = descent_loads(tb, cfg);
+        let batch = SimJob::batch(tb.chip());
+        let jobs: Vec<SimJob> = (loads.iter())
+            .map(|l| batch.job(l.clone(), step_config(cfg)))
             .collect();
-
-        let worst_bias = raw
-            .iter()
-            .filter_map(|(_, _, b)| *b)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let rel = |b: Option<f64>| b.map_or(100.0, |b| (worst_bias - b) * 100.0);
-        let cells = raw
-            .into_iter()
-            .map(|(freq_hz, events, failing_bias)| MarginCell {
-                freq_hz,
-                events,
-                failing_bias,
-                margin_rel_pct: rel(failing_bias),
+        let nominal = engine.run_jobs(&jobs)?;
+        let biases = (loads.iter().zip(&nominal))
+            .map(|(l, out)| {
+                descend(&cfg.vmin, &path, v_nom, lowest_v_min(out), |bias| {
+                    solved_v_min(tb, engine, l, cfg, bias)
+                })
             })
-            .collect();
-        Ok(MarginResult {
-            cells,
-            worst_bias,
-            customer_margin_pct: rel(customer_bias),
-        })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(assemble(&grid, biases))
     }
 
     fn render(&self, artifact: &MarginResult) -> String {
@@ -303,6 +355,92 @@ mod tests {
             .run(Testbed::fast(), &Engine::new())
             .expect("runs")
         })
+    }
+
+    /// The reference descent: every step solves its undervolted chip.
+    fn solved_descent(
+        tb: &Testbed,
+        engine: &Engine,
+        loads: &[CoreLoad; NUM_CORES],
+        cfg: &MarginConfig,
+        path: &CriticalPath,
+    ) -> Result<Option<f64>, PdnError> {
+        let mut error: Option<PdnError> = None;
+        let mut runit = RUnit::new();
+        let result = run_vmin(&cfg.vmin, |bias| {
+            if error.is_some() {
+                return true;
+            }
+            match solved_v_min(tb, engine, loads, cfg, bias) {
+                Ok(v_min) => runit.check(path, v_min),
+                Err(e) => {
+                    error = Some(e);
+                    true
+                }
+            }
+        });
+        match error {
+            Some(e) => Err(e),
+            None => Ok(result.failing_bias),
+        }
+    }
+
+    #[test]
+    fn rail_shifted_descents_match_the_solved_reference() {
+        let tb = Testbed::fast();
+        let cfg = MarginConfig::reduced();
+        let engine = Engine::new();
+        let path = tb.chip().config().critical_path;
+        let (grid, loads) = descent_loads(tb, &cfg);
+        let biases = (loads.iter())
+            .map(|l| solved_descent(tb, &engine, l, &cfg, &path))
+            .collect::<Result<Vec<_>, _>>()
+            .expect("solves");
+        assert_eq!(*result(), assemble(&grid, biases));
+    }
+
+    #[test]
+    fn a_step_on_the_failure_voltage_is_solved_not_shifted() {
+        let tb = Testbed::fast();
+        let cfg = MarginConfig::reduced();
+        let engine = Engine::with_workers(1);
+        let (_, loads) = descent_loads(tb, &cfg);
+        let loads = loads.last().expect("the customer descent");
+        let v_nom = tb.chip().config().pdn.v_nom;
+        let v_min_nominal = solved_v_min(tb, &engine, loads, &cfg, 1.0).expect("solves");
+        // The fourth bias of the ladder, as `run_vmin` accumulates it.
+        let mut ladder = Vec::new();
+        run_vmin(&cfg.vmin, |bias| {
+            ladder.push(bias);
+            false
+        });
+        let bias = ladder[3];
+        let shifted = v_min_nominal - (v_nom - v_nom * bias);
+        // A path whose failure voltage is that step's shifted minimum:
+        // `failure_voltage = vth·(1 − c) + v_nom·c` with
+        // `c = delay_fraction^(1/beta)`.
+        let base = tb.chip().config().critical_path;
+        let c = base.nominal_delay_fraction.powf(1.0 / base.beta);
+        let path = CriticalPath {
+            vth: (shifted - base.v_nom * c) / (1.0 - c),
+            ..base
+        };
+        assert!((path.failure_voltage() - shifted).abs() < 1e-14);
+
+        let mut solved_at = Vec::new();
+        let failing = descend(&cfg.vmin, &path, v_nom, v_min_nominal, |b| {
+            solved_at.push(b);
+            solved_v_min(tb, &engine, loads, &cfg, b)
+        })
+        .expect("solves");
+        assert_eq!(
+            solved_at,
+            [bias],
+            "only the step on the failure voltage solves"
+        );
+        let reference = solved_descent(tb, &engine, loads, &cfg, &path).expect("solves");
+        assert_eq!(failing, reference);
+        assert!(failing.is_some());
     }
 
     #[test]

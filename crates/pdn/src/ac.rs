@@ -53,7 +53,7 @@ impl ImpedancePoint {
 ///
 /// # fn main() -> Result<(), voltnoise_pdn::PdnError> {
 /// let mut nl = Netlist::new();
-/// let die = nl.add_node("die");
+/// let die = nl.add_node();
 /// nl.add_resistor(die, NodeId::GROUND, 0.001)?;
 /// let ac = AcAnalysis::new(&nl);
 /// let z = ac.impedance_at(die, 1e6)?;
@@ -416,7 +416,7 @@ mod tests {
     #[test]
     fn resistor_impedance_is_flat() {
         let mut nl = Netlist::new();
-        let die = nl.add_node("die");
+        let die = nl.add_node();
         nl.add_resistor(die, NodeId::GROUND, 0.002).unwrap();
         let ac = AcAnalysis::new(&nl);
         for f in [1e3, 1e5, 1e7] {
@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn capacitor_impedance_falls_with_frequency() {
         let mut nl = Netlist::new();
-        let die = nl.add_node("die");
+        let die = nl.add_node();
         nl.add_resistor(die, NodeId::GROUND, 1e6).unwrap(); // DC path
         nl.add_capacitor(die, NodeId::GROUND, 1e-6).unwrap();
         let ac = AcAnalysis::new(&nl);
@@ -448,9 +448,9 @@ mod tests {
         let c: f64 = 1e-6;
         let f_res = 1.0 / (2.0 * std::f64::consts::PI * (l * c).sqrt());
         let mut nl = Netlist::new();
-        let vdd = nl.add_node("vdd");
+        let vdd = nl.add_node();
         nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
-        let die = nl.add_node("die");
+        let die = nl.add_node();
         nl.add_series_rl(vdd, die, 1e-4, l).unwrap();
         nl.add_capacitor(die, NodeId::GROUND, c).unwrap();
 
@@ -469,8 +469,8 @@ mod tests {
     #[test]
     fn transfer_impedance_attenuates_across_resistor() {
         let mut nl = Netlist::new();
-        let a = nl.add_node("a");
-        let b = nl.add_node("b");
+        let a = nl.add_node();
+        let b = nl.add_node();
         nl.add_resistor(a, NodeId::GROUND, 0.01).unwrap();
         nl.add_resistor(b, NodeId::GROUND, 0.01).unwrap();
         nl.add_resistor(a, b, 0.01).unwrap();
@@ -484,7 +484,7 @@ mod tests {
     #[test]
     fn rejects_bad_frequency() {
         let mut nl = Netlist::new();
-        let die = nl.add_node("die");
+        let die = nl.add_node();
         nl.add_resistor(die, NodeId::GROUND, 1.0).unwrap();
         let ac = AcAnalysis::new(&nl);
         assert!(ac.impedance_at(die, 0.0).is_err());
@@ -576,12 +576,12 @@ mod tests {
     #[test]
     fn batch_matches_looped_bitwise_and_counts_work() {
         let mut nl = Netlist::new();
-        let vdd = nl.add_node("vdd");
+        let vdd = nl.add_node();
         nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
         let mut ports = Vec::new();
         let mut prev = vdd;
         for i in 0..5 {
-            let n = nl.add_node(format!("n{i}"));
+            let n = nl.add_node();
             nl.add_series_rl(prev, n, 1e-4 * (i + 1) as f64, 0.3e-9)
                 .unwrap();
             nl.add_capacitor_with_esr(n, NodeId::GROUND, 2e-6, 0.5e-3)
@@ -628,9 +628,9 @@ mod tests {
     #[test]
     fn sparse_sweep_reuses_elimination_order() {
         let mut nl = Netlist::new();
-        let vdd = nl.add_node("vdd");
+        let vdd = nl.add_node();
         nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
-        let die = nl.add_node("die");
+        let die = nl.add_node();
         nl.add_series_rl(vdd, die, 1e-4, 1e-9).unwrap();
         nl.add_capacitor_with_esr(die, NodeId::GROUND, 1e-6, 1e-3)
             .unwrap();
@@ -647,7 +647,7 @@ mod tests {
     #[test]
     fn batch_rejects_ground_port_and_allows_empty() {
         let mut nl = Netlist::new();
-        let die = nl.add_node("die");
+        let die = nl.add_node();
         nl.add_resistor(die, NodeId::GROUND, 1.0).unwrap();
         let ac = AcAnalysis::new(&nl);
         assert!(ac.impedance_batch(&[die, NodeId::GROUND], 1e6).is_err());
@@ -657,9 +657,9 @@ mod tests {
     #[test]
     fn forced_sparse_ac_matches_dense() {
         let mut nl = Netlist::new();
-        let vdd = nl.add_node("vdd");
+        let vdd = nl.add_node();
         nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
-        let die = nl.add_node("die");
+        let die = nl.add_node();
         nl.add_series_rl(vdd, die, 1e-4, 1e-9).unwrap();
         nl.add_capacitor_with_esr(die, NodeId::GROUND, 1e-6, 1e-3)
             .unwrap();

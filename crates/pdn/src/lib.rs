@@ -38,9 +38,9 @@
 //!
 //! # fn main() -> Result<(), voltnoise_pdn::PdnError> {
 //! let mut nl = Netlist::new();
-//! let vdd = nl.add_node("vdd");
+//! let vdd = nl.add_node();
 //! nl.add_voltage_source(vdd, NodeId::GROUND, 1.0)?;
-//! let die = nl.add_node("die");
+//! let die = nl.add_node();
 //! nl.add_resistor(vdd, die, 1e-3)?;
 //! nl.add_current_source(die, NodeId::GROUND)?;
 //!

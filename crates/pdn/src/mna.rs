@@ -485,9 +485,9 @@ mod tests {
 
     fn rlc_netlist() -> Netlist {
         let mut nl = Netlist::new();
-        let vdd = nl.add_node("vdd");
+        let vdd = nl.add_node();
         nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
-        let die = nl.add_node("die");
+        let die = nl.add_node();
         nl.add_series_rl(vdd, die, 1e-3, 1e-9).unwrap();
         nl.add_capacitor(die, NodeId::GROUND, 1e-6).unwrap();
         nl.add_current_source(die, NodeId::GROUND).unwrap();

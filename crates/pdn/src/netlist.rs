@@ -106,41 +106,50 @@ pub enum Element {
 /// use voltnoise_pdn::netlist::{Netlist, NodeId};
 ///
 /// let mut nl = Netlist::new();
-/// let vdd = nl.add_node("vdd");
+/// let vdd = nl.add_node();
 /// nl.add_voltage_source(vdd, NodeId::GROUND, 1.05).unwrap();
-/// let die = nl.add_node("die");
+/// let die = nl.add_node();
 /// nl.add_resistor(vdd, die, 1e-3).unwrap();
 /// nl.add_capacitor(die, NodeId::GROUND, 10e-6).unwrap();
 /// assert_eq!(nl.node_count(), 3); // ground + vdd + die
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Netlist {
-    node_names: Vec<String>,
+    /// Nodes created so far, ground included.
+    nodes: usize,
     elements: Vec<Element>,
     n_vsources: usize,
     n_isources: usize,
+}
+
+impl Default for Netlist {
+    /// The same as [`Netlist::new`]: node 0 is ground, so the first
+    /// added node is never [`NodeId::GROUND`].
+    fn default() -> Self {
+        Netlist::new()
+    }
 }
 
 impl Netlist {
     /// Creates an empty netlist containing only the ground node.
     pub fn new() -> Self {
         Netlist {
-            node_names: vec!["gnd".to_string()],
+            nodes: 1,
             elements: Vec::new(),
             n_vsources: 0,
             n_isources: 0,
         }
     }
 
-    /// Adds a named node and returns its id.
-    pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
-        self.node_names.push(name.into());
-        NodeId(self.node_names.len() - 1)
+    /// Adds a node and returns its id.
+    pub fn add_node(&mut self) -> NodeId {
+        self.nodes += 1;
+        NodeId(self.nodes - 1)
     }
 
     /// Total number of nodes, including ground.
     pub fn node_count(&self) -> usize {
-        self.node_names.len()
+        self.nodes
     }
 
     /// All elements added so far.
@@ -160,7 +169,7 @@ impl Netlist {
     }
 
     fn check_node(&self, node: NodeId) -> Result<(), PdnError> {
-        if node.0 < self.node_names.len() {
+        if node.0 < self.nodes {
             Ok(())
         } else {
             Err(PdnError::UnknownNode { node: node.0 })
@@ -252,7 +261,7 @@ impl Netlist {
         self.check_node(b)?;
         Self::check_value("capacitor", farads)?;
         Self::check_value("capacitor esr", esr_ohms)?;
-        let mid = self.add_node(format!("esr_mid_{}", self.node_names.len()));
+        let mid = self.add_node();
         self.add_resistor(a, mid, esr_ohms)?;
         self.add_capacitor(mid, b, farads)?;
         Ok(mid)
@@ -297,7 +306,7 @@ impl Netlist {
         self.check_node(b)?;
         Self::check_value("series rl resistor", ohms)?;
         Self::check_value("series rl inductor", henries)?;
-        let mid = self.add_node(format!("rl_mid_{}", self.node_names.len()));
+        let mid = self.add_node();
         self.add_resistor(a, mid, ohms)?;
         self.add_inductor(mid, b, henries)?;
         Ok(mid)
@@ -352,10 +361,12 @@ mod tests {
     #[test]
     fn node_ids_are_sequential_and_named() {
         let mut nl = Netlist::new();
-        let a = nl.add_node("a");
-        let b = nl.add_node("b");
+        let a = nl.add_node();
+        let b = nl.add_node();
         assert_eq!((a, b), (NodeId(1), NodeId(2)));
         assert_eq!(nl.node_count(), 3);
+        // A default netlist has its ground node too.
+        assert_eq!(Netlist::default().add_node(), NodeId(1));
     }
 
     #[test]
@@ -367,7 +378,7 @@ mod tests {
     #[test]
     fn rejects_invalid_values() {
         let mut nl = Netlist::new();
-        let a = nl.add_node("a");
+        let a = nl.add_node();
         assert!(nl.add_resistor(a, NodeId::GROUND, 0.0).is_err());
         assert!(nl.add_capacitor(a, NodeId::GROUND, -1.0).is_err());
         assert!(nl.add_inductor(a, NodeId::GROUND, f64::NAN).is_err());
@@ -389,8 +400,8 @@ mod tests {
     #[test]
     fn system_size_counts_vsources() {
         let mut nl = Netlist::new();
-        let a = nl.add_node("a");
-        let b = nl.add_node("b");
+        let a = nl.add_node();
+        let b = nl.add_node();
         nl.add_voltage_source(a, NodeId::GROUND, 1.0).unwrap();
         nl.add_resistor(a, b, 1.0).unwrap();
         assert_eq!(nl.system_size(), 3); // 2 nodes + 1 vsource branch
@@ -399,7 +410,7 @@ mod tests {
     #[test]
     fn esr_capacitor_creates_internal_node() {
         let mut nl = Netlist::new();
-        let a = nl.add_node("a");
+        let a = nl.add_node();
         let before = nl.node_count();
         let mid = nl
             .add_capacitor_with_esr(a, NodeId::GROUND, 1e-6, 1e-3)
@@ -412,7 +423,7 @@ mod tests {
     #[test]
     fn current_sources_get_sequential_ids() {
         let mut nl = Netlist::new();
-        let a = nl.add_node("a");
+        let a = nl.add_node();
         let s0 = nl.add_current_source(a, NodeId::GROUND).unwrap();
         let s1 = nl.add_current_source(a, NodeId::GROUND).unwrap();
         assert_eq!(s0.index(), 0);

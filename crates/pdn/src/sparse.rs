@@ -489,11 +489,11 @@ mod tests {
 
     fn chip_like_netlist(stages: usize) -> Netlist {
         let mut nl = Netlist::new();
-        let vdd = nl.add_node("vdd");
+        let vdd = nl.add_node();
         nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
         let mut prev = vdd;
         for i in 0..stages {
-            let node = nl.add_node(format!("n{i}"));
+            let node = nl.add_node();
             nl.add_series_rl(prev, node, 1e-3 * (i + 1) as f64, 1e-9)
                 .unwrap();
             nl.add_capacitor_with_esr(node, NodeId::GROUND, 1e-6, 1e-3)
@@ -560,8 +560,8 @@ mod tests {
     fn singular_matrix_is_detected() {
         // Two nodes joined by a resistor, no path to ground.
         let mut nl = Netlist::new();
-        let a = nl.add_node("a");
-        let b = nl.add_node("b");
+        let a = nl.add_node();
+        let b = nl.add_node();
         nl.add_resistor(a, b, 1.0).unwrap();
         let sys = MnaSystem::new(&nl);
         let pattern = Arc::new(SystemPattern::coupled(&sys));

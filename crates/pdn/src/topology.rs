@@ -146,29 +146,28 @@ struct ChipNodes {
 /// cores with loads, and the neighbor coupling resistors.
 ///
 /// The element and node creation sequence here is byte-identity
-/// critical: auto-generated intermediate node names (`rl_mid_N`,
-/// `esr_mid_N`) derive from the running node count, and dense stamping
-/// order follows element insertion order, so every chip of every shape
-/// [`Pdn::build`] makes must keep this order.
+/// critical: node ids (including the intermediate nodes of series-RL
+/// branches and ESR capacitors) follow creation order, and dense
+/// stamping order follows element insertion order, so every chip of
+/// every shape [`Pdn::build`] makes must keep this order.
 fn attach_chip(
     nl: &mut Netlist,
     attach: NodeId,
     params: &PdnParams,
-    prefix: &str,
 ) -> Result<ChipNodes, PdnError> {
-    let pkg = nl.add_node(format!("{prefix}pkg"));
+    let pkg = nl.add_node();
     nl.add_series_rl(attach, pkg, params.r_board, params.l_board)?;
     nl.add_capacitor_with_esr(pkg, NodeId::GROUND, params.c_pkg, params.esr_pkg)?;
 
     let mut domains = [NodeId::GROUND; 2];
-    for (d, dom) in domains.iter_mut().enumerate() {
-        let node = nl.add_node(format!("{prefix}domain{d}"));
+    for dom in &mut domains {
+        let node = nl.add_node();
         nl.add_series_rl(pkg, node, params.r_c4, params.l_c4)?;
         nl.add_capacitor_with_esr(node, NodeId::GROUND, params.c_domain, params.esr_domain)?;
         *dom = node;
     }
 
-    let l3 = nl.add_node(format!("{prefix}l3"));
+    let l3 = nl.add_node();
     for dom in domains {
         nl.add_series_rl(dom, l3, params.r_l3, params.l_l3)?;
     }
@@ -177,7 +176,7 @@ fn attach_chip(
     let mut cores = [NodeId::GROUND; NUM_CORES];
     let mut core_sources = [SourceId(0); NUM_CORES];
     for i in 0..NUM_CORES {
-        let node = nl.add_node(format!("{prefix}core{i}"));
+        let node = nl.add_node();
         let dom = domains[core_domain(i)];
         nl.add_series_rl(
             dom,
@@ -484,7 +483,7 @@ impl Pdn {
         }
         let base = &params.drawer.chip;
         let mut nl = Netlist::new();
-        let vrm = nl.add_node("vrm");
+        let vrm = nl.add_node();
         nl.add_voltage_source(vrm, NodeId::GROUND, base.v_nom)?;
 
         let mut boards = Vec::with_capacity(params.num_chips());
@@ -492,8 +491,8 @@ impl Pdn {
         let mut cores = Vec::with_capacity(params.num_chips() * NUM_CORES);
         let mut core_sources = Vec::with_capacity(params.num_chips() * NUM_CORES);
         let mut prev_head: Option<NodeId> = None;
-        for d in 0..params.drawers {
-            let head = nl.add_node(format!("d{d}_board0"));
+        for _ in 0..params.drawers {
+            let head = nl.add_node();
             match prev_head {
                 // Drawer 0 hangs off the VRM through the VRM impedance.
                 None => nl.add_series_rl(vrm, head, base.r_vrm, base.l_vrm)?,
@@ -505,7 +504,7 @@ impl Pdn {
             let first = boards.len();
             boards.push(head);
             for i in 1..params.drawer.chips {
-                let board = nl.add_node(format!("d{d}_board{i}"));
+                let board = nl.add_node();
                 nl.add_series_rl(
                     boards[first + i - 1],
                     board,
@@ -516,12 +515,7 @@ impl Pdn {
             }
             for i in 0..params.drawer.chips {
                 let chip = first + i;
-                let nodes = attach_chip(
-                    &mut nl,
-                    boards[chip],
-                    &chip_params[chip],
-                    &format!("d{d}c{i}_"),
-                )?;
+                let nodes = attach_chip(&mut nl, boards[chip], &chip_params[chip])?;
                 packages.push(nodes.pkg);
                 cores.extend(nodes.cores);
                 core_sources.extend(nodes.core_sources);

@@ -467,9 +467,9 @@ impl std::fmt::Debug for ScenarioFactors {
 ///
 /// # fn main() -> Result<(), voltnoise_pdn::PdnError> {
 /// let mut nl = Netlist::new();
-/// let vdd = nl.add_node("vdd");
+/// let vdd = nl.add_node();
 /// nl.add_voltage_source(vdd, NodeId::GROUND, 1.0)?;
-/// let die = nl.add_node("die");
+/// let die = nl.add_node();
 /// nl.add_resistor(vdd, die, 0.01)?;
 /// let load = nl.add_current_source(die, NodeId::GROUND)?;
 /// let _ = load;
@@ -1208,9 +1208,9 @@ mod tests {
 
     fn simple_rc() -> (Netlist, NodeId) {
         let mut nl = Netlist::new();
-        let vdd = nl.add_node("vdd");
+        let vdd = nl.add_node();
         nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
-        let die = nl.add_node("die");
+        let die = nl.add_node();
         nl.add_resistor(vdd, die, 0.1).unwrap();
         nl.add_capacitor(die, NodeId::GROUND, 1e-6).unwrap();
         nl.add_current_source(die, NodeId::GROUND).unwrap();
@@ -1264,9 +1264,9 @@ mod tests {
     fn rc_step_response_matches_analytic() {
         // R = 1 ohm, C = 1 uF, tau = 1 us. Step of 0.5 A at t = 10 us.
         let mut nl = Netlist::new();
-        let vdd = nl.add_node("vdd");
+        let vdd = nl.add_node();
         nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
-        let die = nl.add_node("die");
+        let die = nl.add_node();
         nl.add_resistor(vdd, die, 1.0).unwrap();
         nl.add_capacitor(die, NodeId::GROUND, 1e-6).unwrap();
         nl.add_current_source(die, NodeId::GROUND).unwrap();
@@ -1311,9 +1311,9 @@ mod tests {
         let c: f64 = 1e-6;
         let f_expected = 1.0 / (2.0 * std::f64::consts::PI * (l * c).sqrt()); // ~5.03 MHz
         let mut nl = Netlist::new();
-        let vdd = nl.add_node("vdd");
+        let vdd = nl.add_node();
         nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
-        let die = nl.add_node("die");
+        let die = nl.add_node();
         nl.add_series_rl(vdd, die, 1e-3, l).unwrap(); // light damping
         nl.add_capacitor(die, NodeId::GROUND, c).unwrap();
         nl.add_current_source(die, NodeId::GROUND).unwrap();
@@ -1393,8 +1393,8 @@ mod tests {
     #[test]
     fn floating_node_is_singular() {
         let mut nl = Netlist::new();
-        let a = nl.add_node("floating");
-        let b = nl.add_node("b");
+        let a = nl.add_node();
+        let b = nl.add_node();
         nl.add_resistor(a, b, 1.0).unwrap(); // no path to ground
         let mut solver = TransientSolver::new(&nl).unwrap();
         assert!(solver.solve_dc(&ConstantDrive::new(vec![])).is_err());
@@ -1405,9 +1405,9 @@ mod tests {
     /// must abort with `Diverged`, never return NaN/Inf statistics.
     fn unstable_netlist() -> (Netlist, NodeId) {
         let mut nl = Netlist::new();
-        let vdd = nl.add_node("vdd");
+        let vdd = nl.add_node();
         nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
-        let die = nl.add_node("die");
+        let die = nl.add_node();
         nl.add_resistor(vdd, die, 0.1).unwrap();
         nl.add_capacitor(die, NodeId::GROUND, 1e-6).unwrap();
         // -0.05 ohm to ground: net conductance at die = 10 - 20 < 0.
@@ -1731,12 +1731,12 @@ mod tests {
     fn random_rlc(rng: &mut rand::rngs::SmallRng, segments: usize) -> (Netlist, Vec<NodeId>) {
         use rand::Rng;
         let mut nl = Netlist::new();
-        let vdd = nl.add_node("vdd");
+        let vdd = nl.add_node();
         nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
         let mut nodes = Vec::with_capacity(segments);
         let mut prev = vdd;
-        for i in 0..segments {
-            let n = nl.add_node(format!("n{i}"));
+        for _ in 0..segments {
+            let n = nl.add_node();
             let r = 1e-3 + rng.gen::<f64>() * 9e-3;
             if rng.gen::<f64>() < 0.4 {
                 nl.add_series_rl(prev, n, r, 0.05e-9 + rng.gen::<f64>() * 2e-9)

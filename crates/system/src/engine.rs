@@ -1293,9 +1293,9 @@ impl Engine {
     }
 
     /// Runs one job through the cache (solving on a miss). Useful for
-    /// adaptive flows — e.g. the Vmin descent — where the next job
-    /// depends on the previous outcome. Thin fail-fast wrapper over
-    /// [`Engine::run_one_settled`].
+    /// adaptive flows, where whether a job is needed at all depends on
+    /// earlier outcomes (e.g. a Vmin step at the failure voltage). Thin
+    /// fail-fast wrapper over [`Engine::run_one_settled`].
     ///
     /// # Errors
     ///
@@ -1617,36 +1617,6 @@ impl Engine {
             })
             .collect()
     }
-
-    /// Applies a fallible function to each item on the worker pool and
-    /// collects the results in input order. The generic escape hatch for
-    /// parallel work that is not a plain job list (e.g. one Vmin descent
-    /// per grid cell).
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the lowest-indexed failing item, matching
-    /// serial semantics.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the lowest-indexed captured worker panic.
-    pub fn par_map<T, U, F>(&self, items: &[T], f: F) -> Result<Vec<U>, PdnError>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> Result<U, PdnError> + Sync,
-    {
-        let mut out = Vec::with_capacity(items.len());
-        for settled in self.par_map_caught(items, |item| f(item)) {
-            match settled {
-                Ok(Ok(u)) => out.push(u),
-                Ok(Err(e)) => return Err(e),
-                Err(msg) => panic!("{msg}"),
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -1850,24 +1820,6 @@ mod tests {
         assert_ne!(nominal, lowered);
         // And an identical rebuild matches.
         assert_eq!(nominal, chip_signature(tb.chip()));
-    }
-
-    #[test]
-    fn par_map_preserves_order_and_first_error() {
-        let engine = Engine::with_workers(4);
-        let items: Vec<usize> = (0..40).collect();
-        let ok = engine.par_map(&items, |&i| Ok(i * 2)).unwrap();
-        assert_eq!(ok, items.iter().map(|i| i * 2).collect::<Vec<_>>());
-        let err = engine
-            .par_map(&items, |&i| {
-                if i >= 7 {
-                    Err(PdnError::UnknownNode { node: i })
-                } else {
-                    Ok(i)
-                }
-            })
-            .unwrap_err();
-        assert!(matches!(err, PdnError::UnknownNode { node: 7 }), "{err:?}");
     }
 
     #[test]

@@ -34,26 +34,16 @@ if grep -rnE "Engine::shared|set_trace|static TRACE|trace_enabled|ChipPdn|Drawer
 fi
 
 echo "== cargo build --release && cargo test (the tier-1 command)"
+# The workspace is virtual, so this runs every member's tests, the
+# fault-injection, durability, telemetry and signal suites included.
 cargo build --release
 cargo test -q
 
 echo "== hierarchy suite on one worker (replay golden byte-identical serially too)"
 VOLTNOISE_THREADS=1 cargo test -q -p voltnoise --test hierarchy
 
-echo "== fault-injection suite"
-cargo test -q -p voltnoise --test fault_tolerance
-
-echo "== durability suite"
-cargo test -q -p voltnoise --test durability
-
 echo "== kill-and-resume smoke test"
 scripts/resume_smoke.sh
-
-echo "== telemetry suite"
-cargo test -q -p voltnoise --test telemetry
-
-echo "== signal suite (spectral + entropy analytic ground truths)"
-cargo test -q -p voltnoise --test signal
 
 echo "== server smoke test"
 scripts/server_smoke.sh

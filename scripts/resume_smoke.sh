@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Kill-and-resume smoke test: run a reduced report campaign, kill it
-# mid-flight (SIGKILL, so nothing gets to clean up), resume it over the
-# same persistent store, and require the resumed output to be
-# byte-identical to an uninterrupted baseline — with a non-empty store
-# proving the resume actually reused on-disk results. A third run over
-# the completed store must solve nothing and skip no corrupt line.
+# mid-flight (SIGKILL once its first result is on disk, so nothing gets
+# to clean up), resume it over the same persistent store, and require
+# the resumed output to be byte-identical to an uninterrupted baseline,
+# with records served from disk proving the resume actually reused
+# on-disk results. A third run over the completed store must solve
+# nothing and skip no corrupt line, and must leave more store lines than
+# the killed run did.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,14 +22,36 @@ bin=target/release/full_report
 echo "-- baseline (no store, uninterrupted)"
 "$bin" --reduced >"$workdir/baseline.txt"
 
-echo "-- interrupted run (SIGKILL after 5 s)"
-# `timeout -s KILL` simulates a crash: no destructors, no flushes beyond
-# the store's own per-append flush. The store must still be usable.
-VOLTNOISE_STORE="$store" timeout -s KILL 5 "$bin" --reduced \
-  >"$workdir/interrupted.txt" 2>"$workdir/interrupted.err" || true
+echo "-- interrupted run (SIGKILL once the store holds its first record)"
+# SIGKILL simulates a crash: no destructors, no flushes beyond the
+# store's own per-append flush. The store must still be usable. The kill
+# waits for the first record (line 2, after the header) rather than a
+# fixed delay, so a faster campaign cannot finish before it is killed.
+VOLTNOISE_STORE="$store" "$bin" --reduced \
+  >"$workdir/interrupted.txt" 2>"$workdir/interrupted.err" &
+pid=$!
+for _ in $(seq 1 1200); do # up to 60 s
+  if [[ -f "$store" ]] && (($(wc -l <"$store") >= 2)); then
+    break
+  fi
+  if ! kill -0 "$pid" 2>/dev/null; then
+    break
+  fi
+  sleep 0.05
+done
+if ! kill -KILL "$pid" 2>/dev/null; then
+  echo "FAIL: the run exited before it could be killed" >&2
+  exit 1
+fi
+status=0
+wait "$pid" || status=$?
+if ((status != 137)); then
+  echo "FAIL: the run exited with status $status, not by SIGKILL" >&2
+  exit 1
+fi
 
-if [[ ! -s "$store" ]]; then
-  echo "FAIL: interrupted run left no store at $store" >&2
+if [[ ! -f "$store" ]] || (($(wc -l <"$store") < 2)); then
+  echo "FAIL: interrupted run left no record in the store at $store" >&2
   exit 1
 fi
 lines_after_kill=$(wc -l <"$store")
@@ -44,9 +68,10 @@ if ! cmp -s "$workdir/baseline.txt" "$workdir/resumed.txt"; then
   exit 1
 fi
 
-# The resumed run reports its store reuse on stderr.
-grep -q "served from disk" "$workdir/resumed.err" || {
-  echo "FAIL: resumed run did not report store usage" >&2
+# The resumed run reports its store reuse on stderr, and the records
+# the killed run left must have been read back, not re-solved.
+grep -q " [1-9][0-9]* served from disk" "$workdir/resumed.err" || {
+  echo "FAIL: resumed run served nothing from the store" >&2
   cat "$workdir/resumed.err" >&2
   exit 1
 }
@@ -71,5 +96,11 @@ for want in " 0 solved fresh" " 0 corrupt lines skipped"; do
   }
 done
 echo "   $(grep -o '[0-9]* served from disk' "$workdir/warm.err") on the warm run"
+lines_complete=$(wc -l <"$store")
+if ((lines_after_kill >= lines_complete)); then
+  echo "FAIL: the killed run left $lines_after_kill store lines, the completed store" \
+    "holds $lines_complete: the kill interrupted nothing" >&2
+  exit 1
+fi
 
 echo "resume smoke test passed: resumed and warm reports are byte-identical"

@@ -204,9 +204,9 @@ impl Drive for StepDrive {
 #[test]
 fn unstable_netlist_surfaces_diverged_not_nan() {
     let mut nl = Netlist::new();
-    let vdd = nl.add_node("vdd");
+    let vdd = nl.add_node();
     nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
-    let die = nl.add_node("die");
+    let die = nl.add_node();
     nl.add_resistor(vdd, die, 0.1).unwrap();
     nl.add_capacitor(die, NodeId::GROUND, 1e-6).unwrap();
     // Net conductance at the die node is 10 - 20 < 0: a right-half-plane

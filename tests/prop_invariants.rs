@@ -64,10 +64,10 @@ fn dc_voltages_bounded_by_source() {
         let r2 = rng.gen_range(1e-4..1.0);
         let load = rng.gen_range(0.0..5.0);
         let mut nl = Netlist::new();
-        let vdd = nl.add_node("vdd");
+        let vdd = nl.add_node();
         nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
-        let mid = nl.add_node("mid");
-        let die = nl.add_node("die");
+        let mid = nl.add_node();
+        let die = nl.add_node();
         nl.add_resistor(vdd, mid, r1).unwrap();
         nl.add_resistor(mid, die, r2).unwrap();
         nl.add_resistor(die, NodeId::GROUND, 10.0).unwrap();
@@ -90,7 +90,7 @@ fn rc_impedance_below_dc_resistance() {
         let c = rng.gen_range(1e-9..1e-3);
         let f = rng.gen_range(1e2..1e8);
         let mut nl = Netlist::new();
-        let die = nl.add_node("die");
+        let die = nl.add_node();
         nl.add_resistor(die, NodeId::GROUND, r).unwrap();
         nl.add_capacitor(die, NodeId::GROUND, c).unwrap();
         let z = AcAnalysis::new(&nl).impedance_at(die, f).unwrap().abs();
@@ -226,9 +226,9 @@ fn transient_settles_to_dc() {
         let c = rng.gen_range(1e-8..1e-5);
         let load = rng.gen_range(0.0..20.0);
         let mut nl = Netlist::new();
-        let vdd = nl.add_node("vdd");
+        let vdd = nl.add_node();
         nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
-        let die = nl.add_node("die");
+        let die = nl.add_node();
         nl.add_resistor(vdd, die, r).unwrap();
         nl.add_capacitor(die, NodeId::GROUND, c).unwrap();
         nl.add_current_source(die, NodeId::GROUND).unwrap();

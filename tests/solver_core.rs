@@ -1,6 +1,7 @@
 //! Solver-core equivalence suite: the sparse backend must agree with the
-//! dense backend on any netlist, and the golden reduced report must stay
-//! byte-identical across solver-core changes.
+//! dense backend on any netlist. (The golden reduced report, which pins
+//! figure bytes across solver-core changes, is compared by the analysis
+//! crate's report tests.)
 //!
 //! The dense path is the reference implementation (direct LU with
 //! partial pivoting); the sparse path (CSR + Markowitz LU with pattern
@@ -10,18 +11,22 @@
 //! optimization: the deterministic `est_flops` ratio it must keep.
 //! Reciprocity (`Z_ij = Z_ji` on any passive RLC network) checks the AC
 //! stamps against circuit theory rather than against the other backend.
-
-#[path = "golden/mod.rs"]
-mod golden;
+//! The rail shift (undervolting lowers every node by exactly the rail
+//! drop) checks the chip's linearity, which Fig. 12's Vmin descent
+//! relies on to read each step without solving it.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use voltnoise::analysis::margin::MarginConfig;
+use voltnoise::measure::vmin::{run_vmin, VminConfig};
 use voltnoise::pdn::ac::{log_space, AcAnalysis};
 use voltnoise::pdn::netlist::{Netlist, NodeId};
 use voltnoise::pdn::transient::{ConstantDrive, Probe, TransientConfig, TransientSolver};
 use voltnoise::pdn::{Pdn, PdnParams, SolverBackend, SolverCounters, NUM_CORES};
+use voltnoise::stressmark::SyncSpec;
 use voltnoise::system::{
-    run_drawer_step_instrumented, DrawerStepConfig, DrawerStepOutcome, Engine,
+    run_drawer_step_instrumented, CoreLoad, DrawerStepConfig, DrawerStepOutcome, Engine,
+    NoiseRunConfig, SimJob, Testbed,
 };
 
 /// Floor on the drawer's dense-model-to-sparse flop ratio (measured
@@ -60,12 +65,12 @@ fn drawer_solve(cfg: DrawerStepConfig) -> (DrawerStepOutcome, SolverCounters) {
 /// must factor it without pivoting trouble.
 fn random_ladder(rng: &mut SmallRng, segments: usize, loads: usize) -> (Netlist, Vec<NodeId>) {
     let mut nl = Netlist::new();
-    let vdd = nl.add_node("vdd");
+    let vdd = nl.add_node();
     nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
     let mut nodes = Vec::with_capacity(segments);
     let mut prev = vdd;
-    for i in 0..segments {
-        let n = nl.add_node(format!("n{i}"));
+    for _ in 0..segments {
+        let n = nl.add_node();
         let r = 0.1e-3 + rng.gen::<f64>() * 2e-3;
         if rng.gen::<f64>() < 0.35 {
             let l = 0.05e-9 + rng.gen::<f64>() * 1e-9;
@@ -228,6 +233,71 @@ fn chip_core_transfer_impedance_is_reciprocal() {
     // Die band, board band, and off resonance between them.
     for freq_hz in [2.5e6, 40e3, 400e3] {
         assert_reciprocal(&ac, &cores, freq_hz, "chip cores");
+    }
+}
+
+/// The bound `analysis::margin` trusts a rail-shifted Vmin step to (its
+/// private `SHIFT_BOUND_V`): a step whose shifted minimum lies farther
+/// than this from the failure voltage reads the shift instead of a solve.
+const SHIFT_BOUND_V: f64 = 1e-9;
+
+/// Rail shift: the PDN is linear and no load current depends on the
+/// rail, so undervolting the chip to `bias` lowers every node by exactly
+/// `v_nom − v_nom·bias`. Walks Fig. 12 cells (the customer-code
+/// stressmark at 80 % of max ΔI among them) down the whole 0.5 % Vmin
+/// ladder and requires each solved minimum to match the nominal one
+/// shifted by the rail drop within `SHIFT_BOUND_V`.
+#[test]
+fn undervolting_shifts_the_minimum_by_the_rail_drop() {
+    let tb = Testbed::fast();
+    let window = NoiseRunConfig {
+        window_s: Some(MarginConfig::reduced().window_s),
+        record_traces: false,
+        seed: 1,
+        ..NoiseRunConfig::default()
+    };
+    let sync = |events| SyncSpec {
+        events,
+        ..SyncSpec::paper_default()
+    };
+    let mut customer = tb.max_stressmark(2.5e6, None);
+    customer.i_high_a = customer.i_low_a + customer.delta_i() * 0.8;
+    let cells = [
+        tb.max_stressmark(35e3, Some(sync(1))),
+        tb.max_stressmark(1.75e6, Some(sync(8))),
+        tb.max_stressmark(2.5e6, None),
+        customer,
+    ];
+    let mut ladder = Vec::new();
+    run_vmin(&VminConfig::default(), |bias| {
+        ladder.push(bias);
+        false
+    });
+    assert_eq!(ladder[0], 1.0);
+    let mut jobs = Vec::new();
+    for &bias in &ladder {
+        let batch = SimJob::batch(&tb.chip().undervolted(bias).unwrap());
+        for sm in &cells {
+            let loads: [CoreLoad; NUM_CORES] =
+                std::array::from_fn(|_| CoreLoad::Stressmark(sm.clone()));
+            jobs.push(batch.job(loads, window.clone()));
+        }
+    }
+    let outcomes = Engine::with_workers(2).run_jobs(&jobs).unwrap();
+    let lowest: Vec<f64> = (outcomes.iter())
+        .map(|o| o.v_min.iter().copied().fold(f64::INFINITY, f64::min))
+        .collect();
+    let v_nom = tb.chip().config().pdn.v_nom;
+    let (nominal, steps) = lowest.split_at(cells.len());
+    for (step, &bias) in ladder.iter().enumerate().skip(1) {
+        for (cell, &v_min_nominal) in nominal.iter().enumerate() {
+            let solved = steps[(step - 1) * cells.len() + cell];
+            let shifted = v_min_nominal - (v_nom - v_nom * bias);
+            assert!(
+                (solved - shifted).abs() <= SHIFT_BOUND_V,
+                "cell {cell} at bias {bias}: solved {solved} V, shifted {shifted} V"
+            );
+        }
     }
 }
 
@@ -443,17 +513,4 @@ fn rom_beats_the_full_order_transient_on_a_long_drawer_window() {
         rc.est_flops,
         fc.est_flops
     );
-}
-
-#[test]
-fn full_report_reduced_is_byte_identical_to_golden() {
-    use voltnoise::analysis::{full_report, ReportScale};
-    use voltnoise::system::Testbed;
-    let report = full_report(
-        Testbed::fast(),
-        &Engine::with_workers(2),
-        ReportScale::Reduced,
-    );
-    // Solver-core changes must not alter figure bytes.
-    golden::assert_golden("full_report_reduced.txt", &report);
 }

@@ -42,9 +42,9 @@ fn test_jobs(tb: &Testbed, n: u64) -> Vec<SimJob> {
 #[test]
 fn counters_are_exact_on_hand_built_rc() {
     let mut nl = Netlist::new();
-    let vdd = nl.add_node("vdd");
+    let vdd = nl.add_node();
     nl.add_voltage_source(vdd, NodeId::GROUND, 1.0).unwrap();
-    let die = nl.add_node("die");
+    let die = nl.add_node();
     nl.add_resistor(vdd, die, 0.1).unwrap();
     nl.add_capacitor(die, NodeId::GROUND, 1e-6).unwrap();
     nl.add_current_source(die, NodeId::GROUND).unwrap();
