@@ -22,9 +22,10 @@
 //! The engine is additionally the workspace's fault boundary (see
 //! `DESIGN.md`, "Failure model"). [`Engine::run_jobs_settled`] captures
 //! each job's failure — solver error or worker panic — as a
-//! [`JobFault`] instead of aborting the batch, a [`RetryPolicy`] grants
-//! transiently failing jobs extra attempts, and a [`FaultInjector`]
-//! plants deterministic faults for testing the whole degraded path.
+//! [`JobFault`] instead of aborting the batch. Every fault in this
+//! simulator is deterministic, so each job gets one attempt and its
+//! failure is recorded once; a [`FaultInjector`] plants deterministic
+//! faults for testing the whole degraded path.
 //! Failed solves are never cached, and all cache locks recover from
 //! poisoning, so one faulted job cannot poison the results of another.
 //!
@@ -37,7 +38,7 @@
 //! untraced engine can run side by side in one process.
 
 use crate::chip::Chip;
-use crate::fault::{panic_message, FaultInjector, FaultKind, InjectedFault, JobFault, RetryPolicy};
+use crate::fault::{panic_message, FaultInjector, FaultKind, InjectedFault, JobFault};
 use crate::noise::{
     prepare_run, run_drawer_step_instrumented, run_view_noise_instrumented, run_view_noise_lanes,
     CoreLoad, DrawerStepConfig, DrawerStepOutcome, LaneJob, NoiseOutcome, NoiseRunConfig,
@@ -90,8 +91,7 @@ pub struct JobKey {
 }
 
 impl JobKey {
-    /// The job's random seed (useful when reporting faults: a reseeded
-    /// retry carries a different seed than the job it stands in for).
+    /// The job's random seed (useful when reporting faults).
     pub fn seed(&self) -> u64 {
         self.seed
     }
@@ -273,8 +273,8 @@ impl JobTarget {
 #[derive(Debug, Clone)]
 pub struct SimJob {
     target: JobTarget,
-    /// Digest state after the scenario signature, kept so a reseeded
-    /// retry re-keys without re-hashing the signature.
+    /// Digest state after the scenario signature: the scenario's
+    /// identity when the engine groups jobs into lanes.
     prefix: Fnv128,
     loads: SiteVec<CoreLoad>,
     cfg: NoiseRunConfig,
@@ -368,20 +368,6 @@ impl SimJob {
     pub fn config(&self) -> &NoiseRunConfig {
         &self.cfg
     }
-
-    /// The same job with a different seed (used by reseeding retries).
-    fn reseeded(&self, seed: u64) -> SimJob {
-        let cfg = NoiseRunConfig {
-            seed,
-            ..self.cfg.clone()
-        };
-        SimJob::keyed(
-            self.target.clone(),
-            self.prefix.clone(),
-            self.loads.clone(),
-            cfg,
-        )
-    }
 }
 
 /// Factory producing [`SimJob`]s that share one scenario instance
@@ -409,11 +395,8 @@ pub struct EngineStats {
     pub solves: usize,
     /// Jobs answered from the memo cache.
     pub cache_hits: usize,
-    /// Jobs that exhausted every attempt and were captured as faults.
+    /// Jobs whose attempt failed and was captured as a fault.
     pub faults: usize,
-    /// Extra attempts granted by the retry policy (a job that succeeds
-    /// on its second attempt contributes 1 here and 0 to `faults`).
-    pub retries: usize,
     /// Jobs answered from the persistent result store: the first lookup
     /// of each key the store loaded into the memo (later lookups count
     /// as `cache_hits`).
@@ -554,7 +537,6 @@ enum Work {
 /// The parallel, memoizing job executor.
 pub struct Engine {
     workers: usize,
-    retry: RetryPolicy,
     injector: Option<FaultInjector>,
     store: Option<ResultStore>,
     cancel: Option<CancelToken>,
@@ -569,7 +551,6 @@ pub struct Engine {
     hits: AtomicUsize,
     attempts: AtomicUsize,
     faults: AtomicUsize,
-    retries: AtomicUsize,
     store_hits: AtomicUsize,
     budget_faults: AtomicUsize,
     deadline_faults: AtomicUsize,
@@ -589,7 +570,6 @@ impl std::fmt::Debug for Engine {
             .field("solves", &self.solves.load(Ordering::Relaxed))
             .field("cache_hits", &self.hits.load(Ordering::Relaxed))
             .field("faults", &self.faults.load(Ordering::Relaxed))
-            .field("retries", &self.retries.load(Ordering::Relaxed))
             .field("store", &self.store)
             .field("store_hits", &self.store_hits.load(Ordering::Relaxed))
             .finish()
@@ -664,7 +644,6 @@ impl Engine {
     pub fn with_workers(workers: usize) -> Engine {
         Engine {
             workers: workers.max(1),
-            retry: RetryPolicy::default(),
             injector: None,
             store: None,
             cancel: None,
@@ -678,7 +657,6 @@ impl Engine {
             hits: AtomicUsize::new(0),
             attempts: AtomicUsize::new(0),
             faults: AtomicUsize::new(0),
-            retries: AtomicUsize::new(0),
             store_hits: AtomicUsize::new(0),
             budget_faults: AtomicUsize::new(0),
             deadline_faults: AtomicUsize::new(0),
@@ -691,15 +669,8 @@ impl Engine {
         }
     }
 
-    /// Sets the engine's retry policy (builder style).
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Engine {
-        self.retry = retry;
-        self
-    }
-
     /// Installs a fault injector (builder style). Test harness only —
-    /// injected faults exercise the capture/retry/degraded-report paths.
+    /// injected faults exercise the capture and degraded-report paths.
     #[must_use]
     pub fn with_injector(mut self, injector: FaultInjector) -> Engine {
         self.injector = Some(injector);
@@ -770,20 +741,15 @@ impl Engine {
     }
 
     /// Solve attempts started so far — the fault injector's ordinal
-    /// counter. Counts every attempt (including failed and retried
-    /// ones); cache hits consume no ordinal.
+    /// counter. Counts every attempt, failed ones included; cache hits
+    /// consume no ordinal.
     pub fn solve_attempts(&self) -> usize {
         self.attempts.load(Ordering::Relaxed)
     }
 
-    /// Jobs that exhausted every attempt and were captured as faults.
+    /// Jobs whose attempt failed and was captured as a fault.
     pub fn faults(&self) -> usize {
         self.faults.load(Ordering::Relaxed)
-    }
-
-    /// Extra attempts granted by the retry policy so far.
-    pub fn retries(&self) -> usize {
-        self.retries.load(Ordering::Relaxed)
     }
 
     /// The attached persistent result store, if any.
@@ -857,7 +823,6 @@ impl Engine {
             solves: self.solves(),
             cache_hits: self.cache_hits(),
             faults: self.faults(),
-            retries: self.retries(),
             store_hits: self.store_hits(),
             store_corrupt_lines: self.store.as_ref().map_or(0, ResultStore::corrupt_lines),
             budget_faults: self.budget_faults(),
@@ -1000,7 +965,7 @@ impl Engine {
     }
 
     /// Drops a leader's registration if no outcome replaced it: the key
-    /// failed, or succeeded only under a reseeded key.
+    /// failed, so the next caller solves it afresh.
     fn vacate(&self, digest: u128, slot: &Arc<Slot>) {
         let mut shard = lock_recover(self.shard(digest));
         if matches!(shard.get(&digest), Some(Entry::Pending(s)) if Arc::ptr_eq(s, slot)) {
@@ -1024,13 +989,6 @@ impl Engine {
         let store = ResultStore::open_with(path, |key, outcome| self.preload(key, outcome))?;
         self.store = Some(store);
         Ok(())
-    }
-
-    /// One solve attempt: take the next attempt ordinal, consult the
-    /// injector and solve alone.
-    fn solve_attempt(&self, job: &SimJob) -> Result<Arc<NoiseOutcome>, PdnError> {
-        let (ordinal, injected) = self.next_attempt();
-        self.attempt_with(job, ordinal, injected)
     }
 
     /// The next attempt ordinal and the fault the injector plants there.
@@ -1130,7 +1088,7 @@ impl Engine {
         }
     }
 
-    /// The first attempt of every leader in `group`, solved as the lanes
+    /// The one attempt of every leader in `group`, solved as the lanes
     /// of one transient run. Each member takes its attempt ordinal, in
     /// member order, before the group runs: a member planted with a
     /// solver error or a worker panic, or one the kernel could not
@@ -1140,7 +1098,7 @@ impl Engine {
     fn group_attempt(&self, group: &[&Lead<'_>]) -> Vec<Result<Arc<NoiseOutcome>, FaultKind>> {
         let decided: Vec<(usize, Option<InjectedFault>)> =
             group.iter().map(|_| self.next_attempt()).collect();
-        let mut firsts: Vec<Option<Result<Arc<NoiseOutcome>, FaultKind>>> =
+        let mut attempts: Vec<Option<Result<Arc<NoiseOutcome>, FaultKind>>> =
             group.iter().map(|_| None).collect();
         let (mut lanes, mut jobs) = (Vec::new(), Vec::new());
         for (i, (lead, &(ordinal, injected))) in group.iter().zip(&decided).enumerate() {
@@ -1158,7 +1116,7 @@ impl Engine {
                     });
                 }
                 _ => {
-                    firsts[i] = Some(Self::caught(|| {
+                    attempts[i] = Some(Self::caught(|| {
                         self.attempt_with(lead.job, ordinal, injected)
                     }));
                 }
@@ -1175,7 +1133,7 @@ impl Engine {
                 Ok(results) => {
                     for (&i, result) in lanes.iter().zip(results) {
                         let injected = decided[i].1;
-                        firsts[i] = Some(Self::caught(|| {
+                        attempts[i] = Some(Self::caught(|| {
                             let (outcome, tel) = result?;
                             self.accept(group[i].job, outcome, tel, wall_ns, injected)
                         }));
@@ -1184,28 +1142,26 @@ impl Engine {
                 Err(_) => {
                     for &i in &lanes {
                         let (ordinal, injected) = decided[i];
-                        firsts[i] = Some(Self::caught(|| {
+                        attempts[i] = Some(Self::caught(|| {
                             self.attempt_with(group[i].job, ordinal, injected)
                         }));
                     }
                 }
             }
         }
-        firsts
+        attempts
             .into_iter()
-            .map(|first| {
-                first.unwrap_or_else(|| Err(FaultKind::Panic("member never attempted".to_string())))
+            .map(|result| {
+                result
+                    .unwrap_or_else(|| Err(FaultKind::Panic("member never attempted".to_string())))
             })
             .collect()
     }
 
     /// Runs one job through the cache, capturing failure — solver error
     /// or worker panic — as a [`JobFault`] instead of propagating it.
-    /// The retry policy grants failing jobs extra attempts (separated by
-    /// its deterministic backoff schedule when one is configured); with
-    /// `reseed` set, attempt `k` re-runs with `seed + k` and a success
-    /// is cached under the reseeded key (never the original key, which
-    /// would break the key → content invariant).
+    /// The job gets one attempt: every fault here is deterministic, so a
+    /// second attempt would repeat the first.
     ///
     /// Concurrent callers with the same content key coalesce onto one
     /// solve (singleflight): the first caller solves, the rest block and
@@ -1214,12 +1170,11 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the final attempt's [`JobFault`] when every allowed
-    /// attempt failed. Failures are never cached; a failing job
-    /// re-solves when resubmitted.
+    /// Returns the attempt's [`JobFault`] when it failed. Failures are
+    /// never cached; a failing job re-solves when resubmitted.
     pub fn run_one_settled(&self, job: &SimJob) -> Result<Arc<NoiseOutcome>, JobFault> {
-        // A one-job batch: claimed, led as a one-lane group and retried
-        // exactly like a batch member, on the calling thread.
+        // A one-job batch: claimed and led as a one-lane group exactly
+        // like a batch member, on the calling thread.
         self.run_jobs_settled(std::slice::from_ref(job))
             .swap_remove(0)
     }
@@ -1251,47 +1206,6 @@ impl Engine {
         }
     }
 
-    /// Continues a leader's retry loop after its first attempt settled
-    /// as `first`: attempt `k ≥ 1` runs alone, after the policy's
-    /// backoff, on the job reseeded to `seed + k` when the policy
-    /// reseeds.
-    fn retry_after(&self, job: &SimJob, first: Result<Arc<NoiseOutcome>, FaultKind>) -> Settled {
-        let mut fault = match first {
-            Ok(outcome) => return Ok(outcome),
-            Err(fault) => fault,
-        };
-        let mut attempts_made = 1u32;
-        for attempt in 1..self.retry.max_attempts.max(1) {
-            // Budget exhaustion, cancellation and deadline reaping are
-            // final: retrying is guaranteed to reproduce them (budgets
-            // are deterministic, tokens stay cancelled), so the attempts
-            // a retry policy would spend are saved.
-            if fault.is_final() {
-                break;
-            }
-            let reseeded;
-            let current: &SimJob = if self.retry.reseed {
-                reseeded = job.reseeded(job.cfg.seed.wrapping_add(u64::from(attempt)));
-                &reseeded
-            } else {
-                job
-            };
-            self.retries.fetch_add(1, Ordering::Relaxed);
-            // The delay is a pure function of (job seed, attempt):
-            // reproducible under any worker count (see RetryPolicy).
-            let delay_ms = self.retry.backoff_delay_ms(job.cfg.seed, attempt);
-            if delay_ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(delay_ms));
-            }
-            attempts_made = attempt + 1;
-            match Self::caught(|| self.solve_attempt(current)) {
-                Ok(outcome) => return Ok(outcome),
-                Err(next) => fault = next,
-            }
-        }
-        Err(self.record_fault(job, attempts_made, fault))
-    }
-
     /// Runs one job through the cache (solving on a miss). Useful for
     /// adaptive flows, where whether a job is needed at all depends on
     /// earlier outcomes (e.g. a Vmin step at the failure voltage). Thin
@@ -1300,7 +1214,7 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`PdnError`] when the PDN solve fails. Errors are not
-    /// cached; a failing job re-solves on retry.
+    /// cached; a failing job re-solves when it is asked for again.
     ///
     /// # Panics
     ///
@@ -1353,8 +1267,8 @@ impl Engine {
     /// of at most [`MAX_LANES`] whose count is a multiple of the worker
     /// count, and every other leader forms a group of its own; the
     /// groups, then the joins, run on the worker pool. Injected faults
-    /// and retries stay per member (see [`Engine::run_one_settled`]),
-    /// and every member settles its own slot.
+    /// stay per member (see [`Engine::run_one_settled`]), and every
+    /// member settles its own slot.
     pub fn run_jobs_settled_each<F>(&self, jobs: &[SimJob], sink: F) -> Vec<Settled>
     where
         F: Fn(usize, &Settled) + Sync,
@@ -1515,28 +1429,17 @@ impl Engine {
         groups
     }
 
-    /// Solves one lane group's leaders, retries each failed member
-    /// alone, and settles every member's slot before returning the
+    /// Solves one lane group's leaders, records each failed member's
+    /// fault, and settles every member's slot before returning the
     /// settled results by distinct-job index.
     fn lead_group(&self, group: &[&Lead<'_>]) -> Vec<(usize, Settled)> {
-        let mut settled = Vec::with_capacity(group.len());
-        let mut failed = Vec::new();
-        for (lead, first) in group.iter().zip(self.group_attempt(group)) {
-            match first {
-                Ok(outcome) => {
-                    let ok = Ok(outcome);
-                    self.settle_lead(lead.job, &lead.slot, &ok);
-                    settled.push((lead.unique, ok));
-                }
-                Err(fault) => failed.push((lead, fault)),
-            }
-        }
-        for (lead, fault) in failed {
-            let result = self.retry_after(lead.job, Err(fault));
-            self.settle_lead(lead.job, &lead.slot, &result);
-            settled.push((lead.unique, result));
-        }
-        settled
+        (group.iter().zip(self.group_attempt(group)))
+            .map(|(lead, attempt)| {
+                let result = attempt.map_err(|fault| self.record_fault(lead.job, 1, fault));
+                self.settle_lead(lead.job, &lead.slot, &result);
+                (lead.unique, result)
+            })
+            .collect()
     }
 
     /// Runs a slice of jobs fail-fast: a thin wrapper over

@@ -23,8 +23,8 @@
 //!   scoped-thread executor and the sharded memo cache every experiment
 //!   runs through;
 //! - [`fault`] — the engine's failure vocabulary: captured
-//!   [`fault::JobFault`]s, the [`fault::RetryPolicy`], and the
-//!   deterministic [`fault::FaultInjector`] test harness;
+//!   [`fault::JobFault`]s (one attempt per job, each failure recorded
+//!   once) and the deterministic [`fault::FaultInjector`] test harness;
 //! - [`store`] — the append-only persistent result store
 //!   ([`store::ResultStore`]) that lets an interrupted campaign resume
 //!   without re-solving (attach via `Engine::with_store` or the
@@ -72,7 +72,7 @@ pub mod workload;
 pub use chip::{Chip, ChipConfig};
 pub use dither::{simulate_dither, AlignmentComparison};
 pub use engine::{Engine, EngineStats, JobBatch, JobKey, SimJob};
-pub use fault::{FaultInjector, FaultKind, InjectedFault, JobFault, RetryPolicy};
+pub use fault::{FaultInjector, FaultKind, InjectedFault, JobFault};
 pub use guardband::{energy_saving, GuardbandController, GuardbandTable};
 pub use mapping::{evaluate_all_mappings, naive_mapping, MappingEvaluation, NoiseAwareMapper};
 pub use mitigation::{evaluate_governor, GlobalNoiseGovernor, GovernorConfig, GovernorEvaluation};

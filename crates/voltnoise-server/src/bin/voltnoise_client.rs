@@ -13,7 +13,8 @@
 //! With `--max-attempts N` (default 1, i.e. no retry), a `429` or `503`
 //! answer is retried up to N total attempts. The wait before each retry
 //! honors the server's `Retry-After` header as a *floor* under the
-//! engine's seeded splitmix64 exponential backoff — deterministic per
+//! client's seeded splitmix64 exponential backoff
+//! ([`voltnoise_server::client::retry_delay_ms`]) — deterministic per
 //! request body, so a shell loop of identical clients retries on a
 //! reproducible schedule yet distinct bodies spread out and don't
 //! stampede back in the same millisecond.
@@ -21,8 +22,8 @@
 use std::io::Read;
 use std::process::ExitCode;
 use std::time::Duration;
+use voltnoise_server::client::retry_delay_ms;
 use voltnoise_server::http_request;
-use voltnoise_system::fault::RetryPolicy;
 
 /// FNV-1a 64-bit over the request body: the deterministic backoff seed.
 fn body_seed(body: &str) -> u64 {
@@ -78,7 +79,6 @@ fn run() -> Result<u16, String> {
         }
         other => return Err(format!("unknown command {other:?}")),
     };
-    let policy = RetryPolicy::attempts(max_attempts).with_backoff(100, 10_000);
     let seed = body_seed(body.as_deref().unwrap_or(path));
     let mut attempt: u32 = 1;
     let response = loop {
@@ -92,7 +92,7 @@ fn run() -> Result<u16, String> {
             .header("retry-after")
             .and_then(|v| v.parse::<u64>().ok())
             .map_or(0, |secs| secs.saturating_mul(1000));
-        let delay_ms = policy.delay_with_hint(seed, attempt, hint_ms);
+        let delay_ms = retry_delay_ms(seed, attempt, hint_ms);
         eprintln!(
             "voltnoise-client: server answered {}, retrying in {delay_ms} ms \
              (attempt {attempt}/{max_attempts})",

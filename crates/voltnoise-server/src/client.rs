@@ -4,7 +4,9 @@
 //! streamed-results encoding) and nothing else.
 //!
 //! [`http_request`] sends one request with `Connection: close` and
-//! reads the response to EOF: one connect per call.
+//! reads the response to EOF: one connect per call. [`retry_delay_ms`]
+//! is the wait the binary's `--max-attempts` loop sleeps before
+//! re-sending a request the server shed.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -35,6 +37,43 @@ impl Response {
     pub fn lines(&self) -> Vec<&str> {
         self.body.lines().filter(|l| !l.is_empty()).collect()
     }
+}
+
+/// Nominal delay before the first retry, milliseconds; it doubles per
+/// retry.
+const BACKOFF_BASE_MS: u64 = 100;
+
+/// Upper bound on any nominal retry delay, milliseconds, so a deep
+/// retry chain cannot sleep unboundedly.
+const BACKOFF_CAP_MS: u64 = 10_000;
+
+/// The wait before retry `retry` (1 = first retry) of a request whose
+/// deterministic seed is `seed`, when the server's `Retry-After` hint
+/// asked for `hint_ms` (0 without a hint), in milliseconds.
+///
+/// The nominal delay is `BACKOFF_BASE_MS · 2^(retry-1)`, capped at
+/// `BACKOFF_CAP_MS`, and jittered into `[1/2, 1)·nominal` by a
+/// splitmix64 hash of `(seed, retry)`: a pure function, never of
+/// wall-clock or thread id, so identical requests retry on a
+/// reproducible schedule while distinct ones spread out instead of
+/// stampeding back in the same millisecond. The hint is a floor: the
+/// client never comes back before the server asked it to.
+pub fn retry_delay_ms(seed: u64, retry: u32, hint_ms: u64) -> u64 {
+    let exp = retry.saturating_sub(1).min(20);
+    let nominal = BACKOFF_BASE_MS
+        .saturating_mul(1u64 << exp)
+        .min(BACKOFF_CAP_MS);
+    let mut z = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(u64::from(retry));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    // Unit jitter in [0, 1): half the nominal delay is kept, the other
+    // half is scaled by the jitter.
+    let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
+    let jittered = nominal as f64 * (0.5 + 0.5 * unit);
+    (jittered as u64).max(1).max(hint_ms)
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -146,6 +185,44 @@ mod tests {
         assert!(decode_chunked("5\r\nhel").is_err());
         assert!(decode_chunked("zz\r\nhello\r\n").is_err());
         assert!(decode_chunked("").is_err());
+    }
+
+    #[test]
+    fn backoff_is_deterministic_exponential_and_capped() {
+        // Pure function of (seed, retry): identical on every call.
+        for retry in 1..6 {
+            assert_eq!(
+                retry_delay_ms(42, retry, 0),
+                retry_delay_ms(42, retry, 0),
+                "retry {retry}"
+            );
+        }
+        // Jitter keeps each delay within [nominal/2, nominal).
+        for (retry, nominal) in [(1u32, 100u64), (2, 200), (3, 400), (4, 800)] {
+            let d = retry_delay_ms(7, retry, 0);
+            assert!(
+                d >= nominal / 2 && d < nominal,
+                "retry {retry}: delay {d} outside [{}, {nominal})",
+                nominal / 2
+            );
+        }
+        // The cap bounds deep chains (2^30 would overflow the schedule).
+        assert!(retry_delay_ms(7, 31, 0) <= BACKOFF_CAP_MS);
+        // Different seeds de-synchronize (overwhelmingly likely for a
+        // 53-bit jitter; these fixed seeds are a regression anchor).
+        assert_ne!(retry_delay_ms(1, 3, 0), retry_delay_ms(2, 3, 0));
+    }
+
+    #[test]
+    fn retry_after_hint_is_a_floor_under_the_jittered_backoff() {
+        // A hint beyond the backoff dominates; the client never comes
+        // back before the server asked it to.
+        assert_eq!(retry_delay_ms(42, 1, 1000), 1000);
+        assert_eq!(retry_delay_ms(42, 20, 30_000), 30_000);
+        // A hint below the backoff leaves the jittered schedule intact.
+        assert_eq!(retry_delay_ms(42, 3, 1), retry_delay_ms(42, 3, 0));
+        // Deterministic: same inputs, same delay.
+        assert_eq!(retry_delay_ms(9, 2, 500), retry_delay_ms(9, 2, 500));
     }
 
     #[test]

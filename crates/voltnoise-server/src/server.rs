@@ -8,8 +8,9 @@ use crate::deadline::DeadlineReaper;
 use crate::http::{
     finish_chunked, read_request, start_chunked, write_chunk, write_response, Request,
 };
-use crate::wire::{parse_batch, parse_entries, BatchRequest, SignalStats, WireError};
-use serde::{Deserialize, Serialize, Value};
+use crate::wire::{parse_batch, parse_rack, BatchRequest, RackJobSpec, SignalStats, WireError};
+use serde::{Serialize, Value};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::ffi::{c_int, c_short, c_ulong};
 use std::io;
@@ -19,11 +20,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use voltnoise_pdn::topology::VariationSpec;
-use voltnoise_pdn::{CancelToken, PdnError};
+use voltnoise_pdn::CancelToken;
 use voltnoise_stressmark::SyncSpec;
 use voltnoise_system::engine::{Engine, JobBatch, SimJob};
 use voltnoise_system::fault::{FaultKind, JobFault};
-use voltnoise_system::noise::{CoreLoad, DrawerStepConfig, NoiseOutcome, NoiseRunConfig};
+use voltnoise_system::noise::{CoreLoad, NoiseOutcome, NoiseRunConfig};
 use voltnoise_system::rack::RackScenario;
 use voltnoise_system::site::SiteVec;
 use voltnoise_system::testbed::Testbed;
@@ -550,9 +551,8 @@ fn handle_request(
                 .unwrap_or_else(|_| "{}".to_string());
             write_response(stream, 200, "OK", "application/json", &[], &body, keep).is_ok() && keep
         }
-        ("POST", "/jobs") => handle_jobs(shared, stream, request, keep),
-        ("POST", "/drawer") => handle_drawer(shared, stream, request, keep),
-        ("POST", "/rack") => handle_rack(shared, stream, request, keep),
+        ("POST", "/jobs") => serve_batch::<BatchRequest>(shared, stream, request, keep),
+        ("POST", "/rack") => serve_batch::<Vec<RackJobSpec>>(shared, stream, request, keep),
         (method, path) => {
             let body = error_body(&[
                 ("error", Value::Str("not-found".to_string())),
@@ -653,23 +653,128 @@ fn write_overloaded(
         && keep
 }
 
-/// One element of a `/drawer` or `/rack` response array.
-fn entry_line<T: Serialize>(index: usize, result: Result<Arc<T>, PdnError>) -> String {
-    match result {
-        Ok(outcome) => {
-            let outcome_json =
-                serde_json::to_string(&*outcome).unwrap_or_else(|_| "null".to_string());
-            format!("{{\"index\":{index},\"status\":\"ok\",\"outcome\":{outcome_json}}}")
-        }
-        Err(e) => {
-            let detail = serde_json::to_string(&Value::Str(e.to_string()))
-                .unwrap_or_else(|_| "\"\"".to_string());
-            format!("{{\"index\":{index},\"status\":\"error\",\"detail\":{detail}}}")
-        }
+/// A batch route's decoded body: how it decodes, what admission
+/// charges for it, its deadline and how its entries compile to engine
+/// jobs. `/jobs` and `/rack` differ only here; [`serve_batch`] is the
+/// envelope both share.
+trait BatchBody: Sized {
+    /// Decodes and validates a request body.
+    fn decode(body: &str) -> Result<Self, WireError>;
+
+    /// Estimated accepted steps of the whole batch.
+    fn estimated_steps(&self) -> u64;
+
+    /// The batch's own deadline, milliseconds; `None` takes the
+    /// server's default.
+    fn deadline_ms(&self) -> Option<u64> {
+        None
+    }
+
+    /// Compiles the entries to jobs that poll `token`. Runs after
+    /// admission; an error answers `400` and releases the permit.
+    fn compile(&self, shared: &Shared, token: &CancelToken) -> Result<Vec<SimJob>, WireError>;
+}
+
+impl BatchBody for BatchRequest {
+    fn decode(body: &str) -> Result<Self, WireError> {
+        parse_batch(body)
+    }
+
+    fn estimated_steps(&self) -> u64 {
+        BatchRequest::estimated_steps(self)
+    }
+
+    fn deadline_ms(&self) -> Option<u64> {
+        self.deadline_ms
+    }
+
+    /// Compiles wire jobs against the testbed. Token injection goes
+    /// through the per-job config (not the content key), so a wire job
+    /// resolves to the same cache/store key as the equivalent direct
+    /// [`SimJob`].
+    fn compile(&self, shared: &Shared, token: &CancelToken) -> Result<Vec<SimJob>, WireError> {
+        let jobs = self.jobs.iter().map(|spec| {
+            let sync = spec.sync.then(SyncSpec::paper_default);
+            let loads = shared
+                .testbed
+                .loads_of_mapping(&spec.mapping, spec.stim_freq_hz, sync);
+            shared.factory.job(
+                loads,
+                NoiseRunConfig {
+                    window_s: spec.window_s,
+                    record_traces: spec.record_traces,
+                    seed: spec.seed,
+                    max_steps: spec.max_steps,
+                    cancel: Some(token.clone()),
+                    ..NoiseRunConfig::default()
+                },
+            )
+        });
+        Ok(jobs.collect())
     }
 }
 
-fn handle_jobs(
+impl BatchBody for Vec<RackJobSpec> {
+    fn decode(body: &str) -> Result<Self, WireError> {
+        parse_rack(body)
+    }
+
+    fn estimated_steps(&self) -> u64 {
+        self.iter().map(RackJobSpec::estimated_steps).sum()
+    }
+
+    /// Compiles rack entries to rack jobs. Scenarios are shared within
+    /// the batch: entries naming the same shape + variation draw compile
+    /// against one built rack PDN, so their jobs can share lanes.
+    fn compile(&self, shared: &Shared, token: &CancelToken) -> Result<Vec<SimJob>, WireError> {
+        let mut scenarios: HashMap<(usize, usize, u64), Arc<RackScenario>> = HashMap::new();
+        let mut jobs = Vec::with_capacity(self.len());
+        for (i, spec) in self.iter().enumerate() {
+            let key = (spec.drawers, spec.chips_per_drawer, spec.variation_seed);
+            let rack = match scenarios.entry(key) {
+                Entry::Occupied(built) => built.into_mut(),
+                Entry::Vacant(slot) => {
+                    let rack = RackScenario::build(
+                        shared.testbed.chip(),
+                        spec.drawers,
+                        spec.chips_per_drawer,
+                        VariationSpec::paper_default(spec.variation_seed),
+                    )
+                    .map_err(|e| WireError::new("bad-value", format!("jobs[{i}]: {e}")))?;
+                    slot.insert(Arc::new(rack))
+                }
+            };
+            let sync = spec.sync.then(SyncSpec::paper_default);
+            let active =
+                CoreLoad::Stressmark(shared.testbed.max_stressmark(spec.stim_freq_hz, sync));
+            let loads = SiteVec::from_fn(rack.num_sites(), |s| {
+                if spec.active.contains(&s) {
+                    active.clone()
+                } else {
+                    CoreLoad::Idle
+                }
+            });
+            jobs.push(SimJob::rack(
+                rack.clone(),
+                loads,
+                NoiseRunConfig {
+                    window_s: Some(spec.window_s),
+                    seed: spec.seed,
+                    cancel: Some(token.clone()),
+                    ..NoiseRunConfig::default()
+                },
+            ));
+        }
+        Ok(jobs)
+    }
+}
+
+/// Serves one batch request: drain check (`503`), decode (`400`),
+/// admission (`429`: the whole batch enters or the whole batch
+/// bounces), one cancel token registered with the deadline reaper and
+/// the drain registry, then a chunked JSONL stream of per-job result
+/// lines as they settle and a closing `done` summary line.
+fn serve_batch<B: BatchBody>(
     shared: &Arc<Shared>,
     stream: &mut TcpStream,
     request: &Request,
@@ -688,11 +793,10 @@ fn handle_jobs(
         );
         return false;
     }
-    let batch = match parse_batch(&request.body) {
+    let batch = match B::decode(&request.body) {
         Ok(batch) => batch,
         Err(err) => return write_invalid(stream, &err, keep),
     };
-    // Admission: the whole batch enters or the whole batch bounces.
     let permit = match shared.admission.try_admit(batch.estimated_steps()) {
         Ok(permit) => permit,
         Err(rejection) => return write_overloaded(shared, stream, &rejection, keep),
@@ -701,14 +805,21 @@ fn handle_jobs(
     // reaper (wall clock) and the drain registry (SIGTERM).
     let token = CancelToken::new();
     let deadline_ms = batch
-        .deadline_ms
+        .deadline_ms()
         .unwrap_or(shared.cfg.default_deadline_ms)
         .max(1);
     let _deadline_guard = shared
         .reaper
         .register(token.clone(), Duration::from_millis(deadline_ms));
     let token_id = shared.track_token(token.clone());
-    let jobs = build_jobs(&batch, &shared.factory, shared.testbed, &token);
+    let jobs = match batch.compile(shared, &token) {
+        Ok(jobs) => jobs,
+        Err(err) => {
+            shared.untrack_token(token_id);
+            drop(permit);
+            return write_invalid(stream, &err, keep);
+        }
+    };
     if start_chunked(stream, "application/jsonl", keep).is_err() {
         shared.untrack_token(token_id);
         drop(permit);
@@ -746,179 +857,6 @@ fn handle_jobs(
     wrote && keep
 }
 
-/// Compiles wire jobs against the testbed. Token injection goes through
-/// the per-job config (not the content key), so a wire job resolves to
-/// the same cache/store key as the equivalent direct [`SimJob`].
-fn build_jobs(
-    batch: &BatchRequest,
-    factory: &JobBatch,
-    testbed: &Testbed,
-    token: &CancelToken,
-) -> Vec<SimJob> {
-    batch
-        .jobs
-        .iter()
-        .map(|spec| {
-            let sync = spec.sync.then(SyncSpec::paper_default);
-            let loads = testbed.loads_of_mapping(&spec.mapping, spec.stim_freq_hz, sync);
-            factory.job(
-                loads,
-                NoiseRunConfig {
-                    window_s: spec.window_s,
-                    record_traces: spec.record_traces,
-                    seed: spec.seed,
-                    max_steps: spec.max_steps,
-                    cancel: Some(token.clone()),
-                    ..NoiseRunConfig::default()
-                },
-            )
-        })
-        .collect()
-}
-
-fn handle_drawer(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    request: &Request,
-    keep: bool,
-) -> bool {
-    let configs: Vec<DrawerStepConfig> =
-        match parse_entries(&request.body, "drawer", "step configs", |_, _| Ok(())) {
-            Ok(configs) => configs,
-            Err(err) => return write_invalid(stream, &err, keep),
-        };
-    let estimated: u64 = configs
-        .iter()
-        .map(|c| (c.window_s * 4e8).max(1.0) as u64)
-        .sum();
-    let permit = match shared.admission.try_admit(estimated) {
-        Ok(permit) => permit,
-        Err(rejection) => return write_overloaded(shared, stream, &rejection, keep),
-    };
-    let lines: Vec<String> = (configs.iter().enumerate())
-        .map(|(i, cfg)| entry_line(i, shared.engine.run_drawer(cfg)))
-        .collect();
-    drop(permit);
-    let body = format!("[{}]", lines.join(","));
-    write_response(stream, 200, "OK", "application/json", &[], &body, keep).is_ok() && keep
-}
-
-/// One wire rack job: a rack shape + variation draw, the site ordinals
-/// running the max-dI/dt stressmark (everything else idles), and the
-/// solve window/seed. Compiles to a content-keyed rack [`SimJob`], so
-/// repeated requests ride the engine's memo cache and store.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct RackJobSpec {
-    /// Drawers on the rack's supply spine.
-    drawers: usize,
-    /// Chips per drawer.
-    chips_per_drawer: usize,
-    /// Seed of the per-chip process-variation draw (0 spread is not a
-    /// seed value: pass through [`VariationSpec::paper_default`]).
-    variation_seed: u64,
-    /// Site ordinals (drawer-major) running the stressmark.
-    active: Vec<usize>,
-    /// Stressmark stimulus frequency, Hz.
-    stim_freq_hz: f64,
-    /// TOD-synchronize the stressmark bursts.
-    sync: bool,
-    /// Simulated window, seconds.
-    window_s: f64,
-    /// Random seed of the free-run phases.
-    seed: u64,
-}
-
-/// Checks the shape and values of rack batch entry `i`.
-fn check_rack_spec(i: usize, spec: &RackJobSpec) -> Result<(), WireError> {
-    let bad = |detail: String| Err(WireError::new("bad-value", format!("jobs[{i}]: {detail}")));
-    if spec.drawers == 0 || spec.chips_per_drawer == 0 {
-        return bad("rack shape must be at least 1x1".into());
-    }
-    if !(spec.stim_freq_hz.is_finite() && spec.stim_freq_hz > 0.0) {
-        return bad("stim_freq_hz must be finite and positive".into());
-    }
-    if !(spec.window_s.is_finite() && spec.window_s > 0.0) {
-        return bad("window_s must be finite and positive".into());
-    }
-    let sites = spec.drawers * spec.chips_per_drawer * voltnoise_pdn::NUM_CORES;
-    if let Some(&site) = spec.active.iter().find(|&&s| s >= sites) {
-        return bad(format!(
-            "active site {site} is outside the {sites}-site rack"
-        ));
-    }
-    Ok(())
-}
-
-fn handle_rack(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    request: &Request,
-    keep: bool,
-) -> bool {
-    let specs: Vec<RackJobSpec> =
-        match parse_entries(&request.body, "rack", "rack job specs", check_rack_spec) {
-            Ok(specs) => specs,
-            Err(err) => return write_invalid(stream, &err, keep),
-        };
-    // Admission: a rack solve scales with its chip count, so the step
-    // estimate is the chip-scale window estimate times the population.
-    let estimated: u64 = specs
-        .iter()
-        .map(|s| (s.window_s * 4e8).max(1.0) as u64 * (s.drawers * s.chips_per_drawer) as u64)
-        .sum();
-    let permit = match shared.admission.try_admit(estimated) {
-        Ok(permit) => permit,
-        Err(rejection) => return write_overloaded(shared, stream, &rejection, keep),
-    };
-    // Scenarios are shared within the batch: entries naming the same
-    // shape + variation draw compile against one built rack PDN.
-    let mut scenarios: HashMap<(usize, usize, u64), Arc<RackScenario>> = HashMap::new();
-    let mut lines = Vec::with_capacity(specs.len());
-    for (i, spec) in specs.iter().enumerate() {
-        let scenario_key = (spec.drawers, spec.chips_per_drawer, spec.variation_seed);
-        let scenario = match scenarios.get(&scenario_key) {
-            Some(s) => Ok(s.clone()),
-            None => RackScenario::build(
-                shared.testbed.chip(),
-                spec.drawers,
-                spec.chips_per_drawer,
-                VariationSpec::paper_default(spec.variation_seed),
-            )
-            .map(|s| {
-                let s = Arc::new(s);
-                scenarios.insert(scenario_key, s.clone());
-                s
-            }),
-        };
-        let outcome = scenario.and_then(|rack| {
-            let sync = spec.sync.then(SyncSpec::paper_default);
-            let active =
-                CoreLoad::Stressmark(shared.testbed.max_stressmark(spec.stim_freq_hz, sync));
-            let loads = SiteVec::from_fn(rack.num_sites(), |s| {
-                if spec.active.contains(&s) {
-                    active.clone()
-                } else {
-                    CoreLoad::Idle
-                }
-            });
-            let job = SimJob::rack(
-                rack,
-                loads,
-                NoiseRunConfig {
-                    window_s: Some(spec.window_s),
-                    seed: spec.seed,
-                    ..NoiseRunConfig::default()
-                },
-            );
-            shared.engine.run_one(&job)
-        });
-        lines.push(entry_line(i, outcome));
-    }
-    drop(permit);
-    let body = format!("[{}]", lines.join(","));
-    write_response(stream, 200, "OK", "application/json", &[], &body, keep).is_ok() && keep
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -946,14 +884,14 @@ mod tests {
     fn result_lines_are_wire_shaped() {
         let fault = JobFault {
             key: Box::new(fake_key()),
-            attempts: 2,
+            attempts: 1,
             fault: FaultKind::Deadline(voltnoise_pdn::PdnError::DeadlineExceeded { t: 1e-6 }),
         };
         let line = result_line(3, &Err(fault));
         assert!(line.contains("\"index\":3"), "{line}");
         assert!(line.contains("\"status\":\"fault\""), "{line}");
         assert!(line.contains("\"kind\":\"deadline\""), "{line}");
-        assert!(line.contains("\"attempts\":2"), "{line}");
+        assert!(line.contains("\"attempts\":1"), "{line}");
         assert!(line.ends_with('\n'), "{line:?}");
     }
 
@@ -1050,23 +988,44 @@ mod tests {
         let resp = crate::http_request(&addr, "POST", "/rack", Some(body), timeout)
             .expect("rack round trip");
         assert_eq!(resp.status, 200, "rack batch failed: {}", resp.body);
-        assert!(
-            resp.body.contains("\"index\":0,\"status\":\"ok\"")
-                && resp.body.contains("\"index\":1,\"status\":\"ok\""),
-            "both entries must settle ok: {}",
-            resp.body
-        );
+        assert_eq!(resp.header("content-type"), Some("application/jsonl"));
+        // The /jobs reply shape: one result line per entry as it
+        // settles, then the summary line.
+        let lines = resp.lines();
+        assert_eq!(lines.len(), 3, "{}", resp.body);
+        for index in 0..2 {
+            let prefix = format!("{{\"index\":{index},\"status\":\"ok\",\"outcome\":{{");
+            assert!(
+                lines.iter().any(|l| l.starts_with(&prefix)),
+                "entry {index} must settle ok: {}",
+                resp.body
+            );
+        }
+        assert_eq!(lines[2], "{\"done\":true,\"jobs\":2,\"faults\":0}");
         // 12 sites on the 1x2 rack: the outcome is rack-shaped.
-        assert!(
-            resp.body.contains("\"pct_p2p\":["),
-            "outcome must carry per-site readings: {}",
-            resp.body
-        );
-        let stats = engine.stats();
+        let outcome: NoiseOutcome = serde_json::from_str(
+            lines[0]
+                .split_once("\"outcome\":")
+                .and_then(|(_, rest)| rest.strip_suffix('}'))
+                .expect("outcome object"),
+        )
+        .expect("outcome decodes");
+        assert_eq!(outcome.pct_p2p.len(), 12, "{}", resp.body);
         assert_eq!(
-            stats.solves, 1,
+            engine.stats().solves,
+            1,
             "identical rack jobs must dedupe to one solve"
         );
+        // A repeated request rides the memo and answers the same bytes.
+        let again = crate::http_request(&addr, "POST", "/rack", Some(body), timeout)
+            .expect("repeat rack round trip");
+        let mut first = lines.clone();
+        let mut second = again.lines();
+        first.sort_unstable();
+        second.sort_unstable();
+        assert_eq!(first, second, "the repeat must answer the same lines");
+        let stats = engine.stats();
+        assert_eq!(stats.solves, 1, "the repeat must not re-solve");
         assert!(stats.cache_hits >= 1, "the repeat must ride the memo");
         stop.store(true, Ordering::SeqCst);
         daemon.join().expect("server thread").expect("clean drain");

@@ -23,6 +23,11 @@
 //! [`voltnoise_system::engine::SimJob`] — which is what makes
 //! cross-client dedup and store resume exact.
 //!
+//! A `/rack` body is a JSON array of rack job specs (rack shape,
+//! variation seed, active sites, stimulus, window and seed), decoded
+//! and range-checked entry by entry; the server prices and compiles it
+//! and answers through the same streamed envelope as `/jobs`.
+//!
 //! Decoding is *strict where silence would lie*: the vendored JSON
 //! layer happily parses duplicate object keys (keeping both) and maps
 //! non-finite floats through `null`, so this module re-walks the value
@@ -80,11 +85,8 @@ impl JobSpec {
         if let Some(budget) = self.max_steps {
             return budget as u64;
         }
-        // The two-rate solver accepts on the order of 4e8 steps per
-        // simulated second on this topology; windows default to ~50 µs
-        // when unspecified.
-        let window = self.window_s.unwrap_or(50e-6);
-        (window * 4e8).max(1.0) as u64
+        // Windows default to ~50 µs when unspecified.
+        window_steps(self.window_s.unwrap_or(50e-6))
     }
 
     /// Serializes this spec back to its wire value — the inverse of the
@@ -116,6 +118,13 @@ impl JobSpec {
         }
         Value::Object(fields)
     }
+}
+
+/// Estimated accepted steps of one chip-scale solve of `window_s`
+/// simulated seconds: the two-rate solver accepts on the order of 4e8
+/// steps per simulated second on this topology.
+fn window_steps(window_s: f64) -> u64 {
+    (window_s * 4e8).max(1.0) as u64
 }
 
 /// A decoded batch request.
@@ -394,40 +403,91 @@ impl SignalStats {
     }
 }
 
-/// Decodes a body that must be a non-empty JSON array of `T` entries,
-/// running `check(i, &entry)` on each as it decodes: the boundary of the
-/// `/drawer` and `/rack` routes. `batch` names the route's batch and
-/// `entries` its entry kind in the error details.
+/// One `/rack` entry: a rack shape + variation draw, the site ordinals
+/// running the max-dI/dt stressmark (everything else idles), and the
+/// solve window/seed. The server compiles it to a content-keyed rack
+/// [`voltnoise_system::engine::SimJob`], so repeated requests ride the
+/// engine's memo cache and store.
+#[derive(Debug, serde::Deserialize)]
+pub(crate) struct RackJobSpec {
+    /// Drawers on the rack's supply spine.
+    pub(crate) drawers: usize,
+    /// Chips per drawer.
+    pub(crate) chips_per_drawer: usize,
+    /// Seed of the per-chip process-variation draw (passed through
+    /// `VariationSpec::paper_default`).
+    pub(crate) variation_seed: u64,
+    /// Site ordinals (drawer-major) running the stressmark.
+    pub(crate) active: Vec<usize>,
+    /// Stressmark stimulus frequency, Hz.
+    pub(crate) stim_freq_hz: f64,
+    /// TOD-synchronize the stressmark bursts.
+    pub(crate) sync: bool,
+    /// Simulated window, seconds.
+    pub(crate) window_s: f64,
+    /// Random seed of the free-run phases.
+    pub(crate) seed: u64,
+}
+
+impl RackJobSpec {
+    /// Estimated accepted steps: a rack solve scales with its chip
+    /// count, so this is the chip-scale window estimate times the
+    /// population.
+    pub(crate) fn estimated_steps(&self) -> u64 {
+        window_steps(self.window_s) * (self.drawers * self.chips_per_drawer) as u64
+    }
+
+    /// Checks the shape and values of entry `i`.
+    fn check(&self, i: usize) -> Result<(), WireError> {
+        let bad = |detail: String| Err(WireError::new("bad-value", format!("jobs[{i}]: {detail}")));
+        if self.drawers == 0 || self.chips_per_drawer == 0 {
+            return bad("rack shape must be at least 1x1".into());
+        }
+        if !(self.stim_freq_hz.is_finite() && self.stim_freq_hz > 0.0) {
+            return bad("stim_freq_hz must be finite and positive".into());
+        }
+        if !(self.window_s.is_finite() && self.window_s > 0.0) {
+            return bad("window_s must be finite and positive".into());
+        }
+        let sites = self.drawers * self.chips_per_drawer * NUM_CORES;
+        if let Some(&site) = self.active.iter().find(|&&s| s >= sites) {
+            return bad(format!(
+                "active site {site} is outside the {sites}-site rack"
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Decodes a `/rack` body: a non-empty JSON array of [`RackJobSpec`]s,
+/// each checked as it decodes.
 ///
 /// # Errors
 ///
-/// Returns an `invalid-json`, `empty-batch` or `bad-type` [`WireError`],
-/// or the first error `check` returns.
-pub(crate) fn parse_entries<T: serde::Deserialize>(
-    body: &str,
-    batch: &str,
-    entries: &str,
-    check: impl Fn(usize, &T) -> Result<(), WireError>,
-) -> Result<Vec<T>, WireError> {
+/// Returns an `invalid-json`, `empty-batch`, `bad-type` or `bad-value`
+/// [`WireError`] naming the first offending entry.
+pub(crate) fn parse_rack(body: &str) -> Result<Vec<RackJobSpec>, WireError> {
     let RawValue(root) = serde_json::from_str::<RawValue>(body)
         .map_err(|e| WireError::new("invalid-json", e.to_string()))?;
     let items = match root.as_array() {
         Some(items) if !items.is_empty() => items,
         Some(_) => {
-            let detail = format!("{batch} batch must not be empty");
-            return Err(WireError::new("empty-batch", detail));
+            return Err(WireError::new(
+                "empty-batch",
+                "rack batch must not be empty",
+            ))
         }
         None => {
-            let detail = format!("{batch} batch must be a JSON array of {entries}");
+            let detail = "rack batch must be a JSON array of rack job specs";
             return Err(WireError::new("bad-type", detail));
         }
     };
     let mut out = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
-        let entry = T::from_value(item)
+        let spec = <RackJobSpec as serde::Deserialize>::from_value(item)
             .map_err(|e| WireError::new("bad-type", format!("jobs[{i}]: {e}")))?;
-        check(i, &entry)?;
-        out.push(entry);
+        spec.check(i)?;
+        out.push(spec);
     }
     Ok(out)
 }

@@ -1,7 +1,8 @@
 //! End-to-end robustness tests against a real `voltnoise-server`
 //! process: crash (SIGKILL) + store resume, deadline reaping, admission
-//! rejection under synthetic overload, cross-client dedup, and the
-//! keep-alive request bound.
+//! rejection under synthetic overload and the client's retry of it,
+//! cross-client dedup, the keep-alive request bound, and the `/rack`
+//! route's share of the batch envelope (drain, deadline, lanes).
 //!
 //! Every server is started `--reduced` (the cached reduced-search
 //! testbed) so the in-process "direct" baselines built with
@@ -10,8 +11,9 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use voltnoise_server::http_request;
 use voltnoise_system::engine::{Engine, SimJob};
 use voltnoise_system::noise::NoiseRunConfig;
@@ -23,6 +25,8 @@ use voltnoise_system::workload::WorkloadKind;
 struct ServerProc {
     child: Child,
     addr: String,
+    /// The server's stdout lines after the address announcement.
+    stdout: Receiver<String>,
 }
 
 impl ServerProc {
@@ -48,8 +52,31 @@ impl ServerProc {
             }
         };
         // Keep draining stdout so the child never blocks on a full pipe.
-        std::thread::spawn(move || for _ in lines {});
-        ServerProc { child, addr }
+        let (tx, stdout) = channel();
+        std::thread::spawn(move || {
+            for line in lines.map_while(Result::ok) {
+                let _ = tx.send(line);
+            }
+        });
+        ServerProc {
+            child,
+            addr,
+            stdout,
+        }
+    }
+
+    /// Waits up to 30 s for the server to exit on its own; returns its
+    /// exit status and the stdout lines it printed since starting.
+    fn wait_exit(&mut self) -> (std::process::ExitStatus, Vec<String>) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = self.child.try_wait().expect("poll server") {
+                break status;
+            }
+            assert!(Instant::now() < deadline, "server did not exit");
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        (status, self.stdout.iter().collect())
     }
 
     fn request(&self, method: &str, path: &str, body: Option<&str>) -> voltnoise_server::Response {
@@ -333,6 +360,53 @@ fn overload_sheds_with_429_and_retry_after() {
 }
 
 #[test]
+fn client_retries_a_shed_batch_after_the_retry_after_floor() {
+    // The overload set-up above, with the ceiling at the long batch's
+    // own estimate (a 10 ms window ≈ 4e6 steps): the client's small
+    // batch is shed, and the gate is overcommitted by less than 2×, so
+    // the 429 asks for the shortest wait, `Retry-After: 1`.
+    let server = ServerProc::start(&["--step-ceiling", "4000000"], &[]);
+    let big = format!(
+        r#"{{"jobs":[{{"mapping":{MAPPING_A},"stim_freq_hz":2.5e6,"window_s":1e-2,"seed":98}}]}}"#
+    );
+    let addr = server.addr.clone();
+    let big_req = std::thread::spawn(move || {
+        let _ = http_request(&addr, "POST", "/jobs", Some(&big), Duration::from_secs(5));
+    });
+    std::thread::sleep(Duration::from_millis(500));
+    let mut client = Command::new(env!("CARGO_BIN_EXE_voltnoise-client"))
+        .args(["--max-attempts", "2", &server.addr, "jobs", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn voltnoise-client");
+    let probe = format!(r#"{{"jobs":[{}]}}"#, quick_job(MAPPING_A, 2));
+    client
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(probe.as_bytes())
+        .expect("write body");
+    let out = client.wait_with_output().expect("client runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let retries: Vec<u64> = stderr
+        .lines()
+        .filter_map(|l| l.split_once("retrying in "))
+        .map(|(_, rest)| {
+            let (ms, tail) = rest.split_once(" ms ").expect("delay in ms");
+            assert_eq!(tail, "(attempt 1/2)", "{stderr}");
+            ms.parse().expect("numeric delay")
+        })
+        .collect();
+    assert_eq!(retries.len(), 1, "one retry line expected: {stderr}");
+    // The 429's Retry-After (≥ 1 s) floors the 100 ms jittered backoff.
+    assert!(retries[0] >= 1000, "{stderr}");
+    drop(server);
+    let _ = big_req.join();
+}
+
+#[test]
 fn deadline_reaps_unbudgeted_jobs() {
     let server = ServerProc::start(&[], &[]);
     // No step budget, a 10 ms window (far more work than the deadline
@@ -570,4 +644,108 @@ fn sigkill_then_restart_resumes_from_store_without_duplicate_solves() {
         );
     }
     let _ = std::fs::remove_file(&store);
+}
+
+/// A `/rack` body of 1x1-rack entries on one scenario (variation seed
+/// 3), core 0 active, one entry per seed.
+fn rack_body(window_s: f64, seeds: &[u64]) -> String {
+    let entries: Vec<String> = seeds
+        .iter()
+        .map(|seed| {
+            format!(
+                r#"{{"drawers":1,"chips_per_drawer":1,"variation_seed":3,"active":[0],"stim_freq_hz":2.5e6,"sync":true,"window_s":{window_s},"seed":{seed}}}"#
+            )
+        })
+        .collect();
+    format!("[{}]", entries.join(","))
+}
+
+#[test]
+fn rack_jobs_past_the_default_deadline_settle_as_deadline_faults() {
+    // /rack bodies carry no deadline: the server default applies.
+    let server = ServerProc::start(&["--deadline-ms", "400"], &[]);
+    let resp = server.request("POST", "/rack", Some(&rack_body(1e-2, &[5])));
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let results = parse_lines(&resp.body);
+    assert_eq!(results.len(), 1);
+    match &results[0].1 {
+        Settled::Fault { kind } => assert_eq!(kind, "deadline"),
+        other => panic!("expected a deadline fault, got {other:?}"),
+    }
+    assert!(
+        resp.body.contains("\"done\":true,\"jobs\":1,\"faults\":1"),
+        "{}",
+        resp.body
+    );
+}
+
+#[test]
+fn sigterm_drains_a_running_rack_batch_and_refuses_new_ones() {
+    let mut server = ServerProc::start(&["--drain-grace-ms", "1000"], &[]);
+    let addr = server.addr.clone();
+    let batch = std::thread::spawn(move || {
+        let body = rack_body(1e-2, &[11, 12]);
+        http_request(
+            &addr,
+            "POST",
+            "/rack",
+            Some(&body),
+            Duration::from_secs(120),
+        )
+        .expect("in-flight rack batch")
+    });
+    std::thread::sleep(Duration::from_millis(500));
+    assert!(!batch.is_finished(), "rack batch finished before SIGTERM");
+    sigterm(&server.child);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.request("GET", "/readyz", None).status != 503 {
+        assert!(Instant::now() < deadline, "/readyz never flipped");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // New rack work is refused while draining...
+    let probe = server.request("POST", "/rack", Some(&rack_body(4e-6, &[13])));
+    assert_eq!(probe.status, 503, "{}", probe.body);
+    assert!(
+        probe.body.contains("\"error\":\"draining\""),
+        "{}",
+        probe.body
+    );
+    // ...and the running batch is cancelled at the end of the grace.
+    let resp = batch.join().expect("batch thread");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let results = parse_lines(&resp.body);
+    assert_eq!(results.len(), 2, "{}", resp.body);
+    for (index, settled) in &results {
+        match settled {
+            Settled::Fault { kind } => assert_eq!(kind, "cancelled", "entry {index}"),
+            other => panic!("entry {index}: expected a cancelled fault, got {other:?}"),
+        }
+    }
+    let (status, stdout) = server.wait_exit();
+    assert!(status.success(), "drain exit {status:?}");
+    assert!(
+        stdout.iter().any(|l| l.contains("drained cleanly")),
+        "{stdout:?}"
+    );
+}
+
+#[test]
+fn rack_entries_on_one_scenario_share_a_lane_group() {
+    // One engine worker, so the two leaders are not split across
+    // workers and must form one two-lane group.
+    let server = ServerProc::start(&[], &[("VOLTNOISE_THREADS", "1")]);
+    let resp = server.request("POST", "/rack", Some(&rack_body(4e-6, &[1, 2])));
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let results = parse_lines(&resp.body);
+    assert_eq!(results.len(), 2, "{}", resp.body);
+    assert!(
+        results.iter().all(|(_, s)| matches!(s, Settled::Ok(_))),
+        "{results:?}"
+    );
+    let stats = server.stats();
+    assert_eq!(stat_field(&stats, "solves"), 2, "{stats}");
+    assert!(
+        stat_field(&stats, "batched_solves") >= 2,
+        "rack entries did not solve as lanes: {stats}"
+    );
 }

