@@ -149,11 +149,12 @@ mod tests {
     use std::sync::OnceLock;
 
     /// One untraced reduced report, its telemetry section and the
-    /// engine's final stats, built once per test binary.
+    /// engine's final stats, built once per test binary on the default
+    /// worker count (`VOLTNOISE_THREADS=1` runs it serially).
     fn reduced() -> &'static (String, String, EngineStats) {
         static CELL: OnceLock<(String, String, EngineStats)> = OnceLock::new();
         CELL.get_or_init(|| {
-            let engine = Engine::with_workers(2).with_trace(false);
+            let engine = Engine::new().with_trace(false);
             let (report, telemetry) =
                 full_report_with_telemetry(Testbed::fast(), &engine, ReportScale::Reduced);
             (report, telemetry, engine.stats())

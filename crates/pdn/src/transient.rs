@@ -240,7 +240,8 @@ pub struct StepSchedule {
     max_steps: Option<usize>,
     cancel: Option<usize>,
     collect_phase_times: bool,
-    windows: Vec<(u64, u64)>,
+    /// `None` when the configuration is invalid: the run takes no step.
+    windows: Option<Vec<(u64, u64)>>,
 }
 
 impl StepSchedule {
@@ -261,7 +262,86 @@ impl StepSchedule {
             max_steps: cfg.max_steps,
             cancel: cfg.cancel.as_ref().map(CancelToken::id),
             collect_phase_times: cfg.collect_phase_times,
-            windows: window_bits(&refine_windows(drive, cfg)),
+            windows: (cfg.validate().is_ok()).then(|| window_bits(&refine_windows(drive, cfg))),
+        }
+    }
+
+    /// How many steps the run takes, by replaying the step loop's
+    /// step-size selection: exactly [`TransientResult::steps`] of a run
+    /// that completes, the budget for a run its budget stops, and 0 for
+    /// an invalid configuration. A cancellation is not foreseen.
+    pub fn steps(&self) -> usize {
+        let Some(windows) = &self.windows else {
+            return 0;
+        };
+        let [t_end, h_coarse, h_fine, ..] = self.stepping.map(f64::from_bits);
+        let windows: Vec<(f64, f64)> = (windows.iter())
+            .map(|&(a, b)| (f64::from_bits(a), f64::from_bits(b)))
+            .collect();
+        let mut sizes = StepSizes::new(&windows, t_end, h_coarse, h_fine);
+        let budget = self.max_steps.unwrap_or(usize::MAX);
+        let (mut t, mut steps) = (0.0f64, 0usize);
+        while let Some(h) = sizes.next(t) {
+            if steps >= budget {
+                break;
+            }
+            t += h;
+            steps += 1;
+        }
+        steps
+    }
+}
+
+/// The step loop's step-size selection: `h_fine` from a time whose next
+/// coarse step would reach into a refinement window until the window
+/// ends, `h_coarse` elsewhere, and the last step clamped to end at
+/// `t_end`. `TransientSolver::run_lanes` and [`StepSchedule::steps`]
+/// both step through it, so a schedule's count cannot drift from its
+/// run's.
+struct StepSizes<'w> {
+    windows: &'w [(f64, f64)],
+    /// The first window that does not end at or before the current time.
+    widx: usize,
+    t_end: f64,
+    h_coarse: f64,
+    h_fine: f64,
+}
+
+impl<'w> StepSizes<'w> {
+    fn new(windows: &'w [(f64, f64)], t_end: f64, h_coarse: f64, h_fine: f64) -> Self {
+        StepSizes {
+            windows,
+            widx: 0,
+            t_end,
+            h_coarse,
+            h_fine,
+        }
+    }
+
+    /// The size of the step from `t`, or `None` once `t` is within
+    /// `h_fine · 1e-6` of `t_end`. Times must not decrease between
+    /// calls.
+    fn next(&mut self, t: f64) -> Option<f64> {
+        if t < self.t_end - self.h_fine * 1e-6 {
+            let windows = self.windows;
+            while self.widx < windows.len() && t >= windows[self.widx].1 {
+                self.widx += 1;
+            }
+            let in_window = self.widx < windows.len()
+                && t + self.h_coarse > windows[self.widx].0
+                && t < windows[self.widx].1;
+            let h = if in_window {
+                self.h_fine
+            } else {
+                self.h_coarse
+            };
+            Some(if t + h > self.t_end {
+                self.t_end - t
+            } else {
+                h
+            })
+        } else {
+            None
         }
     }
 }
@@ -950,9 +1030,8 @@ impl TransientSolver {
         let mut x = vec![[0.0; K]; n];
         let mut t = 0.0f64;
         let mut steps = 0usize;
-        let mut widx = 0usize;
+        let mut sizes = StepSizes::new(&windows, cfg.t_end, cfg.h_coarse, cfg.h_fine);
         let mut rec_counter = 0usize;
-        let eps = cfg.h_fine * 1e-6;
         let limit = cfg.divergence_limit;
         let batched = u64::from(K > 1);
         let stop = |failed: &mut [Option<PdnError>; K], active: &mut [bool; K], e: PdnError| {
@@ -963,7 +1042,10 @@ impl TransientSolver {
             }
         };
 
-        while t < cfg.t_end - eps && active.contains(&true) {
+        while active.contains(&true) {
+            let Some(h) = sizes.next(t) else {
+                break;
+            };
             // Cooperative interruption, polled once per accepted step:
             // the budget bounds how much work a runaway netlist may
             // consume, the token lets a controller drain a campaign.
@@ -982,16 +1064,6 @@ impl TransientSolver {
                 stop(&mut failed, &mut active, abort);
                 break;
             }
-            while widx < windows.len() && t >= windows[widx].1 {
-                widx += 1;
-            }
-            let in_window =
-                widx < windows.len() && t + cfg.h_coarse > windows[widx].0 && t < windows[widx].1;
-            let mut h = if in_window { cfg.h_fine } else { cfg.h_coarse };
-            if t + h > cfg.t_end {
-                h = cfg.t_end - t;
-            }
-
             let t0 = timing.then(Instant::now);
             let fidx = match self.factors_for(h) {
                 Ok(fidx) => fidx,
@@ -1986,6 +2058,79 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `StepSchedule::steps` is the step count of the run it schedules,
+    /// on random RLC ladders under synchronized, free-running and mixed
+    /// stressmark drives, for windows that end on a full step and
+    /// windows whose last step the `t_end` clamp shortens. A budget
+    /// below the count caps it where the run stops.
+    #[test]
+    fn schedule_steps_match_run_steps() {
+        use crate::waveform::{CoreWaveform, MultiCoreDrive, StressWaveform, WaveMode};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x57e9_c0de);
+        for trial in 0..24 {
+            let (nl, nodes) = random_rlc(&mut rng, 6 + trial % 5);
+            let waves: Vec<CoreWaveform> = (0..3)
+                .map(|source| {
+                    let synced = match trial % 3 {
+                        0 => true,
+                        1 => false,
+                        _ => source % 2 == 0,
+                    };
+                    let mode = if synced {
+                        WaveMode::Synced {
+                            interval: 0.8e-6 * rng.gen_range(1..4) as f64,
+                            offset: rng.gen::<f64>() * 0.4e-6,
+                            events: rng.gen_range(1..4),
+                        }
+                    } else {
+                        WaveMode::FreeRun {
+                            phase: rng.gen::<f64>() * 300e-9,
+                            period_skew_ppm: rng.gen::<f64>() * 200.0 - 100.0,
+                        }
+                    };
+                    CoreWaveform::Stress(StressWaveform {
+                        i_low: 1.0 + rng.gen::<f64>() * 4.0,
+                        i_high: 10.0 + rng.gen::<f64>() * 10.0,
+                        i_idle: 0.5,
+                        stim_period: 60e-9 + rng.gen::<f64>() * 400e-9,
+                        duty: 0.3 + rng.gen::<f64>() * 0.4,
+                        rise_time: 1e-9,
+                        mode,
+                    })
+                })
+                .collect();
+            let drive = MultiCoreDrive::new(waves);
+            let h_coarse = 20e-9;
+            let t_end = if trial % 2 == 0 {
+                100.0 * h_coarse
+            } else {
+                2e-6 + rng.gen::<f64>() * h_coarse
+            };
+            let mut cfg = TransientConfig::new(t_end);
+            cfg.h_coarse = h_coarse;
+            cfg.h_fine = 0.5e-9;
+            cfg.settle = 0.0;
+            let probes = [Probe::NodeVoltage(nodes[0])];
+            let ctx = format!("trial {trial}");
+            let run = |cfg: &TransientConfig| {
+                TransientSolver::new(&nl).unwrap().run(&drive, &probes, cfg)
+            };
+            let steps = run(&cfg).unwrap().steps;
+            assert_eq!(StepSchedule::new(&drive, &cfg).steps(), steps, "{ctx}");
+
+            cfg.max_steps = Some(steps);
+            assert_eq!(StepSchedule::new(&drive, &cfg).steps(), steps, "{ctx}");
+            assert_eq!(run(&cfg).unwrap().steps, steps, "{ctx}: exact budget");
+            cfg.max_steps = Some(steps / 2);
+            assert_eq!(StepSchedule::new(&drive, &cfg).steps(), steps / 2, "{ctx}");
+            assert!(
+                matches!(run(&cfg), Err(PdnError::BudgetExceeded { steps: s, .. }) if s == steps / 2),
+                "{ctx}: budget"
+            );
         }
     }
 

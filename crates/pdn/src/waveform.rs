@@ -115,7 +115,7 @@ impl StressWaveform {
         match self.mode {
             WaveMode::FreeRun { phase, .. } => {
                 let t_period = self.effective_period();
-                let tau = (t + phase).rem_euclid(t_period);
+                let tau = rem_floor(t + phase, t_period);
                 self.pattern(tau, t_period)
             }
             WaveMode::Synced {
@@ -123,12 +123,12 @@ impl StressWaveform {
                 offset,
                 events,
             } => {
-                let t_in = t.rem_euclid(interval) - offset;
+                let t_in = rem_floor(t, interval) - offset;
                 let burst = (events as f64 * self.stim_period).min(interval - offset);
                 if t_in < 0.0 || t_in >= burst {
                     self.i_idle
                 } else {
-                    self.pattern(t_in.rem_euclid(self.stim_period), self.stim_period)
+                    self.pattern(rem_floor(t_in, self.stim_period), self.stim_period)
                 }
             }
         }
@@ -183,6 +183,28 @@ impl StressWaveform {
                 }
             }
         }
+    }
+}
+
+/// `x.rem_euclid(y)`, bit for bit, without libm's `fmod` where the
+/// answer is cheaper. `x` itself is the remainder when `0 ≤ x < y`, as
+/// it always is for a time within the first synchronization interval.
+/// Otherwise `x − ⌊x/y⌋·y` takes one rounding in the fused multiply-add,
+/// as `rem_euclid`'s `fmod(x, y) + y` takes one for `x < 0`, and none
+/// when the true remainder is representable, as it is for `x > 0`; so
+/// a result strictly inside `(0, y)` is `rem_euclid`'s. A quotient the
+/// division rounded onto the wrong integer lands outside, as do a zero
+/// remainder (whose sign follows `x`), NaN, infinities and `y ≤ 0`;
+/// those take `rem_euclid`.
+fn rem_floor(x: f64, y: f64) -> f64 {
+    if 0.0 <= x && x < y {
+        return x;
+    }
+    let r = (-(x / y).floor()).mul_add(y, x);
+    if 0.0 < r && r < y {
+        r
+    } else {
+        x.rem_euclid(y)
     }
 }
 
@@ -251,6 +273,53 @@ impl Drive for MultiCoreDrive {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `rem_floor` is `rem_euclid` by `to_bits` over random pairs across
+    /// magnitudes and signs, with `x` on, one ulp below and one ulp
+    /// above multiples of `y`, and over NaN, infinities, zeros and
+    /// non-positive `y`.
+    #[test]
+    fn rem_floor_is_rem_euclid_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let check = |x: f64, y: f64| {
+            assert_eq!(
+                rem_floor(x, y).to_bits(),
+                x.rem_euclid(y).to_bits(),
+                "rem_floor({x:e}, {y:e})"
+            );
+        };
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for &x in &specials {
+            for &y in &specials {
+                check(x, y);
+            }
+        }
+        let up = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let down = |v: f64| f64::from_bits(v.to_bits() - 1);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x0e3c_f0d0);
+        for _ in 0..200_000 {
+            // Periods and times spanning the drive's scales and beyond.
+            let y = 10f64.powf(rng.gen_range(-12.0..3.0)) * rng.gen_range(1.0..2.0);
+            let x = 10f64.powf(rng.gen_range(-15.0..6.0)) * rng.gen_range(-2.0..2.0);
+            let on = rng.gen_range(1..100_000) as f64 * y;
+            for x in [x, on, up(on), down(on), -on, -up(on), -down(on)] {
+                check(x, y);
+            }
+            check(x, -y);
+        }
+    }
 
     fn wave(mode: WaveMode) -> StressWaveform {
         StressWaveform {

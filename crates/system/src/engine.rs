@@ -50,6 +50,8 @@ use crate::store::{Fnv128, ResultStore};
 use crate::telemetry::EngineTelemetry;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -523,6 +525,56 @@ struct Lead<'a> {
     slot: Arc<Slot>,
     cfg: Cow<'a, NoiseRunConfig>,
     run: Option<PreparedRun>,
+    /// The attempt ordinal, taken when the batch claims the key, and
+    /// the fault the injector plants there.
+    attempt: (usize, Option<InjectedFault>),
+}
+
+/// Leaders (indices into a batch's leaders) that can share one step
+/// loop, and the steps their schedule takes.
+struct LaneSet {
+    members: Vec<usize>,
+    steps: usize,
+}
+
+/// A batch's work in dispatch order. Each lane set first splits into
+/// its fewest near-equal groups of at most [`MAX_LANES`]; then, while
+/// the batch's group count is not a multiple of `workers`, the set
+/// whose groups are widest splits once more (the first such set on a
+/// tie; a set splits at most into single lanes). The groups run longest
+/// schedule first, wider first on ties, then in set order, so no long
+/// solve starts last and leaves the other workers idle.
+///
+/// Joins come last: every worker takes leader groups before it waits on
+/// another caller, so two batches that join each other's keys cannot
+/// deadlock.
+fn batch_work(sets: Vec<LaneSet>, joins: Vec<Work>, workers: usize) -> Vec<Work> {
+    let mut counts: Vec<usize> = (sets.iter())
+        .map(|set| set.members.len().div_ceil(MAX_LANES))
+        .collect();
+    while counts.iter().sum::<usize>() % workers != 0 {
+        let widest = (0..sets.len())
+            .filter(|&s| counts[s] < sets[s].members.len())
+            .max_by_key(|&s| (sets[s].members.len().div_ceil(counts[s]), Reverse(s)));
+        match widest {
+            Some(s) => counts[s] += 1,
+            None => break,
+        }
+    }
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+    for (set, count) in sets.into_iter().zip(counts) {
+        let (base, extra) = (set.members.len() / count, set.members.len() % count);
+        let mut members = set.members.into_iter();
+        for g in 0..count {
+            let group = members.by_ref().take(base + usize::from(g < extra));
+            groups.push((set.steps, group.collect()));
+        }
+    }
+    groups.sort_by_key(|(steps, group)| Reverse((*steps, group.len())));
+    (groups.into_iter())
+        .map(|(_, group)| Work::Lanes(group))
+        .chain(joins)
+        .collect()
 }
 
 /// One work item of a batch on the executor.
@@ -740,9 +792,11 @@ impl Engine {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Solve attempts started so far — the fault injector's ordinal
-    /// counter. Counts every attempt, failed ones included; cache hits
-    /// consume no ordinal.
+    /// Solve attempts so far — the fault injector's ordinal counter.
+    /// Each leader takes its ordinal when its batch claims it, in batch
+    /// order, so a planted fault lands on the same job in whatever order
+    /// the lane groups run. Counts every attempt, failed ones included;
+    /// cache hits and joins consume no ordinal.
     pub fn solve_attempts(&self) -> usize {
         self.attempts.load(Ordering::Relaxed)
     }
@@ -1089,19 +1143,17 @@ impl Engine {
     }
 
     /// The one attempt of every leader in `group`, solved as the lanes
-    /// of one transient run. Each member takes its attempt ordinal, in
-    /// member order, before the group runs: a member planted with a
-    /// solver error or a worker panic, or one the kernel could not
-    /// prepare, attempts alone exactly as a lone job does, and the rest
-    /// share the lanes. A panic in the lane run re-runs every lane
-    /// member alone, so each panic is charged to the job that raised it.
+    /// of one transient run. A member planted with a solver error or a
+    /// worker panic, or one the kernel could not prepare, attempts alone
+    /// exactly as a lone job does, and the rest share the lanes. A panic
+    /// in the lane run re-runs every lane member alone, so each panic is
+    /// charged to the job that raised it.
     fn group_attempt(&self, group: &[&Lead<'_>]) -> Vec<Result<Arc<NoiseOutcome>, FaultKind>> {
-        let decided: Vec<(usize, Option<InjectedFault>)> =
-            group.iter().map(|_| self.next_attempt()).collect();
         let mut attempts: Vec<Option<Result<Arc<NoiseOutcome>, FaultKind>>> =
             group.iter().map(|_| None).collect();
         let (mut lanes, mut jobs) = (Vec::new(), Vec::new());
-        for (i, (lead, &(ordinal, injected))) in group.iter().zip(&decided).enumerate() {
+        for (i, lead) in group.iter().enumerate() {
+            let (ordinal, injected) = lead.attempt;
             let planted = matches!(
                 injected,
                 Some(InjectedFault::SolverError | InjectedFault::WorkerPanic)
@@ -1132,7 +1184,7 @@ impl Engine {
             match solved {
                 Ok(results) => {
                     for (&i, result) in lanes.iter().zip(results) {
-                        let injected = decided[i].1;
+                        let injected = group[i].attempt.1;
                         attempts[i] = Some(Self::caught(|| {
                             let (outcome, tel) = result?;
                             self.accept(group[i].job, outcome, tel, wall_ns, injected)
@@ -1141,7 +1193,7 @@ impl Engine {
                 }
                 Err(_) => {
                     for &i in &lanes {
-                        let (ordinal, injected) = decided[i];
+                        let (ordinal, injected) = group[i].attempt;
                         attempts[i] = Some(Self::caught(|| {
                             self.attempt_with(group[i].job, ordinal, injected)
                         }));
@@ -1263,12 +1315,12 @@ impl Engine {
     ///
     /// The batch first claims every distinct key (memo hit, store hit,
     /// join or lead). Leaders whose scenario, solver backend and step
-    /// schedule agree are split into the fewest near-equal lane groups
-    /// of at most [`MAX_LANES`] whose count is a multiple of the worker
-    /// count, and every other leader forms a group of its own; the
-    /// groups, then the joins, run on the worker pool. Injected faults
-    /// stay per member (see [`Engine::run_one_settled`]), and every
-    /// member settles its own slot.
+    /// schedule agree form a lane set, and every other leader a set of
+    /// its own; the sets split into lane groups of at most
+    /// [`MAX_LANES`], and the groups, longest schedule first, then the
+    /// joins, run on the worker pool. Injected faults stay per member
+    /// (see [`Engine::run_one_settled`]), and every member settles its
+    /// own slot.
     pub fn run_jobs_settled_each<F>(&self, jobs: &[SimJob], sink: F) -> Vec<Settled>
     where
         F: Fn(usize, &Settled) + Sync,
@@ -1323,17 +1375,12 @@ impl Engine {
                     slot,
                     cfg: self.run_config(job),
                     run: None,
+                    attempt: self.next_attempt(),
                 }),
             }
         }
         self.in_flight.fetch_add(leads.len(), Ordering::Relaxed);
-        let mut work: Vec<Work> = (self.lane_groups(&mut leads).into_iter())
-            .map(Work::Lanes)
-            .collect();
-        // Joins come last: every worker takes leader groups before it
-        // waits on another caller, so two batches that join each other's
-        // keys cannot deadlock.
-        work.extend(joins);
+        let work = batch_work(self.lane_sets(&mut leads), joins, self.workers);
         let done = self.par_map_caught(&work, |item| match item {
             Work::Lanes(group) => {
                 let group: Vec<&Lead<'_>> = group.iter().map(|&i| &leads[i]).collect();
@@ -1382,51 +1429,41 @@ impl Engine {
     }
 
     /// Prepares a batch's leaders (waveforms and transient
-    /// configuration) and partitions them into lane groups of indices.
+    /// configuration) and partitions their indices into lane sets.
     /// Leaders whose scenario signature, backend and step schedule agree
-    /// form one set, in order of first appearance, which is split into
-    /// the fewest near-equal groups of at most [`MAX_LANES`] whose count
-    /// is a multiple of the worker count. A leader the kernel cannot
-    /// prepare is a group of its own and fails alone.
-    fn lane_groups(&self, leads: &mut [Lead<'_>]) -> Vec<Vec<usize>> {
+    /// form one set, in order of first appearance. A leader the kernel
+    /// cannot prepare is a set of its own, takes no step and fails
+    /// alone. Each set's step count is replayed only when the batch has
+    /// more than one set to order.
+    fn lane_sets(&self, leads: &mut [Lead<'_>]) -> Vec<LaneSet> {
         let shared = leads.len() > 1;
-        let mut sets: Vec<Vec<usize>> = Vec::new();
+        let mut sets: Vec<(Vec<usize>, Option<StepSchedule>)> = Vec::new();
         let mut set_of: HashMap<(Fnv128, SolverBackend, StepSchedule), usize> = HashMap::new();
         for (i, lead) in leads.iter_mut().enumerate() {
             let view = lead.job.target.view();
             lead.run = prepare_run(&view, &lead.job.loads, &lead.cfg, self.trace).ok();
             let Some(run) = lead.run.as_ref().filter(|_| shared) else {
                 // A lone leader has nothing to share lanes with.
-                sets.push(vec![i]);
+                sets.push((vec![i], None));
                 continue;
             };
             let (backend, schedule) = run.lane_key();
-            let next = sets.len();
-            let set = *set_of
-                .entry((lead.job.prefix.clone(), backend, schedule))
-                .or_insert(next);
-            if set == next {
-                sets.push(Vec::new());
-            }
-            sets[set].push(i);
+            let set = match set_of.entry((lead.job.prefix.clone(), backend, schedule)) {
+                MapEntry::Occupied(set) => *set.get(),
+                MapEntry::Vacant(slot) => {
+                    sets.push((Vec::new(), Some(slot.key().2.clone())));
+                    *slot.insert(sets.len() - 1)
+                }
+            };
+            sets[set].0.push(i);
         }
-        let mut groups = Vec::new();
-        for set in sets {
-            let count = (set.len().div_ceil(MAX_LANES))
-                .next_multiple_of(self.workers)
-                .min(set.len());
-            let (base, extra) = (set.len() / count, set.len() % count);
-            let mut members = set.into_iter();
-            for g in 0..count {
-                groups.push(
-                    members
-                        .by_ref()
-                        .take(base + usize::from(g < extra))
-                        .collect(),
-                );
-            }
-        }
-        groups
+        let ranked = sets.len() > 1;
+        (sets.into_iter())
+            .map(|(members, schedule)| LaneSet {
+                members,
+                steps: schedule.filter(|_| ranked).map_or(0, |s| s.steps()),
+            })
+            .collect()
     }
 
     /// Solves one lane group's leaders, records each failed member's
@@ -1723,6 +1760,58 @@ mod tests {
         assert_ne!(nominal, lowered);
         // And an identical rebuild matches.
         assert_eq!(nominal, chip_signature(tb.chip()));
+    }
+
+    /// `batch_work`'s groups (as member lists) and joins (as distinct-job
+    /// indices), in dispatch order.
+    fn dispatched(sets: &[(usize, usize)], joins: &[usize], workers: usize) -> Vec<String> {
+        let mut next = 0;
+        let sets: Vec<LaneSet> = (sets.iter())
+            .map(|&(len, steps)| {
+                next += len;
+                LaneSet {
+                    members: (next - len..next).collect(),
+                    steps,
+                }
+            })
+            .collect();
+        let joins = (joins.iter())
+            .map(|&u| Work::Join(u, Arc::new(Slot::default())))
+            .collect();
+        (batch_work(sets, joins, workers).iter())
+            .map(|item| match item {
+                Work::Lanes(group) => format!("{group:?}"),
+                Work::Join(u, _) => format!("join {u}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_sets_split_across_the_batch() {
+        // Four 2-job sets (Fig. 10's misalignment pairs) on 2 workers:
+        // four 2-lane groups, not eight 1-lane ones.
+        let pairs = dispatched(&[(2, 100); 4], &[], 2);
+        assert_eq!(pairs, ["[0, 1]", "[2, 3]", "[4, 5]", "[6, 7]"]);
+        // One 18-job set (a rack decision) on 2 workers: 5, 5, 4, 4.
+        let rack = dispatched(&[(18, 100)], &[], 2);
+        let widths: Vec<usize> = rack.iter().map(|g| g.split(',').count()).collect();
+        assert_eq!(widths, [5, 5, 4, 4]);
+        // An odd group count splits the widest set once more.
+        let odd = dispatched(&[(1, 100), (4, 100), (2, 100)], &[], 2);
+        assert_eq!(odd, ["[1, 2]", "[3, 4]", "[5, 6]", "[0]"]);
+        // Sets of one cannot split: the count stays odd.
+        assert_eq!(dispatched(&[(1, 1); 3], &[], 2).len(), 3);
+    }
+
+    #[test]
+    fn longest_schedule_is_dispatched_first_and_joins_last() {
+        let singles = dispatched(&[(1, 10), (1, 40), (1, 20), (1, 40)], &[], 2);
+        assert_eq!(singles, ["[1]", "[3]", "[2]", "[0]"]);
+        // Wider groups first among equal schedules.
+        let ties = dispatched(&[(1, 50), (3, 50), (2, 90)], &[], 3);
+        assert_eq!(ties, ["[4, 5]", "[1, 2, 3]", "[0]"]);
+        let mixed = dispatched(&[(1, 10), (3, 30)], &[7, 8], 3);
+        assert_eq!(mixed, ["[1, 2]", "[3]", "[0]", "join 7", "join 8"]);
     }
 
     #[test]

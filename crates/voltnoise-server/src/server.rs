@@ -632,7 +632,7 @@ fn write_overloaded(
     keep: bool,
 ) -> bool {
     shared.engine.note_shed();
-    let retry_after = rejection.retry_after_secs();
+    let retry_after = rejection.retry_after_s;
     let body = error_body(&[
         ("error", Value::Str("overloaded".to_string())),
         ("estimated_steps", Value::U64(rejection.estimated)),

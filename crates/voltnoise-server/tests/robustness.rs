@@ -363,8 +363,8 @@ fn overload_sheds_with_429_and_retry_after() {
 fn client_retries_a_shed_batch_after_the_retry_after_floor() {
     // The overload set-up above, with the ceiling at the long batch's
     // own estimate (a 10 ms window ≈ 4e6 steps): the client's small
-    // batch is shed, and the gate is overcommitted by less than 2×, so
-    // the 429 asks for the shortest wait, `Retry-After: 1`.
+    // batch is shed, and the gate has released no permit yet, so it has
+    // no drain rate and the 429 asks for the floor, `Retry-After: 1`.
     let server = ServerProc::start(&["--step-ceiling", "4000000"], &[]);
     let big = format!(
         r#"{{"jobs":[{{"mapping":{MAPPING_A},"stim_freq_hz":2.5e6,"window_s":1e-2,"seed":98}}]}}"#

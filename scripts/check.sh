@@ -45,6 +45,9 @@ cargo test -q
 echo "== hierarchy suite on one worker (replay golden byte-identical serially too)"
 VOLTNOISE_THREADS=1 cargo test -q -p voltnoise --test hierarchy
 
+echo "== report golden and work ledger on one worker (lane-group dispatch order is the whole execution order)"
+VOLTNOISE_THREADS=1 cargo test -q -p voltnoise-analysis --lib report::tests
+
 echo "== kill-and-resume smoke test"
 scripts/resume_smoke.sh
 
