@@ -13,7 +13,7 @@
 //! (`ablations`), outside the full report.
 
 use crate::delta_i::{DeltaIConfig, DeltaIExperiment, DeltaIView};
-use crate::experiment::Experiment;
+use crate::experiment::{Experiment, ExperimentFailure};
 use crate::propagation::CorrelationAnalysis;
 use crate::signal_summary::SignalSummary;
 use serde::{Deserialize, Serialize};
@@ -95,12 +95,12 @@ pub(crate) struct DomainAblation {
 ///
 /// # Errors
 ///
-/// Returns [`PdnError`] if a solve fails.
+/// Returns [`ExperimentFailure`] if a solve fails.
 pub(crate) fn run_domain_ablation(
     tb: &Testbed,
     engine: &Engine,
     campaign: &DeltaIConfig,
-) -> Result<DomainAblation, PdnError> {
+) -> Result<DomainAblation, ExperimentFailure> {
     let delta_i = DeltaIExperiment {
         cfg: campaign.clone(),
         view: DeltaIView::Fig11a,
@@ -253,15 +253,7 @@ pub(crate) struct AblationExperiment {
 impl Experiment for AblationExperiment {
     type Artifact = AblationStudy;
 
-    fn id(&self) -> &'static str {
-        "ablations"
-    }
-
-    fn title(&self) -> &'static str {
-        "DESIGN.md ablations: stepping, voltage domains, decap, IPC pre-filter"
-    }
-
-    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<AblationStudy, PdnError> {
+    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<AblationStudy, ExperimentFailure> {
         Ok(AblationStudy {
             step: run_step_ablation(tb.chip())?,
             decap: run_decap_ablation()?,

@@ -186,22 +186,6 @@ impl DeltaIExperiment {
 impl JobList for DeltaIExperiment {
     type Artifact = DeltaIDataset;
 
-    fn id(&self) -> &'static str {
-        match self.view {
-            DeltaIView::Fig11a => "fig11a",
-            DeltaIView::Fig11b => "fig11b",
-            DeltaIView::Correlation => "fig13a",
-        }
-    }
-
-    fn title(&self) -> &'static str {
-        match self.view {
-            DeltaIView::Fig11a => "Fig. 11a: max noise vs dI fraction",
-            DeltaIView::Fig11b => "Fig. 11b: average noise by workload distribution",
-            DeltaIView::Correlation => "Fig. 13a: inter-core noise correlation",
-        }
-    }
-
     fn jobs(&self, tb: &Testbed) -> Result<Vec<SimJob>, PdnError> {
         let sync = Some(SyncSpec::paper_default());
         let run_cfg = NoiseRunConfig {

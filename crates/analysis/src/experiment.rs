@@ -22,16 +22,17 @@
 //! ΔI campaign behind Figs. 11a, 11b and 13a) means handing them the
 //! same engine.
 //!
-//! The [`registry`] lists one entry per artifact. The full report and
-//! the `experiment` binary both walk it, so adding an experiment in one
-//! place surfaces it everywhere.
+//! That path is *settled*: a run never aborts the caller. Job failures
+//! the engine captures surface as an [`ExperimentFailure`] (a job-list
+//! experiment runs every job and carries every [`JobFault`]), and a
+//! panic that escapes an experiment is contained as one too. The full
+//! report uses this to render the healthy figures and a fault summary
+//! when some experiments fail.
 //!
-//! Experiments additionally expose a *settled* path
-//! ([`Experiment::run_settled`], [`RegistryEntry::run_settled`]): job
-//! failures captured by the engine surface as an [`ExperimentFailure`]
-//! (carrying every [`JobFault`] of a job-list experiment), instead of
-//! aborting the campaign. The full report uses this path to render the
-//! healthy figures and a fault summary when some experiments fail.
+//! The [`registry`] lists one entry per artifact and is the only place
+//! an artifact's id and title are written. The full report and the
+//! `experiment` binary both walk it, so adding an experiment in one
+//! place surfaces it everywhere.
 
 use serde::{Serialize, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,15 +46,15 @@ use voltnoise_system::testbed::Testbed;
 /// Why an experiment could not produce its artifact.
 ///
 /// Carries every [`JobFault`] the engine captured (deduplicated — jobs
-/// sharing a content key share one fault), plus the `primary` kind a
-/// fail-fast run would have surfaced. Failures that happen outside the
+/// sharing a content key share one fault), plus the `primary` kind: the
+/// first failure in job order. Failures that happen outside the
 /// job layer (job construction, assembly, a panic in an experiment's own
 /// `run`) carry an empty `faults` list and only the `primary` kind.
 #[derive(Debug, Clone)]
 pub struct ExperimentFailure {
     /// Captured job faults, in job order, deduplicated by content key.
     pub faults: Vec<JobFault>,
-    /// The first failure's class — what fail-fast execution would raise.
+    /// The first failure's class, in job order.
     pub primary: FaultKind,
 }
 
@@ -109,38 +110,17 @@ pub trait Experiment {
     /// byte-exact parallel-vs-serial determinism checks.
     type Artifact: Serialize;
 
-    /// Stable identifier (`fig7a`, `table1`, ...), used by the registry
-    /// and the `experiment` binary.
-    fn id(&self) -> &'static str;
-
-    /// Human-readable one-line title.
-    fn title(&self) -> &'static str;
-
     /// Renders the artifact as the figure's text document.
     fn render(&self, artifact: &Self::Artifact) -> String;
 
-    /// Runs the experiment end to end on `engine`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError`] when a solve fails.
-    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<Self::Artifact, PdnError>;
-
-    /// Runs the experiment, settling failure instead of aborting. The
-    /// default wraps [`Experiment::run`]'s error; [`JobList`]
-    /// experiments instead run every job (see
+    /// Runs the experiment end to end on `engine`, settling failure
+    /// instead of aborting: [`JobList`] experiments run every job (see
     /// [`Engine::run_jobs_settled`]) and report all captured faults.
     ///
     /// # Errors
     ///
     /// Returns [`ExperimentFailure`] when any job or the assembly fails.
-    fn run_settled(
-        &self,
-        tb: &Testbed,
-        engine: &Engine,
-    ) -> Result<Self::Artifact, ExperimentFailure> {
-        self.run(tb, engine).map_err(ExperimentFailure::from)
-    }
+    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<Self::Artifact, ExperimentFailure>;
 }
 
 /// An experiment whose whole job list is known before any job runs.
@@ -148,12 +128,6 @@ pub trait Experiment {
 pub trait JobList {
     /// See [`Experiment::Artifact`].
     type Artifact: Serialize;
-
-    /// See [`Experiment::id`].
-    fn id(&self) -> &'static str;
-
-    /// See [`Experiment::title`].
-    fn title(&self) -> &'static str;
 
     /// Expands the configuration into pure simulation jobs.
     ///
@@ -183,26 +157,12 @@ pub trait JobList {
 impl<T: JobList> Experiment for T {
     type Artifact = T::Artifact;
 
-    fn id(&self) -> &'static str {
-        JobList::id(self)
-    }
-
-    fn title(&self) -> &'static str {
-        JobList::title(self)
-    }
-
     fn render(&self, artifact: &T::Artifact) -> String {
         JobList::render(self, artifact)
     }
 
-    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<T::Artifact, PdnError> {
+    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<T::Artifact, ExperimentFailure> {
         let jobs = self.jobs(tb)?;
-        let outcomes = engine.run_jobs(&jobs)?;
-        self.assemble(tb, &outcomes)
-    }
-
-    fn run_settled(&self, tb: &Testbed, engine: &Engine) -> Result<T::Artifact, ExperimentFailure> {
-        let jobs = self.jobs(tb).map_err(ExperimentFailure::from)?;
         let mut outcomes = Vec::with_capacity(jobs.len());
         let mut faults: Vec<JobFault> = Vec::new();
         for settled in engine.run_jobs_settled(&jobs) {
@@ -218,43 +178,35 @@ impl<T: JobList> Experiment for T {
         if !faults.is_empty() {
             return Err(ExperimentFailure::from_faults(faults));
         }
-        self.assemble(tb, &outcomes)
-            .map_err(ExperimentFailure::from)
+        Ok(self.assemble(tb, &outcomes)?)
     }
 }
 
 /// A finished experiment: rendered text plus the serialized artifact.
 #[derive(Debug, Clone)]
 pub struct ExperimentOutput {
-    /// The experiment's registry id.
-    pub id: &'static str,
-    /// The experiment's title.
-    pub title: &'static str,
     /// The rendered figure document.
     pub rendered: String,
     /// The artifact as a serde value tree (for `--json` export).
     pub value: Value,
 }
 
-/// Runs an experiment on the settled path, additionally containing any
-/// panic that escapes the experiment itself (its `run`, `assemble`, or
-/// `render`) as an [`ExperimentFailure`]. This is the function the
-/// full report uses: one broken experiment degrades to a fault-summary
-/// row instead of taking the whole document down.
+/// Runs an experiment, additionally containing any panic that escapes
+/// the experiment itself (its `run`, `assemble`, or `render`) as an
+/// [`ExperimentFailure`]: one broken experiment degrades to a
+/// fault-summary row instead of taking the whole document down.
 ///
 /// # Errors
 ///
 /// Returns [`ExperimentFailure`] when the experiment fails or panics.
-pub(crate) fn run_to_output_settled<E: Experiment>(
+pub(crate) fn run_to_output<E: Experiment>(
     exp: &E,
     tb: &Testbed,
     engine: &Engine,
 ) -> Result<ExperimentOutput, ExperimentFailure> {
     match catch_unwind(AssertUnwindSafe(|| {
-        let artifact = exp.run_settled(tb, engine)?;
+        let artifact = exp.run(tb, engine)?;
         Ok(ExperimentOutput {
-            id: exp.id(),
-            title: exp.title(),
             rendered: exp.render(&artifact),
             value: artifact.to_value(),
         })
@@ -271,7 +223,8 @@ pub(crate) type EntryRun =
 
 /// One registry entry: an artifact the workspace can regenerate.
 pub struct RegistryEntry {
-    /// Stable identifier, matching the experiment's [`Experiment::id`].
+    /// Stable identifier (`fig7a`, `table1`, ...), used by the report and
+    /// the `experiment` binary.
     pub id: &'static str,
     /// One-line title.
     pub title: &'static str,
@@ -283,43 +236,14 @@ pub struct RegistryEntry {
 
 impl RegistryEntry {
     /// Runs the entry's experiment at paper (`reduced = false`) or
-    /// reduced scale on the given engine, fail-fast: the first captured
-    /// fault is unwrapped back into the error (or panic) a direct run
-    /// would have produced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PdnError`] when the experiment fails.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a captured worker panic.
-    pub fn run(
-        &self,
-        tb: &Testbed,
-        engine: &Engine,
-        reduced: bool,
-    ) -> Result<ExperimentOutput, PdnError> {
-        match (self.run)(tb, engine, reduced) {
-            Ok(output) => Ok(output),
-            Err(failure) => match failure.primary {
-                FaultKind::Solver(e)
-                | FaultKind::Budget(e)
-                | FaultKind::Cancelled(e)
-                | FaultKind::Deadline(e) => Err(e),
-                FaultKind::Panic(msg) => panic!("{msg}"),
-            },
-        }
-    }
-
-    /// Runs the entry's experiment, capturing failure as an
-    /// [`ExperimentFailure`] instead of aborting — the full report's
-    /// degraded path.
+    /// reduced scale on the given engine. Failure is settled, never
+    /// raised: a captured worker panic, like any job fault, comes back
+    /// as an [`ExperimentFailure`].
     ///
     /// # Errors
     ///
     /// Returns [`ExperimentFailure`] when the experiment fails.
-    pub fn run_settled(
+    pub fn run(
         &self,
         tb: &Testbed,
         engine: &Engine,

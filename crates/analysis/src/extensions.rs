@@ -8,9 +8,8 @@
 //!    fully characterized chip;
 //! 4. the GA sequence search of §IV-C against the exhaustive funnel.
 
-use crate::experiment::Experiment;
+use crate::experiment::{Experiment, ExperimentFailure};
 use serde::{Deserialize, Serialize};
-use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::{ga_search, select_candidates, GaConfig, GaOutcome};
 use voltnoise_system::dither::AlignmentComparison;
 use voltnoise_system::engine::Engine;
@@ -109,15 +108,7 @@ pub(crate) struct ExtensionsExperiment {
 impl Experiment for ExtensionsExperiment {
     type Artifact = ExtensionsStudy;
 
-    fn id(&self) -> &'static str {
-        "extensions"
-    }
-
-    fn title(&self) -> &'static str {
-        "Extensions: noise governor, dithering, noise-aware scheduling, GA search"
-    }
-
-    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<ExtensionsStudy, PdnError> {
+    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<ExtensionsStudy, ExperimentFailure> {
         let cfg = &self.cfg;
         let run_cfg = NoiseRunConfig {
             window_s: Some(cfg.window_s),

@@ -132,22 +132,6 @@ pub struct SweepExperiment {
 impl JobList for SweepExperiment {
     type Artifact = SweepResult;
 
-    fn id(&self) -> &'static str {
-        if self.synced {
-            "fig9"
-        } else {
-            "fig7a"
-        }
-    }
-
-    fn title(&self) -> &'static str {
-        if self.synced {
-            "Fig. 9: noise vs stimulus frequency, TOD-synchronized"
-        } else {
-            "Fig. 7a: noise vs stimulus frequency, unsynchronized"
-        }
-    }
-
     fn jobs(&self, tb: &Testbed) -> Result<Vec<SimJob>, PdnError> {
         let batch = SimJob::batch(tb.chip());
         let mut jobs = Vec::with_capacity(self.cfg.freqs_hz.len() * self.cfg.seeds.len().max(1));

@@ -1,9 +1,8 @@
 //! The sequence-search funnel (paper Fig. 5 / §IV-B): candidate counts at
 //! every stage plus the winning sequences.
 
-use crate::experiment::Experiment;
+use crate::experiment::{Experiment, ExperimentFailure};
 use serde::{Deserialize, Serialize};
-use voltnoise_pdn::PdnError;
 use voltnoise_system::engine::Engine;
 use voltnoise_system::testbed::Testbed;
 
@@ -81,15 +80,7 @@ pub(crate) struct FunnelExperiment;
 impl Experiment for FunnelExperiment {
     type Artifact = FunnelSummary;
 
-    fn id(&self) -> &'static str {
-        "fig5"
-    }
-
-    fn title(&self) -> &'static str {
-        "Fig. 5: maximum-power sequence search funnel"
-    }
-
-    fn run(&self, tb: &Testbed, _engine: &Engine) -> Result<FunnelSummary, PdnError> {
+    fn run(&self, tb: &Testbed, _engine: &Engine) -> Result<FunnelSummary, ExperimentFailure> {
         Ok(FunnelSummary::from_testbed(tb))
     }
 

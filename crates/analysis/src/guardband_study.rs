@@ -139,14 +139,6 @@ impl GuardbandExperiment {
 impl JobList for GuardbandExperiment {
     type Artifact = GuardbandStudy;
 
-    fn id(&self) -> &'static str {
-        "guardband"
-    }
-
-    fn title(&self) -> &'static str {
-        "§VII-B: utilization-based dynamic guard-banding"
-    }
-
     fn jobs(&self, tb: &Testbed) -> Result<Vec<SimJob>, PdnError> {
         let run_cfg = NoiseRunConfig {
             window_s: self.cfg.window_s,

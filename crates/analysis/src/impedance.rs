@@ -1,6 +1,6 @@
 //! The post-silicon impedance profile (paper Fig. 7b).
 
-use crate::experiment::Experiment;
+use crate::experiment::{Experiment, ExperimentFailure};
 use crate::render::Table;
 use crate::signal_summary::SignalSummary;
 use serde::{Deserialize, Serialize};
@@ -85,16 +85,8 @@ pub(crate) struct ImpedanceExperiment {
 impl Experiment for ImpedanceExperiment {
     type Artifact = ImpedanceProfile;
 
-    fn id(&self) -> &'static str {
-        "fig7b"
-    }
-
-    fn title(&self) -> &'static str {
-        "Fig. 7b: die-level impedance profile"
-    }
-
-    fn run(&self, tb: &Testbed, _engine: &Engine) -> Result<ImpedanceProfile, PdnError> {
-        run_impedance(tb.chip(), &self.cfg)
+    fn run(&self, tb: &Testbed, _engine: &Engine) -> Result<ImpedanceProfile, ExperimentFailure> {
+        Ok(run_impedance(tb.chip(), &self.cfg)?)
     }
 
     fn render(&self, artifact: &ImpedanceProfile) -> String {

@@ -147,14 +147,6 @@ impl MappingGainExperiment {
 impl JobList for MappingGainExperiment {
     type Artifact = MappingGainResult;
 
-    fn id(&self) -> &'static str {
-        "fig15"
-    }
-
-    fn title(&self) -> &'static str {
-        "Fig. 15: noise-aware mapping opportunity"
-    }
-
     fn jobs(&self, tb: &Testbed) -> Result<Vec<SimJob>, PdnError> {
         let batch = SimJob::batch(tb.chip());
         let run_cfg = self.run_cfg();

@@ -15,7 +15,7 @@
 //! failure voltage solves its undervolted chip, so rounding can never
 //! flip an R-Unit decision.
 
-use crate::experiment::Experiment;
+use crate::experiment::{Experiment, ExperimentFailure};
 use crate::render::Table;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -300,15 +300,7 @@ pub struct MarginExperiment {
 impl Experiment for MarginExperiment {
     type Artifact = MarginResult;
 
-    fn id(&self) -> &'static str {
-        "fig12"
-    }
-
-    fn title(&self) -> &'static str {
-        "Fig. 12: available voltage margin (Vmin campaign)"
-    }
-
-    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<MarginResult, PdnError> {
+    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<MarginResult, ExperimentFailure> {
         let cfg = &self.cfg;
         let path = tb.chip().config().critical_path;
         let v_nom = tb.chip().config().pdn.v_nom;

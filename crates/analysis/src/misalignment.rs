@@ -112,14 +112,6 @@ pub struct MisalignExperiment {
 impl JobList for MisalignExperiment {
     type Artifact = MisalignResult;
 
-    fn id(&self) -> &'static str {
-        "fig10"
-    }
-
-    fn title(&self) -> &'static str {
-        "Fig. 10: noise vs maximum stressmark misalignment"
-    }
-
     fn jobs(&self, tb: &Testbed) -> Result<Vec<SimJob>, PdnError> {
         let batch = SimJob::batch(tb.chip());
         let rotations = self.cfg.rotations.max(1);

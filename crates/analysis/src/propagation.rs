@@ -1,7 +1,7 @@
 //! Inter-core noise propagation (paper §VI: Figs. 13a, 13b, 14).
 
 use crate::delta_i::DeltaIDataset;
-use crate::experiment::{Experiment, JobList};
+use crate::experiment::{Experiment, ExperimentFailure, JobList};
 use crate::stats::CorrelationMatrix;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -270,19 +270,11 @@ pub(crate) struct StepResponseExperiment {
 impl Experiment for StepResponseExperiment {
     type Artifact = StepResponse;
 
-    fn id(&self) -> &'static str {
-        "fig13b"
-    }
-
-    fn title(&self) -> &'static str {
-        "Fig. 13b: simulated dI step propagation to all cores"
-    }
-
-    fn run(&self, tb: &Testbed, _engine: &Engine) -> Result<StepResponse, PdnError> {
+    fn run(&self, tb: &Testbed, _engine: &Engine) -> Result<StepResponse, ExperimentFailure> {
         let amps = self
             .step_amps
             .unwrap_or_else(|| tb.max_stressmark(2.5e6, None).delta_i());
-        run_step_response(tb.chip(), self.source_core, amps)
+        Ok(run_step_response(tb.chip(), self.source_core, amps)?)
     }
 
     fn render(&self, artifact: &StepResponse) -> String {
@@ -314,14 +306,6 @@ impl MappingComparisonExperiment {
 
 impl JobList for MappingComparisonExperiment {
     type Artifact = MappingComparison;
-
-    fn id(&self) -> &'static str {
-        "fig14"
-    }
-
-    fn title(&self) -> &'static str {
-        "Fig. 14: split vs clustered mapping of 3 stressmarks"
-    }
 
     fn jobs(&self, tb: &Testbed) -> Result<Vec<SimJob>, PdnError> {
         let sync = Some(SyncSpec::paper_default());
@@ -418,19 +402,11 @@ pub(crate) struct DrawerPropagationExperiment {
 impl Experiment for DrawerPropagationExperiment {
     type Artifact = DrawerPropagation;
 
-    fn id(&self) -> &'static str {
-        "drawer-prop"
-    }
-
-    fn title(&self) -> &'static str {
-        "Drawer study: dI step propagation across chips on a shared board PDN"
-    }
-
     fn render(&self, artifact: &DrawerPropagation) -> String {
         artifact.render()
     }
 
-    fn run(&self, _tb: &Testbed, engine: &Engine) -> Result<DrawerPropagation, PdnError> {
+    fn run(&self, _tb: &Testbed, engine: &Engine) -> Result<DrawerPropagation, ExperimentFailure> {
         let outcome = engine.run_drawer(&self.cfg)?;
         Ok(DrawerPropagation {
             config: self.cfg.clone(),

@@ -20,12 +20,11 @@
 //! own trajectory), repeated studies answer from the memo, and a
 //! persistent store makes the whole campaign crash-resumable.
 
-use crate::experiment::Experiment;
+use crate::experiment::{Experiment, ExperimentFailure};
 use crate::render::Table;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use voltnoise_pdn::topology::VariationSpec;
-use voltnoise_pdn::PdnError;
 use voltnoise_stressmark::SyncSpec;
 use voltnoise_system::engine::Engine;
 use voltnoise_system::noise::{CoreLoad, NoiseRunConfig};
@@ -171,15 +170,7 @@ pub struct RackMapExperiment {
 impl Experiment for RackMapExperiment {
     type Artifact = RackMapResult;
 
-    fn id(&self) -> &'static str {
-        "rack-map"
-    }
-
-    fn title(&self) -> &'static str {
-        "Rack study: noise-aware placement over a variated chip population"
-    }
-
-    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<RackMapResult, PdnError> {
+    fn run(&self, tb: &Testbed, engine: &Engine) -> Result<RackMapResult, ExperimentFailure> {
         let cfg = &self.cfg;
         let rack = Arc::new(RackScenario::build(
             tb.chip(),

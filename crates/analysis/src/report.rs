@@ -39,7 +39,7 @@ pub fn full_report(tb: &Testbed, engine: &Engine, scale: ReportScale) -> String 
     out.push_str("# voltnoise — full evaluation report\n\n");
     let mut failures: Vec<(&RegistryEntry, ExperimentFailure)> = Vec::new();
     for entry in registry().iter().filter(|e| e.in_report) {
-        match entry.run_settled(tb, engine, reduced) {
+        match entry.run(tb, engine, reduced) {
             Ok(output) => {
                 out.push_str(&output.rendered);
                 out.push('\n');

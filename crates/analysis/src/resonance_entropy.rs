@@ -144,14 +144,6 @@ pub struct ResonanceEntropyExperiment {
 impl JobList for ResonanceEntropyExperiment {
     type Artifact = ResonanceEntropy;
 
-    fn id(&self) -> &'static str {
-        "resonance-entropy"
-    }
-
-    fn title(&self) -> &'static str {
-        "Signal study: entropy carried by the die resonance band"
-    }
-
     fn jobs(&self, tb: &Testbed) -> Result<Vec<SimJob>, PdnError> {
         let batch = SimJob::batch(tb.chip());
         let mut jobs = Vec::new();

@@ -10,7 +10,7 @@
 //! magnitude. Not part of the golden report — runnable on demand
 //! (`rom-error`) and exercised by the bench harness.
 
-use crate::experiment::Experiment;
+use crate::experiment::{Experiment, ExperimentFailure};
 use serde::{Deserialize, Serialize};
 use voltnoise_pdn::{PdnError, RomSpec, SolveSpec};
 use voltnoise_system::engine::Engine;
@@ -125,15 +125,7 @@ pub(crate) struct RomErrorExperiment {
 impl Experiment for RomErrorExperiment {
     type Artifact = RomErrorStudy;
 
-    fn id(&self) -> &'static str {
-        "rom-error"
-    }
-
-    fn title(&self) -> &'static str {
-        "ROM study: macromodel error vs budget on the drawer step"
-    }
-
-    fn run(&self, _tb: &Testbed, engine: &Engine) -> Result<RomErrorStudy, PdnError> {
+    fn run(&self, _tb: &Testbed, engine: &Engine) -> Result<RomErrorStudy, ExperimentFailure> {
         let cfg = &self.cfg;
         let solve = |spec: SolveSpec| -> Result<DrawerStepOutcome, PdnError> {
             let step = DrawerStepConfig {

@@ -78,14 +78,6 @@ pub struct ScopeShotExperiment {
 impl JobList for ScopeShotExperiment {
     type Artifact = ScopeShot;
 
-    fn id(&self) -> &'static str {
-        "fig8"
-    }
-
-    fn title(&self) -> &'static str {
-        "Fig. 8: oscilloscope shot under max dI/dt stressmark"
-    }
-
     fn jobs(&self, tb: &Testbed) -> Result<Vec<SimJob>, PdnError> {
         let sm = tb.max_stressmark(self.cfg.stim_freq_hz, Some(SyncSpec::paper_default()));
         let loads: [CoreLoad; NUM_CORES] =

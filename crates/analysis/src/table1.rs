@@ -1,10 +1,9 @@
 //! The EPI ranking table (paper Table I): first and last five
 //! instructions of the 1301-instruction profile.
 
-use crate::experiment::Experiment;
+use crate::experiment::{Experiment, ExperimentFailure};
 use crate::render::Table;
 use serde::{Deserialize, Serialize};
-use voltnoise_pdn::PdnError;
 use voltnoise_system::engine::Engine;
 use voltnoise_system::testbed::Testbed;
 use voltnoise_uarch::epi::EpiEntry;
@@ -85,15 +84,7 @@ pub(crate) struct Table1Experiment;
 impl Experiment for Table1Experiment {
     type Artifact = Table1;
 
-    fn id(&self) -> &'static str {
-        "table1"
-    }
-
-    fn title(&self) -> &'static str {
-        "Table I: EPI profile extremes"
-    }
-
-    fn run(&self, tb: &Testbed, _engine: &Engine) -> Result<Table1, PdnError> {
+    fn run(&self, tb: &Testbed, _engine: &Engine) -> Result<Table1, ExperimentFailure> {
         Ok(Table1::from_testbed(tb))
     }
 

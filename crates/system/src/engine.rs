@@ -672,6 +672,18 @@ fn default_trace() -> bool {
     std::env::var("VOLTNOISE_TRACE").is_ok_and(|v| parsed_trace(&v))
 }
 
+/// Unwraps a settled fault into the error a fail-fast call returns,
+/// re-raising a captured worker panic.
+fn fail_fast(fault: JobFault) -> PdnError {
+    match fault.fault {
+        FaultKind::Solver(e)
+        | FaultKind::Budget(e)
+        | FaultKind::Cancelled(e)
+        | FaultKind::Deadline(e) => e,
+        FaultKind::Panic(msg) => panic!("{msg}"),
+    }
+}
+
 impl Engine {
     /// An engine with the default worker count (see module docs). When
     /// `VOLTNOISE_STORE` names a path, the engine additionally opens a
@@ -1272,21 +1284,7 @@ impl Engine {
     ///
     /// Re-raises a captured worker panic.
     pub fn run_one(&self, job: &SimJob) -> Result<Arc<NoiseOutcome>, PdnError> {
-        match self.run_one_settled(job) {
-            Ok(outcome) => Ok(outcome),
-            Err(JobFault {
-                fault:
-                    FaultKind::Solver(e)
-                    | FaultKind::Budget(e)
-                    | FaultKind::Cancelled(e)
-                    | FaultKind::Deadline(e),
-                ..
-            }) => Err(e),
-            Err(JobFault {
-                fault: FaultKind::Panic(msg),
-                ..
-            }) => panic!("{msg}"),
-        }
+        self.run_one_settled(job).map_err(fail_fast)
     }
 
     /// Runs a slice of jobs, deduplicating by content key up front (each
@@ -1496,21 +1494,7 @@ impl Engine {
     pub fn run_jobs(&self, jobs: &[SimJob]) -> Result<Vec<Arc<NoiseOutcome>>, PdnError> {
         let mut out = Vec::with_capacity(jobs.len());
         for settled in self.run_jobs_settled(jobs) {
-            match settled {
-                Ok(outcome) => out.push(outcome),
-                Err(JobFault {
-                    fault:
-                        FaultKind::Solver(e)
-                        | FaultKind::Budget(e)
-                        | FaultKind::Cancelled(e)
-                        | FaultKind::Deadline(e),
-                    ..
-                }) => return Err(e),
-                Err(JobFault {
-                    fault: FaultKind::Panic(msg),
-                    ..
-                }) => panic!("{msg}"),
-            }
+            out.push(settled.map_err(fail_fast)?);
         }
         Ok(out)
     }

@@ -45,4 +45,4 @@ pub mod wire;
 
 pub use client::{http_request, Response};
 pub use server::{Server, ServerConfig};
-pub use wire::{parse_signal_stats, BatchRequest, JobSpec, SignalStats, WireError};
+pub use wire::{BatchRequest, JobSpec, SignalStats, WireError};

@@ -539,8 +539,7 @@ fn handle_request(
                 .set_admitted_steps(shared.admission.in_flight());
             // The engine counters plus a "signal" section: the
             // campaign's spectral fingerprint (trace counts and
-            // bucket-floor quantiles), strict-decodable on the client
-            // side via `wire::parse_signal_stats`.
+            // bucket-floor quantiles).
             let mut fields = match shared.engine.stats().to_value() {
                 Value::Object(fields) => fields,
                 other => vec![("stats".to_string(), other)],

@@ -343,8 +343,7 @@ fn workload_of(v: &Value, what: &str) -> Result<WorkloadKind, WireError> {
 /// quantiles (exact to within a factor of two, like every
 /// [`voltnoise_system::telemetry::LogHistogram`] reading). Quantile
 /// fields are *absent* — not `null` — while no trace has been
-/// analyzed, so the encoding round-trips exactly through
-/// [`parse_signal_stats`] and never emits the `null` that strict
+/// analyzed, so the encoding never emits the `null` that strict
 /// decoders reject as a smuggled NaN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SignalStats {
@@ -375,9 +374,9 @@ impl SignalStats {
         }
     }
 
-    /// Serializes the summary to its wire value — the inverse of
-    /// [`parse_signal_stats`]; absent quantiles stay absent on the
-    /// wire, so two servers with equal telemetry emit the same bytes.
+    /// Serializes the summary to its wire value; absent quantiles stay
+    /// absent on the wire, so two servers with equal telemetry emit the
+    /// same bytes.
     pub fn to_value(&self) -> Value {
         let mut fields: Vec<(String, Value)> = vec![
             ("traces".to_string(), Value::U64(self.traces)),
@@ -490,60 +489,6 @@ pub(crate) fn parse_rack(body: &str) -> Result<Vec<RackJobSpec>, WireError> {
         out.push(spec);
     }
     Ok(out)
-}
-
-/// Decodes and validates one `/stats` `"signal"` section.
-///
-/// # Errors
-///
-/// Returns a typed [`WireError`] — never panics — for malformed JSON,
-/// duplicate keys, unknown or missing fields and wrong shapes; the
-/// same contract as [`parse_batch`].
-pub fn parse_signal_stats(body: &str) -> Result<SignalStats, WireError> {
-    let RawValue(root) = serde_json::from_str::<RawValue>(body)
-        .map_err(|e| WireError::new("invalid-json", e.to_string()))?;
-    signal_stats_of(&root, "signal")
-}
-
-/// Decodes a `"signal"` section already parsed to a value tree (the
-/// nested form inside a full `/stats` body).
-///
-/// # Errors
-///
-/// Returns a typed [`WireError`] on duplicate keys, unknown or missing
-/// fields and wrong shapes.
-pub(crate) fn signal_stats_of(v: &Value, what: &str) -> Result<SignalStats, WireError> {
-    let obj = StrictObject::of(
-        v,
-        what,
-        &[
-            "traces",
-            "rejected",
-            "peak_freq_hz_p50",
-            "peak_freq_hz_p95",
-            "band_power_femto_p50",
-            "min_entropy_millibits_p50",
-        ],
-    )?;
-    let required = |name: &str| -> Result<u64, WireError> {
-        let v = obj.get(name).ok_or_else(|| {
-            WireError::new("missing-field", format!("{what} is missing {name:?}"))
-        })?;
-        u64_field(v, &format!("{what}.{name}"))
-    };
-    let optional = |name: &str| -> Result<Option<u64>, WireError> {
-        obj.get(name)
-            .map(|v| u64_field(v, &format!("{what}.{name}")))
-            .transpose()
-    };
-    Ok(SignalStats {
-        traces: required("traces")?,
-        rejected: required("rejected")?,
-        peak_freq_hz_p50: optional("peak_freq_hz_p50")?,
-        peak_freq_hz_p95: optional("peak_freq_hz_p95")?,
-        band_power_femto_p50: optional("band_power_femto_p50")?,
-        min_entropy_millibits_p50: optional("min_entropy_millibits_p50")?,
-    })
 }
 
 fn job_of(v: &Value, index: usize) -> Result<JobSpec, WireError> {
@@ -841,30 +786,13 @@ mod tests {
         assert!(json.contains("\"detail\":"), "{json}");
     }
 
-    const VALID_SIGNAL: &str = r#"{"traces":12,"rejected":1,"peak_freq_hz_p50":2097152,"peak_freq_hz_p95":2097152,"band_power_femto_p50":64,"min_entropy_millibits_p50":1024}"#;
-
-    #[test]
-    fn signal_stats_round_trip_through_the_strict_decoder() {
-        let stats = parse_signal_stats(VALID_SIGNAL).unwrap();
-        assert_eq!(stats.traces, 12);
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.peak_freq_hz_p50, Some(1 << 21));
-        assert_eq!(stats, parse_signal_stats(&stats.to_json()).unwrap());
-        // Same summary, same bytes.
-        assert_eq!(
-            stats.to_json(),
-            parse_signal_stats(&stats.to_json()).unwrap().to_json()
-        );
-    }
-
     #[test]
     fn empty_telemetry_omits_quantiles_and_round_trips() {
         let stats = SignalStats::of(&SignalTelemetry::default());
         assert_eq!(stats.traces, 0);
         assert_eq!(stats.peak_freq_hz_p50, None);
-        // Absent, not null: the strict decoder would reject null.
+        // Absent, not null: a strict decoder would reject null.
         assert_eq!(stats.to_json(), r#"{"traces":0,"rejected":0}"#);
-        assert_eq!(stats, parse_signal_stats(&stats.to_json()).unwrap());
     }
 
     #[test]
@@ -882,45 +810,10 @@ mod tests {
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.peak_freq_hz_p50, Some(1 << 21)); // floor(2.5 MHz)
         assert_eq!(stats.min_entropy_millibits_p50, Some(1 << 10)); // 1500 mb
-        assert_eq!(stats, parse_signal_stats(&stats.to_json()).unwrap());
-    }
-
-    /// Fuzz-style sweep mirroring [`truncated_payloads_all_fail_typed`]:
-    /// every proper prefix of a valid signal section must fail with a
-    /// typed error, not a panic or a silent partial decode.
-    #[test]
-    fn truncated_signal_stats_all_fail_typed() {
-        for cut in 0..VALID_SIGNAL.len() {
-            let truncated = &VALID_SIGNAL[..cut];
-            let err = parse_signal_stats(truncated)
-                .expect_err(&format!("prefix of {cut} bytes must not decode"));
-            assert!(!err.code.is_empty());
-            assert!(!err.to_json().is_empty());
-        }
-    }
-
-    #[test]
-    fn garbage_signal_stats_are_typed() {
-        let cases: &[(&str, &str)] = &[
-            (r#"{"traces":1,"rejected":0,"bogus":1}"#, "unknown-field"),
-            (r#"{"traces":1}"#, "missing-field"),
-            (r#"{"rejected":0}"#, "missing-field"),
-            (r#"{"traces":-1,"rejected":0}"#, "bad-type"),
-            (r#"{"traces":1.5,"rejected":0}"#, "bad-type"),
-            (
-                r#"{"traces":1,"rejected":0,"peak_freq_hz_p50":null}"#,
-                "bad-type",
-            ),
-            (r#"{"traces":1,"rejected":0,"traces":2}"#, "duplicate-key"),
-            (r#"[]"#, "bad-type"),
-            (r#""signal""#, "bad-type"),
-            ("not json at all", "invalid-json"),
-            ("", "invalid-json"),
-        ];
-        for (body, code) in cases {
-            let err = parse_signal_stats(body).unwrap_err();
-            assert_eq!(err.code, *code, "body {body:?} gave {err}");
-        }
+        assert_eq!(
+            stats.to_json(),
+            r#"{"traces":1,"rejected":1,"peak_freq_hz_p50":2097152,"peak_freq_hz_p95":2097152,"band_power_femto_p50":268435456,"min_entropy_millibits_p50":1024}"#
+        );
     }
 
     #[test]

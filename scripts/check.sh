@@ -22,7 +22,7 @@ scripts/check_surface.sh
 echo "== rustdoc (warnings are errors: a narrowed item must not stay linked from public docs)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "== no process-global engine or trace flag, one PDN builder, one attempt per job, one batch envelope"
+echo "== no process-global engine or trace flag, one PDN builder, one attempt per job, one batch envelope, one experiment run path"
 # Engines are passed in and tracing is a per-engine field; a match here
 # reintroduces state that one test could leak into another. `Pdn` is the
 # one topology builder (a chip is 1x1, a drawer 1xN) and drawer steps go
@@ -30,9 +30,17 @@ echo "== no process-global engine or trace flag, one PDN builder, one attempt pe
 # not come back. Every fault is deterministic, so the engine makes one
 # attempt per job (the client's HTTP backoff is the only retry), and
 # every batch route shares the daemon's one envelope: no engine retry
-# layer and no `/drawer` route.
-if grep -rnE 'Engine::shared|set_trace|static TRACE|trace_enabled|ChipPdn|DrawerPdn|DrawerJob|RetryPolicy|with_retry|\bretry_after\(|handle_drawer|"/drawer"' crates tests examples; then
-    echo "process-global engine or trace flag, a per-level PDN type, an engine retry layer or a /drawer route found (see matches above)" >&2
+# layer and no `/drawer` route. An experiment has one run path, and it
+# settles failure; the binaries live in the `voltnoise` crate; the
+# server does not decode its own `/stats` output.
+if grep -rnE 'Engine::shared|set_trace|static TRACE|trace_enabled|ChipPdn|DrawerPdn|DrawerJob|RetryPolicy|with_retry|\bretry_after\(|handle_drawer|"/drawer"|run_settled|voltnoise-bench|parse_signal_stats' crates tests examples; then
+    echo "process-global engine or trace flag, a per-level PDN type, an engine retry layer, a /drawer route, a second experiment run path, the bench crate or the /stats decoder found (see matches above)" >&2
+    exit 1
+fi
+# The registry (crates/analysis/src/catalog.rs) is the only place an
+# artifact's id and title are written.
+if grep -rnE 'fn (id|title)\(&self\)' crates/analysis/src; then
+    echo "an experiment declares its own id or title; the registry entry owns them (see matches above)" >&2
     exit 1
 fi
 

@@ -28,7 +28,7 @@ ablations ablations.txt
 extensions extensions.txt
 "
 
-cargo build --release -q -p voltnoise-bench --bin experiment
+cargo build --release -q -p voltnoise --bin experiment
 # A store would answer from earlier solves; recompute everything.
 unset VOLTNOISE_STORE
 

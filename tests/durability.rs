@@ -254,7 +254,7 @@ fn interrupted_report_campaign_resumes_byte_identically() {
     // First process: run only the first few experiments, then "crash".
     let first = Engine::with_workers(2).with_store(&path).unwrap();
     for entry in registry().iter().filter(|e| e.in_report).take(4) {
-        let _ = entry.run_settled(tb, &first, true);
+        let _ = entry.run(tb, &first, true);
     }
     let paid_for = first.solves();
     assert!(paid_for > 0, "the interrupted run must have done real work");
@@ -318,7 +318,7 @@ fn report_bytes_are_identical_traced_untraced_and_resumed() {
         .with_store(&path)
         .unwrap();
     for entry in registry().iter().filter(|e| e.in_report).take(3) {
-        let _ = entry.run_settled(tb, &first, true);
+        let _ = entry.run(tb, &first, true);
     }
     drop(first);
     let second = Engine::with_workers(2)

@@ -4,7 +4,7 @@
 //! blow-ups into typed errors, failures are never cached, and the full
 //! report degrades gracefully instead of aborting.
 
-use voltnoise::analysis::{full_report, registry, ReportScale};
+use voltnoise::analysis::{find, full_report, registry, ReportScale};
 use voltnoise::pdn::netlist::{Netlist, NodeId};
 use voltnoise::pdn::transient::{Drive, Probe, TransientConfig, TransientSolver};
 use voltnoise::pdn::PdnError;
@@ -81,6 +81,29 @@ fn worker_panic_is_captured_and_cache_survives() {
     // cache was not poisoned by the mid-solve panic.
     let outcomes = engine.run_jobs(&jobs).expect("post-panic run succeeds");
     assert_eq!(outcomes.len(), 2);
+}
+
+/// An adaptive entry (Fig. 12 solves through `run_jobs`/`run_one`, not
+/// a job list) settles a worker panic like any other fault: the
+/// registry's `run` returns a `Panic` failure instead of unwinding into
+/// its caller.
+#[test]
+fn adaptive_entry_settles_a_worker_panic() {
+    let tb = Testbed::fast();
+    let engine = Engine::with_workers(1)
+        .with_injector(FaultInjector::new().fail_solve(0, InjectedFault::WorkerPanic));
+    let entry = find("fig12").expect("fig12 is registered");
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        entry.run(tb, &engine, true)
+    }));
+    match run {
+        Ok(Err(failure)) => match &failure.primary {
+            FaultKind::Panic(msg) => assert!(msg.contains("injected worker panic"), "{msg}"),
+            other => panic!("expected a Panic primary, got {other:?}"),
+        },
+        Ok(Ok(_)) => panic!("fig12 must fail on the injected panic"),
+        Err(_) => panic!("a worker panic must not unwind out of RegistryEntry::run"),
+    }
 }
 
 #[test]
@@ -218,7 +241,7 @@ fn degraded_report_renders_healthy_figures_and_fault_summary() {
     for entry in registry().iter().filter(|e| e.in_report) {
         let before = clean_engine.solve_attempts();
         let output = entry
-            .run_settled(tb, &clean_engine, true)
+            .run(tb, &clean_engine, true)
             .unwrap_or_else(|f| panic!("clean {} failed: {f}", entry.id));
         ranges.push((entry.id, before, clean_engine.solve_attempts()));
         clean_rendered.push((entry.id, output.rendered));
