@@ -1,16 +1,20 @@
-//! Steps 2–3 of the sequence search (paper Fig. 5): combination
-//! generation and microarchitectural filtering.
+//! Steps 2–4 of the sequence search (paper Fig. 5): combination
+//! generation, microarchitectural filtering and the IPC filter.
 //!
 //! All `9^6 = 531 441` length-six combinations of the candidates are
 //! enumerated ("length six ... is twice the dispatch group size", §IV-B)
 //! and reduced with static constraints from the core model: sequences
 //! that cannot average a dispatch-group size of three, carry too many
 //! branches, or oversubscribe a unit's ports are dropped before any
-//! simulation happens.
+//! simulation happens. The survivors are then ranked by the analytic
+//! throughput estimate and only the best few are kept for simulation.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use voltnoise_uarch::isa::{Isa, Opcode};
-use voltnoise_uarch::pipeline::{form_groups, CoreConfig};
+use voltnoise_uarch::par;
+use voltnoise_uarch::pipeline::{estimate_throughput, group_count, CoreConfig};
 use voltnoise_uarch::units::UnitKind;
 
 /// Length of searched sequences: twice the dispatch group size.
@@ -33,6 +37,9 @@ pub const SEQ_LEN: usize = 6;
 pub struct Combinations<'a> {
     candidates: &'a [Opcode],
     counters: [usize; SEQ_LEN],
+    /// Leading positions held fixed: 0 enumerates everything, 1 one
+    /// leading candidate's share.
+    fixed: usize,
     done: bool,
 }
 
@@ -42,7 +49,21 @@ impl<'a> Combinations<'a> {
         Combinations {
             candidates,
             counters: [0; SEQ_LEN],
+            fixed: 0,
             done: candidates.is_empty(),
+        }
+    }
+
+    /// The combinations that start with `candidates[lead]`, in the order
+    /// [`Combinations::new`] yields them.
+    fn with_lead(candidates: &'a [Opcode], lead: usize) -> Self {
+        let mut counters = [0; SEQ_LEN];
+        counters[0] = lead;
+        Combinations {
+            candidates,
+            counters,
+            fixed: 1,
+            done: lead >= candidates.len(),
         }
     }
 
@@ -51,7 +72,7 @@ impl<'a> Combinations<'a> {
         if self.candidates.is_empty() {
             0
         } else {
-            self.candidates.len().pow(SEQ_LEN as u32)
+            self.candidates.len().pow((SEQ_LEN - self.fixed) as u32)
         }
     }
 }
@@ -70,7 +91,7 @@ impl Iterator for Combinations<'_> {
         // Odometer increment.
         let mut i = SEQ_LEN;
         loop {
-            if i == 0 {
+            if i == self.fixed {
                 self.done = true;
                 break;
             }
@@ -122,18 +143,18 @@ pub(crate) fn microarch_filter(
     filter: &FilterConfig,
     seq: &[Opcode],
 ) -> bool {
-    let groups = form_groups(isa, core, seq);
-    let avg = if groups.is_empty() {
+    let groups = group_count(isa, core, seq);
+    let avg = if groups == 0 {
         0.0
     } else {
-        seq.len() as f64 / groups.len() as f64
+        seq.len() as f64 / groups as f64
     };
     if avg + 1e-9 < filter.required_avg_group_size {
         return false;
     }
     let mut branches = 0usize;
     let mut blocking = 0usize;
-    let mut occupancy = [0u64; 6];
+    let mut occupancy = [0u64; UnitKind::ALL.len()];
     for &op in seq {
         let def = isa.def(op);
         if def.ends_group {
@@ -150,9 +171,9 @@ pub(crate) fn microarch_filter(
     if branches > filter.max_branches || blocking > filter.max_blocking {
         return false;
     }
-    // Dispatch needs `groups.len()` cycles; any unit needing more issue
-    // slots than `cycles * ports` bottlenecks the loop below max IPC.
-    let cycles = groups.len() as u64;
+    // Dispatch needs `groups` cycles; any unit needing more issue slots
+    // than `cycles * ports` bottlenecks the loop below max IPC.
+    let cycles = groups as u64;
     for unit in UnitKind::ALL {
         if occupancy[unit.index()] > cycles * unit.ports() as u64 {
             return false;
@@ -161,30 +182,111 @@ pub(crate) fn microarch_filter(
     true
 }
 
-/// Runs the combination enumeration and filter, returning survivors and
-/// funnel counts.
+/// The funnel through the microarchitectural and IPC filters.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FilterOutcome {
-    /// Sequences that passed the filter.
-    pub survivors: Vec<[Opcode; SEQ_LEN]>,
     /// Total combinations enumerated (the paper's 531 441 for 9 candidates).
     pub total: usize,
+    /// Sequences that passed the microarchitectural filter.
+    pub survivors: usize,
+    /// The IPC filter's output, best first: at most `keep` survivors, by
+    /// estimated throughput, then static energy (both descending), then
+    /// enumeration order.
+    pub kept: Vec<[Opcode; SEQ_LEN]>,
 }
 
-/// Enumerates every combination of `candidates` and keeps those passing
-/// [`microarch_filter`].
+/// A microarchitectural survivor under the IPC filter's ranking. The
+/// order is total, and the better sequence compares less.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    throughput: f64,
+    energy_pj: f64,
+    ordinal: usize,
+    seq: [Opcode; SEQ_LEN],
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .throughput
+            .total_cmp(&self.throughput)
+            .then(other.energy_pj.total_cmp(&self.energy_pj))
+            .then(self.ordinal.cmp(&other.ordinal))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// Enumerates every combination of `candidates`, keeps those passing
+/// [`microarch_filter`], and ranks them with the analytic throughput
+/// estimate, keeping the best `keep`.
+///
+/// The combinations are split by leading candidate and each share is
+/// filtered and ranked on one of `workers` threads. A share holds only
+/// its best `keep` sequences, so no buffer grows with the survivor
+/// count; the calling thread merges the shares. The ranking is a total
+/// order that ends in enumeration order, so the outcome is the serial
+/// one at every worker count.
 pub(crate) fn filter_combinations(
     isa: &Isa,
     core: &CoreConfig,
     filter: &FilterConfig,
     candidates: &[Opcode],
+    keep: usize,
+    workers: usize,
 ) -> FilterOutcome {
-    let combos = Combinations::new(candidates);
-    let total = combos.total();
-    let survivors = combos
-        .filter(|seq| microarch_filter(isa, core, filter, seq))
-        .collect();
-    FilterOutcome { survivors, total }
+    let leads: Vec<usize> = (0..candidates.len()).collect();
+    let share = Combinations::with_lead(candidates, 0).total();
+    let shares = par::map(&leads, workers, |&lead| {
+        let mut survivors = 0usize;
+        // The worst kept sequence sits on top.
+        let mut best: BinaryHeap<Ranked> = BinaryHeap::new();
+        for (i, seq) in Combinations::with_lead(candidates, lead).enumerate() {
+            if !microarch_filter(isa, core, filter, &seq) {
+                continue;
+            }
+            survivors += 1;
+            let ranked = Ranked {
+                throughput: estimate_throughput(isa, core, &seq),
+                energy_pj: seq.iter().map(|&op| isa.def(op).energy_pj).sum(),
+                ordinal: lead * share + i,
+                seq,
+            };
+            if best.len() < keep {
+                best.push(ranked);
+            } else if let Some(mut worst) = best.peek_mut() {
+                if ranked < *worst {
+                    *worst = ranked;
+                }
+            }
+        }
+        (survivors, best.into_vec())
+    });
+    let mut survivors = 0;
+    let mut ranked = Vec::new();
+    for (n, best) in shares {
+        survivors += n;
+        ranked.extend(best);
+    }
+    ranked.sort_unstable();
+    ranked.truncate(keep);
+    FilterOutcome {
+        total: Combinations::new(candidates).total(),
+        survivors,
+        kept: ranked.into_iter().map(|r| r.seq).collect(),
+    }
 }
 
 #[cfg(test)]
@@ -205,6 +307,54 @@ mod tests {
         let c = Combinations::new(&ops);
         assert_eq!(c.total(), 729);
         assert_eq!(c.count(), 729);
+    }
+
+    #[test]
+    fn lead_shares_concatenate_to_the_whole_enumeration() {
+        let (isa, _, _) = setup();
+        let ops: Vec<Opcode> = ["AR", "SR", "NR"]
+            .iter()
+            .map(|m| isa.opcode(m).unwrap())
+            .collect();
+        let whole: Vec<_> = Combinations::new(&ops).collect();
+        let shares: Vec<_> = (0..ops.len())
+            .flat_map(|lead| Combinations::with_lead(&ops, lead))
+            .collect();
+        assert_eq!(shares, whole);
+        assert_eq!(Combinations::with_lead(&ops, 1).total(), 243);
+        assert_eq!(Combinations::with_lead(&ops, 3).count(), 0);
+    }
+
+    #[test]
+    fn kept_survivors_are_the_stable_sort_of_all_survivors() {
+        // The paper-scale candidate set (results/seq_search.txt), ranked
+        // the way the search ranked it before the filter kept only the
+        // best: score every survivor, stable-sort, truncate.
+        let (isa, core, filter) = setup();
+        let ops: Vec<Opcode> = [
+            "CIB", "CHHSI", "LG", "STRVFY", "MADBR", "DY", "XC", "LDR", "CDTR",
+        ]
+        .iter()
+        .map(|m| isa.opcode(m).unwrap())
+        .collect();
+        let mut scored: Vec<(f64, f64, [Opcode; SEQ_LEN])> = Combinations::new(&ops)
+            .filter(|seq| microarch_filter(&isa, &core, &filter, seq))
+            .map(|seq| {
+                let energy: f64 = seq.iter().map(|&op| isa.def(op).energy_pj).sum();
+                (estimate_throughput(&isa, &core, &seq), energy, seq)
+            })
+            .collect();
+        let survivors = scored.len();
+        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.total_cmp(&a.1)));
+        for keep in [0, 60, 1000] {
+            let expected: Vec<_> = scored.iter().take(keep).map(|s| s.2).collect();
+            for workers in [1, 3] {
+                let out = filter_combinations(&isa, &core, &filter, &ops, keep, workers);
+                assert_eq!(out.total, 531_441);
+                assert_eq!(out.survivors, survivors, "keep={keep} workers={workers}");
+                assert_eq!(out.kept, expected, "keep={keep} workers={workers}");
+            }
+        }
     }
 
     #[test]
@@ -302,9 +452,10 @@ mod tests {
             .iter()
             .map(|m| isa.opcode(m).unwrap())
             .collect();
-        let out = filter_combinations(&isa, &core, &filter, &ops);
+        let out = filter_combinations(&isa, &core, &filter, &ops, 64, 1);
         assert_eq!(out.total, 64);
-        assert!(!out.survivors.is_empty());
-        assert!(out.survivors.len() < 64);
+        assert!(out.survivors > 0);
+        assert!(out.survivors < 64);
+        assert_eq!(out.kept.len(), out.survivors);
     }
 }

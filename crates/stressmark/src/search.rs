@@ -3,12 +3,13 @@
 //! construction of §IV-B/V-D.
 
 use crate::candidates::{select_candidates, Candidate};
-use crate::filter::{filter_combinations, FilterConfig, SEQ_LEN};
+use crate::filter::{filter_combinations, FilterConfig};
 use serde::{Deserialize, Serialize};
 use voltnoise_uarch::epi::EpiProfile;
 use voltnoise_uarch::isa::{Isa, Opcode};
 use voltnoise_uarch::kernel::Kernel;
-use voltnoise_uarch::pipeline::{estimate_throughput, CoreConfig};
+use voltnoise_uarch::par;
+use voltnoise_uarch::pipeline::CoreConfig;
 
 /// A power-evaluated sequence.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -99,32 +100,39 @@ pub fn find_max_power_sequence(
     profile: &EpiProfile,
     cfg: &SearchConfig,
 ) -> SearchOutcome {
+    find_max_power_sequence_on(isa, core, profile, cfg, par::workers())
+}
+
+/// [`find_max_power_sequence`] on `workers` threads: the filters run one
+/// share of the combinations per thread and the power evaluations run
+/// one sequence per claim. Every step is pure and merged in a fixed
+/// order, so the outcome is bitwise the same at every worker count.
+pub(crate) fn find_max_power_sequence_on(
+    isa: &Isa,
+    core: &CoreConfig,
+    profile: &EpiProfile,
+    cfg: &SearchConfig,
+    workers: usize,
+) -> SearchOutcome {
     let candidates = select_candidates(isa, profile);
     let cand_ops: Vec<Opcode> = candidates.iter().map(|c| c.opcode).collect();
-    let filtered = filter_combinations(isa, core, &FilterConfig::default(), &cand_ops);
-    let after_microarch = filtered.survivors.len();
-
     // IPC filter: fast analytic throughput, keep the top `ipc_keep`.
     // Many sequences tie at the dispatch-width bound, so ties are broken
     // by the static energy sum — a free proxy that keeps the
     // highest-power candidates in the evaluated set.
-    let mut scored: Vec<(f64, f64, [Opcode; SEQ_LEN])> = filtered
-        .survivors
-        .into_iter()
-        .map(|seq| {
-            let energy: f64 = seq.iter().map(|&op| isa.def(op).energy_pj).sum();
-            (estimate_throughput(isa, core, &seq), energy, seq)
-        })
-        .collect();
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.total_cmp(&a.1)));
-    scored.truncate(cfg.ipc_keep);
-    let after_ipc = scored.len();
+    let filtered = filter_combinations(
+        isa,
+        core,
+        &FilterConfig::default(),
+        &cand_ops,
+        cfg.ipc_keep,
+        workers,
+    );
 
     // Power evaluation of the survivors.
-    let mut evals: Vec<SequenceEval> = scored
-        .iter()
-        .map(|(_, _, seq)| evaluate(isa, core, seq, cfg.eval_iterations))
-        .collect();
+    let mut evals = par::map(&filtered.kept, workers, |seq| {
+        evaluate(isa, core, seq, cfg.eval_iterations)
+    });
     evals.sort_by(|a, b| b.power_w.total_cmp(&a.power_w));
     let best = evals.remove(0);
     evals.truncate(8);
@@ -132,8 +140,8 @@ pub fn find_max_power_sequence(
     SearchOutcome {
         candidates,
         total_combinations: filtered.total,
-        after_microarch,
-        after_ipc,
+        after_microarch: filtered.survivors,
+        after_ipc: filtered.kept.len(),
         best,
         runners_up: evals,
     }
@@ -282,6 +290,41 @@ mod tests {
         let med = find_sequence_with_power(&f.isa, &f.core, &f.outcome.best, target, 150);
         let rel = (med.power_w - target).abs() / target;
         assert!(rel < 0.08, "medium {} vs target {target}", med.power_w);
+    }
+
+    #[test]
+    fn outcome_is_bitwise_the_same_at_one_and_three_workers() {
+        let f = fixture();
+        let cfg = SearchConfig {
+            ipc_keep: 200,
+            eval_iterations: 150,
+        };
+        let bits = |e: &SequenceEval| {
+            let floats = [e.ipc, e.power_w, e.current_a].map(f64::to_bits);
+            (e.body.clone(), e.mnemonics.clone(), floats)
+        };
+        let serial = find_max_power_sequence_on(&f.isa, &f.core, &f.profile, &cfg, 1);
+        let three = find_max_power_sequence_on(&f.isa, &f.core, &f.profile, &cfg, 3);
+        for o in [&serial, &three] {
+            assert_eq!(o.candidates, f.outcome.candidates);
+            let counts = (o.total_combinations, o.after_microarch, o.after_ipc);
+            let fixture_counts = (
+                f.outcome.total_combinations,
+                f.outcome.after_microarch,
+                f.outcome.after_ipc,
+            );
+            assert_eq!(counts, fixture_counts);
+            assert_eq!(bits(&o.best), bits(&f.outcome.best));
+            let runners: Vec<_> = o.runners_up.iter().map(bits).collect();
+            let expected: Vec<_> = f.outcome.runners_up.iter().map(bits).collect();
+            assert_eq!(runners, expected);
+        }
+        let core = &f.core;
+        let kept = |workers| {
+            let ops: Vec<Opcode> = serial.candidates.iter().map(|c| c.opcode).collect();
+            filter_combinations(&f.isa, core, &FilterConfig::default(), &ops, 200, workers)
+        };
+        assert_eq!(kept(1), kept(3));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! the per-core loads and the run configuration. This module exploits
 //! that purity twice:
 //!
-//! 1. **Parallelism** — independent jobs run on a work-stealing pool of
-//!    scoped threads ([`std::thread::scope`], no extra dependencies).
+//! 1. **Parallelism** — independent jobs run on scoped threads through
+//!    [`voltnoise_uarch::par::map`], the same order-preserving map that
+//!    builds the testbed (no extra dependencies).
 //!    Because jobs are pure, parallel execution is bitwise identical to
 //!    serial execution (an invariant the test suite enforces). Jobs of
 //!    one batch that share a scenario and a step schedule run as the
@@ -29,9 +30,10 @@
 //! Failed solves are never cached, and all cache locks recover from
 //! poisoning, so one faulted job cannot poison the results of another.
 //!
-//! The worker count defaults to [`std::thread::available_parallelism`]
-//! and can be overridden with the `VOLTNOISE_THREADS` environment
-//! variable (`VOLTNOISE_THREADS=1` forces serial execution). Wall-clock
+//! The worker count is [`voltnoise_uarch::par::workers`]: the
+//! `VOLTNOISE_THREADS` environment variable when set, otherwise
+//! [`std::thread::available_parallelism`]. The same count sizes the
+//! testbed build, and `VOLTNOISE_THREADS=1` makes both serial. Wall-clock
 //! tracing is a property of each engine: it defaults to the
 //! `VOLTNOISE_TRACE` environment variable read when the engine is built,
 //! and [`Engine::with_trace`] sets it explicitly, so a traced and an
@@ -62,6 +64,7 @@ use voltnoise_pdn::signal::trace_signature;
 use voltnoise_pdn::topology::NUM_CORES;
 use voltnoise_pdn::transient::{StepSchedule, MAX_LANES};
 use voltnoise_pdn::{CancelToken, PdnError, SolverBackend};
+use voltnoise_uarch::par;
 
 /// Number of independently locked cache shards. A small power of two:
 /// enough to keep worker threads from serializing on one mutex, small
@@ -634,31 +637,6 @@ impl Default for Engine {
     }
 }
 
-/// Parses a `VOLTNOISE_THREADS` value into a worker count.
-fn parsed_workers(raw: &str) -> Result<usize, &'static str> {
-    let n: usize = raw.trim().parse().map_err(|_| "not a positive integer")?;
-    if n == 0 {
-        return Err("thread count must be at least 1");
-    }
-    Ok(n)
-}
-
-/// Resolves the worker count: `VOLTNOISE_THREADS` when set and valid,
-/// otherwise the machine's available parallelism. An invalid setting is
-/// reported on stderr rather than silently ignored.
-fn default_workers() -> usize {
-    if let Ok(s) = std::env::var("VOLTNOISE_THREADS") {
-        match parsed_workers(&s) {
-            Ok(n) => return n,
-            Err(why) => eprintln!(
-                "voltnoise: ignoring VOLTNOISE_THREADS={s:?} ({why}); \
-                 falling back to available parallelism"
-            ),
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Parses a `VOLTNOISE_TRACE` value: empty or `0` means untraced
 /// (figures are generated untraced); any other value enables tracing.
 fn parsed_trace(raw: &str) -> bool {
@@ -691,7 +669,7 @@ impl Engine {
     /// on stderr and skipped rather than aborting (durability degrades,
     /// the campaign does not).
     pub fn new() -> Engine {
-        let mut engine = Engine::with_workers(default_workers());
+        let mut engine = Engine::with_workers(par::workers());
         if let Ok(raw) = std::env::var("VOLTNOISE_STORE") {
             if let Err(why) = engine.attach_store(&raw) {
                 eprintln!(
@@ -1499,47 +1477,20 @@ impl Engine {
         Ok(out)
     }
 
-    /// Applies a function to each item on the worker pool, capturing
-    /// worker panics as `Err(message)` so one panicking item cannot
-    /// tear down the whole batch. Results arrive in input order. The
-    /// serial (1-worker) path catches panics identically, keeping
-    /// parallel and serial behavior aligned.
+    /// Applies a function to each item through [`par::map`] on the
+    /// engine's workers, capturing worker panics as `Err(message)` so one
+    /// panicking item cannot tear down the whole batch. Results arrive in
+    /// input order. The serial (1-worker) path catches panics
+    /// identically, keeping parallel and serial behavior aligned.
     pub(crate) fn par_map_caught<T, U, F>(&self, items: &[T], f: F) -> Vec<Result<U, String>>
     where
         T: Sync,
         U: Send,
         F: Fn(&T) -> U + Sync,
     {
-        let n = items.len();
-        let workers = self.workers.min(n);
-        let call = |item: &T| -> Result<U, String> {
+        par::map(items, self.workers, |item| {
             catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|p| panic_message(p.as_ref()))
-        };
-        if workers <= 1 {
-            return items.iter().map(call).collect();
-        }
-        let results: Vec<Mutex<Option<Result<U, String>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    *lock_recover(&results[i]) = Some(call(&items[i]));
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .unwrap_or_else(|| Err("worker never filled result slot".to_string()))
-            })
-            .collect()
+        })
     }
 }
 
@@ -2240,13 +2191,6 @@ mod tests {
     }
 
     #[test]
-    fn parsed_workers_accepts_positive_integers() {
-        assert_eq!(parsed_workers("1"), Ok(1));
-        assert_eq!(parsed_workers(" 8 "), Ok(8));
-        assert_eq!(parsed_workers("32"), Ok(32));
-    }
-
-    #[test]
     fn trace_flag_parses_the_env_convention_and_with_trace_overrides_it() {
         assert!(!parsed_trace(""));
         assert!(!parsed_trace(" 0 "));
@@ -2254,15 +2198,6 @@ mod tests {
         assert!(parsed_trace("yes"));
         assert!(Engine::with_workers(1).with_trace(true).trace);
         assert!(!Engine::with_workers(1).with_trace(false).trace);
-    }
-
-    #[test]
-    fn parsed_workers_rejects_garbage_and_zero() {
-        assert!(parsed_workers("0").is_err());
-        assert!(parsed_workers("-2").is_err());
-        assert!(parsed_workers("four").is_err());
-        assert!(parsed_workers("2.5").is_err());
-        assert!(parsed_workers("").is_err());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::isa::{Isa, Opcode};
 use crate::kernel::{Kernel, RunMetrics, EPI_REPETITIONS};
+use crate::par;
 use crate::pipeline::CoreConfig;
 use serde::{Deserialize, Serialize};
 
@@ -50,28 +51,43 @@ pub struct EpiProfile {
 }
 
 impl EpiProfile {
-    /// Profiles every instruction of the ISA.
+    /// Profiles every instruction of the ISA, on the
+    /// [`par::workers`] worker count.
     ///
     /// Serializing instructions are profiled with fewer repetitions (their
     /// loops run hundreds of times slower), which does not change their
     /// steady-state power.
     pub fn generate(isa: &Isa, cfg: &CoreConfig) -> Self {
-        let mut entries: Vec<EpiEntry> = isa
+        Self::generate_on(isa, cfg, par::workers())
+    }
+
+    /// [`EpiProfile::generate`] on `workers` threads. Each instruction's
+    /// simulation is pure, so the profile is bitwise the same at every
+    /// worker count; the entries are built on the calling thread.
+    pub(crate) fn generate_on(isa: &Isa, cfg: &CoreConfig, workers: usize) -> Self {
+        let ops: Vec<Opcode> = isa.iter().map(|(op, _)| op).collect();
+        let measured = par::map(&ops, workers, |&op| {
+            let def = isa.def(op);
+            let reps = if def.serializing || def.occupancy > 8 {
+                EPI_REPETITIONS / 10
+            } else {
+                EPI_REPETITIONS
+            };
+            let m: RunMetrics = Kernel::single_instruction(isa, op, reps).run(isa, cfg);
+            (m.avg_power_w, m.ipc)
+        });
+        let mut entries: Vec<EpiEntry> = ops
             .iter()
-            .map(|(op, def)| {
-                let reps = if def.serializing || def.occupancy > 8 {
-                    EPI_REPETITIONS / 10
-                } else {
-                    EPI_REPETITIONS
-                };
-                let m: RunMetrics = Kernel::single_instruction(isa, op, reps).run(isa, cfg);
+            .zip(measured)
+            .map(|(&op, (power_w, ipc))| {
+                let def = isa.def(op);
                 EpiEntry {
                     opcode: op,
                     mnemonic: def.mnemonic.clone(),
                     description: def.description.clone(),
-                    power_w: m.avg_power_w,
+                    power_w,
                     rel_power: 0.0,
-                    ipc: m.ipc,
+                    ipc,
                 }
             })
             .collect();
@@ -177,6 +193,25 @@ mod tests {
             p.top(5).iter().any(|e| e.opcode == chhsi),
             "CHHSI outside the Top 5"
         );
+    }
+
+    #[test]
+    fn profile_is_bitwise_the_same_at_one_and_three_workers() {
+        let (isa, p) = profile();
+        let bits = |p: &EpiProfile| -> Vec<(Opcode, String, u64, u64, u64)> {
+            p.entries()
+                .iter()
+                .map(|e| {
+                    let (a, b, c) = (e.power_w.to_bits(), e.rel_power.to_bits(), e.ipc.to_bits());
+                    (e.opcode, e.mnemonic.clone(), a, b, c)
+                })
+                .collect()
+        };
+        let serial = EpiProfile::generate_on(isa, &CoreConfig::default(), 1);
+        let three = EpiProfile::generate_on(isa, &CoreConfig::default(), 3);
+        assert_eq!(bits(&serial), bits(&three));
+        assert_eq!(bits(&serial), bits(p));
+        assert_eq!(serial, three);
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //! - [`kernel::Kernel`] — looped micro-benchmarks with measured IPC,
 //!   power, current and per-cycle current traces;
 //! - [`epi::EpiProfile`] — the full energy-per-instruction ranking the
-//!   stressmark search starts from.
+//!   stressmark search starts from;
+//! - [`par`] — the workspace's one order-preserving parallel map and the
+//!   `VOLTNOISE_THREADS` worker count, shared by the EPI profile, the
+//!   sequence search and the simulation engine.
 //!
 //! # Examples
 //!
@@ -39,6 +42,7 @@ pub mod disruptive;
 pub mod epi;
 pub mod isa;
 pub mod kernel;
+pub mod par;
 pub mod pipeline;
 pub mod target;
 pub mod units;

@@ -96,13 +96,32 @@ pub fn form_groups(isa: &Isa, cfg: &CoreConfig, body: &[Opcode]) -> Vec<Vec<usiz
     groups
 }
 
+/// The number of dispatch groups [`form_groups`] forms, by the same
+/// rules, without allocating the groups.
+pub fn group_count(isa: &Isa, cfg: &CoreConfig, body: &[Opcode]) -> usize {
+    let mut groups = 0;
+    let mut open = 0;
+    for &op in body {
+        let def = isa.def(op);
+        if def.dispatch_alone {
+            groups += usize::from(open > 0) + 1;
+            open = 0;
+            continue;
+        }
+        open += 1;
+        if def.ends_group || open >= cfg.dispatch_width {
+            groups += 1;
+            open = 0;
+        }
+    }
+    groups + usize::from(open > 0)
+}
+
 /// Average dispatch-group size of a body (micro-ops per group).
 pub fn average_group_size(isa: &Isa, cfg: &CoreConfig, body: &[Opcode]) -> f64 {
-    let groups = form_groups(isa, cfg, body);
-    if groups.is_empty() {
-        0.0
-    } else {
-        body.len() as f64 / groups.len() as f64
+    match group_count(isa, cfg, body) {
+        0 => 0.0,
+        groups => body.len() as f64 / groups as f64,
     }
 }
 
@@ -249,8 +268,7 @@ pub fn estimate_throughput(isa: &Isa, cfg: &CoreConfig, body: &[Opcode]) -> f64 
     if body.is_empty() {
         return 0.0;
     }
-    let groups = form_groups(isa, cfg, body);
-    let mut unit_occupancy = [0u64; 6];
+    let mut unit_occupancy = [0u64; UnitKind::ALL.len()];
     let mut serialize_penalty = 0u64;
     for &op in body {
         let def = isa.def(op);
@@ -259,7 +277,7 @@ pub fn estimate_throughput(isa: &Isa, cfg: &CoreConfig, body: &[Opcode]) -> f64 
             serialize_penalty += def.latency as u64 + 1;
         }
     }
-    let dispatch_cycles = groups.len() as u64;
+    let dispatch_cycles = group_count(isa, cfg, body) as u64;
     let unit_cycles = UnitKind::ALL
         .iter()
         .map(|u| unit_occupancy[u.index()].div_ceil(u.ports() as u64))

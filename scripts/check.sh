@@ -44,6 +44,21 @@ if grep -rnE 'fn (id|title)\(&self\)' crates/analysis/src; then
     exit 1
 fi
 
+# One parallel map: `voltnoise_uarch::par::map` runs the engine's
+# batches and the testbed build, so no other library code starts its own
+# scoped-thread loop. Top-level `#[cfg(test)]` modules are exempt.
+if awk 'FNR == 1 { skip = 0; prev = "" }
+        /^mod [a-z_]+ \{/ && prev ~ /^#\[cfg\(test\)\]/ { skip = 1 }
+        !skip && /thread::scope/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        skip && /^\}/ { skip = 0 }
+        { prev = $0 }
+        END { exit !found }' \
+    $(find crates/pdn/src crates/uarch/src crates/stressmark/src crates/system/src crates/analysis/src \
+        -name '*.rs' ! -path crates/uarch/src/par.rs | sort); then
+    echo "a scoped-thread loop outside crates/uarch/src/par.rs; run it through par::map (see matches above)" >&2
+    exit 1
+fi
+
 echo "== cargo build --release && cargo test (the tier-1 command)"
 # The workspace is virtual, so this runs every member's tests, the
 # fault-injection, durability, telemetry and signal suites included.

@@ -17,7 +17,7 @@ use voltnoise::pdn::waveform::{StressWaveform, WaveMode};
 use voltnoise::prelude::*;
 use voltnoise::system::guardband::GuardbandTable;
 use voltnoise::system::spread_offsets;
-use voltnoise::uarch::pipeline::{estimate_throughput, form_groups};
+use voltnoise::uarch::pipeline::{estimate_throughput, form_groups, group_count};
 use voltnoise::uarch::Isa;
 
 /// Runs `body` for `cases` deterministic seeded cases.
@@ -167,6 +167,43 @@ fn groups_partition_body() {
         assert!(groups
             .iter()
             .all(|g| !g.is_empty() && g.len() <= cfg.dispatch_width));
+    });
+}
+
+/// The non-allocating group count agrees with group formation on random
+/// bodies drawn from the whole ISA, with dispatch-alone and group-ending
+/// ops planted so that every rule fires.
+#[test]
+fn group_count_matches_form_groups() {
+    let isa = Isa::zlike();
+    let cfg = CoreConfig::default();
+    let all: Vec<Opcode> = isa.iter().map(|(op, _)| op).collect();
+    let alone: Vec<Opcode> = isa
+        .iter()
+        .filter(|(_, d)| d.dispatch_alone)
+        .map(|(op, _)| op)
+        .collect();
+    let enders: Vec<Opcode> = isa
+        .iter()
+        .filter(|(_, d)| d.ends_group && !d.dispatch_alone)
+        .map(|(op, _)| op)
+        .collect();
+    assert!(!alone.is_empty() && !enders.is_empty());
+    let pick = |rng: &mut SmallRng, ops: &[Opcode]| ops[rng.gen_range(0..ops.len())];
+    check(400, |rng| {
+        let len = rng.gen_range(0usize..24);
+        let body: Vec<Opcode> = (0..len)
+            .map(|_| match rng.gen_range(0u32..8) {
+                0 => pick(rng, &alone),
+                1 | 2 => pick(rng, &enders),
+                _ => pick(rng, &all),
+            })
+            .collect();
+        assert_eq!(
+            group_count(&isa, &cfg, &body),
+            form_groups(&isa, &cfg, &body).len(),
+            "{body:?}"
+        );
     });
 }
 
